@@ -338,6 +338,9 @@ class Realization:
     ``delta_coeff`` is the delta-coefficient carried by the simple root at
     ``delta_node`` (1 for a standard affine matrix, 2 for a restricted tier
     whose node-0 root is twice an ambient root, None/0 for finite type).
+    ``int_roots[i]`` lists the nonzero integer coordinates of the i-th
+    simple root as (slot, value) pairs, slot n being delta; the integer
+    Weyl kernel in `weyl` reflects with them.
     """
 
     def __init__(self, gcm: GCM, basis_id: str, delta_node: int | None = None,
@@ -346,12 +349,17 @@ class Realization:
         self.basis_id = basis_id
         self.delta_node = delta_node
         self.delta_coeff = Q(delta_coeff) if delta_node is not None else Q(0)
+        if self.delta_coeff.denominator != 1:
+            raise ValueError(f"delta coefficient {self.delta_coeff} is not an integer")
         n = gcm.n
         self._roots = tuple(
             WeightVec(basis_id, tuple(Q(x) for x in gcm.entries[i]),
                       self.delta_coeff if i == delta_node else Q(0))
             for i in range(n)
         )
+        self.int_roots = tuple(
+            tuple((j, int(x)) for j, x in enumerate(root.coords + (root.delta,)) if x)
+            for root in self._roots)
         self._expand_cache: dict[tuple, tuple[Fraction, ...] | None] = {}
 
     @classmethod
@@ -402,10 +410,6 @@ class Realization:
             sol = linalg.solve(rows, rhs)
             self._expand_cache[key] = tuple(sol) if sol is not None else None
         return self._expand_cache[key]
-
-    def is_negative_root_vec(self, v: WeightVec) -> bool:
-        c = self.root_coords(v)
-        return c is not None and all(x <= 0 for x in c) and any(x < 0 for x in c)
 
     def dominant_conjugate(self, v: WeightVec) -> tuple[WeightVec, list[int]]:
         """(dominant representative, letters l with s_{l_1}...s_{l_k} v dominant).

@@ -3,8 +3,8 @@
 Subcommands mirror the library modules; `verify` runs named check suites
 and exits nonzero when any check fails.  Rationals are printed as "p/q";
 maps are serialized with sorted keys so identical invocations give
-byte-identical output.  SMT_KIT_CAP overrides enumeration caps and --seed
-fixes the randomized property sampling.
+identical output apart from `elapsed_ms`.  SMT_KIT_CAP overrides
+enumeration caps and --seed fixes the randomized property sampling.
 """
 
 from __future__ import annotations
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         report = args.func(args, t0)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(_dump({"error": str(exc)}))
         return 1
     if args.tsv and report["checks"]:

@@ -1,11 +1,16 @@
 """Weyl groups of symmetrizable GCMs: words, Bruhat order, Demazure characters.
 
-Elements are words in simple reflections acting on the delta-extended
-weight coordinates of a Realization; that action is faithful, so element
-identity, reduction and descents are all certified by it.  Minimal coset
-representatives, interval enumeration below an element, the special
-telescoping words built from the distinguished node, and the
-divided-difference character of a Schubert cell are provided.
+Elements are words in simple reflections of a Realization.  An element w
+is keyed by the integer vector w(rho), rho = (1, ..., 1): rho is regular
+dominant, so the key is faithful, and the negative coordinates of w(rho)
+are exactly the left descents of w.  Reduction peels the smallest of them
+until rho is reached; a coset w W_J is found the same way from
+w(rho_J), rho_J = sum of omega_j for j not in J, whose stabilizer is W_J.
+Bruhat order is decided by Deodhar's Z-property (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
+min(u, s u) <= s v.  Interval enumeration below a coset, the telescoping
+words built from the distinguished node, and the divided-difference
+character of a Schubert cell act on exact Fraction weights.
 """
 
 from __future__ import annotations
@@ -17,11 +22,50 @@ from .cartan import Realization, WeightVec
 Q = Fraction
 
 
+def _image(real: Realization, letters, start: list[int]) -> list[int]:
+    """s_{l_1} ... s_{l_k} applied to an integer weight (delta last), s_{l_k} first."""
+    v = list(start)
+    roots = real.int_roots
+    for i in reversed(letters):
+        c = v[i]
+        if c:
+            for j, a in roots[i]:
+                v[j] -= c * a
+    return v
+
+
+def _peel(real: Realization, v: list[int], bound: int, target: list[int],
+          what: str) -> tuple[int, ...]:
+    """Letters i_1, ..., i_k, each the smallest negative coordinate at its
+    step, with s_{i_k} ... s_{i_1} v = target; w = s_{i_1} ... s_{i_k} is then
+    reduced.  Each peel shortens w, so more than `bound` peels, or a
+    descent-free end other than `target`, is an internal error."""
+    n = real.n
+    roots = real.int_roots
+    v = list(v)
+    out: list[int] = []
+    for _ in range(bound + 1):
+        i = next((j for j in range(n) if v[j] < 0), None)
+        if i is None:
+            break
+        out.append(i)
+        c = v[i]
+        for j, a in roots[i]:
+            v[j] -= c * a
+    if v != target:
+        raise AssertionError(what)
+    return tuple(out)
+
+
+def _rho(real: Realization) -> list[int]:
+    return [1] * real.n + [0]
+
+
 class WeylWord:
     """A word in simple reflections of one realization.
 
-    Two words are equal iff their actions on the fundamental weights (and
-    delta) agree; reduce() peels left descents against that action.
+    Two words are equal iff they send rho to the same weight; reduce()
+    peels left descents, the negative coordinates of that weight.
     """
 
     def __init__(self, real: Realization, letters):
@@ -30,15 +74,12 @@ class WeylWord:
         self._key = None
         self._reduced: tuple[int, ...] | None = None
 
-    def _images(self):
-        real = self.real
-        return tuple(real.act_letters(self.letters, real.fundamental(j))
-                     for j in range(real.n))
-
     @property
     def key(self):
+        """w(rho) as (integer coordinates, integer delta coordinate)."""
         if self._key is None:
-            self._key = tuple((im.coords, im.delta) for im in self._images())
+            v = _image(self.real, self.letters, _rho(self.real))
+            self._key = (tuple(v[:-1]), v[-1])
         return self._key
 
     def __eq__(self, other):
@@ -62,51 +103,27 @@ class WeylWord:
         return WeylWord(self.real, self.letters + other.letters)
 
     def is_identity(self) -> bool:
-        real = self.real
-        return all(self.act(real.fundamental(j)) == real.fundamental(j)
-                   for j in range(real.n))
+        coords, delta = self.key
+        return delta == 0 and all(c == 1 for c in coords)
 
     def left_descent(self) -> int | None:
         """Smallest i with length(s_i w) < length(w); None for the identity."""
-        real = self.real
-        inv = tuple(reversed(self.letters))
-        for i in range(real.n):
-            if real.is_negative_root_vec(real.act_letters(inv, real.simple_root(i))):
-                return i
-        return None
+        return next((i for i, c in enumerate(self.key[0]) if c < 0), None)
 
     def right_descent_in(self, nodes) -> int | None:
-        real = self.real
-        for j in sorted(nodes):
-            if real.is_negative_root_vec(self.act(real.simple_root(j))):
-                return j
-        return None
+        coords = self.inverse().key[0]
+        return next((j for j in sorted(nodes) if coords[j] < 0), None)
 
     def reduce(self) -> tuple[int, ...]:
         """A reduced word for the same element (deterministic, idempotent)."""
         if self._reduced is None:
-            cache = _reduce_cache.setdefault(id(self.real), {})
-            key = self.key
-            if key not in cache:
-                out: list[int] = []
-                cur = self
-                while True:
-                    i = cur.left_descent()
-                    if i is None:
-                        if not cur.is_identity():
-                            raise AssertionError("descent-free non-identity element")
-                        break
-                    out.append(i)
-                    cur = WeylWord(self.real, (i,) + cur.letters)
-                cache[key] = tuple(out)
-            self._reduced = cache[key]
+            coords, delta = self.key
+            self._reduced = _peel(self.real, list(coords) + [delta], len(self.letters),
+                                  _rho(self.real), "descent-free non-identity element")
         return self._reduced
 
     def length(self) -> int:
         return len(self.reduce())
-
-
-_reduce_cache: dict[int, dict] = {}
 
 
 def act(w: WeylWord, v: WeightVec) -> WeightVec:
@@ -114,34 +131,44 @@ def act(w: WeylWord, v: WeightVec) -> WeightVec:
 
 
 def longest_parabolic(real: Realization, nodes, cap: int = 4096) -> WeylWord:
-    """Longest element of the (finite) parabolic generated by the given nodes."""
-    w = WeylWord(real, ())
+    """Longest element of the (finite) parabolic generated by the given nodes.
+
+    Grows w by a letter that is not yet a right descent; `inv` is the key
+    of w^{-1}, whose negative coordinates are the right descents of w.
+    """
+    nodes = sorted(nodes)
+    letters: list[int] = []
+    inv = _rho(real)
     for _ in range(cap):
-        j = next((j for j in sorted(nodes)
-                  if not real.is_negative_root_vec(w.act(real.simple_root(j)))), None)
+        j = next((j for j in nodes if inv[j] > 0), None)
         if j is None:
-            return WeylWord(real, w.reduce())
-        w = WeylWord(real, w.letters + (j,))
+            return WeylWord(real, WeylWord(real, letters).reduce())
+        letters.append(j)
+        inv = _image(real, (j,), inv)
     raise ValueError("parabolic not finite within cap")
 
 
 class CosetRep:
-    """Minimal-length representative of w W_J for a parabolic J."""
+    """Minimal-length representative of w W_J for a parabolic J.
+
+    Keyed by w(rho_J), which only depends on the coset; peeling its
+    negative coordinates gives the same reduced word that reduce() gives
+    for the minimal representative.
+    """
 
     def __init__(self, word: WeylWord, parabolic):
         self.parabolic = frozenset(parabolic)
-        w = WeylWord(word.real, word.reduce())
-        while True:
-            j = w.right_descent_in(self.parabolic)
-            if j is None:
-                break
-            w = WeylWord(word.real, WeylWord(word.real, w.letters + (j,)).reduce())
-        self.word = w
-        self.real = word.real
+        self.real = real = word.real
+        rho_j = [0 if j in self.parabolic else 1 for j in range(real.n)] + [0]
+        image = _image(real, word.letters, rho_j)
+        letters = _peel(real, image, len(word.letters), rho_j,
+                        "coset peeling did not reach rho_J")
+        self.word = WeylWord(real, letters)
+        self._rho_j_key = (tuple(image[:-1]), image[-1])
 
     @property
     def key(self):
-        return (self.word.key, self.parabolic)
+        return (self._rho_j_key, self.parabolic)
 
     def __eq__(self, other):
         return isinstance(other, CosetRep) and self.real is other.real and self.key == other.key
@@ -157,48 +184,42 @@ class CosetRep:
 
 
 def coset_from_weight(real: Realization, parabolic, dominant: WeightVec,
-                      target: WeightVec) -> CosetRep:
+                      target: WeightVec, cap: int = 10000) -> CosetRep:
     """The coset whose minimal representative sends `dominant` to `target`."""
     v = target
     letters: list[int] = []
-    guard = 10000
-    while v != dominant and guard:
-        guard -= 1
-        i = next(j for j in range(real.n) if v.coords[j] < 0)
+    while v != dominant:
+        i = next((j for j in range(real.n) if v.coords[j] < 0), None)
+        if i is None:
+            raise ValueError("target not in the orbit of the dominant weight")
+        if len(letters) >= cap:
+            raise ValueError(f"coset_from_weight cap exceeded: cap={cap}, "
+                             f"{len(letters)} reflections taken")
         v = real.reflect(i, v)
         letters.append(i)
-    if v != dominant:
-        raise ValueError("target not in the orbit of the dominant weight")
     return CosetRep(WeylWord(real, tuple(letters)), parabolic)
 
 
 def bruhat_leq(u, v) -> bool:
-    """Bruhat order; on CosetReps compares minimal representatives (subword rule)."""
+    """Bruhat order; on CosetReps compares minimal representatives.
+
+    Walks a reduced word of v from the left: by the Z-property, u <= s v'
+    (with s v' reduced) iff min(u, s u) <= v', and s u < u iff
+    u(rho) has a negative s-coordinate.  u <= v iff u ends at the identity.
+    """
     if isinstance(u, CosetRep):
         if not isinstance(v, CosetRep) or u.parabolic != v.parabolic:
             raise ValueError("mismatched parabolic")
         u, v = u.word, v.word
-    uw, vw = u.reduce(), v.reduce()
-    real = u.real
-    memo: dict[tuple, bool] = {}
-
-    def leq(u_elem: WeylWord, pos: int) -> bool:
-        ul = u_elem.reduce()
-        if not ul:
-            return True
-        if len(ul) > len(vw) - pos:
-            return False
-        key = (u_elem.key, pos)
-        if key not in memo:
-            s = vw[pos]
-            su = WeylWord(real, (s,) + ul)
-            if len(su.reduce()) < len(ul):
-                memo[key] = leq(su, pos + 1)
-            else:
-                memo[key] = leq(u_elem, pos + 1)
-        return memo[key]
-
-    return leq(WeylWord(real, uw), 0)
+    roots = u.real.int_roots
+    coords, delta = u.key
+    x = list(coords) + [delta]
+    for s in v.reduce():
+        c = x[s]
+        if c < 0:
+            for j, a in roots[s]:
+                x[j] -= c * a
+    return x == _rho(u.real)
 
 
 class CosetPoset:

@@ -64,6 +64,15 @@ def test_affine_orientation():
         assert all(m.entries[i][0] in (0, -1) for i in range(1, m.n))
 
 
+def test_realization_integer_roots():
+    m = C.build_affine_cartan("C2^(1)")
+    real = C.Realization(m, "C2aff", delta_node=0, delta_coeff=2)
+    assert real.int_roots[0] == ((0, 2), (1, -2), (3, 2))
+    assert real.int_roots[2] == ((1, -2), (2, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        C.Realization(m, "C2aff", delta_node=0, delta_coeff=Q(1, 2))
+
+
 def test_identify_label():
     assert C.identify_label(C.build_affine_cartan("C2^(1)")) == "C2^(1)"
     assert C.identify_label(C.build_cartan(C2)) == "C2"

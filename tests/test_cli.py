@@ -67,6 +67,14 @@ def test_demazure_cli(tmp_path):
     assert json.loads(r.stdout)["outputs"]["total"] == 3
 
 
+def test_missing_input_file_exit_1(tmp_path):
+    r = run("weyl", "demazure", "--gcm", str(tmp_path / "missing.json"),
+            "--weight", "1,0")
+    assert r.returncode == 1
+    assert "missing.json" in json.loads(r.stdout)["error"]
+    assert "Traceback" not in r.stderr
+
+
 def test_lspath_cli():
     r = run("lspath", "enumerate", "--case", "flip-sl2", "--top", "tau1",
             "--degree", "1")
