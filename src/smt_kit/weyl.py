@@ -22,15 +22,20 @@ from .cartan import Realization, WeightVec
 Q = Fraction
 
 
+def _reflect(roots, v: list[int], i: int) -> None:
+    """s_i applied in place to an integer weight v (delta last)."""
+    c = v[i]
+    if c:
+        for j, a in roots[i]:
+            v[j] -= c * a
+
+
 def _image(real: Realization, letters, start: list[int]) -> list[int]:
     """s_{l_1} ... s_{l_k} applied to an integer weight (delta last), s_{l_k} first."""
     v = list(start)
     roots = real.int_roots
     for i in reversed(letters):
-        c = v[i]
-        if c:
-            for j, a in roots[i]:
-                v[j] -= c * a
+        _reflect(roots, v, i)
     return v
 
 
@@ -49,9 +54,7 @@ def _peel(real: Realization, v: list[int], bound: int, target: list[int],
         if i is None:
             break
         out.append(i)
-        c = v[i]
-        for j, a in roots[i]:
-            v[j] -= c * a
+        _reflect(roots, v, i)
     if v != target:
         raise AssertionError(what)
     return tuple(out)
@@ -183,9 +186,13 @@ class CosetRep:
         return len(self.word.letters)
 
 
+_COSET_FROM_WEIGHT_CAP = 10000
+
+
 def coset_from_weight(real: Realization, parabolic, dominant: WeightVec,
-                      target: WeightVec, cap: int = 10000) -> CosetRep:
+                      target: WeightVec) -> CosetRep:
     """The coset whose minimal representative sends `dominant` to `target`."""
+    cap = _COSET_FROM_WEIGHT_CAP
     v = target
     letters: list[int] = []
     while v != dominant:
@@ -215,10 +222,8 @@ def bruhat_leq(u, v) -> bool:
     coords, delta = u.key
     x = list(coords) + [delta]
     for s in v.reduce():
-        c = x[s]
-        if c < 0:
-            for j, a in roots[s]:
-                x[j] -= c * a
+        if x[s] < 0:
+            _reflect(roots, x, s)
     return x == _rho(u.real)
 
 

@@ -79,13 +79,15 @@ def test_coset_rep_minimality():
     assert c2.word.act(lam) == w.act(lam)
 
 
-def test_coset_from_weight_errors():
+def test_coset_from_weight_errors(monkeypatch):
     real = real_of("A3")
     lam = real.weight((0, 1, 1))
     w0 = W.longest_parabolic(real, range(3))
     target = w0.act(lam)
-    with pytest.raises(ValueError, match=r"cap=2, 2 reflections taken"):
-        W.coset_from_weight(real, frozenset({0}), lam, target, cap=2)
+    with monkeypatch.context() as m:
+        m.setattr(W, "_COSET_FROM_WEIGHT_CAP", 2)
+        with pytest.raises(ValueError, match=r"cap=2, 2 reflections taken"):
+            W.coset_from_weight(real, frozenset({0}), lam, target)
     assert W.coset_from_weight(real, frozenset({0}), lam, target).word.act(lam) == target
     with pytest.raises(ValueError, match="not in the orbit"):
         W.coset_from_weight(real, frozenset({0}), lam, real.weight((1, 0, 1)))
