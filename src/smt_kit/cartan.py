@@ -491,7 +491,7 @@ def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) 
 # Finite root systems and the Weyl dimension formula
 
 
-def finite_roots(m: GCM) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
+def finite_roots(m: GCM) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Positive roots of a finite-type GCM as (root, coroot) coordinate pairs.
 
     Roots are in simple-root coordinates, coroots in simple-coroot
@@ -513,8 +513,8 @@ def finite_roots(m: GCM) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...
     seen = set()
     frontier = []
     for i in range(n):
-        root = tuple(Q(1) if j == i else Q(0) for j in range(n))
-        co = tuple(Q(1) if j == i else Q(0) for j in range(n))
+        root = tuple(1 if j == i else 0 for j in range(n))
+        co = root
         seen.add((root, co))
         frontier.append((root, co))
     while frontier:

@@ -97,14 +97,14 @@ def verify_prop5(args) -> list[dict]:
     checks = []
     for fam, rank in labels:
         label = cartan.FinTypeLabel(fam, rank)
-        got = {name: v for name, v, _ in quadlat.classify_quadratic(label, bound)}
+        rows = quadlat.classify_quadratic(label, bound)
+        got = {name: v for name, v, _ in rows}
         expected = dict(got)
         exp = _prop5_expected(fam, rank)
         for name in expected:
             expected[name] = exp.get(name, False)
         checks.append(_check(f"{fam}{rank}", expected, got))
         if fam in ("D", "G", "F"):
-            rows = quadlat.classify_quadratic(label, bound)
             has_cert = all("certificate" in r for _, v, r in rows if not v)
             checks.append(_check(f"{fam}{rank} negative certificates", True, has_cert))
             if (fam, rank) == ("D", 4):
@@ -389,7 +389,12 @@ def cmd_smt_straighten(args, t0):
         sys_, xs, ys = smt.e7_system()
         names = {f"x{k}": xs[k] for k in range(6)}
         names.update({f"y{k}": ys[k] for k in range(6)})
-        mono = tuple(names[t] for t in args.monomial.split(","))
+        terms = args.monomial.split(",")
+        unknown = [t for t in terms if t not in names]
+        if unknown:
+            raise ValueError(f"unknown e7 generator(s) {', '.join(unknown)};"
+                             " valid: x0..x5, y0..y5")
+        mono = tuple(names[t] for t in terms)
         nf = smt.straighten(mono, sys_)
         rev = {v: k for k, v in names.items()}
         out = [{"coef": str(c),

@@ -149,7 +149,7 @@ def quadratic_verdict(rec: InvolutionRecord, bound: int | None = None) -> bool:
         lat = quadlat.full_weight_lattice(label)
     try:
         verdict, _ = quadlat.is_quadratic(lat, bound)
-    except ValueError:
+    except quadlat.MonoidNotFree:
         return False
     return verdict
 

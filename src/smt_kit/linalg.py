@@ -79,29 +79,6 @@ def solve(a_rows: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     return x
 
 
-def rank(a_rows: Matrix) -> int:
-    m = len(a_rows)
-    if m == 0:
-        return 0
-    n = len(a_rows[0])
-    a = [[Q(x) for x in row] for row in a_rows]
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, m):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def char_poly(a: Matrix) -> list[Fraction]:
     """Coefficients [1, c1, ..., cn] of det(xI - A), highest degree first.
 

@@ -6,11 +6,20 @@ dominant element below a sum of two basis elements has basis-height at
 most two.  Freeness is certified only up to an enumeration height bound
 (recorded in the reports); the height criterion hgt(alpha) >= 0 on simple
 roots is checked alongside and the two verdicts are asserted to agree.
+
+Every per-point test is integer arithmetic against data built once per
+lattice: membership reduces a point by the Hermite normal form of the
+generators (Cohen, A Course in Computational Algebraic Number Theory,
+Sec. 2.4), the monoid enumeration runs on integer tuples, and the dominance
+box subtracts integer root rows.  Fractions remain in the `WeightVec`s
+handed in and out and in the exact solves of `hgt`, of one root-coordinate
+expansion per box and of the class computation over P/Q.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,30 +80,36 @@ class SubLattice:
         n = self.gcm.n
         if len(self.generators) != n:
             raise ValueError("generators must form a Z-basis (rank many)")
-        rows = [[int(c) for c in g.coords] for g in self.generators]
         if any(c.denominator != 1 for g in self.generators for c in g.coords):
             raise ValueError("generators must be integral weights")
-        if linalg.rank([[Q(x) for x in r] for r in rows]) != n:
+        self._hnf = _hnf([[int(c) for c in g.coords] for g in self.generators])
+        if len(self._hnf) != n:
             raise ValueError("generators are not Z-linearly independent")
         for root in root_rows(self.gcm):
-            if self.coefficients(WeightVec(self.basis_id, tuple(root))) is None:
+            if not self.contains(WeightVec(self.basis_id, tuple(root))):
                 raise ValueError("sublattice does not contain the root lattice")
 
     @property
     def basis_id(self) -> str:
         return self.generators[0].basis_id
 
-    def coefficients(self, lam: WeightVec) -> tuple[int, ...] | None:
-        """Integer coordinates of lam over the generators; None if outside."""
-        n = self.gcm.n
-        cols = [[self.generators[i].coords[j] for i in range(n)] for j in range(n)]
-        sol = linalg.solve(cols, list(lam.coords))
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return tuple(int(c) for c in sol)
+    def contains_int(self, coords) -> bool:
+        """Membership of an integer point: echelon reduction by the HNF rows.
+
+        The HNF has n rows in n columns, so row i has its pivot in column i.
+        """
+        v = list(coords)
+        for i, row in enumerate(self._hnf):
+            q, r = divmod(v[i], row[i])
+            if r:
+                return False
+            if q:
+                for j in range(i + 1, len(v)):
+                    v[j] -= q * row[j]
+        return True
 
     def contains(self, lam: WeightVec) -> bool:
-        return lam.is_integral() and self.coefficients(lam) is not None
+        return lam.is_integral() and self.contains_int(int(c) for c in lam.coords)
 
 
 def full_weight_lattice(label: FinTypeLabel) -> SubLattice:
@@ -128,7 +143,7 @@ def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
 
 
 def _dominant_points(lat: SubLattice, bound: int):
-    """Nonzero dominant lattice points with coordinate sum <= bound."""
+    """Nonzero dominant lattice points with coordinate sum <= bound, as int tuples."""
     n = lat.gcm.n
 
     def rec(prefix, budget):
@@ -139,11 +154,8 @@ def _dominant_points(lat: SubLattice, bound: int):
             yield from rec(prefix + [c], budget - c)
 
     for coords in rec([], bound):
-        if all(c == 0 for c in coords):
-            continue
-        v = WeightVec(lat.basis_id, tuple(Q(c) for c in coords))
-        if lat.contains(v):
-            yield v
+        if any(coords) and lat.contains_int(coords):
+            yield coords
 
 
 def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
@@ -152,16 +164,15 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     The verdict is certified only for elements of coordinate height up to
     the bound; None means the bounded test found non-freeness.
     """
-    points = sorted(_dominant_points(lat, height_bound),
-                    key=lambda v: (sum(v.coords), v.coords))
-    point_set = {v.coords for v in points}
-    irred: list[WeightVec] = []
+    points = sorted(_dominant_points(lat, height_bound), key=lambda v: (sum(v), v))
+    point_set = set(points)
+    irred: list[tuple[int, ...]] = []
     for v in points:
         # any decomposition contains an irreducible summand of smaller height
+        # (irred holds only earlier points, so w != v and v - w != 0)
         decomposable = any(
-            all(w.coords[j] <= v.coords[j] for j in range(len(v.coords)))
-            and w.coords != v.coords
-            and tuple(v.coords[j] - w.coords[j] for j in range(len(v.coords))) in point_set
+            all(a <= b for a, b in zip(w, v))
+            and tuple(b - a for a, b in zip(w, v)) in point_set
             for w in irred)
         if not decomposable:
             irred.append(v)
@@ -170,14 +181,14 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     memo: dict[tuple, int] = {}
 
     def expansions(coords, start):
-        if all(c == 0 for c in coords):
+        if not any(coords):
             return 1
         key = (coords, start)
         if key not in memo:
             total = 0
             for k in range(start, len(irred)):
-                w = irred[k].coords
-                if all(w[j] <= coords[j] for j in range(len(coords))):
+                w = irred[k]
+                if all(a <= b for a, b in zip(w, coords)):
                     total += expansions(tuple(c - d for c, d in zip(coords, w)), k)
                     if total > 1:
                         break
@@ -185,9 +196,13 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
         return memo[key]
 
     for v in points:
-        if expansions(v.coords, 0) != 1:
+        if expansions(v, 0) != 1:
             return None
-    return sorted(irred, key=lambda v: v.coords, reverse=True)
+    return [WeightVec(lat.basis_id, v) for v in sorted(irred, reverse=True)]
+
+
+class MonoidNotFree(ValueError):
+    """The dominant monoid has an element with two factorizations within the bound."""
 
 
 def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]:
@@ -199,9 +214,11 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
     """
     n = lat.gcm.n
     bound = bound if bound is not None else 6 * n
+    if bound < 1:
+        raise ValueError(f"height bound must be at least 1, got {bound}")
     basis = monoid_basis(lat, bound)
     if basis is None:
-        raise ValueError("monoid basis unavailable (not free within bound)")
+        raise MonoidNotFree("monoid basis unavailable (not free within bound)")
     report: dict = {"bound": bound, "basis": [list(map(str, b.coords)) for b in basis]}
     if len(basis) != n:
         report["certificate"] = "monoid basis size differs from rank"
@@ -239,12 +256,19 @@ def _dominant_below(lat: SubLattice, top: WeightVec):
     cols = [[rows[i][j] for i in range(n)] for j in range(n)]
     top_rc = linalg.solve(cols, list(top.coords))
     assert top_rc is not None and all(c >= 0 for c in top_rc)
-    boxes = [range(int(c) + 1) for c in top_rc]
-    for combo in itertools.product(*boxes):
-        coords = [top.coords[j] - sum(Q(combo[i]) * rows[i][j] for i in range(n))
-                  for j in range(n)]
-        if all(c >= 0 and c.denominator == 1 for c in coords):
-            yield WeightVec(lat.basis_id, tuple(coords))
+    # scale by a common denominator (root_rows halves a BC column) so the box
+    # runs in integers; a point is kept only if it divides back to integers
+    d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
+    top_d = [int(d * c) for c in top.coords]
+    rows_d = [[int(d * x) for x in row] for row in rows]
+    for combo in itertools.product(*(range(int(c) + 1) for c in top_rc)):
+        coords = list(top_d)
+        for k, row in zip(combo, rows_d):
+            if k:
+                for j in range(n):
+                    coords[j] -= k * row[j]
+        if all(c >= 0 and c % d == 0 for c in coords):
+            yield WeightVec(lat.basis_id, tuple(c // d for c in coords))
 
 
 def _intermediate_lattices(label: FinTypeLabel):
@@ -315,7 +339,7 @@ def classify_quadratic(label: FinTypeLabel, bound: int | None = None):
             name = f"index-{full_order // order}"
         try:
             verdict, report = is_quadratic(lat, bound)
-        except ValueError:
+        except MonoidNotFree:
             b = bound if bound is not None else 6 * lat.gcm.n
             verdict, report = False, {"bound": b,
                                       "certificate": "monoid not free within bound"}

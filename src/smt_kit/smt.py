@@ -30,6 +30,8 @@ class MinusculePoset:
 
     The minimum is the highest weight (the order follows restriction of
     sections: the dual basis vector at the highest weight is the smallest).
+    ``depth[i]`` holds the integer simple-root coordinates of
+    highest - weights[i]; the order and the node degrees are read off it.
     """
 
     def __init__(self, real: Realization, node: int):
@@ -50,25 +52,23 @@ class MinusculePoset:
         dim = weyl_dim(real.gcm, self.highest)
         if len(orbit) != dim:
             raise ValueError("weight is not minuscule (orbit misses weights)")
-        self.weights = sorted(orbit.values(), key=self._height_key)
+        depth = {}
+        for coords, w in orbit.items():
+            rc = real.root_coords(self.highest - w)
+            assert rc is not None and all(c.denominator == 1 for c in rc), \
+                "orbit weight is not the highest weight minus a root-lattice element"
+            depth[coords] = tuple(int(c) for c in rc)
+        self.weights = sorted(orbit.values(),
+                              key=lambda w: (sum(depth[w.coords]), w.coords))
         self.index = {w.coords: i for i, w in enumerate(self.weights)}
-        self._leq: dict[tuple[int, int], bool] = {}
-
-    def _height_key(self, w: WeightVec):
-        coords = self.real.root_coords(self.highest - w)
-        return (sum(coords), w.coords)
+        self.depth = [depth[w.coords] for w in self.weights]
 
     def __len__(self):
         return len(self.weights)
 
     def leq(self, i: int, j: int) -> bool:
-        """i <= j iff weight_i - weight_j is a nonnegative integer root sum."""
-        key = (i, j)
-        if key not in self._leq:
-            coords = self.real.root_coords(self.weights[i] - self.weights[j])
-            self._leq[key] = coords is not None and all(
-                c >= 0 and c.denominator == 1 for c in coords)
-        return self._leq[key]
+        """i <= j iff weight_i - weight_j = depth_j - depth_i is a nonnegative root sum."""
+        return all(a <= b for a, b in zip(self.depth[i], self.depth[j]))
 
     def lower(self, i: int, node: int) -> int | None:
         """Index of weight_i - alpha_node if that is again a weight."""
@@ -77,8 +77,7 @@ class MinusculePoset:
         return j
 
     def d_degree(self, i: int, node: int = 0) -> int:
-        coords = self.real.root_coords(self.highest - self.weights[i])
-        return int(coords[node])
+        return self.depth[i][node]
 
 
 def minuscule_poset(m: GCM | FinTypeLabel, node: int, basis_id: str | None = None) -> MinusculePoset:

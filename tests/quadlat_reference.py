@@ -1,0 +1,122 @@
+"""The Fraction lattice kernels that `smt_kit.quadlat` replaced, kept as a test oracle.
+
+Membership solves for the coefficients of a weight over the generators
+with an exact Gaussian elimination; the monoid enumeration works on
+`WeightVec`s with Fraction coordinates; the dominance box subtracts Fraction
+root rows; the minuscule order expands each difference of weights over the
+simple roots.  None of it shares arithmetic with the integer kernels (HNF
+reduction, integer tuples, root-coordinate depths), which makes it a
+differential oracle for `tests/test_quadlat_differential.py`.
+
+The code is the earlier `smt_kit.quadlat` / `smt_kit.smt` code unchanged
+apart from methods becoming functions of the lattice or poset.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from smt_kit import linalg
+from smt_kit.cartan import WeightVec, root_rows
+
+Q = Fraction
+
+
+def coefficients(lat, lam: WeightVec) -> tuple[int, ...] | None:
+    """Integer coordinates of lam over the generators; None if outside."""
+    n = lat.gcm.n
+    cols = [[lat.generators[i].coords[j] for i in range(n)] for j in range(n)]
+    sol = linalg.solve(cols, list(lam.coords))
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+def contains(lat, lam: WeightVec) -> bool:
+    return lam.is_integral() and coefficients(lat, lam) is not None
+
+
+def dominant_points(lat, bound: int):
+    """Nonzero dominant lattice points with coordinate sum <= bound."""
+    n = lat.gcm.n
+
+    def rec(prefix, budget):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(budget + 1):
+            yield from rec(prefix + [c], budget - c)
+
+    for coords in rec([], bound):
+        if all(c == 0 for c in coords):
+            continue
+        v = WeightVec(lat.basis_id, tuple(Q(c) for c in coords))
+        if contains(lat, v):
+            yield v
+
+
+def monoid_basis(lat, height_bound: int) -> list[WeightVec] | None:
+    """Irreducibles of the dominant monoid, iff expansion over them is unique.
+
+    The verdict is certified only for elements of coordinate height up to
+    the bound; None means the bounded test found non-freeness.
+    """
+    points = sorted(dominant_points(lat, height_bound),
+                    key=lambda v: (sum(v.coords), v.coords))
+    point_set = {v.coords for v in points}
+    irred: list[WeightVec] = []
+    for v in points:
+        # any decomposition contains an irreducible summand of smaller height
+        decomposable = any(
+            all(w.coords[j] <= v.coords[j] for j in range(len(v.coords)))
+            and w.coords != v.coords
+            and tuple(v.coords[j] - w.coords[j] for j in range(len(v.coords))) in point_set
+            for w in irred)
+        if not decomposable:
+            irred.append(v)
+
+    # unique factorization over the irreducibles, within the bound
+    memo: dict[tuple, int] = {}
+
+    def expansions(coords, start):
+        if all(c == 0 for c in coords):
+            return 1
+        key = (coords, start)
+        if key not in memo:
+            total = 0
+            for k in range(start, len(irred)):
+                w = irred[k].coords
+                if all(w[j] <= coords[j] for j in range(len(coords))):
+                    total += expansions(tuple(c - d for c, d in zip(coords, w)), k)
+                    if total > 1:
+                        break
+            memo[key] = total
+        return memo[key]
+
+    for v in points:
+        if expansions(v.coords, 0) != 1:
+            return None
+    return sorted(irred, key=lambda v: v.coords, reverse=True)
+
+
+def dominant_below(lat, top: WeightVec):
+    """Dominant integral weights <= top in the dominance order."""
+    gcm = lat.gcm
+    rows = root_rows(gcm)
+    n = gcm.n
+    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+    top_rc = linalg.solve(cols, list(top.coords))
+    assert top_rc is not None and all(c >= 0 for c in top_rc)
+    boxes = [range(int(c) + 1) for c in top_rc]
+    for combo in itertools.product(*boxes):
+        coords = [top.coords[j] - sum(Q(combo[i]) * rows[i][j] for i in range(n))
+                  for j in range(n)]
+        if all(c >= 0 and c.denominator == 1 for c in coords):
+            yield WeightVec(lat.basis_id, tuple(coords))
+
+
+def minuscule_leq(p, i: int, j: int) -> bool:
+    """i <= j iff weight_i - weight_j is a nonnegative integer root sum."""
+    coords = p.real.root_coords(p.weights[i] - p.weights[j])
+    return coords is not None and all(c >= 0 and c.denominator == 1 for c in coords)

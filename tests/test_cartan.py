@@ -151,6 +151,14 @@ def test_weyl_dim():
         C.weyl_dim(C2, real.weight((-1, 0)))
 
 
+def test_finite_roots_are_integer_and_counted():
+    counts = {"A4": 10, "B4": 16, "D4": 12, "G2": 6, "F4": 24, "E7": 63}
+    for name, count in counts.items():
+        roots = C.finite_roots(C.build_cartan(lab(name)))
+        assert len(roots) == count, name
+        assert all(type(x) is int for pair in roots for vec in pair for x in vec), name
+
+
 def test_quadratic_basis():
     assert [w.coords for w in C.quadratic_basis(A2)] == [(1, 0), (0, 1)]
     assert [w.coords for w in C.quadratic_basis(lab("B2"))] == [(1, 0), (0, 2)]

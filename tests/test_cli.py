@@ -56,6 +56,13 @@ def test_quadlat_cli():
     assert verdicts == {"P": True, "Q": False}
 
 
+def test_quadlat_cli_rejects_bound_below_one():
+    r = run("quadlat", "classify", "--type", "A", "--rank", "2", "--bound", "-1")
+    assert r.returncode == 1
+    assert "-1" in json.loads(r.stdout)["error"]
+    assert "Traceback" not in r.stderr
+
+
 def test_demazure_cli(tmp_path):
     from smt_kit import cartan
     gcm = cartan.build_cartan(cartan.FinTypeLabel("A", 2))
@@ -101,6 +108,13 @@ def test_straighten_cli_builtin_and_file(tmp_path):
     r = run("smt", "straighten", "--system", str(f), "--monomial", "b,c")
     assert r.returncode == 0
     assert json.loads(r.stdout)["outputs"] == [{"coef": "1", "mono": ["a", "d"]}]
+
+
+def test_straighten_cli_unknown_generator():
+    r = run("smt", "straighten", "--system", "e7", "--monomial", "x9,y5")
+    assert r.returncode == 1
+    err = json.loads(r.stdout)["error"]
+    assert "x9" in err and "x0..x5" in err and "y0..y5" in err
 
 
 def test_seed_changes_sampling_not_result():

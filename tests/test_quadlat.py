@@ -54,6 +54,21 @@ def test_is_quadratic():
         QL.is_quadratic(QL.root_lattice(lab("A2")), 6)
 
 
+def test_bound_below_one_is_an_error_not_a_verdict():
+    P = QL.full_weight_lattice(lab("A2"))
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match=f"got {bound}"):
+            QL.is_quadratic(P, bound)
+        # only "not free within bound" becomes a verdict
+        with pytest.raises(ValueError, match=f"got {bound}"):
+            QL.classify_quadratic(lab("A2"), bound)
+    with pytest.raises(QL.MonoidNotFree):
+        QL.is_quadratic(QL.root_lattice(lab("A2")), 6)
+    rows = QL.classify_quadratic(lab("A2"), 6)
+    assert rows[1] == ("Q", False, {"bound": 6,
+                                    "certificate": "monoid not free within bound"})
+
+
 def test_classify_quadratic_table():
     expected = {
         "A1": {"P": True, "Q": True},

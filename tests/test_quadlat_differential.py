@@ -1,0 +1,71 @@
+"""The integer lattice kernels against the Fraction reference kernels.
+
+Every intermediate lattice Q <= L <= P of A1-A4, B2-B4, C2-C4, BC1-BC4 (whose
+root rows come from a halved column), D4, G2 and F4: HNF membership against
+the coefficient solve on random points, the integer monoid enumeration at
+small bounds, and the integer dominance box below every sum of two basis
+elements and below half of it.  The integer-depth order of the E7
+minuscule poset is compared with the root-coordinate order on every pair.
+"""
+
+import itertools
+from fractions import Fraction as Q
+
+from hypothesis import given, settings, strategies as st
+
+import quadlat_reference as R
+from smt_kit import cartan as C, quadlat as QL, smt as S
+
+NAMES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+         "BC1", "BC2", "BC3", "BC4", "D4", "G2", "F4"]
+LATTICES = [(f"{name} |L/Q|={order}", lat) for name in NAMES
+            for order, lat in QL._intermediate_lattices(C.FinTypeLabel.parse(name))]
+assert len(LATTICES) == 32
+
+
+@st.composite
+def points(draw):
+    k = draw(st.integers(0, len(LATTICES) - 1))
+    lat = LATTICES[k][1]
+    denominator = draw(st.sampled_from([1, 1, 1, 2]))
+    coords = draw(st.lists(st.integers(-15, 15), min_size=lat.gcm.n, max_size=lat.gcm.n))
+    return k, C.WeightVec(lat.basis_id, tuple(Q(c, denominator) for c in coords))
+
+
+@settings(max_examples=400, deadline=None)
+@given(points())
+def test_contains_agrees(case):
+    k, lam = case
+    lat = LATTICES[k][1]
+    assert lat.contains(lam) == R.contains(lat, lam), LATTICES[k][0]
+
+
+def test_monoid_basis_agrees_at_small_bounds():
+    for name, lat in LATTICES:
+        for bound in range(1, 2 * lat.gcm.n + 1):
+            assert QL.monoid_basis(lat, bound) == R.monoid_basis(lat, bound), (name, bound)
+
+
+def test_dominant_below_agrees_on_sums_of_two_basis_elements():
+    compared = 0
+    for name, lat in LATTICES:
+        basis = QL.monoid_basis(lat, 12)
+        if basis is None:
+            continue
+        for e, f in itertools.combinations_with_replacement(basis, 2):
+            # a half-integral top takes the scaled (d = 2) path of the box
+            for top in (e + f, (e + f).scale(Q(1, 2))):
+                assert list(QL._dominant_below(lat, top)) == \
+                    list(R.dominant_below(lat, top)), (name, top)
+            compared += 1
+    assert compared > 100
+
+
+def test_minuscule_leq_agrees_on_every_e7_pair():
+    p = S.e7_minuscule()
+    assert len(p) == 56
+    for i, j in itertools.product(range(len(p)), repeat=2):
+        assert p.leq(i, j) == R.minuscule_leq(p, i, j), (i, j)
+    for i, w in enumerate(p.weights):
+        assert [p.d_degree(i, node) for node in range(7)] == \
+            [int(c) for c in p.real.root_coords(p.highest - w)], i
