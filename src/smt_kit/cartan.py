@@ -21,6 +21,8 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -361,6 +363,7 @@ class Realization:
             tuple((j, int(x)) for j, x in enumerate(root.coords + (root.delta,)) if x)
             for root in self._roots)
         self._expand_cache: dict[tuple, tuple[Fraction, ...] | None] = {}
+        self._inverse: tuple | None = None
 
     @classmethod
     def standard(cls, gcm: GCM, basis_id: str) -> "Realization":
@@ -401,14 +404,27 @@ class Realization:
         return v
 
     def root_coords(self, v: WeightVec) -> tuple[Fraction, ...] | None:
-        """Expansion of v over the simple roots (delta included); None if not in span."""
+        """Expansion of v over the simple roots (delta included); None if not in span.
+
+        A miss applies the integer left inverse (L, C, d) of the simple-root
+        matrix, built on the first miss: v is in the span iff C v = 0, and
+        its coordinates are L v / d, free ones zero if the matrix is singular.
+        """
         key = (v.coords, v.delta)
         if key not in self._expand_cache:
-            rows = [[self._roots[i].coords[j] for i in range(self.n)] for j in range(self.n)]
-            rows.append([self._roots[i].delta for i in range(self.n)])
-            rhs = list(v.coords) + [v.delta]
-            sol = linalg.solve(rows, rhs)
-            self._expand_cache[key] = tuple(sol) if sol is not None else None
+            if self._inverse is None:
+                rows = [[root.coords[j] for root in self._roots] for j in range(self.n)]
+                rows.append([root.delta for root in self._roots])
+                self._inverse = linalg.left_inverse(rows)
+            left, span, d = self._inverse
+            b = key[0] + (key[1],)
+            den = math.lcm(*(x.denominator for x in b))
+            b = [x.numerator * (den // x.denominator) for x in b]
+            if any(sum(a * y for a, y in zip(row, b)) for row in span):
+                self._expand_cache[key] = None
+            else:
+                self._expand_cache[key] = tuple(
+                    Q(sum(a * y for a, y in zip(row, b)), d * den) for row in left)
         return self._expand_cache[key]
 
     def dominant_conjugate(self, v: WeightVec) -> tuple[WeightVec, list[int]]:
@@ -491,11 +507,13 @@ def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) 
 # Finite root systems and the Weyl dimension formula
 
 
-def finite_roots(m: GCM) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.lru_cache(maxsize=64)
+def finite_roots(m: GCM) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Positive roots of a finite-type GCM as (root, coroot) coordinate pairs.
 
     Roots are in simple-root coordinates, coroots in simple-coroot
-    coordinates; generated as the Weyl closure of the simple pairs.
+    coordinates; generated as the Weyl closure of the simple pairs.  Cached
+    by the value of the (frozen) matrix.
     """
     if classify(m) != FINITE:
         raise ValueError("finite-type GCM required")
@@ -526,7 +544,7 @@ def finite_roots(m: GCM) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return [p for p in seen if all(x >= 0 for x in p[0])]
+    return tuple(p for p in seen if all(x >= 0 for x in p[0]))
 
 
 def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
@@ -540,13 +558,14 @@ def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
         raise ValueError("nonreduced (BC) type has no Weyl dimension formula here")
     if not (lam.is_dominant() and lam.is_integral()):
         raise ValueError("dominant integral weight required")
-    dim = Q(1)
+    shifted = [int(c) + 1 for c in lam.coords]
+    num = den = 1
     for _, co in finite_roots(m):
-        num = sum((lam.coords[j] + 1) * co[j] for j in range(m.n))
-        den = sum(co[j] for j in range(m.n))
-        dim *= Q(num, den)
-    assert dim.denominator == 1
-    return int(dim)
+        num *= sum(x * c for x, c in zip(shifted, co))
+        den *= sum(co)
+    dim, rest = divmod(num, den)
+    assert rest == 0, "Weyl dimension product is not an integer"
+    return dim
 
 
 def quadratic_basis(label: FinTypeLabel) -> list[WeightVec]:

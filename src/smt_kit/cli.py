@@ -409,8 +409,13 @@ def cmd_smt_straighten(args, t0):
     leq = lambda a, b: a == b or (a, b) in closure
     relations = {tuple(r["pair"]): [(Q(t["coef"]), tuple(t["mono"]))
                                     for t in r["rhs"]] for r in data["relations"]}
+    terms = args.monomial.split(",")
+    unknown = [t for t in terms if t not in grade]
+    if unknown:
+        raise ValueError(f"unknown generator(s) {', '.join(unknown)};"
+                         f" valid: {', '.join(map(str, ids))}")
     sys_ = smt.StraighteningSystem(ids, leq, grade, relations)
-    nf = smt.straighten(tuple(args.monomial.split(",")), sys_)
+    nf = smt.straighten(tuple(terms), sys_)
     out = [{"coef": str(c), "mono": list(m)} for m, c in sorted(nf.items())]
     return _report("smt straighten", {"system": args.system,
                                       "monomial": args.monomial}, out, [], t0)

@@ -1,20 +1,18 @@
-"""Exact linear algebra over Fraction: solving, determinants, char polys.
+"""Exact linear algebra: solving, integer left inverses, char polys.
 
-Every routine takes and returns fractions.Fraction entries; there is no
-floating point anywhere in the package.
+`solve`, `char_poly` and their helpers take and return fractions.Fraction
+entries; `left_inverse` works over the integers.  There is no floating
+point anywhere in the package.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q = Fraction
 
 Matrix = list[list[Fraction]]
-
-
-def qmat(rows) -> Matrix:
-    return [[Q(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
@@ -34,10 +32,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for j in range(m):
                     row[j] += x * bt[j]
     return out
-
-
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Q(0)) for row in a]
 
 
 def trace(a: Matrix) -> Fraction:
@@ -77,6 +71,48 @@ def solve(a_rows: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     for i, c in pivots:
         x[c] = aug[i][n]
     return x
+
+
+def left_inverse(a_rows) -> tuple[list[list[int]], list[list[int]], int]:
+    """(L, C, d) over the integers for an integer m x n matrix A.
+
+    A x = b has a solution iff C b = 0, and then x = L b / d is the one
+    `solve` returns: the pivot columns are found by the same rule (first
+    nonzero entry at or below the current row), and the rows of L for free
+    columns are zero.  Fraction-free Gauss-Jordan on [A | I]; each combined
+    row is divided by its content to keep the entries small.
+    """
+    if any(x != int(x) for row in a_rows for x in row):
+        raise ValueError("left_inverse needs an integer matrix")
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    aug = [[int(x) for x in row] + [int(i == k) for k in range(m)]
+           for i, row in enumerate(a_rows)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        top = aug[r]
+        pv = top[c]
+        for i in range(m):
+            f = aug[i][c]
+            if i != r and f != 0:
+                row = [pv * x - f * y for x, y in zip(aug[i], top)]
+                g = math.gcd(*row)
+                aug[i] = [x // g for x in row]
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    d = math.lcm(*(aug[i][c] for i, c in pivots)) if pivots else 1
+    left = [[0] * m for _ in range(n)]
+    for i, c in pivots:
+        scale = d // aug[i][c]
+        left[c] = [scale * x for x in aug[i][n:]]
+    return left, [aug[i][n:] for i in range(r, m)], d
 
 
 def char_poly(a: Matrix) -> list[Fraction]:

@@ -219,8 +219,12 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
     basis = monoid_basis(lat, bound)
     if basis is None:
         raise MonoidNotFree("monoid basis unavailable (not free within bound)")
+    if len(basis) < n:
+        # L+ spans the whole space, so it has at least n irreducibles
+        raise ValueError(f"height bound {bound} too small: {len(basis)} irreducible(s) "
+                         f"below it, fewer than the rank {n}")
     report: dict = {"bound": bound, "basis": [list(map(str, b.coords)) for b in basis]}
-    if len(basis) != n:
+    if len(basis) > n:
         report["certificate"] = "monoid basis size differs from rank"
         return False, report
 

@@ -8,9 +8,11 @@ until rho is reached; a coset w W_J is found the same way from
 w(rho_J), rho_J = sum of omega_j for j not in J, whose stabilizer is W_J.
 Bruhat order is decided by Deodhar's Z-property (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
-min(u, s u) <= s v.  Interval enumeration below a coset, the telescoping
-words built from the distinguished node, and the divided-difference
-character of a Schubert cell act on exact Fraction weights.
+min(u, s u) <= s v.  The divided-difference character of a Schubert cell
+runs on integer tuples (coordinates, then delta times its denominator) and
+builds its Fraction keys once, on return.  Weights handed in and out stay
+exact Fraction `WeightVec`s: `act`, `coset_from_weight`, the telescoping
+words built from the distinguished node and `orbit_bfs` work on them.
 """
 
 from __future__ import annotations
@@ -277,40 +279,54 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     return CosetPoset(list(seen.values()), v)
 
 
+_DEMAZURE_WEIGHT_CAP = 100000
+
+
 def demazure_character(w: WeylWord, lam: WeightVec) -> dict[tuple, int]:
     """Weight multiplicities of the Demazure module generated from e^lam.
 
     Applies D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}) along a
     reduced word of w, rightmost letter first.  Keys are (coords, delta)
-    tuples; lam must pair integrally with every simple coroot.
+    tuples; lam must pair integrally with every simple coroot.  The loop
+    runs on integer tuples (coords..., delta * q), q the denominator of
+    lam's delta; a step with more than _DEMAZURE_WEIGHT_CAP weights raises
+    ValueError.
     """
     real = w.real
     if not all(c.denominator == 1 for c in lam.coords):
         raise ValueError("integral weight required for divided differences")
-    char: dict[tuple, int] = {(lam.coords, lam.delta): 1}
-    for i in reversed(w.reduce()):
-        alpha = real.simple_root(i)
+    n, q = real.n, lam.delta.denominator
+    down = [tuple((j, -a * q if j == n else -a) for j, a in row) for row in real.int_roots]
+    up = [tuple((j, -a) for j, a in row) for row in down]
+    cap = _DEMAZURE_WEIGHT_CAP
+    char: dict[tuple, int] = {tuple(int(c) for c in lam.coords) + (lam.delta.numerator,): 1}
+    word = w.reduce()
+    for step, i in enumerate(reversed(word), 1):
         nxt: dict[tuple, int] = {}
-
-        def add(v: WeightVec, mult: int):
-            k = (v.coords, v.delta)
-            nxt[k] = nxt.get(k, 0) + mult
-            if nxt[k] == 0:
-                del nxt[k]
-
-        for (coords, delta), mult in char.items():
-            mu = WeightVec(lam.basis_id, coords, delta)
-            k = mu.coords[i]
-            assert k.denominator == 1
-            k = int(k)
-            if k >= 0:
-                for t in range(k + 1):
-                    add(mu - alpha.scale(t), mult)
-            else:
-                for t in range(1, -k):
-                    add(mu + alpha.scale(t), -mult)
+        for mu, mult in char.items():
+            k = mu[i]
+            v = list(mu)
+            if k >= 0:                      # mu, mu - alpha, ..., mu - k alpha
+                shift, count = down[i], k + 1
+            else:                           # -(mu + alpha), ..., -(mu + (-k-1) alpha)
+                shift, count, mult = up[i], -k - 1, -mult
+                for j, a in shift:
+                    v[j] += a
+            for _ in range(count):
+                key = tuple(v)
+                total = nxt.get(key, 0) + mult
+                if total:
+                    nxt[key] = total
+                else:
+                    del nxt[key]
+                for j, a in shift:
+                    v[j] += a
+            if len(nxt) > cap:
+                raise ValueError(f"demazure_character cap exceeded: cap={cap}, "
+                                 f"{len(nxt)} weights at letter {step} of {len(word)}")
         char = nxt
-    return char
+    return {(tuple(Q(c) for c in key[:-1]), Q(key[-1], q)): mult
+            for key, mult in char.items()}
 
 
 def demazure_dim(w: WeylWord, lam: WeightVec) -> int:
@@ -385,7 +401,8 @@ def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | N
                 k = (im.coords, im.delta)
                 if k not in seen:
                     if len(seen) >= cap:
-                        raise ValueError("orbit cap exceeded")
+                        raise ValueError(f"orbit cap exceeded: cap={cap}, "
+                                         f"{len(seen)} weights reached")
                     seen.add(k)
                     nxt.append(im)
         frontier = nxt

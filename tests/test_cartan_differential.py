@@ -1,0 +1,138 @@
+"""The integer weight kernels against the Fraction reference kernels.
+
+Demazure characters, simple-root expansions and Weyl dimensions on a
+finite, an affine, a restricted-tier (delta coefficient 2), an indefinite
+and a singular realization (an affine matrix without a delta node): the
+integer-tuple character loop, the integer left inverse and the integer
+product must give exactly what the Fraction code they replaced gives.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cartan_reference as CR
+import weyl_reference as WR
+from smt_kit import cartan as C, extend as X, weyl as W
+
+Q = Fraction
+
+
+def _finite(name):
+    return C.Realization(C.build_cartan(C.FinTypeLabel.parse(name)), name)
+
+
+REALIZATIONS = {
+    "B3": _finite("B3"),
+    "G2": _finite("G2"),
+    "C2^(1)": C.Realization.standard(C.build_affine_cartan("C2^(1)"), "C2aff"),
+    "tier(C2)": X.extend_restricted(C.FinTypeLabel("C", 2)).real,
+    "indefinite": C.Realization(C.GCM(((2, -3), (-3, 2))), "hyp33"),
+    "singular": C.Realization(C.build_affine_cartan("C2^(1)"), "C2sing"),
+}
+assert REALIZATIONS["tier(C2)"].delta_coeff == 2
+assert REALIZATIONS["singular"].delta_node is None
+
+HALVES = st.integers(-6, 6).map(lambda k: Q(k, 2))
+
+
+def _reference_word(name, word):
+    """The reference kernel's word.  Its descent test expands roots over the
+    simple roots, which the singular realization cannot do uniquely (the
+    reference reduction does not terminate there); the same Coxeter group
+    has the standard affine realization, whose reduced word serves."""
+    real = REALIZATIONS[name]
+    if name != "singular":
+        return WR.WeylWord(real, word)
+    reduced = WR.WeylWord(REALIZATIONS["C2^(1)"], word).reduce()
+    w = W.WeylWord(real, reduced)
+    assert w.reduce() == reduced
+    return w
+
+
+@st.composite
+def characters(draw):
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    n = REALIZATIONS[name].n
+    word = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    coords = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return name, word, coords, draw(HALVES)
+
+
+@settings(max_examples=120, deadline=None)
+@given(characters())
+def test_demazure_characters_agree(case):
+    name, word, coords, delta = case
+    real = REALIZATIONS[name]
+    lam = real.weight(coords, delta)
+    new = W.demazure_character(W.WeylWord(real, word), lam)
+    old = WR.demazure_character(_reference_word(name, word), lam)
+    assert list(new.items()) == list(old.items())
+    assert all(type(c) is Fraction for coords, delta in new for c in coords + (delta,))
+
+
+@st.composite
+def expansions(draw):
+    """A weight in the span (an integral or half-integral combination of the
+    simple roots) or an arbitrary, possibly out-of-span, weight."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    n = real.n
+    if draw(st.booleans()):
+        v = real.zero()
+        for i, c in enumerate(draw(st.lists(HALVES, min_size=n, max_size=n))):
+            v = v + real.simple_root(i).scale(c)
+    else:
+        v = real.weight(draw(st.lists(HALVES, min_size=n, max_size=n)), draw(HALVES))
+    return name, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansions())
+def test_root_coords_agree(case):
+    name, v = case
+    real = REALIZATIONS[name]
+    assert real.root_coords(v) == CR.root_coords(real, v)
+
+
+def test_root_coords_out_of_span_and_singular():
+    """delta is outside the span of a finite type's roots and of a
+    realization without a delta node; the singular matrix leaves one
+    coordinate free, which both kernels set to zero."""
+    for name in ("B3", "G2", "indefinite", "singular"):
+        real = C.Realization(REALIZATIONS[name].gcm, name)
+        assert real.root_coords(real.delta()) is None
+        assert CR.root_coords(real, real.delta()) is None
+    sing = C.Realization(C.build_affine_cartan("C2^(1)"), "fresh")
+    alpha = [sing.simple_root(i) for i in range(3)]
+    v = alpha[0].scale(Q(1, 2)) + alpha[1].scale(3)
+    assert sing.root_coords(v) == CR.root_coords(sing, v) == (Q(1, 2), 3, 0)
+    w = v + alpha[2]                        # alpha_2 = -alpha_0 - 2 alpha_1
+    assert sing.root_coords(w) == CR.root_coords(sing, w) == (Q(-1, 2), 1, 0)
+    assert sing.root_coords(sing.fundamental(0)) is None
+    assert CR.root_coords(sing, sing.fundamental(0)) is None
+
+
+FINITE_TYPES = [f"{fam}{rank}" for fam, rank in itertools.product("ABCD", range(1, 5))
+                if not (fam in "CD" and rank == 1)] + ["G2", "F4", "E7"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FINITE_TYPES), st.lists(st.integers(0, 3), min_size=7, max_size=7))
+def test_weyl_dim_agrees(name, coords):
+    label = C.FinTypeLabel.parse(name)
+    lam = C.WeightVec(name, tuple(coords[:label.rank]))
+    assert C.weyl_dim(label, lam) == CR.weyl_dim(label, lam)
+
+
+def test_weyl_dim_rejections_agree():
+    bc = C.FinTypeLabel("BC", 2)
+    for kernel in (C.weyl_dim, CR.weyl_dim):
+        with pytest.raises(ValueError):
+            kernel(bc, C.WeightVec("BC2", (Q(1), Q(0))))
+        with pytest.raises(ValueError):
+            kernel(C.FinTypeLabel("C", 2), C.WeightVec("C2", (Q(-1), Q(0))))
+        with pytest.raises(ValueError):
+            kernel(C.FinTypeLabel("C", 2), C.WeightVec("C2", (Q(1, 2), Q(0))))

@@ -63,6 +63,13 @@ def test_quadlat_cli_rejects_bound_below_one():
     assert "Traceback" not in r.stderr
 
 
+def test_quadlat_cli_rejects_bound_below_a_basis_height():
+    r = run("quadlat", "classify", "--type", "B", "--rank", "2", "--bound", "1")
+    assert r.returncode == 1
+    assert "height bound 1 too small" in json.loads(r.stdout)["error"]
+    assert "Traceback" not in r.stderr
+
+
 def test_demazure_cli(tmp_path):
     from smt_kit import cartan
     gcm = cartan.build_cartan(cartan.FinTypeLabel("A", 2))
@@ -115,6 +122,28 @@ def test_straighten_cli_unknown_generator():
     assert r.returncode == 1
     err = json.loads(r.stdout)["error"]
     assert "x9" in err and "x0..x5" in err and "y0..y5" in err
+
+
+def test_straighten_cli_unknown_generator_in_file(tmp_path):
+    data = {"generators": [{"id": "a"}, {"id": "b"}], "order": [["a", "b"]],
+            "relations": []}
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps(data))
+    r = run("smt", "straighten", "--system", str(f), "--monomial", "a,z,y")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "unknown generator(s) z, y; valid: a, b"
+
+
+def test_demazure_cli_cap_exceeded(tmp_path):
+    f = tmp_path / "hyp55.json"
+    f.write_text(json.dumps({"entries": [[2, -5], [-5, 2]]}))
+    r = run("weyl", "demazure", "--gcm", str(f), "--word", "0,1,0,1,0,1",
+            "--weight", "1,1")
+    assert r.returncode == 1
+    err = json.loads(r.stdout)["error"]
+    assert err.startswith("demazure_character cap exceeded: cap=100000, ")
+    assert err.endswith(" at letter 6 of 6")
+    assert "Traceback" not in r.stderr
 
 
 def test_seed_changes_sampling_not_result():

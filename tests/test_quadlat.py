@@ -69,6 +69,18 @@ def test_bound_below_one_is_an_error_not_a_verdict():
                                     "certificate": "monoid not free within bound"})
 
 
+def test_bound_below_a_basis_height_is_an_error_not_a_verdict():
+    """Q(B2) has the basis (1,0), (0,2); bound 1 reaches only (1,0), and
+    fewer irreducibles than the rank can only mean the bound is too small."""
+    Q_B2 = QL.root_lattice(lab("B2"))
+    with pytest.raises(ValueError, match="height bound 1 too small: 1 irreducible"):
+        QL.is_quadratic(Q_B2, 1)
+    with pytest.raises(ValueError, match="height bound 1 too small"):
+        QL.classify_quadratic(lab("B2"), 1)
+    ok, rep = QL.is_quadratic(Q_B2, 2)
+    assert ok and rep["basis"] == [["1", "0"], ["0", "2"]]
+
+
 def test_classify_quadratic_table():
     expected = {
         "A1": {"P": True, "Q": True},

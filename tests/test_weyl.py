@@ -138,6 +138,24 @@ def test_demazure_basics():
         W.demazure_character(W.WeylWord(real, (0,)), real.weight((Q(1, 2), 0)))
 
 
+def test_demazure_cap_names_value_and_size(monkeypatch):
+    real = real_of("C2")
+    word = W.WeylWord(real, (0,))
+    monkeypatch.setattr(W, "_DEMAZURE_WEIGHT_CAP", 3)
+    assert len(W.demazure_character(word, real.weight((2, 0)))) == 3
+    monkeypatch.setattr(W, "_DEMAZURE_WEIGHT_CAP", 2)
+    with pytest.raises(ValueError, match="demazure_character cap exceeded: cap=2, "
+                                         "3 weights at letter 1 of 1"):
+        W.demazure_character(word, real.weight((2, 0)))
+
+
+def test_orbit_cap_names_value_and_size():
+    real = real_of("C2")
+    assert len(W.orbit_bfs(real, range(2), real.rho(), cap=8)) == 8
+    with pytest.raises(ValueError, match="orbit cap exceeded: cap=5, 5 weights reached"):
+        W.orbit_bfs(real, range(2), real.rho(), cap=5)
+
+
 def test_demazure_dim_flip_sl2():
     # dim Y_{tau_m} = sum of dim V_{eps_i} over i <= m
     case = I.AmbientCase("flip-sl2")

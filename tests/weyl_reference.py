@@ -9,20 +9,24 @@ integer rho-image kernel, which makes it a differential oracle for
 
 The code is the earlier `smt_kit.weyl` kernel with two changes that alter
 no answer: the negative-root test that `Realization` used to carry lives
-here as `is_negative_root_vec`, and the reduction cache is held per live
-Realization (a WeakKeyDictionary) instead of under `id(realization)`, whose
-reuse after garbage collection used to return another group's reductions.
+here as `is_negative_root_vec`, on the `linalg.solve` expansion of
+`cartan_reference`, and the reduction cache is held per live Realization
+(a WeakKeyDictionary) instead of under `id(realization)`, whose reuse after
+garbage collection used to return another group's reductions.
+`demazure_character` is the divided-difference loop on Fraction
+`WeightVec`s that the integer-tuple loop of `smt_kit.weyl` replaced.
 """
 
 from __future__ import annotations
 
 import weakref
 
+import cartan_reference
 from smt_kit.cartan import Realization, WeightVec
 
 
 def is_negative_root_vec(real: Realization, v: WeightVec) -> bool:
-    c = real.root_coords(v)
+    c = cartan_reference.root_coords(real, v)
     return c is not None and all(x <= 0 for x in c) and any(x < 0 for x in c)
 
 
@@ -177,3 +181,39 @@ def bruhat_leq(u, v) -> bool:
         return memo[key]
 
     return leq(WeylWord(real, uw), 0)
+
+
+def demazure_character(w, lam: WeightVec) -> dict[tuple, int]:
+    """Weight multiplicities of the Demazure module generated from e^lam.
+
+    Applies D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}) along a
+    reduced word of w, rightmost letter first.  Keys are (coords, delta)
+    tuples; lam must pair integrally with every simple coroot.
+    """
+    real = w.real
+    if not all(c.denominator == 1 for c in lam.coords):
+        raise ValueError("integral weight required for divided differences")
+    char: dict[tuple, int] = {(lam.coords, lam.delta): 1}
+    for i in reversed(w.reduce()):
+        alpha = real.simple_root(i)
+        nxt: dict[tuple, int] = {}
+
+        def add(v: WeightVec, mult: int):
+            k = (v.coords, v.delta)
+            nxt[k] = nxt.get(k, 0) + mult
+            if nxt[k] == 0:
+                del nxt[k]
+
+        for (coords, delta), mult in char.items():
+            mu = WeightVec(lam.basis_id, coords, delta)
+            k = mu.coords[i]
+            assert k.denominator == 1
+            k = int(k)
+            if k >= 0:
+                for t in range(k + 1):
+                    add(mu - alpha.scale(t), mult)
+            else:
+                for t in range(1, -k):
+                    add(mu + alpha.scale(t), -mult)
+        char = nxt
+    return char
