@@ -310,11 +310,14 @@ def symmetrizer(m: GCM) -> list[Fraction] | None:
     return [x / lo for x in d]
 
 
+@functools.lru_cache(maxsize=64)
 def classify(m: GCM) -> str:
     """Sign class of the symmetrized form: finite / affine / indefinite.
 
-    Raises ValueError on non-symmetrizable input.  finite = positive
-    definite, affine = positive semidefinite with 1-dim kernel.
+    Raises ValueError on non-symmetrizable input (not cached, so every
+    call raises).  finite = positive definite, affine = positive
+    semidefinite with 1-dim kernel.  Cached by the value of the (frozen)
+    matrix.
     """
     d = symmetrizer(m)
     if d is None:

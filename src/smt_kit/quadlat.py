@@ -8,26 +8,34 @@ most two.  Freeness is certified only up to an enumeration height bound
 roots is checked alongside and the two verdicts are asserted to agree.
 
 Every per-point test is integer arithmetic against data built once per
-lattice: membership reduces a point by the Hermite normal form of the
-generators (Cohen, A Course in Computational Algebraic Number Theory,
-Sec. 2.4), the monoid enumeration runs on integer tuples, and the dominance
-box subtracts integer root rows.  Fractions remain in the `WeightVec`s
-handed in and out and in the exact solves of `hgt`, of one root-coordinate
-expansion per box and of the class computation over P/Q.
+lattice, basis or GCM: membership reduces a point by the Hermite normal form
+of the generators (Cohen, A Course in Computational Algebraic Number Theory,
+Sec. 2.4); freeness is one coin-change count over the dominant points in
+height order, capped at 2 (a point nothing reaches is irreducible); heights
+are one integer row over the basis, from `linalg.left_inverse`; and root
+coordinates, for the dominance box and for the classes of P/Q, come from
+one integer left inverse of the root rows per GCM.  Fractions remain only in
+the `WeightVec`s handed in and out and in the height and class values.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cartan import (FinTypeLabel, WeightVec, build_cartan, dominant_leq,
+from .cartan import (GCM, FinTypeLabel, WeightVec, build_cartan, dominant_leq,
                      quadratic_basis, root_rows)
 
 Q = Fraction
+
+# `monoid_basis` refuses a box of more dominant candidates than this before
+# enumerating any (the classification workloads reach 1,819)
+_MONOID_POINT_CAP = 200000
 
 
 def _hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -132,14 +140,40 @@ def root_lattice(label: FinTypeLabel) -> SubLattice:
     return SubLattice(label, gens)
 
 
+def _height_form(basis: list[WeightVec], n: int):
+    """hgt over a fixed basis as one integer left inverse: lam -> (s . lam) / d."""
+    cols = [[b.coords[j] for b in basis] for j in range(n)]
+    scale = math.lcm(*(x.denominator for row in cols for x in row))
+    left, cons, d = linalg.left_inverse([[scale * x for x in row] for row in cols])
+    s = [scale * sum(row[j] for row in left) for j in range(n)]
+
+    def height(lam: WeightVec) -> Fraction:
+        if any(sum(a * c for a, c in zip(row, lam.coords)) for row in cons):
+            raise ValueError("weight not in the span of the basis")
+        return Q(sum(a * c for a, c in zip(s, lam.coords)), d)
+
+    return height
+
+
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
     """Sum of the expansion coefficients of lam over the given basis."""
-    n = len(lam.coords)
-    cols = [[b.coords[j] for b in basis] for j in range(n)]
-    sol = linalg.solve(cols, list(lam.coords))
-    if sol is None:
-        raise ValueError("weight not in the span of the basis")
-    return sum(sol, Q(0))
+    return _height_form(basis, len(lam.coords))(lam)
+
+
+@functools.lru_cache(maxsize=64)
+def _root_inverse(gcm: GCM) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(L, d) with root coordinates L.v / d for a weight v; cached by GCM value.
+
+    The root rows are scaled to integers (a BC column is halved) before
+    `linalg.left_inverse`; a finite type has no span constraints.
+    """
+    rows = root_rows(gcm)
+    n = gcm.n
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    left, cons, d = linalg.left_inverse([[scale * rows[i][j] for i in range(n)]
+                                         for j in range(n)])
+    assert not cons, "simple roots must be linearly independent"
+    return tuple(tuple(scale * x for x in row) for row in left), d
 
 
 def _dominant_points(lat: SubLattice, bound: int):
@@ -162,42 +196,34 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     """Irreducibles of the dominant monoid, iff expansion over them is unique.
 
     The verdict is certified only for elements of coordinate height up to
-    the bound; None means the bounded test found non-freeness.
+    the bound; None means the bounded test found non-freeness.  One pass
+    over the points by height counts factorizations, capped at 2, coin-change
+    style: a point nothing has reached yet is irreducible and becomes a coin.
+    Every partial sum of a factorization is itself a point of smaller
+    height, so the count never leaves the points.
     """
-    points = sorted(_dominant_points(lat, height_bound), key=lambda v: (sum(v), v))
-    point_set = set(points)
+    n = lat.gcm.n
+    box = math.comb(max(height_bound, 0) + n, n)
+    if box > _MONOID_POINT_CAP:
+        raise ValueError(f"monoid_basis cap exceeded: cap={_MONOID_POINT_CAP}, "
+                         f"box of {box} points at bound {height_bound}")
+    zero = (0,) * n
+    points = [zero] + sorted(_dominant_points(lat, height_bound), key=lambda v: (sum(v), v))
+    heights = [sum(v) for v in points]
+    count = dict.fromkeys(points, 0)
+    count[zero] = 1
     irred: list[tuple[int, ...]] = []
-    for v in points:
-        # any decomposition contains an irreducible summand of smaller height
-        # (irred holds only earlier points, so w != v and v - w != 0)
-        decomposable = any(
-            all(a <= b for a, b in zip(w, v))
-            and tuple(b - a for a, b in zip(w, v)) in point_set
-            for w in irred)
-        if not decomposable:
-            irred.append(v)
-
-    # unique factorization over the irreducibles, within the bound
-    memo: dict[tuple, int] = {}
-
-    def expansions(coords, start):
-        if not any(coords):
-            return 1
-        key = (coords, start)
-        if key not in memo:
-            total = 0
-            for k in range(start, len(irred)):
-                w = irred[k]
-                if all(a <= b for a, b in zip(w, coords)):
-                    total += expansions(tuple(c - d for c, d in zip(coords, w)), k)
-                    if total > 1:
-                        break
-            memo[key] = total
-        return memo[key]
-
-    for v in points:
-        if expansions(v, 0) != 1:
+    for v, h in zip(points[1:], heights[1:]):
+        if count[v] > 1:
             return None
+        if count[v]:
+            continue
+        irred.append(v)
+        # u + v is again a point: dominant, in the lattice, of height <= bound
+        for u in points[:bisect.bisect_right(heights, height_bound - h)]:
+            if count[u]:
+                s = tuple(a + b for a, b in zip(u, v))
+                count[s] = min(2, count[s] + count[u])
     return [WeightVec(lat.basis_id, v) for v in sorted(irred, reverse=True)]
 
 
@@ -228,9 +254,10 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
         report["certificate"] = "monoid basis size differs from rank"
         return False, report
 
+    height = _height_form(basis, n)
     by_height = True
     for i, root in enumerate(root_rows(lat.gcm)):
-        h = hgt(WeightVec(lat.basis_id, tuple(root)), basis)
+        h = height(WeightVec(lat.basis_id, tuple(root)))
         if h < 0:
             by_height = False
             report["certificate"] = {"simple_root": i, "hgt": str(h)}
@@ -239,7 +266,7 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
     by_direct = True
     for e, f in itertools.combinations_with_replacement(basis, 2):
         for lam in _dominant_below(lat, e + f):
-            if lat.contains(lam) and hgt(lam, basis) > 2:
+            if lat.contains(lam) and height(lam) > 2:
                 by_direct = False
                 report.setdefault("certificate",
                                   {"below": [str(c) for c in (e + f).coords],
@@ -257,15 +284,15 @@ def _dominant_below(lat: SubLattice, top: WeightVec):
     gcm = lat.gcm
     rows = root_rows(gcm)
     n = gcm.n
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    top_rc = linalg.solve(cols, list(top.coords))
-    assert top_rc is not None and all(c >= 0 for c in top_rc)
     # scale by a common denominator (root_rows halves a BC column) so the box
     # runs in integers; a point is kept only if it divides back to integers
     d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
     top_d = [int(d * c) for c in top.coords]
     rows_d = [[int(d * x) for x in row] for row in rows]
-    for combo in itertools.product(*(range(int(c) + 1) for c in top_rc)):
+    left, d_inv = _root_inverse(gcm)
+    top_rc = [sum(a * c for a, c in zip(row, top_d)) for row in left]
+    assert all(c >= 0 for c in top_rc)
+    for combo in itertools.product(*(range(c // (d * d_inv) + 1) for c in top_rc)):
         coords = list(top_d)
         for k, row in zip(combo, rows_d):
             if k:
@@ -284,14 +311,13 @@ def _intermediate_lattices(label: FinTypeLabel):
     gcm = build_cartan(label)
     n = gcm.n
     rows = root_rows(gcm)
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+    left, d = _root_inverse(gcm)
 
     def cls(coords):
-        sol = linalg.solve(cols, list(coords))
-        return tuple(c - int(c) if c >= 0 else c - (int(c) - 1) for c in sol)
+        return tuple(Q(sum(a * c for a, c in zip(row, coords)) % d, d) for row in left)
 
     zero = tuple(Q(0) for _ in range(n))
-    reps = {zero: tuple(Q(0) for _ in range(n))}
+    reps = {zero: (0,) * n}
     frontier = [reps[zero]]
     while frontier:
         nxt = []
@@ -314,15 +340,11 @@ def _intermediate_lattices(label: FinTypeLabel):
             group = {zero, *subset}
             if all(add[(a, b)] in group for a in group for b in group):
                 out.append(sorted(group))
-    root_rows_int = [[int(x * 1) if x.denominator == 1 else None for x in row]
-                     for row in rows]
-    assert all(x is not None for row in root_rows_int for x in row)
+    assert all(x.denominator == 1 for row in rows for x in row)
     lattices = []
     for group in out:
-        gen_rows = [list(map(int, row)) for row in root_rows_int]
-        for c in group:
-            if c != zero:
-                gen_rows.append([int(x) for x in reps[c]])
+        gen_rows = [[int(x) for x in row] for row in rows]
+        gen_rows += [list(reps[c]) for c in group if c != zero]
         basis = _hnf(gen_rows)
         gens = [WeightVec(str(label), tuple(Q(x) for x in row)) for row in basis]
         lattices.append((len(group), SubLattice(label, gens)))

@@ -8,6 +8,11 @@ simple roots.  None of it shares arithmetic with the integer kernels (HNF
 reduction, integer tuples, root-coordinate depths), which makes it a
 differential oracle for `tests/test_quadlat_differential.py`.
 
+`hgt` solves for the expansion over the basis on every call, and
+`intermediate_lattices` finds the classes of P/Q with one `linalg.solve`
+per lookup, where `smt_kit.quadlat` applies one integer left inverse per
+basis or per GCM.
+
 The code is the earlier `smt_kit.quadlat` / `smt_kit.smt` code unchanged
 apart from methods becoming functions of the lattice or poset.
 """
@@ -18,7 +23,8 @@ import itertools
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import WeightVec, root_rows
+from smt_kit.cartan import WeightVec, build_cartan, root_rows
+from smt_kit.quadlat import SubLattice, _hnf
 
 Q = Fraction
 
@@ -114,6 +120,70 @@ def dominant_below(lat, top: WeightVec):
                   for j in range(n)]
         if all(c >= 0 and c.denominator == 1 for c in coords):
             yield WeightVec(lat.basis_id, tuple(coords))
+
+
+def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
+    """Sum of the expansion coefficients of lam over the given basis."""
+    n = len(lam.coords)
+    cols = [[b.coords[j] for b in basis] for j in range(n)]
+    sol = linalg.solve(cols, list(lam.coords))
+    if sol is None:
+        raise ValueError("weight not in the span of the basis")
+    return sum(sol, Q(0))
+
+
+def intermediate_lattices(label):
+    """All lattices Q <= L <= P, via the finite quotient P/Q.
+
+    Classes are fractional root-coordinate vectors; subgroups are found by
+    brute-force closure (the quotient has order at most 5 here).
+    """
+    gcm = build_cartan(label)
+    n = gcm.n
+    rows = root_rows(gcm)
+    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+
+    def cls(coords):
+        sol = linalg.solve(cols, list(coords))
+        return tuple(c - int(c) if c >= 0 else c - (int(c) - 1) for c in sol)
+
+    zero = tuple(Q(0) for _ in range(n))
+    reps = {zero: tuple(Q(0) for _ in range(n))}
+    frontier = [reps[zero]]
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for i in range(n):
+                cand = tuple(rep[j] + (1 if j == i else 0) for j in range(n))
+                key = cls(cand)
+                if key not in reps:
+                    reps[key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+
+    classes = sorted(reps)
+    nonzero = [c for c in classes if c != zero]
+    add = {(a, b): cls(tuple(x + y for x, y in zip(reps[a], reps[b])))
+           for a in classes for b in classes}
+    out = []
+    for k in range(len(nonzero) + 1):
+        for subset in itertools.combinations(nonzero, k):
+            group = {zero, *subset}
+            if all(add[(a, b)] in group for a in group for b in group):
+                out.append(sorted(group))
+    root_rows_int = [[int(x * 1) if x.denominator == 1 else None for x in row]
+                     for row in rows]
+    assert all(x is not None for row in root_rows_int for x in row)
+    lattices = []
+    for group in out:
+        gen_rows = [list(map(int, row)) for row in root_rows_int]
+        for c in group:
+            if c != zero:
+                gen_rows.append([int(x) for x in reps[c]])
+        basis = _hnf(gen_rows)
+        gens = [WeightVec(str(label), tuple(Q(x) for x in row)) for row in basis]
+        lattices.append((len(group), SubLattice(label, gens)))
+    return lattices
 
 
 def minuscule_leq(p, i: int, j: int) -> bool:

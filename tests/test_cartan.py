@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from smt_kit import cartan as C
+from smt_kit import cartan as C, extend as X
 
 A2 = C.FinTypeLabel("A", 2)
 C2 = C.FinTypeLabel("C", 2)
@@ -54,6 +54,19 @@ def test_classify():
         assert C.classify(C.build_cartan(lab(name))) == C.FINITE
     for name in ("C2^(1)", "C4^(1)", "A2^(2)", "A4^(2)", "A3^(2)", "A5^(2)", "A7^(2)"):
         assert C.classify(C.build_affine_cartan(name)) == C.AFFINE
+
+
+def test_classify_cache_matches_uncached():
+    tier = X.extend_restricted(lab("C2")).real.gcm
+    for m in (C.build_cartan(lab("F4")), C.build_affine_cartan("C2^(1)"), tier,
+              C.GCM(((2, -3), (-3, 2)))):
+        for _ in range(2):
+            assert C.classify(m) == C.classify.__wrapped__(m)
+    # a raised error is not cached: every call raises again
+    witness = C.GCM(((2, -1, -2), (-1, 2, -1), (-1, -1, 2)))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-symmetrizable"):
+            C.classify(witness)
 
 
 def test_affine_orientation():

@@ -1,10 +1,14 @@
 """Command-line interface: determinism, exit codes, file-driven inputs."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
-import pytest
+from hypothesis import given, settings, strategies as st
+
+from smt_kit import cli
 
 
 def run(*argv):
@@ -67,6 +71,14 @@ def test_quadlat_cli_rejects_bound_below_a_basis_height():
     r = run("quadlat", "classify", "--type", "B", "--rank", "2", "--bound", "1")
     assert r.returncode == 1
     assert "height bound 1 too small" in json.loads(r.stdout)["error"]
+    assert "Traceback" not in r.stderr
+
+
+def test_quadlat_cli_cap_exceeded():
+    r = run("quadlat", "classify", "--type", "A", "--rank", "4", "--bound", "400")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == (
+        "monoid_basis cap exceeded: cap=200000, box of 1093567501 points at bound 400")
     assert "Traceback" not in r.stderr
 
 
@@ -150,3 +162,17 @@ def test_seed_changes_sampling_not_result():
     r1 = run("verify", "oracles", "--trials", "5", "--seed", "1")
     r2 = run("verify", "oracles", "--trials", "5", "--seed", "2")
     assert r1.returncode == r2.returncode == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["A", "B", "C", "D", "E", "F", "G", "BC", "X", "", "a", "B C"]),
+       st.integers(-2, 4), st.integers(-2, 8))
+def test_quadlat_cli_fuzz(family, rank, bound):
+    """Any family, rank and bound gives one JSON object and exit 0 or 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["quadlat", "classify", "--type", family, "--rank", str(rank),
+                         "--bound", str(bound)])
+    assert code in (0, 1)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()

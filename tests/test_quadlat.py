@@ -32,6 +32,17 @@ def test_monoid_basis():
     assert QL.monoid_basis(Qa2, 6) is None   # two factorizations of (3,0)+(0,3) vs 3(1,1)
 
 
+def test_monoid_basis_cap_names_value_and_size(monkeypatch):
+    P = QL.full_weight_lattice(lab("A2"))
+    # the box of A2 at bound 6 holds C(8, 2) = 28 points, the zero point included
+    monkeypatch.setattr(QL, "_MONOID_POINT_CAP", 27)
+    with pytest.raises(ValueError, match=r"^monoid_basis cap exceeded: cap=27, "
+                                         r"box of 28 points at bound 6$"):
+        QL.monoid_basis(P, 6)
+    monkeypatch.setattr(QL, "_MONOID_POINT_CAP", 28)
+    assert [w.coords for w in QL.monoid_basis(P, 6)] == [(1, 0), (0, 1)]
+
+
 def test_monoid_basis_is_fundamental_for_P():
     for name in ("A3", "C3", "BC3"):
         P = QL.full_weight_lattice(lab(name))

@@ -2,14 +2,20 @@
 
 Every intermediate lattice Q <= L <= P of A1-A4, B2-B4, C2-C4, BC1-BC4 (whose
 root rows come from a halved column), D4, G2 and F4: HNF membership against
-the coefficient solve on random points, the integer monoid enumeration at
-small bounds, and the integer dominance box below every sum of two basis
-elements and below half of it.  The integer-depth order of the E7
-minuscule poset is compared with the root-coordinate order on every pair.
+the coefficient solve on random points, the coin-change monoid count against
+the pairwise test and memoised expansion count at small bounds and at the
+classification bounds, and the integer dominance box below every sum of two
+basis elements and below half of it.  The integer height form is compared
+with the per-call solve on random weights over full and partial bases, and
+the integer class map of P/Q with the solve-based one through the generators
+of every intermediate lattice.  The integer-depth order of the E7 minuscule
+poset is compared with the root-coordinate order on every pair.
 """
 
 import itertools
 from fractions import Fraction as Q
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +50,67 @@ def test_monoid_basis_agrees_at_small_bounds():
     for name, lat in LATTICES:
         for bound in range(1, 2 * lat.gcm.n + 1):
             assert QL.monoid_basis(lat, bound) == R.monoid_basis(lat, bound), (name, bound)
+
+
+def test_monoid_basis_agrees_at_classification_bounds():
+    """Bound 12 (criterion 2 and the benchmark) up to rank 3, bound 8 at rank 4."""
+    by_rank = {3: 0, 4: 0}
+    for name, lat in LATTICES:
+        rank = lat.gcm.n
+        bound = 12 if rank <= 3 else 8
+        assert QL.monoid_basis(lat, bound) == R.monoid_basis(lat, bound), (name, bound)
+        by_rank[max(rank, 3)] += 1
+    assert by_rank == {3: 19, 4: 13}
+
+
+BASES = [(name, basis) for name, lat in LATTICES
+         if (basis := QL.monoid_basis(lat, 12)) is not None]
+BASES += [(name, C.quadratic_basis(C.FinTypeLabel.parse(name)))
+          for name in ("A3", "B2", "B4", "C3", "BC2")]
+
+
+@st.composite
+def heights(draw):
+    name, basis = BASES[draw(st.integers(0, len(BASES) - 1))]
+    n = len(basis)
+    # a partial basis leaves most weights out of its span; a halved element
+    # gives the basis matrix a denominator
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    basis = [basis[k] for k in sorted(keep)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(basis) - 1))
+        basis[k] = basis[k].scale(Q(1, 2))
+    if draw(st.booleans()):
+        coefs = draw(st.lists(st.integers(-6, 6), min_size=len(basis), max_size=len(basis)))
+        lam = C.WeightVec(basis[0].basis_id, (Q(0),) * n)
+        for c, b in zip(coefs, basis):
+            lam = lam + b.scale(c)
+    else:
+        denominator = draw(st.sampled_from([1, 1, 2]))
+        coords = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        lam = C.WeightVec(basis[0].basis_id, tuple(Q(c, denominator) for c in coords))
+    return name, basis, lam
+
+
+@settings(max_examples=400, deadline=None)
+@given(heights())
+def test_hgt_agrees(case):
+    name, basis, lam = case
+    try:
+        want = R.hgt(lam, basis)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            QL.hgt(lam, basis)
+    else:
+        assert QL.hgt(lam, basis) == want, name
+
+
+def test_intermediate_lattices_agree():
+    for name in NAMES + ["B1", "A5", "B5", "C5", "D5", "D6", "E6", "E7", "E8"]:
+        label = C.FinTypeLabel.parse(name)
+        got = [(order, lat.generators) for order, lat in QL._intermediate_lattices(label)]
+        want = [(order, lat.generators) for order, lat in R.intermediate_lattices(label)]
+        assert got == want, name
 
 
 def test_dominant_below_agrees_on_sums_of_two_basis_elements():

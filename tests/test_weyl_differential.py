@@ -9,6 +9,7 @@ The second half guards against reductions leaking between Realizations.
 import gc
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import weyl_reference as R
@@ -116,3 +117,12 @@ def test_no_reductions_leak_between_realizations():
     containers = [name for name, value in vars(W).items()
                   if not name.startswith("__") and isinstance(value, (dict, list, set))]
     assert containers == []
+
+
+def test_reference_reduce_is_bounded_on_a_singular_realization():
+    """Without a delta node the simple roots of C2^(1) are linearly
+    dependent, the reference descent test reads signs of a solve that sets
+    the free coordinate to zero, and its reduction used to run forever."""
+    real = C.Realization(C.build_affine_cartan("C2^(1)"), "C2aff-singular")
+    with pytest.raises(AssertionError, match=r"no reduction within len\(word\) steps"):
+        R.WeylWord(real, (0, 1, 0, 1, 0)).reduce()

@@ -102,6 +102,9 @@ class WeylWord:
                             raise AssertionError("descent-free non-identity element")
                         break
                     out.append(i)
+                    if len(out) > len(self.letters):
+                        # each genuine descent shortens the element by one
+                        raise AssertionError("no reduction within len(word) steps")
                     cur = WeylWord(self.real, (i,) + cur.letters)
                 cache[key] = tuple(out)
             self._reduced = cache[key]
