@@ -264,7 +264,9 @@ class AmbientCase:
         return lift_restricted_reflection(i, self)
 
     def tau_hat_lift(self, m: int) -> WeylWord:
-        """Ambient word restricting to tau_hat_m on the tier."""
+        """Ambient word restricting to tau_hat_m on the tier, 0 <= m <= rank."""
+        if not 0 <= m <= self.rank:
+            raise ValueError(f"m out of range: {m} not in 0..{self.rank}")
         if m not in self._tau_lift_cache:
             if m == 0:
                 w = WeylWord(self.amb.real, ())

@@ -1,236 +1,80 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-All comparisons are exact (integers and rationals); the only tolerances are
-runtime budgets, asserted per criterion.  Run with `pytest -s` to see the
-lines, or `smt-kit verify all` for the CLI twin of this suite.
+Each criterion is a suite of `smt_kit.criteria`, run at its defaults; the
+same suites back `smt-kit verify`.  All comparisons are exact (integers and
+rationals); the only tolerances are the wall-clock budgets.  Run with
+`pytest -s` to see the lines.
 """
 
-import itertools
-import random
 import time
-from fractions import Fraction as Q
 
-import pytest
+from smt_kit import criteria
 
-from smt_kit import cartan as C, extend as X, involutions as I, lspath as L
-from smt_kit import quadlat as QL, smt as S, weyl as W
+# criterion -> (title, suite, wall-clock budget in seconds)
+CRITERIA = {
+    1: ("extension table (5 rows, ranks <= 4)", "remark23", 1.0),
+    2: ("quadratic-lattice classification", "prop5", 10.0),
+    3: ("telescoping-word actions (finite and affine tiers)", "lemma34", 1.0),
+    4: ("graded section counts below tau_2 (flip Sp(4))", "thm37", 300.0),
+    5: ("56-dimensional example (pairs and straightening)", "e7-pairs", 30.0),
+    6: ("codimension-one structure, restricted type A (l = 1,2,3)", "prop47", 5.0),
+    7: ("standard monomials from below = from above", "thm50", 120.0),
+    8: ("grading bound with equality only on the orbit", "prop33", 60.0),
+    9: ("path tensor rule and dimension conservation", "lemma39", 30.0),
+    10: ("Demazure / path-count / dimension coherence", "oracles", 120.0),
+}
 
 
-def report(name, ok, budget, elapsed):
-    line = f"[{'PASS' if ok else 'FAIL'}] {name} ({elapsed:.2f}s / budget {budget}s)"
+def run_criterion(number):
+    title, suite, budget = CRITERIA[number]
+    t0 = time.time()
+    rows = criteria.SUITES[suite]()
+    elapsed = time.time() - t0
+    failed = [r["name"] for r in rows if not r["pass"]]
+    ok = rows and not failed
+    line = (f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {title} "
+            f"({elapsed:.2f}s / budget {budget}s)")
     print(line)
-    assert ok, line
+    assert ok, f"{line}; failing rows: {failed}"
     assert elapsed < budget, line
 
 
+# One named test per criterion, so that each keeps its test id.
 def test_criterion_1_extension_table():
-    t0 = time.time()
-    rows = {"A": "C{k}", "B": "A{k}^(2)", "C": "C{k}^(1)",
-            "D": "A{k}^(2)", "BC": "A{k}^(2)"}
-    k_of = {"A": lambda l: l + 1, "B": lambda l: 2 * l, "C": lambda l: l,
-            "D": lambda l: 2 * l - 1, "BC": lambda l: 2 * l}
-    lo = {"A": 1, "B": 1, "C": 2, "D": 2, "BC": 1}
-    ok = True
-    for fam, pattern in rows.items():
-        for l in range(lo[fam], 5):
-            datum = X.extend_restricted(C.FinTypeLabel(fam, l))
-            want = pattern.replace("{k}", str(k_of[fam](l)))
-            ok = ok and C.identify_label(datum.extended) == want
-            if "^" in want:
-                ok = ok and C.gcm_equiv(C.build_affine_cartan(want), datum.extended)
-            else:
-                ok = ok and C.gcm_equiv(C.build_cartan(C.FinTypeLabel.parse(want)),
-                                        datum.extended)
-    report("criterion 1: extension table (5 rows, ranks <= 4)", ok, 1.0,
-           time.time() - t0)
+    run_criterion(1)
 
 
 def test_criterion_2_quadratic_classification():
-    t0 = time.time()
-    expected = {
-        ("A", 1): {"P": True, "Q": True},
-        ("B", 1): {"P": True, "Q": True},
-        ("BC", 1): {"P=Q": True},
-        ("B", 2): {"P": True, "Q": True},     # B_2 = C_2 as a root system
-        ("C", 2): {"P": True, "Q": True},
-        ("G", 2): {"P=Q": False},
-        ("F", 4): {"P=Q": False},
-        ("D", 4): {"P": False, "index-2": False, "Q": False},
-    }
-    for fam in ("A", "B", "C", "BC"):
-        for rank in range(1, 5):
-            if (fam, rank) in expected or (fam == "C" and rank < 2):
-                continue
-            key = "P=Q" if fam == "BC" else None
-            if fam == "A":
-                expected[(fam, rank)] = {"P": True, "Q": False,
-                                         **({"index-2": False} if rank == 3 else {})}
-            elif fam == "B":
-                expected[(fam, rank)] = {"P": False, "Q": True}
-            elif fam == "C":
-                expected[(fam, rank)] = {"P": True, "Q": False}
-            else:
-                expected[(fam, rank)] = {"P=Q": True}
-    ok = True
-    for (fam, rank), want in sorted(expected.items()):
-        got_rows = QL.classify_quadratic(C.FinTypeLabel(fam, rank), bound=12)
-        got = {n: v for n, v, _ in got_rows}
-        ok = ok and got == want
-        if fam in ("D", "G", "F"):
-            ok = ok and all("certificate" in r for _, v, r in got_rows if not v)
-        if (fam, rank) == ("D", 4):
-            ok = ok and len(got_rows) == 5    # P, three index-2 lattices, Q
-    report("criterion 2: quadratic-lattice classification", ok, 10.0,
-           time.time() - t0)
+    run_criterion(2)
 
 
 def test_criterion_3_telescoping_words():
-    t0 = time.time()
-    ok = True
-    for fam, rank in (("A", 2), ("C", 2)):
-        datum = X.extend_restricted(C.FinTypeLabel(fam, rank))
-        om = datum.e_omega0()
-        for m in range(rank + 1):
-            th = W.tau_hat(m, datum)
-            want = om if m == 0 else datum.e_eps(m) - om
-            if m and datum.is_affine():
-                want = want - datum.real.delta().scale(m)
-            ok = ok and th.act(om) == want
-            ok = ok and sum(1 for x in th.reduce() if x == 0) == m
-    report("criterion 3: telescoping-word actions (finite and affine tiers)",
-           ok, 1.0, time.time() - t0)
+    run_criterion(3)
 
 
-@pytest.fixture(scope="module")
-def sp4_counts():
-    case = I.AmbientCase("flip-sp4")
-    return case, S.GradedCounts(case, 2)
-
-
-def test_criterion_4_graded_sections(sp4_counts):
-    t0 = time.time()
-    case, gc = sp4_counts
-    d1, d2 = case.dim_eps_sum([1]), case.dim_eps_sum([2])
-    ok = gc.degree_split() == {0: 1, 1: d1, 2: d2}
-    om = case.amb.e_omega0()
-    tau2 = case.tau_lift(2)
-    ok = ok and W.demazure_dim(tau2, om) == 1 + d1 + d2
-    ok = ok and gc.count(2, "R") == S.expected(case, 2, 2, "R") == 552
-    ok = ok and gc.count(2, "S") == S.expected(case, 2, 2, "S") \
-        == W.demazure_dim(tau2, om.scale(2))
-    report("criterion 4: graded section counts below tau_2 (flip Sp(4))",
-           ok, 300.0, time.time() - t0)
+def test_criterion_4_graded_sections():
+    run_criterion(4)
 
 
 def test_criterion_5_e7_example():
-    t0 = time.time()
-    p = S.e7_minuscule()
-    ok = len(p) == 56
-    comp, inc = S.count_standard_pairs(p)
-    e7 = C.build_cartan(C.FinTypeLabel("E", 7))
-    dim_g = C.weyl_dim(e7, C.Realization(e7, "E7").fundamental(0))
-    r0 = C.Realization(S.e7_gcm(), "E7@0")
-    dim2 = C.weyl_dim(S.e7_gcm(), r0.fundamental(0).scale(2))
-    ok = ok and (comp, inc) == (dim2, dim_g) == (1463, 133)
-    sys_, xs, ys = S.e7_system()
-    nf = S.straighten((xs[5], ys[5]), sys_)
-    want = {sys_.sort_mono((xs[k], ys[k])): Q((-1) ** k) for k in range(5)}
-    ok = ok and nf == want
-    ok = ok and S.straighten((xs[0], ys[0]), sys_) == \
-        {sys_.sort_mono((xs[0], ys[0])): Q(1)}
-    report("criterion 5: 56-dimensional example (pairs and straightening)",
-           ok, 30.0, time.time() - t0)
+    run_criterion(5)
 
 
 def test_criterion_6_finite_structure():
-    t0 = time.time()
-    ok = True
-    for n in (2, 3, 4):
-        rep = S.finite_case_structure(I.AmbientCase(f"flip-sl{n}"))
-        ok = ok and rep["ok"]
-    report("criterion 6: codimension-one structure, restricted type A (l = 1,2,3)",
-           ok, 5.0, time.time() - t0)
+    run_criterion(6)
 
 
 def test_criterion_7_two_bases():
-    t0 = time.time()
-    ok = True
-    case = I.AmbientCase("flip-sl2")
-    for deg in (2, 3):
-        rep = S.two_basis_counts(case, deg)
-        ok = ok and rep["ok"]
-    rep = S.two_basis_counts(I.AmbientCase("flip-sp4"), 2)
-    ok = ok and rep["ok"] and rep["below_by_multidegree"] == \
-        {"1+1": 100, "1+2": 256, "2+2": 196}
-    report("criterion 7: standard monomials from below = from above",
-           ok, 120.0, time.time() - t0)
+    run_criterion(7)
 
 
-def test_criterion_8_grading_bound(sp4_counts):
-    t0 = time.time()
-    case, _ = sp4_counts
-    tier = case.tier
-    n0 = X.n0(tier)
-    char = W.demazure_character(case.tau_lift(2), case.amb.e_omega0())
-    orbit = W.orbit_bfs(tier.real, range(case.rank), tier.e_omega0(), delta_cap=Q(8))
-    ok = True
-    seen_eq = 0
-    for (coords, delta), _m in char.items():
-        s = case.split_to_tier(C.WeightVec(case.amb.real.basis_id, coords, delta))
-        nf = X.split_normal_form(tier, s)
-        g = X.egr(tier, s)
-        ok = ok and g <= n0
-        in_lattice = (all(c.denominator == 1 for c in nf.eps_coords)
-                      and nf.gamma.denominator == 1 and nf.delta.denominator == 1)
-        if in_lattice and g == n0:
-            seen_eq += 1
-            ok = ok and (s.coords, s.delta) in orbit
-    ok = ok and seen_eq > 0
-    report("criterion 8: grading bound with equality only on the orbit",
-           ok, 60.0, time.time() - t0)
+def test_criterion_8_grading_bound():
+    run_criterion(8)
 
 
 def test_criterion_9_tensor_rule():
-    t0 = time.time()
-    ok = True
-    for fam in ("C", "A"):
-        gcm = C.build_cartan(C.FinTypeLabel(fam, 2))
-        real = C.Realization(gcm, f"{fam}2")
-        eps = [real.fundamental(i) for i in range(2)]
-        ok = ok and L.tensor_multiplicity(eps[0], eps[0], eps[1], gcm) == 1
-        total = 0
-        for coords in itertools.product(range(4), repeat=2):
-            nu = real.weight([Q(c) for c in coords])
-            m = L.tensor_multiplicity(eps[0], eps[0], nu, gcm)
-            total += m * C.weyl_dim(gcm, nu)
-        ok = ok and total == C.weyl_dim(gcm, eps[0]) ** 2
-    report("criterion 9: path tensor rule and dimension conservation",
-           ok, 30.0, time.time() - t0)
+    run_criterion(9)
 
 
 def test_criterion_10_oracle_coherence():
-    t0 = time.time()
-    rng = random.Random(0)
-    pool = [("A", 1), ("A", 2), ("C", 2), ("A", 3), ("B", 3), ("G", 2)]
-    ok = True
-    for _ in range(20):
-        fam, rank = rng.choice(pool)
-        gcm = C.build_cartan(C.FinTypeLabel(fam, rank))
-        real = C.Realization(gcm, f"{fam}{rank}")
-        coords = [rng.randint(0, 1) for _ in range(rank)]
-        if not any(coords):
-            coords[rng.randrange(rank)] = 1
-        lam = real.weight([Q(c) for c in coords])
-        word = W.WeylWord(real, [rng.randrange(rank)
-                                 for _ in range(rng.randint(0, 6))])
-        top = W.CosetRep(word, L.stabilizer_nodes(lam))
-        ok = ok and len(L.enumerate_paths(lam, top)) == W.demazure_dim(word, lam)
-    for fam, rank in pool[:4]:
-        gcm = C.build_cartan(C.FinTypeLabel(fam, rank))
-        real = C.Realization(gcm, f"{fam}{rank}")
-        lam = real.weight([Q(1)] * rank)
-        w0 = W.longest_parabolic(real, range(rank))
-        top = W.CosetRep(w0, L.stabilizer_nodes(lam))
-        ok = ok and len(L.enumerate_paths(lam, top)) == C.weyl_dim(gcm, lam)
-    report("criterion 10: Demazure / path-count / dimension coherence",
-           ok, 120.0, time.time() - t0)
+    run_criterion(10)

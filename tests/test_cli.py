@@ -109,6 +109,15 @@ def test_lspath_cli():
     assert out["count"] == 5 and out["degree_split"] == {"0": 1, "1": 4}
 
 
+def test_lspath_cli_rejects_m_outside_0_to_rank():
+    for case, top in (("flip-sl2", "tau-1"), ("flip-sl2", "tau9"),
+                      ("flip-sp4", "tau3"), ("flip-sl2", "tau2")):
+        r = run("lspath", "enumerate", "--case", case, "--top", top)
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"].startswith("m out of range: ")
+        assert "Traceback" not in r.stderr
+
+
 def test_straighten_cli_builtin_and_file(tmp_path):
     r = run("smt", "straighten", "--system", "e7", "--monomial", "x5,y5")
     assert r.returncode == 0
@@ -158,6 +167,22 @@ def test_demazure_cli_cap_exceeded(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_verify_prop5_rank_filter():
+    names = lambda r: [c["name"] for c in json.loads(r.stdout)["checks"]]
+    r = run("verify", "prop5", "--max-rank", "3")
+    assert r.returncode == 0
+    assert "prop5: G2" in names(r) and not any("F4" in n for n in names(r))
+    r = run("verify", "prop5", "--max-rank", "4")
+    assert r.returncode == 0
+    assert {"prop5: G2", "prop5: F4", "prop5: D4"} <= set(names(r))
+
+
+def test_verify_suite_without_checks_exit_1():
+    r = run("verify", "prop5", "--max-rank", "0")
+    assert r.returncode == 1
+    assert json.loads(r.stdout) == {"error": "suite prop5 produced no checks"}
+
+
 def test_seed_changes_sampling_not_result():
     r1 = run("verify", "oracles", "--trials", "5", "--seed", "1")
     r2 = run("verify", "oracles", "--trials", "5", "--seed", "2")
@@ -173,6 +198,21 @@ def test_quadlat_cli_fuzz(family, rank, bound):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["quadlat", "classify", "--type", family, "--rank", str(rank),
                          "--bound", str(bound)])
+    assert code in (0, 1)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["flip-sl2", "flip-sl3", "flip-sp4", "sym-quadrics3", "nosuch"]),
+       st.sampled_from(["tau-1", "tau0", "tau1", "tau2", "tau3", "tau4", "9", "", "abc"]),
+       st.integers(-1, 2))
+def test_lspath_cli_fuzz(case, top, degree):
+    """Any case, top and degree gives one JSON object and exit 0 or 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["lspath", "enumerate", "--case", case, "--top", top,
+                         "--degree", str(degree)])
     assert code in (0, 1)
     assert isinstance(json.loads(out.getvalue()), dict)
     assert "Traceback" not in err.getvalue()

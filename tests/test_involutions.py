@@ -79,6 +79,15 @@ def test_flip_so_odd_lifts():
     assert case.dim_eps_sum([2]) == C.weyl_dim(b2, r.weight((0, 2))) ** 2
 
 
+def test_tau_lifts_reject_m_outside_0_to_rank():
+    case = I.AmbientCase("flip-sl2")
+    assert case.tau_hat_lift(case.rank).act(case.amb.e_omega0()) is not None
+    for m in (-1, 2, 9):
+        for lift in (case.tau_hat_lift, case.tau_lift, case.tau_coset):
+            with pytest.raises(ValueError, match=f"m out of range: {m} not in 0..1"):
+                lift(m)
+
+
 def test_ambient_reduction_matches_tier():
     # twice the split image of each ambient simple root is the tier root
     for name in ("flip-sl2", "flip-sl3", "flip-sp4", "sym-quadrics3",
