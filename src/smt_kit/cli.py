@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -101,7 +102,11 @@ def cmd_weyl_demazure(args, t0):
 
 def cmd_lspath(args, t0):
     case = involutions.AmbientCase(args.case)
-    m = int(str(args.top).lower().lstrip("tau").lstrip("_") or 0)
+    top = re.fullmatch(r"(?:tau_?)?(-?[0-9]+)", args.top, re.IGNORECASE)
+    if top is None:
+        raise ValueError(f"--top {args.top!r}: expected tau<m>, tau_<m> or <m>,"
+                         " m an integer")
+    m = int(top.group(1))
     gc = smt.GradedCounts(case, m)
     out = {"count": gc.count(args.degree, args.locus),
            "degree_split": {str(k): v for k, v in sorted(gc.degree_split().items())}}

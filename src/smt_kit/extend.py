@@ -91,10 +91,6 @@ class ExtendedDatum:
         w = self.real.fundamental(0)
         return w.scale(Q(1, 2)) if self.kind == "restricted" else w
 
-    def gamma(self) -> WeightVec:
-        return self.real.fundamental(0).scale(Q(1, 2)) if self.kind == "restricted" \
-            else self.real.fundamental(0)
-
     def e_eps(self, i: int) -> WeightVec:
         """The split basis weight e_eps_i in tier coordinates (restricted only).
 
@@ -210,7 +206,7 @@ def gr(split: SplitWeight) -> Fraction:
 
 
 def _split_to_vec(datum: ExtendedDatum, s: SplitWeight) -> WeightVec:
-    v = datum.gamma().scale(s.gamma) + datum.real.delta().scale(s.delta)
+    v = datum.e_omega0().scale(s.gamma) + datum.real.delta().scale(s.delta)
     for i, a in enumerate(s.eps_coords):
         if a:
             v = v + datum.e_eps(i).scale(a)

@@ -1,14 +1,24 @@
-"""Catalog of symmetric-pair rows and the ambient machinery of two families.
+"""Catalog of symmetric-pair rows and the ambient machinery they imply.
 
 The catalog (data/involutions.json) records, per family: the fixed-point
-algebra, the restricted root system type and rank, and the isogeny type.
-Two families carry full ambient machinery:
+algebra, the ambient label, the restricted root system type and rank, and
+the isogeny type.  A row with ambient machinery also names the diagram
+automorphism P of its ambient base diagram, as a permutation of the equal
+summands of the ambient label: [1, 0] swaps the two factors of a flip pair
+g + g (g of type A, C or B), [0] is the identity (symmetric quadrics,
+special linear modulo orthogonal).  In Satake/Araki terms the involution
+is sigma = -1 composed with P, Delta_0 is empty, and the restricted nodes
+are the P-orbits.  Everything else follows from P, extended to fix the
+attached node 0:
 
-* flip pairs g + g with the factor swap, for g of type A, C or B
-  (restricted system = the factor's own; the weight dictionary doubles
-  each node: eps_i -> omega_i + omega_i');
-* symmetric quadrics (special linear modulo orthogonal), where the
-  involution is -1 on weights and eps_i -> 2 omega_i.
+* sigma(v) puts -v_i at node P(i) and negates delta;
+* the ambient nodes over restricted node i are its P-orbit, from i;
+* the tier coordinate i of the split part (v - sigma v)/2 is |orbit(i)|/2
+  times the split part's common value on orbit(i);
+* eps_i -> sum over p in orbit(i) of (2/|orbit(i)|) c_i omega_p, c_i the
+  i-th quadratic-basis coefficient (2 on the last node of B, else 1); so
+  a flip doubles each node (eps_i -> omega_i + omega_i') and the quadrics
+  send eps_i -> 2 omega_i.
 
 An AmbientCase bundles: the ambient extended datum, the restricted tier,
 the split projection between them, the lifted telescoping words, and the
@@ -17,14 +27,16 @@ dictionary eps_i -> ambient dominant weight.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .cartan import (FinTypeLabel, Realization, WeightVec, build_cartan,
-                     weyl_dim)
+from . import lspath
+from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
+                     quadratic_basis, weyl_dim)
 from .extend import ExtendedDatum, extend_ambient, extend_restricted
 from .weyl import (CosetRep, WeylWord, lift_restricted_reflection,
                    longest_parabolic)
@@ -46,6 +58,7 @@ class InvolutionRecord:
     isogeny: str
     implemented: bool
     weight_map: list[WeightVec] | None = None
+    automorphism: tuple[int, ...] | None = None   # P on the base nodes
 
     def to_json(self) -> dict:
         out = {"name": self.name, "ambient": self.ambient,
@@ -55,26 +68,6 @@ class InvolutionRecord:
         if self.weight_map is not None:
             out["weight_map"] = [w.to_json() for w in self.weight_map]
         return out
-
-
-def _flip_weight_map(h: FinTypeLabel) -> list[WeightVec]:
-    # eps_i doubles each node of the factor's quadratic basis (so the last
-    # B-type weight contributes 2*omega on both copies)
-    from .cartan import quadratic_basis
-    r = h.rank
-    bid = f"{h}+{h}"
-    out = []
-    for qb in quadratic_basis(h):
-        coords = tuple(qb.coords) + tuple(qb.coords)
-        out.append(WeightVec(bid, coords))
-    return out
-
-
-def _quadrics_weight_map(n: int) -> list[WeightVec]:
-    r = n - 1
-    bid = f"A{r}"
-    return [WeightVec(bid, tuple(Q(2) if j == i else Q(0) for j in range(r)))
-            for i in range(r)]
 
 
 def lookup(name: str) -> InvolutionRecord:
@@ -95,10 +88,14 @@ def lookup(name: str) -> InvolutionRecord:
             continue
         if n is None and row["param"]:
             raise KeyError(f"{name}: family needs a parameter ({row['param']})")
-        rank, ambient, wmap = _instantiate(row, n)
-        return InvolutionRecord(text, ambient, row["fixed_algebra"],
-                                FinTypeLabel(row["restricted"], rank),
-                                row["isogeny"], row["implemented"], wmap)
+        rank, ambient = _instantiate(row, n)
+        restricted = FinTypeLabel(row["restricted"], rank)
+        perm = wmap = None
+        if "diagram_automorphism" in row:
+            perm = _diagram_permutation(ambient, row["diagram_automorphism"])
+            wmap = _weight_map(ambient, restricted, perm)
+        return InvolutionRecord(text, ambient, row["fixed_algebra"], restricted,
+                                row["isogeny"], row["implemented"], wmap, perm)
     raise KeyError(name)
 
 
@@ -107,23 +104,58 @@ def _instantiate(row: dict, n: int | None):
     if key == "flip-sl":
         if n is None or n < 2:
             raise KeyError("flip-sl needs n >= 2")
-        return n - 1, f"A{n-1}+A{n-1}", _flip_weight_map(FinTypeLabel("A", n - 1))
+        return n - 1, f"A{n-1}+A{n-1}"
     if key == "flip-sp":
         if n is None or n < 4 or n % 2:
             raise KeyError("flip-sp needs even n >= 4")
-        return n // 2, f"C{n//2}+C{n//2}", _flip_weight_map(FinTypeLabel("C", n // 2))
+        return n // 2, f"C{n//2}+C{n//2}"
     if key == "flip-so-odd":
         if n is None or n < 5 or n % 2 == 0:
             raise KeyError("flip-so-odd needs odd n >= 5")
         r = (n - 1) // 2
-        return r, f"B{r}+B{r}", _flip_weight_map(FinTypeLabel("B", r))
+        return r, f"B{r}+B{r}"
     if key == "sym-quadrics":
         if n is None or n < 2:
             raise KeyError("sym-quadrics needs n >= 2")
-        return n - 1, f"A{n-1}", _quadrics_weight_map(n)
+        return n - 1, f"A{n-1}"
     if n is None:
-        return int(row["restricted_rank"]), row["ambient"], None
-    return n, row["ambient"], None
+        return int(row["restricted_rank"]), row["ambient"]
+    return n, row["ambient"]
+
+
+def _summands(ambient: str) -> list[FinTypeLabel]:
+    return [FinTypeLabel.parse(part) for part in ambient.split("+")]
+
+
+def _diagram_permutation(ambient: str, summand_perm: list[int]) -> tuple[int, ...]:
+    """P on the base nodes: summand k goes node by node onto summand_perm[k]."""
+    labels = _summands(ambient)
+    assert sorted(summand_perm) == list(range(len(labels)))
+    assert all(labels[t] == labels[k] for k, t in enumerate(summand_perm))
+    offsets = list(itertools.accumulate((h.rank for h in labels), initial=0))
+    return tuple(offsets[t] + j for k, t in enumerate(summand_perm)
+                 for j in range(labels[k].rank))
+
+
+def _orbit(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """i, P(i), P(P(i)), ... up to the return to i."""
+    out = [i]
+    while perm[out[-1]] != i:
+        out.append(perm[out[-1]])
+    return tuple(out)
+
+
+def _weight_map(ambient: str, restricted: FinTypeLabel,
+                perm: tuple[int, ...]) -> list[WeightVec]:
+    """eps_i -> sum over p in orbit(i) of (2/|orbit(i)|) c_i omega_p."""
+    out = []
+    for i, qb in enumerate(quadratic_basis(restricted)):
+        orbit = _orbit(perm, i)
+        coords = [Q(0)] * len(perm)
+        for p in orbit:
+            coords[p] = Q(2, len(orbit)) * qb.coords[i]
+        out.append(WeightVec(ambient, tuple(coords)))
+    return out
 
 
 def restricted_to_ambient(rec: InvolutionRecord, coeffs) -> WeightVec:
@@ -158,7 +190,8 @@ class AmbientCase:
     """Full machinery of one implemented symmetric pair.
 
     Node layout of the ambient extension: node 0 is the attached node and
-    the base diagram occupies 1..n (for flips, first copy then second).
+    the base diagram, the block sum of the ambient summands in order,
+    occupies 1..n.
     """
 
     def __init__(self, name: str):
@@ -166,50 +199,27 @@ class AmbientCase:
         if not rec.implemented:
             raise ValueError(f"{name} is data-only")
         self.record = rec
-        self.flip = rec.name.startswith("flip")
-        h = None
-        if self.flip:
-            fam = {"flip-sl": "A", "flip-sp": "C", "flip-so-odd": "B"}[
-                re.sub(r"\d+$", "", rec.name).rstrip("-")]
-            h = rec.restricted
-            base = build_cartan(h).block_sum(build_cartan(h))
-        else:
-            base = build_cartan(FinTypeLabel("A", rec.restricted.rank))
-        self.base = base
-        self.h_label = h
-        eps1 = restricted_to_ambient(rec, [1] + [0] * (rec.restricted.rank - 1))
-        self.amb: ExtendedDatum = extend_ambient(base, eps1, basis_id=f"ext({rec.name})")
-        self.tier: ExtendedDatum = extend_restricted(rec.restricted)
+        self.base = functools.reduce(GCM.block_sum, map(build_cartan, _summands(rec.ambient)))
         self.rank = rec.restricted.rank
+        # P on the extension's nodes: node 0 fixed, base node j at j + 1
+        self.perm = (0,) + tuple(p + 1 for p in rec.automorphism)
+        self.fibres = tuple(_orbit(self.perm, i) for i in range(self.rank + 1))
+        eps1 = restricted_to_ambient(rec, [1] + [0] * (self.rank - 1))
+        self.amb: ExtendedDatum = extend_ambient(self.base, eps1, basis_id=f"ext({rec.name})")
+        self.tier: ExtendedDatum = extend_restricted(rec.restricted)
         self._tau_lift_cache: dict[int, WeylWord] = {}
 
     # -- node bookkeeping ---------------------------------------------------
 
     def preimage_nodes(self, i: int) -> tuple[int, ...]:
-        """Ambient-extension node indices lying over tier node i."""
-        if i == 0:
-            return (0,)
-        r = self.rank
-        if self.flip:
-            h_rank = self.h_label.rank
-            return (i, h_rank + i)
-        return (i,)
-
-    def sigma_class_nodes(self, i: int) -> tuple[int, ...]:
-        # Delta_0 is empty for both implemented families
-        return self.preimage_nodes(i)
+        """Ambient-extension node indices lying over tier node i: its P-orbit."""
+        return self.fibres[i]
 
     def sigma(self, v: WeightVec) -> WeightVec:
-        """The involution on ambient-extension coordinates."""
-        real = self.amb.real
-        if not self.flip:
-            return -v
-        r = self.h_label.rank
-        coords = list(v.coords)
-        new = [-coords[0]] + [Q(0)] * (2 * r)
-        for i in range(1, r + 1):
-            new[i] = -coords[r + i]
-            new[r + i] = -coords[i]
+        """The involution on ambient-extension coordinates: -1 composed with P."""
+        new = [Q(0)] * len(v.coords)
+        for i, c in enumerate(v.coords):
+            new[self.perm[i]] = -c
         return WeightVec(v.basis_id, tuple(new), -v.delta)
 
     def split_part(self, v: WeightVec) -> WeightVec:
@@ -218,13 +228,11 @@ class AmbientCase:
     def split_to_tier(self, v: WeightVec) -> WeightVec:
         """Tier coordinates of the split part of an ambient weight."""
         s = self.split_part(v)
-        scale = Q(1) if self.flip else Q(1, 2)
-        coords = [Q(1, 2) * s.coords[0]]
-        for i in range(1, self.rank + 1):
-            pre = self.preimage_nodes(i)
-            vals = {s.coords[p] for p in pre}
+        coords = []
+        for fibre in self.fibres:
+            vals = {s.coords[p] for p in fibre}
             assert len(vals) == 1, "split part not symmetric across the fiber"
-            coords.append(scale * vals.pop())
+            coords.append(Q(len(fibre), 2) * vals.pop())
         return self.tier.real.weight(coords, s.delta)
 
     # -- weights and dimensions ----------------------------------------------
@@ -299,19 +307,16 @@ class AmbientCase:
 
     def base_paths(self, i: int):
         """Full path model of the ambient image of eps_i over the base group."""
-        from . import lspath as _lp
-        from .weyl import CosetRep as _CR
         real = self.base_realization()
         shape = self.eps_base_weight(i)
         w0 = longest_parabolic(real, range(real.n))
-        top = _CR(w0, _lp.stabilizer_nodes(shape))
-        return _lp.enumerate_paths(shape, top)
+        top = CosetRep(w0, lspath.stabilizer_nodes(shape))
+        return lspath.enumerate_paths(shape, top)
 
     def lift_to_grassmannian(self, path, i: int):
         """Image of a base path of shape eps_i on the extended coset space."""
-        from . import lspath as _lp
-        return _lp.lift_path(path, self.tau_hat_lift(i), self.grassmann_parabolic(),
-                             self.amb.e_omega0(), letter_shift=1)
+        return lspath.lift_path(path, self.tau_hat_lift(i), self.grassmann_parabolic(),
+                                self.amb.e_omega0(), letter_shift=1)
 
     def tau_hat_coset(self, m: int) -> CosetRep:
         return CosetRep(self.tau_hat_lift(m), self.grassmann_parabolic())

@@ -62,8 +62,8 @@ class LSPath:
 
     def breakpoints(self) -> list[WeightVec]:
         """Path values at the cut points, including both endpoints."""
-        out = [self.real.zero() if False else self.shape.scale(0)]
         acc = self.shape.scale(0)
+        out = [acc]
         ws = self.direction_weights()
         for k in range(len(self.dirs)):
             acc = acc + ws[k].scale(self.cuts[k + 1] - self.cuts[k])

@@ -269,6 +269,8 @@ class GradedCounts:
 
     def count(self, n: int, locus: str = "S") -> int:
         pool = self.pool(locus)
+        if n < 0:
+            raise ValueError(f"degree {n} out of range: must be >= 0")
         if n == 0:
             return 1
         if n == 1:

@@ -369,10 +369,11 @@ def lift_restricted_reflection(i: int, case) -> WeylWord:
     """Ambient word acting on split weights as the i-th tier reflection.
 
     The word is the longest element of the parabolic on the nodes whose
-    restricted root is the i-th one (plus the sigma-fixed nodes); the
-    action identity is asserted against the tier.
+    restricted root is the i-th one (`case.preimage_nodes(i)`; no
+    implemented pair has sigma-fixed nodes); the action identity is
+    asserted against the tier.
     """
-    w = longest_parabolic(case.amb.real, case.sigma_class_nodes(i))
+    w = longest_parabolic(case.amb.real, case.preimage_nodes(i))
     tier = case.tier.real
     for j in range(case.amb.real.n):
         v = case.amb.real.fundamental(j)

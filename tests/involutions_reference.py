@@ -1,0 +1,71 @@
+"""Reference oracle: the per-family branches the automorphism rule replaced.
+
+`involutions.AmbientCase` derives sigma, the fibres over the restricted
+nodes, the split map and the weight map from one diagram permutation.
+This module keeps the earlier code, which branched on whether the pair is
+a flip (g + g with the factor swap) or the symmetric quadrics, so that
+`tests/test_involutions_differential.py` can compare the two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from smt_kit.cartan import (FinTypeLabel, GCM, WeightVec, build_cartan,
+                            quadratic_basis)
+
+Q = Fraction
+
+
+def is_flip(case) -> bool:
+    return case.record.name.startswith("flip")
+
+
+def base_gcm(case) -> GCM:
+    h = case.record.restricted
+    if is_flip(case):
+        return build_cartan(h).block_sum(build_cartan(h))
+    return build_cartan(FinTypeLabel("A", h.rank))
+
+
+def weight_map(case) -> list[WeightVec]:
+    h = case.record.restricted
+    if is_flip(case):
+        # eps_i doubles each node of the factor's quadratic basis
+        bid = f"{h}+{h}"
+        return [WeightVec(bid, tuple(qb.coords) + tuple(qb.coords))
+                for qb in quadratic_basis(h)]
+    r = h.rank
+    return [WeightVec(f"A{r}", tuple(Q(2) if j == i else Q(0) for j in range(r)))
+            for i in range(r)]
+
+
+def preimage_nodes(case, i: int) -> tuple[int, ...]:
+    if i == 0:
+        return (0,)
+    if is_flip(case):
+        return (i, case.record.restricted.rank + i)
+    return (i,)
+
+
+def sigma(case, v: WeightVec) -> WeightVec:
+    if not is_flip(case):
+        return -v
+    r = case.record.restricted.rank
+    coords = list(v.coords)
+    new = [-coords[0]] + [Q(0)] * (2 * r)
+    for i in range(1, r + 1):
+        new[i] = -coords[r + i]
+        new[r + i] = -coords[i]
+    return WeightVec(v.basis_id, tuple(new), -v.delta)
+
+
+def split_to_tier(case, v: WeightVec) -> WeightVec:
+    s = (v - sigma(case, v)).scale(Q(1, 2))
+    scale = Q(1) if is_flip(case) else Q(1, 2)
+    coords = [Q(1, 2) * s.coords[0]]
+    for i in range(1, case.rank + 1):
+        vals = {s.coords[p] for p in preimage_nodes(case, i)}
+        assert len(vals) == 1, "split part not symmetric across the fiber"
+        coords.append(scale * vals.pop())
+    return case.tier.real.weight(coords, s.delta)

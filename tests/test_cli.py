@@ -6,14 +6,23 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from smt_kit import cli
+from smt_kit import cli, involutions
 
 
 def run(*argv):
     return subprocess.run([sys.executable, "-m", "smt_kit.cli", *argv],
                           capture_output=True, text=True)
+
+
+def run_in_process(*argv):
+    """(exit code, parsed stdout, stderr) of one `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, json.loads(out.getvalue()), err.getvalue()
 
 
 def test_deterministic_output():
@@ -118,6 +127,28 @@ def test_lspath_cli_rejects_m_outside_0_to_rank():
         assert "Traceback" not in r.stderr
 
 
+def test_lspath_cli_top_forms():
+    for top in ("tau1", "TAU1", "tau_1", "Tau_1", "1"):
+        code, out, _ = run_in_process("lspath", "enumerate", "--case", "flip-sl2",
+                                      "--top", top)
+        assert code == 0 and out["outputs"]["count"] == 5, top
+    for top in ("at_1", "abc", "", "tau", "tau_", "t1", "u1", "tau 1", "1.0",
+                "tau--1", "tau_1x", "_1"):
+        code, out, err = run_in_process("lspath", "enumerate", "--case", "flip-sl2",
+                                        "--top", top)
+        assert code == 1, top
+        assert out["error"] == (f"--top {top!r}: expected tau<m>, tau_<m> or <m>,"
+                                " m an integer")
+        assert "Traceback" not in err
+
+
+def test_lspath_cli_rejects_negative_degree():
+    code, out, _ = run_in_process("lspath", "enumerate", "--case", "flip-sl2",
+                                  "--top", "tau1", "--degree", "-1")
+    assert code == 1
+    assert out == {"error": "degree -1 out of range: must be >= 0"}
+
+
 def test_straighten_cli_builtin_and_file(tmp_path):
     r = run("smt", "straighten", "--system", "e7", "--monomial", "x5,y5")
     assert r.returncode == 0
@@ -194,13 +225,11 @@ def test_seed_changes_sampling_not_result():
        st.integers(-2, 4), st.integers(-2, 8))
 def test_quadlat_cli_fuzz(family, rank, bound):
     """Any family, rank and bound gives one JSON object and exit 0 or 1."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["quadlat", "classify", "--type", family, "--rank", str(rank),
-                         "--bound", str(bound)])
+    code, out, err = run_in_process("quadlat", "classify", "--type", family,
+                                    "--rank", str(rank), "--bound", str(bound))
     assert code in (0, 1)
-    assert isinstance(json.loads(out.getvalue()), dict)
-    assert "Traceback" not in err.getvalue()
+    assert isinstance(out, dict)
+    assert "Traceback" not in err
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,10 +238,37 @@ def test_quadlat_cli_fuzz(family, rank, bound):
        st.integers(-1, 2))
 def test_lspath_cli_fuzz(case, top, degree):
     """Any case, top and degree gives one JSON object and exit 0 or 1."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["lspath", "enumerate", "--case", case, "--top", top,
-                         "--degree", str(degree)])
+    code, out, err = run_in_process("lspath", "enumerate", "--case", case, "--top", top,
+                                    "--degree", str(degree))
     assert code in (0, 1)
-    assert isinstance(json.loads(out.getvalue()), dict)
-    assert "Traceback" not in err.getvalue()
+    assert isinstance(out, dict)
+    assert "Traceback" not in err
+
+
+CATALOG_KEYS = [row["key"] for row in involutions._catalog()]
+MALFORMED_NAMES = ("flip-sp5", "flip-", "sym-quadrics-1", "")
+
+
+def _check_inv_lookup(name):
+    code, out, err = run_in_process("inv", "lookup", name)
+    assert code in (0, 1)
+    assert isinstance(out, dict) and ("error" in out) == (code == 1)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [*CATALOG_KEYS, *MALFORMED_NAMES,
+                                  *(k + str(n) for k in CATALOG_KEYS for n in range(-1, 6))])
+def test_inv_lookup_cli_every_name(name):
+    """Every catalog key, bare and with parameters -1..5, and malformed names:
+    one JSON object, exit 0 or 1, no traceback."""
+    _check_inv_lookup(name)
+
+
+@pytest.mark.parametrize("name", [k + str(n) for k in CATALOG_KEYS for n in (6, 7)])
+def test_inv_lookup_cli_rank_6_and_7(name, monkeypatch):
+    """Parameters 6 and 7 through the same CLI path.  The bound-8 quadratic
+    verdict of a rank 6 or 7 B, C or BC lattice takes seconds to minutes, so
+    a fixed verdict stands in for it; the catalog parse, the instantiation
+    and the JSON report run as they are."""
+    monkeypatch.setattr(involutions, "quadratic_verdict", lambda rec, bound=None: True)
+    _check_inv_lookup(name)

@@ -194,3 +194,10 @@ def test_remark48():
     for name in ("C2", "B2", "BC2"):
         rep = S.remark48_report(C.FinTypeLabel.parse(name))
         assert rep["agrees_mod_delta"]
+
+
+def test_graded_count_rejects_negative_degree():
+    gc = S.GradedCounts(I.AmbientCase("flip-sl2"), 1)
+    assert gc.count(0) == 1
+    with pytest.raises(ValueError, match=r"^degree -1 out of range: must be >= 0$"):
+        gc.count(-1)
