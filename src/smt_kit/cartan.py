@@ -148,8 +148,10 @@ class WeightVec:
     delta: Fraction = Q(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Q(c) for c in self.coords))
-        object.__setattr__(self, "delta", Q(self.delta))
+        object.__setattr__(self, "coords", tuple(
+            c if type(c) is Fraction else Q(c) for c in self.coords))
+        if type(self.delta) is not Fraction:
+            object.__setattr__(self, "delta", Q(self.delta))
 
     def _check(self, other: "WeightVec"):
         if self.basis_id != other.basis_id:
@@ -337,6 +339,13 @@ def classify(m: GCM) -> str:
 # Realization: weight coordinates plus delta bookkeeping
 
 
+def _scaled(v: WeightVec) -> tuple[list[int], int]:
+    """(den * v as integers with delta last, den), den the lcm of v's denominators."""
+    b = v.coords + (v.delta,)
+    den = math.lcm(*(x.denominator for x in b))
+    return [x.numerator * (den // x.denominator) for x in b], den
+
+
 class Realization:
     """Weight coordinates of a GCM: fundamental weights plus a delta slot.
 
@@ -345,7 +354,8 @@ class Realization:
     whose node-0 root is twice an ambient root, None/0 for finite type).
     ``int_roots[i]`` lists the nonzero integer coordinates of the i-th
     simple root as (slot, value) pairs, slot n being delta; the integer
-    Weyl kernel in `weyl` reflects with them.
+    Weyl kernel in `weyl`, `act_letters` and `is_real_root` reflect with
+    them.
     """
 
     def __init__(self, gcm: GCM, basis_id: str, delta_node: int | None = None,
@@ -401,10 +411,21 @@ class Realization:
         return v if c == 0 else v - self._roots[i].scale(c)
 
     def act_letters(self, letters, v: WeightVec) -> WeightVec:
-        # group element s_{l_1} ... s_{l_k} acts with s_{l_k} first
+        # group element s_{l_1} ... s_{l_k} acts with s_{l_k} first; the walk
+        # runs on one integer vector (v times the lcm of its denominators,
+        # delta last) through int_roots, and the WeightVec is built on return
+        x, den = _scaled(v)
+        roots = self.int_roots
+        moved = False
         for i in reversed(letters):
-            v = self.reflect(i, v)
-        return v
+            c = x[i]
+            if c:
+                moved = True
+                for j, a in roots[i]:
+                    x[j] -= c * a
+        if not moved:
+            return v
+        return WeightVec(self.basis_id, tuple(Q(y, den) for y in x[:-1]), Q(x[-1], den))
 
     def root_coords(self, v: WeightVec) -> tuple[Fraction, ...] | None:
         """Expansion of v over the simple roots (delta included); None if not in span.
@@ -415,20 +436,22 @@ class Realization:
         """
         key = (v.coords, v.delta)
         if key not in self._expand_cache:
-            if self._inverse is None:
-                rows = [[root.coords[j] for root in self._roots] for j in range(self.n)]
-                rows.append([root.delta for root in self._roots])
-                self._inverse = linalg.left_inverse(rows)
-            left, span, d = self._inverse
-            b = key[0] + (key[1],)
-            den = math.lcm(*(x.denominator for x in b))
-            b = [x.numerator * (den // x.denominator) for x in b]
+            left, span, d = self._left_inverse()
+            b, den = _scaled(v)
             if any(sum(a * y for a, y in zip(row, b)) for row in span):
                 self._expand_cache[key] = None
             else:
                 self._expand_cache[key] = tuple(
                     Q(sum(a * y for a, y in zip(row, b)), d * den) for row in left)
         return self._expand_cache[key]
+
+    def _left_inverse(self) -> tuple:
+        """The integer left inverse (L, C, d) of the simple-root matrix."""
+        if self._inverse is None:
+            rows = [[root.coords[j] for root in self._roots] for j in range(self.n)]
+            rows.append([root.delta for root in self._roots])
+            self._inverse = linalg.left_inverse(rows)
+        return self._inverse
 
     def dominant_conjugate(self, v: WeightVec) -> tuple[WeightVec, list[int]]:
         """(dominant representative, letters l with s_{l_1}...s_{l_k} v dominant).
@@ -445,28 +468,36 @@ class Realization:
             letters.append(i)
 
     def is_real_root(self, v: WeightVec) -> bool:
-        """True iff v is a real root (W-conjugate of a simple root)."""
-        c = self.root_coords(v)
-        if c is None or all(x == 0 for x in c):
+        """True iff v is a real root (W-conjugate of a simple root).
+
+        Runs on the integer vector x = den * v (delta last), whose simple-root
+        coordinates are L x / (d den) for the integer left inverse (L, C, d).
+        A positive candidate (a negative one is negated first) descends in
+        height, by the first s_i with <v, alpha_i^vee> > 0, until it reaches
+        a simple root or a coordinate turns negative.
+        """
+        left, span, d = self._left_inverse()
+        x, den = _scaled(v)
+        if any(sum(a * b for a, b in zip(row, x)) for row in span):
             return False
-        if all(x <= 0 for x in c):
-            return self.is_real_root(-v)
-        if any(x < 0 for x in c):
+        y = [sum(a * b for a, b in zip(row, x)) for row in left]
+        if all(t <= 0 for t in y):
+            x, y = [-t for t in x], [-t for t in y]
+        if not any(y):
             return False
-        # height descent: positive real roots reach a simple root
-        guard = int(sum(c)) * 2 + 4
-        while guard > 0:
-            guard -= 1
-            c = self.root_coords(v)
-            if c is None or any(x < 0 for x in c):
+        roots = self.int_roots
+        for _ in range(sum(y) // (d * den) * 2 + 4):
+            if any(t < 0 for t in y):
                 return False
-            support = [i for i, x in enumerate(c) if x != 0]
-            if len(support) == 1 and c[support[0]] == 1:
+            if [t for t in y if t] == [d * den]:        # a simple root
                 return True
-            i = next((j for j in range(self.n) if v.coords[j] > 0), None)
+            i = next((j for j in range(self.n) if x[j] > 0), None)
             if i is None:
                 return False
-            v = self.reflect(i, v)
+            k = x[i]
+            for j, a in roots[i]:
+                x[j] -= k * a
+            y = [sum(a * b for a, b in zip(row, x)) for row in left]
         return False
 
 

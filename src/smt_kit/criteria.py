@@ -106,7 +106,8 @@ def lemma34() -> list[dict]:
 
 def thm37() -> list[dict]:
     """Criterion 4 (Thm 3.7): graded section counts below tau_2 for the
-    symplectic flip, against dimension sums and Demazure characters."""
+    symplectic flip (degrees 1-5) and the odd orthogonal flip (degrees 1-3),
+    against dimension sums and Demazure characters."""
     case = involutions.AmbientCase("flip-sp4")
     gc = smt.GradedCounts(case, 2)
     checks = []
@@ -127,6 +128,20 @@ def thm37() -> list[dict]:
     checks.append(_check("dominant paths are the straight tau-hat ones",
                          [(1, 0), (1, 1), (1, 2)],
                          sorted((len(p.dirs), lspath.d_degree(p)) for p in doms)))
+    exp_S = {n: smt.expected(case, 2, n, "S") for n in (3, 4, 5)}
+    checks.append(_check("degree-3..5 on S dimension sums",
+                         {3: 4719, 4: 26026, 5: 111384}, exp_S))
+    for n, want in exp_S.items():
+        checks.append(_check(f"degree-{n} on S", want, gc.count(n, "S")))
+    dem3 = weyl.demazure_dim(case.tau_lift(2), case.amb.e_omega0().scale(3))
+    checks.append(_check("demazure oracle degree 3", exp_S[3], dem3))
+    so5 = involutions.AmbientCase("flip-so-odd5")
+    gc5 = smt.GradedCounts(so5, 2)
+    exp5 = {n: smt.expected(so5, 2, n, "S") for n in (1, 2, 3)}
+    checks.append(_check("flip-so-odd5 degree-1..3 on S dimension sums",
+                         {1: 126, 2: 2772, 3: 28314}, exp5))
+    for n, want in exp5.items():
+        checks.append(_check(f"flip-so-odd5 degree-{n} on S", want, gc5.count(n, "S")))
     return checks
 
 
@@ -173,7 +188,8 @@ def prop47() -> list[dict]:
 
 def thm50() -> list[dict]:
     """Criterion 7 (Thm 5.0): standard monomials from below and from above
-    agree, and the lift carries one basis to the other."""
+    agree, and the lift carries one basis to the other (flip-sl2 to degree
+    4, flip-sp4 to degree 3)."""
     checks = []
     case = involutions.AmbientCase("flip-sl2")
     for deg in (2, 3):
@@ -188,6 +204,18 @@ def thm50() -> list[dict]:
                          {"1+1": 100, "1+2": 256, "2+2": 196},
                          rep["below_by_multidegree"]))
     checks.append(_check("flip-sp4 deg 2 lift", True,
+                         rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
+    rep = smt.two_basis_counts(case, 4)
+    checks.append(_check("flip-sl2 deg 4 totals", rep["below_total"], rep["above_total"]))
+    checks.append(_check("flip-sl2 deg 4 lift", True,
+                         rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
+    rep = smt.two_basis_counts(involutions.AmbientCase("flip-sp4"), 3)
+    checks.append(_check("flip-sp4 deg 3 totals", (4125, 4125),
+                         (rep["below_total"], rep["above_total"])))
+    checks.append(_check("flip-sp4 deg 3 multidegrees",
+                         {"1+1+1": 400, "1+1+2": 1225, "1+2+2": 1600, "2+2+2": 900},
+                         rep["below_by_multidegree"]))
+    checks.append(_check("flip-sp4 deg 3 lift", True,
                          rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
     return checks
 
@@ -247,7 +275,8 @@ def lemma39() -> list[dict]:
 
 def oracles(seed: int = 0, trials: int = 20) -> list[dict]:
     """Criterion 10: path counts against Demazure characters on random words,
-    and rho-path counts against the Weyl dimension formula."""
+    rho-path counts against the Weyl dimension formula, and the flip-sp6
+    paths below tau_3 against the dimension sum and the Demazure character."""
     rng = random.Random(seed)
     pool = [("A", 1), ("A", 2), ("C", 2), ("A", 3), ("B", 3), ("G", 2)]
     checks = []
@@ -275,6 +304,13 @@ def oracles(seed: int = 0, trials: int = 20) -> list[dict]:
         checks.append(_check(f"{fam}{rank} rho-paths = weyl_dim",
                              cartan.weyl_dim(gcm, lam),
                              len(lspath.enumerate_paths(lam, top))))
+    sp6 = involutions.AmbientCase("flip-sp6")
+    exp = smt.expected(sp6, 3, 1, "S")
+    checks.append(_check("flip-sp6 degree-1 dimension sum below tau_3", 429, exp))
+    checks.append(_check("flip-sp6 paths below tau_3", exp,
+                         len(lspath.enumerate_paths(sp6.amb.e_omega0(), sp6.tau_coset(3)))))
+    checks.append(_check("flip-sp6 demazure below tau_3", exp,
+                         weyl.demazure_dim(sp6.tau_lift(3), sp6.amb.e_omega0())))
     return checks
 
 

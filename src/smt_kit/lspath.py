@@ -4,16 +4,23 @@ A path of shape lambda is a pair (directions, cuts): a strictly decreasing
 chain of cosets modulo the stabilizer parabolic of lambda, stored largest
 first, and rationals 0 = a_0 < ... < a_r = 1.  Between consecutive
 directions there must be a chain of covering reflections s_beta in the
-coset order with a_i <beta-pairing> integral at every step.  The number of
-paths of shape lambda whose top direction lies below a coset [w] equals
+coset order with a_i <beta-pairing> integral at every step (an a-chain,
+Littelmann, Invent. Math. 116, 1994).  So a = t/q is admissible iff some
+saturated chain has every pairing divisible by q: the gcds of the pairings
+along the chains down to a lower coset are memoised per coset in one pass
+up the length-sorted interval, instead of walking every chain.  The number
+of paths of shape lambda whose top direction lies below a coset [w] equals
 the dimension of the corresponding Demazure module; both that and the full
 Weyl dimension are used as oracles in the tests.
 
-Standardness of a product comes in two flavours: from above (consecutive
-paths comparable through max/min directions) and from below (a weakly
+Standardness of a product comes in two flavours.  From above: the factors
+form a chain for pi <= eta iff max dir(pi) <= min dir(eta); that relation is
+transitive, antisymmetric on distinct paths and reflexive exactly on the
+straight ones, so the factors are compared pairwise.  From below: a weakly
 increasing global defining sequence of Weyl group elements through the
-stabilizer fibers); lifting a path of shape eps_i by the i-th telescoping
-word turns the second into the first.
+stabilizer fibers, decided by a forward pass that keeps the Bruhat-minimal
+lifts some admissible prefix reaches.  Lifting a path of shape eps_i by the
+i-th telescoping word turns the second into the first.
 """
 
 from __future__ import annotations
@@ -35,7 +42,11 @@ DEFAULT_DENOM_CAP = 12
 
 def _enum_cap(default: int = 10 ** 6) -> int:
     env = os.environ.get("SMT_KIT_CAP")
-    return int(env) if env else default
+    if not env:
+        return default
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ValueError(f"SMT_KIT_CAP={env!r}: expected a positive integer")
+    return int(env)
 
 
 def stabilizer_nodes(shape: WeightVec) -> frozenset[int]:
@@ -97,24 +108,32 @@ class ChainData:
         self.shape = shape
         self.denom_cap = denom_cap
         self.real = top.real
-        self.poset = coset_interval(top, cap or _enum_cap())
+        self.poset = coset_interval(top, cap if cap is not None else _enum_cap())
         self.index = {c.key: i for i, c in enumerate(self.poset.elements)}
         self.weights = [c.word.act(shape) for c in self.poset.elements]
         self._covers_below: dict[int, list[tuple[int, int]]] = {}
+        self._gcds_down_to: dict[int, dict[int, frozenset[int]]] = {}
         self._cut_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
         self._build_covers()
 
     def _build_covers(self):
+        """Covers with their pairings, and below[i], the indices strictly
+        below i in increasing order: the union of the covers of i and what
+        lies below them (every relation in the interval is a chain of
+        covers, and the covers of i come before i in length order)."""
         els = self.poset.elements
         by_len: dict[int, list[int]] = {}
         for i, c in enumerate(els):
             by_len.setdefault(c.length(), []).append(i)
+        down: list[set[int]] = []
         for i, c in enumerate(els):
             lst = []
             for j in by_len.get(c.length() - 1, ()):
                 if self.poset.leq(els[j], c):
                     lst.append((j, self._cover_pairing(i, j)))
             self._covers_below[i] = lst
+            down.append({j for j, _ in lst}.union(*(down[j] for j, _ in lst)))
+        self.below = [sorted(d) for d in down]
 
     def _cover_pairing(self, upper: int, lower: int) -> int:
         """n with mu_upper - mu_lower = n * beta for the covering root beta."""
@@ -129,24 +148,31 @@ class ChainData:
         assert len(hits) == 1, "covering reflection not unique"
         return hits[0]
 
+    def _chain_gcds(self, lower: int) -> dict[int, frozenset[int]]:
+        """node -> the gcds of the pairings along the saturated chains from
+        node down to `lower`, for every node above `lower` (0 at `lower`).
+
+        The elements are sorted by length and every cover drops the length
+        by one, so one pass upward from `lower` sees each node after all of
+        its covers: a node's set is the union over its covers inside the
+        interval of gcd(pairing, g), g in the cover's set."""
+        if lower not in self._gcds_down_to:
+            reach = {lower: frozenset((0,))}
+            for node in range(lower + 1, len(self.poset.elements)):
+                gcds = {math.gcd(pairing, g)
+                        for nxt, pairing in self._covers_below[node] if nxt in reach
+                        for g in reach[nxt]}
+                if gcds:
+                    reach[node] = frozenset(gcds)
+            self._gcds_down_to[lower] = reach
+        return self._gcds_down_to[lower]
+
     def cut_values(self, upper: int, lower: int) -> frozenset[Fraction]:
         """All a in (0,1) admitting an a-chain from `upper` down to `lower`."""
         key = (upper, lower)
         if key not in self._cut_sets:
             values: set[Fraction] = set()
-            gcds: set[int] = set()
-
-            def dfs(node: int, g: int):
-                if node == lower:
-                    gcds.add(g)
-                    return
-                for nxt, pairing in self._covers_below[node]:
-                    if self.poset.leq(self.poset.elements[lower],
-                                      self.poset.elements[nxt]):
-                        dfs(nxt, math.gcd(g, pairing))
-
-            dfs(upper, 0)
-            for g in gcds:
+            for g in sorted(self._chain_gcds(lower).get(upper, ())):
                 if g > self.denom_cap:
                     raise ValueError(
                         f"cut denominator {g} exceeds the cap {self.denom_cap}")
@@ -160,24 +186,18 @@ def enumerate_paths(shape: WeightVec, top: CosetRep, cap: int | None = None,
     """All LS paths of the given shape with top direction <= top."""
     data = ChainData(shape, top, cap, denom_cap)
     paths: list[LSPath] = []
-    order = range(len(data.poset.elements))
 
     def extend(dirs: list[int], cuts: list[Fraction]):
         paths.append(LSPath(shape,
                             tuple(data.poset.elements[i] for i in dirs),
                             tuple(cuts) + (Q(1),)))
         last = dirs[-1]
-        for nxt in order:
-            if nxt == last:
-                continue
-            if not data.poset.leq(data.poset.elements[nxt],
-                                  data.poset.elements[last]):
-                continue
+        for nxt in data.below[last]:
             for a in sorted(data.cut_values(last, nxt)):
                 if a > cuts[-1]:
                     extend(dirs + [nxt], cuts + [a])
 
-    for start in order:
+    for start in range(len(data.poset.elements)):
         extend([start], [Q(0)])
     return paths
 
@@ -243,15 +263,18 @@ class PathMonomial:
 
 
 def is_standard_above(mono: PathMonomial) -> bool:
-    """Some arrangement of the factors is a chain pi_1 <= ... <= pi_s."""
+    """Some arrangement of the factors is a chain pi_1 <= ... <= pi_s.
+
+    On LS paths `path_leq` is transitive, antisymmetric on distinct paths
+    and reflexive exactly on straight paths, so that holds iff every two
+    factors are comparable (a repeated factor with itself, which makes it
+    straight): s(s-1)/2 pairs instead of s! orders.
+    """
     factors = mono.factors
     if len({f.shape for f in factors}) > 1:
         raise ValueError("factors must share one shape")
-    for perm in itertools.permutations(range(len(factors))):
-        if all(path_leq(factors[perm[k]], factors[perm[k + 1]])
-               for k in range(len(factors) - 1)):
-            return True
-    return False
+    return all(path_leq(a, b) or path_leq(b, a)
+               for a, b in itertools.combinations(factors, 2))
 
 
 def _parabolic_elements(real: Realization, nodes) -> list[WeylWord]:
@@ -269,7 +292,40 @@ def _parabolic_elements(real: Realization, nodes) -> list[WeylWord]:
     return list(out.values())
 
 
-def is_standard_below(mono: PathMonomial, block_index=None) -> bool:
+class FibreLifts:
+    """The lifts coset.word * u, u in the stabilizer fibre W_J, of direction
+    cosets: each fibre is built once, each lift reduced once, and the lifts
+    of a coset are listed by increasing length (the minimal representative
+    first).  Its owner passes it to every `is_standard_below` call that
+    shares the realization, so the lifts are built once per owner."""
+
+    def __init__(self, real: Realization):
+        self.real = real
+        self._fibres: dict[frozenset[int], list[WeylWord]] = {}
+        self._lifts: dict[tuple, list[WeylWord]] = {}
+
+    def __call__(self, coset: CosetRep, J: frozenset[int]) -> list[WeylWord]:
+        key = (coset.key, J)
+        if key not in self._lifts:
+            if J not in self._fibres:
+                self._fibres[J] = _parabolic_elements(self.real, sorted(J))
+            lifts = [WeylWord(self.real, (coset.word * u).reduce()) for u in self._fibres[J]]
+            self._lifts[key] = sorted(lifts, key=lambda w: len(w.letters))
+        return self._lifts[key]
+
+
+def _minimal(lifts: list[WeylWord]) -> list[WeylWord]:
+    """The Bruhat-minimal elements of reduced lifts sorted by length: a lift
+    is minimal iff no lift kept before it lies below it."""
+    out: list[WeylWord] = []
+    for z in lifts:
+        if not any(bruhat_leq(y, z) for y in out):
+            out.append(z)
+    return out
+
+
+def is_standard_below(mono: PathMonomial, block_index=None,
+                      lifts: FibreLifts | None = None) -> bool:
     """Defining-sequence standardness for factors of quadratic-basis shapes.
 
     Factors are grouped in blocks of equal shape ordered by increasing
@@ -277,48 +333,61 @@ def is_standard_below(mono: PathMonomial, block_index=None) -> bool:
     cosets grow with the index); within each path the directions are taken
     in increasing order.  A monomial is standard when some arrangement of
     the factors inside their blocks admits a globally weakly increasing
-    sequence of stabilizer-fiber lifts (backtracking search).
+    sequence of stabilizer-fiber lifts.
+
+    One forward pass decides it.  Within a block it walks the sub-multisets
+    of the block's factors by size, and for each keeps the Bruhat-minimal
+    last lifts that some admissible prefix placing exactly those factors
+    reaches: whatever follows an element above a kept one also follows the
+    kept one.  Factors with the same directions and stabilizer place alike,
+    so they count as one kind with a multiplicity.  `lifts` holds the fibre
+    lifts; without one the call builds its own.
     """
     if not mono.factors:
         return True
-    real = mono.factors[0].real
     if block_index is None:
         block_index = lambda f: sum(f.shape.coords)
-    fibers: dict[frozenset, list[WeylWord]] = {}
+    if lifts is None:
+        lifts = FibreLifts(mono.factors[0].real)
     blocks: dict = {}
     for f in mono.factors:
         blocks.setdefault(block_index(f), []).append(f)
-        J = stabilizer_nodes(f.shape)
-        if J not in fibers:
-            fibers[J] = _parabolic_elements(real, sorted(J))
 
-    def admits(factors) -> bool:
-        seq: list[tuple[CosetRep, frozenset]] = []
-        for f in factors:
-            J = stabilizer_nodes(f.shape)
-            for d in reversed(f.dirs):      # increasing order within the path
-                seq.append((d, J))
+    def place(ends, steps):
+        for step in steps:
+            if ends is None:                # the minimal representative is below its coset
+                ends = step[:1]
+            else:
+                ends = _minimal([z for z in step if any(bruhat_leq(x, z) for x in ends)])
+                if not ends:
+                    break
+        return ends
 
-        def search(k: int, lower: WeylWord | None) -> bool:
-            if k == len(seq):
-                return True
-            coset, J = seq[k]
-            for u in fibers[J]:
-                lift = coset.word * u
-                if lower is None or bruhat_leq(lower, lift):
-                    if search(k + 1, lift):
-                        return True
-            return False
-
-        return search(0, None)
-
-    keys = sorted(blocks)
-    for arrangement in itertools.product(
-            *(itertools.permutations(blocks[k]) for k in keys)):
-        flat = [f for block in arrangement for f in block]
-        if admits(flat):
-            return True
-    return False
+    ends: list[WeylWord] | None = None      # None before the first factor
+    for key in sorted(blocks):
+        kinds: dict[tuple, list] = {}       # (J, direction keys) -> factors of that kind
+        for f in blocks[key]:
+            kinds.setdefault((stabilizer_nodes(f.shape), tuple(d.key for d in f.dirs)),
+                             []).append(f)
+        steps = [[lifts(d, J) for d in reversed(fs[0].dirs)]     # increasing directions
+                 for (J, _), fs in kinds.items()]
+        full = tuple(len(fs) for fs in kinds.values())
+        states = {(0,) * len(kinds): ends}
+        for _ in blocks[key]:
+            grown: dict[tuple, list[WeylWord]] = {}
+            for used, cur in states.items():
+                for k, count in enumerate(full):
+                    if used[k] < count:
+                        nxt = place(cur, steps[k])
+                        if nxt:
+                            after = used[:k] + (used[k] + 1,) + used[k + 1:]
+                            grown.setdefault(after, []).extend(nxt)
+            if not grown:
+                return False
+            states = {used: _minimal(sorted(found, key=lambda w: len(w.letters)))
+                      for used, found in grown.items()}
+        ends = states[full]
+    return True
 
 
 def lift_path(path: LSPath, tau_word: WeylWord, parabolic, shape: WeightVec,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
                      weyl_dim)
-from .weyl import CosetRep, coset_interval, longest_parabolic, tau_full
+from .weyl import CosetRep, bruhat_leq, coset_interval, longest_parabolic, tau_full
 from . import lspath
 
 Q = Fraction
@@ -251,7 +251,14 @@ def e7_system() -> tuple[StraighteningSystem, list[int], list[int]]:
 
 
 class GradedCounts:
-    """Degree-1/2 standard-monomial counts on the loci below tau_m."""
+    """Standard-monomial counts on the loci below tau_m.
+
+    A multiset of paths is standard from above iff its factors form a chain
+    for `lspath.path_leq`, which is transitive, antisymmetric on distinct
+    paths and reflexive on straight ones; so the standard monomials of
+    degree n are the multichains of length n, counted by a dynamic program
+    over one comparability table built here.
+    """
 
     def __init__(self, case, m: int):
         self.case = case
@@ -259,24 +266,47 @@ class GradedCounts:
         self.paths = lspath.enumerate_paths(case.amb.e_omega0(), case.tau_coset(m))
         self.f0 = next(p for p in self.paths
                        if len(p.dirs) == 1 and p.dirs[0].length() == 0)
+        # above[a]: the b with paths[a] <= paths[b], i.e. top direction of a
+        # <= bottom direction of b; one Bruhat comparison per pair of cosets,
+        # and paths with the same top direction share their row
+        by_bottom: dict[tuple, tuple] = {}
+        for b, eta in enumerate(self.paths):
+            by_bottom.setdefault(eta.dirs[-1].key, (eta.dirs[-1], []))[1].append(b)
+        rows: dict[tuple, list[int]] = {}
+        for a in self.paths:
+            top = a.dirs[0]
+            if top.key not in rows:
+                rows[top.key] = [b for bottom, bs in by_bottom.values()
+                                 if bruhat_leq(top, bottom) for b in bs]
+        self.above = [rows[a.dirs[0].key] for a in self.paths]
 
-    def pool(self, locus: str):
+    def _members(self, locus: str) -> list[int]:
         if locus == "S":
-            return self.paths
+            return list(range(len(self.paths)))
         if locus == "R":
-            return [p for p in self.paths if p is not self.f0]
+            return [b for b, p in enumerate(self.paths) if p is not self.f0]
         raise ValueError("locus must be 'S' or 'R'")
 
+    def pool(self, locus: str):
+        return [self.paths[b] for b in self._members(locus)]
+
     def count(self, n: int, locus: str = "S") -> int:
-        pool = self.pool(locus)
+        """Multichains of length n in the pool: ways[b] counts the chains of
+        the current length that end at paths[b]."""
+        members = self._members(locus)
         if n < 0:
             raise ValueError(f"degree {n} out of range: must be >= 0")
         if n == 0:
             return 1
-        if n == 1:
-            return len(pool)
-        return sum(1 for combo in itertools.combinations_with_replacement(pool, n)
-                   if lspath.is_standard_above(lspath.PathMonomial(combo)))
+        ways = dict.fromkeys(members, 1)
+        for _ in range(n - 1):
+            nxt = dict.fromkeys(ways, 0)
+            for a, w in ways.items():
+                for b in self.above[a]:
+                    if b in nxt:
+                        nxt[b] += w
+            ways = nxt
+        return sum(ways.values())
 
     def degree_split(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -335,6 +365,7 @@ def two_basis_counts(case, degree: int) -> dict:
     above_total = gc.count(degree, "R")
     per_multidegree = {}
     lift_preserves = True
+    fibre_lifts = lspath.FibreLifts(case.base_realization())
     for idx in itertools.combinations_with_replacement(range(1, l + 1), degree):
         groups = {}
         for i in idx:
@@ -343,14 +374,12 @@ def two_basis_counts(case, degree: int) -> dict:
         choices = [itertools.combinations_with_replacement(range(len(pools[i])), k)
                    for i, k in sorted(groups.items())]
         for pick in itertools.product(*choices):
-            factors = []
-            for (i, _), chosen in zip(sorted(groups.items()), pick):
-                factors.extend(pools[i][t] for t in chosen)
-            mono = lspath.PathMonomial(tuple(factors))
-            if lspath.is_standard_below(mono, block_index):
+            picked = [(i, t) for (i, _), chosen in zip(sorted(groups.items()), pick)
+                      for t in chosen]
+            mono = lspath.PathMonomial(tuple(pools[i][t] for i, t in picked))
+            if lspath.is_standard_below(mono, block_index, fibre_lifts):
                 count += 1
-                lifted_mono = lspath.PathMonomial(tuple(
-                    case.lift_to_grassmannian(f, block_index(f)) for f in factors))
+                lifted_mono = lspath.PathMonomial(tuple(lifted[i][t] for i, t in picked))
                 if not lspath.is_standard_above(lifted_mono):
                     lift_preserves = False
         per_multidegree[idx] = count

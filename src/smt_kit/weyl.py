@@ -11,8 +11,9 @@ Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
 min(u, s u) <= s v.  The divided-difference character of a Schubert cell
 runs on integer tuples (coordinates, then delta times its denominator) and
 builds its Fraction keys once, on return.  Weights handed in and out stay
-exact Fraction `WeightVec`s: `act`, `coset_from_weight`, the telescoping
-words built from the distinguished node and `orbit_bfs` work on them.
+exact Fraction `WeightVec`s: `act` (through `Realization.act_letters`, one
+walk on an integer vector), `coset_from_weight`, the telescoping words
+built from the distinguished node and `orbit_bfs` work on them.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def bruhat_leq(u, v) -> bool:
     for s in v.reduce():
         if x[s] < 0:
             _reflect(roots, x, s)
-    return x == _rho(u.real)
+    return x[-1] == 0 and x.count(1) == len(x) - 1      # x == rho
 
 
 class CosetPoset:
@@ -261,7 +262,9 @@ class CosetPoset:
 
 
 def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
-    """All cosets <= v, by closing minimal representatives under letter drops."""
+    """All cosets <= v, by closing minimal representatives under letter drops.
+
+    More than `cap` cosets (v itself counts) raise ValueError."""
     seen = {v.key: v}
     frontier = [v]
     while frontier:
@@ -271,10 +274,11 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
             for p in range(len(word)):
                 sub = CosetRep(WeylWord(c.real, word[:p] + word[p + 1:]), c.parabolic)
                 if sub.key not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError("coset interval cap exceeded")
                     seen[sub.key] = sub
                     nxt.append(sub)
+            if len(seen) > cap:
+                raise ValueError(f"coset interval cap exceeded: cap={cap}, "
+                                 f"{len(seen)} cosets reached")
         frontier = nxt
     return CosetPoset(list(seen.values()), v)
 

@@ -1,17 +1,21 @@
 """The Fraction kernels that `smt_kit.cartan` replaced, kept as test oracles.
 
 `root_coords` expands a weight over the simple roots with one exact
-`linalg.solve` per weight, and `weyl_dim` multiplies the Weyl dimension
-formula out as a product of Fractions over an uncached root enumeration.
-They are slow but share no arithmetic with the integer left inverse and
-the integer product in `smt_kit.cartan`, which makes them differential
-oracles for `tests/test_cartan_differential.py` (and, through
-`weyl_reference.is_negative_root_vec`, for the Weyl reference kernel).
+`linalg.solve` per weight, `weyl_dim` multiplies the Weyl dimension
+formula out as a product of Fractions over an uncached root enumeration,
+`act_letters` applies one Fraction reflection per letter, and
+`is_real_root` descends in height on Fraction weights, solving for the
+coordinates at each step.  They are slow but share no arithmetic with the
+integer left inverse, the integer product and the integer walks in
+`smt_kit.cartan`, which makes them differential oracles for
+`tests/test_cartan_differential.py` and `tests/test_lspath_differential.py`
+(and, through `weyl_reference.is_negative_root_vec` and `act_letters`, for
+the Weyl reference kernel).
 
 The code is the earlier `smt_kit.cartan` code with two changes that alter
-no answer: `root_coords` is a function of the Realization, and its cache
-is held per live Realization (a WeakKeyDictionary) apart from the
-Realization's own.
+no answer: `root_coords`, `act_letters` and `is_real_root` are functions of
+the Realization, and the `root_coords` cache is held per live Realization (a
+WeakKeyDictionary) apart from the Realization's own.
 """
 
 from __future__ import annotations
@@ -39,6 +43,39 @@ def root_coords(real: Realization, v: WeightVec) -> tuple[Fraction, ...] | None:
         sol = linalg.solve(rows, rhs)
         cache[key] = tuple(sol) if sol is not None else None
     return cache[key]
+
+
+def act_letters(real: Realization, letters, v: WeightVec) -> WeightVec:
+    """s_{l_1} ... s_{l_k} applied to v, s_{l_k} first, one reflection at a time."""
+    for i in reversed(letters):
+        v = real.reflect(i, v)
+    return v
+
+
+def is_real_root(real: Realization, v: WeightVec) -> bool:
+    """True iff v is a real root: the height descent on Fraction weights,
+    re-expanding each step with `root_coords`."""
+    c = root_coords(real, v)
+    if c is None or all(x == 0 for x in c):
+        return False
+    if all(x <= 0 for x in c):
+        return is_real_root(real, -v)
+    if any(x < 0 for x in c):
+        return False
+    guard = int(sum(c)) * 2 + 4
+    while guard > 0:
+        guard -= 1
+        c = root_coords(real, v)
+        if c is None or any(x < 0 for x in c):
+            return False
+        support = [i for i, x in enumerate(c) if x != 0]
+        if len(support) == 1 and c[support[0]] == 1:
+            return True
+        i = next((j for j in range(real.n) if v.coords[j] > 0), None)
+        if i is None:
+            return False
+        v = real.reflect(i, v)
+    return False
 
 
 def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:

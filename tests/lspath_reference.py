@@ -1,0 +1,163 @@
+"""The brute-force LS-path kernels that `smt_kit.lspath` and `smt_kit.smt`
+replaced, kept as test oracles.
+
+`cut_values` walks every saturated chain from `upper` down to `lower` by
+depth-first search; `enumerate_paths` extends a path by testing every coset
+of the interval against its last direction; `is_standard_above` tries every
+order of the factors; `is_standard_below` backtracks over every arrangement
+of every block and every fibre lift; `graded_count` tests every multiset of
+the pool.  They are exponential, but share no search with the memoised
+chain gcds and down-sets, the pairwise comparison, the forward pass over
+sub-multisets and the multichain count of the library, which makes them
+differential oracles for `tests/test_lspath_differential.py`.
+
+The code is the earlier library code with one change that alters no
+answer: each kernel is a function of the object it used to be a method of
+(the `ChainData` or the `GradedCounts`), or takes one as an argument.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, PathMonomial, path_leq,
+                           stabilizer_nodes)
+from smt_kit.weyl import WeylWord, bruhat_leq
+
+Q = Fraction
+
+
+def cut_values(data, upper: int, lower: int) -> frozenset[Fraction]:
+    """All a in (0,1) admitting an a-chain from `upper` down to `lower`."""
+    values: set[Fraction] = set()
+    gcds: set[int] = set()
+
+    def dfs(node: int, g: int):
+        if node == lower:
+            gcds.add(g)
+            return
+        for nxt, pairing in data._covers_below[node]:
+            if data.poset.leq(data.poset.elements[lower], data.poset.elements[nxt]):
+                dfs(nxt, math.gcd(g, pairing))
+
+    dfs(upper, 0)
+    for g in gcds:
+        if g > data.denom_cap:
+            raise ValueError(f"cut denominator {g} exceeds the cap {data.denom_cap}")
+        values.update(Q(t, g) for t in range(1, g))
+    return frozenset(values)
+
+
+def enumerate_paths(shape, top, denom_cap: int = DEFAULT_DENOM_CAP) -> list[LSPath]:
+    """All LS paths of the given shape with top direction <= top: every
+    coset of the interval tested for lying below the last direction, cut
+    values by the depth-first walk."""
+    data = ChainData(shape, top, denom_cap=denom_cap)
+    paths: list[LSPath] = []
+    order = range(len(data.poset.elements))
+
+    def extend(dirs: list[int], cuts: list[Fraction]):
+        paths.append(LSPath(shape,
+                            tuple(data.poset.elements[i] for i in dirs),
+                            tuple(cuts) + (Q(1),)))
+        last = dirs[-1]
+        for nxt in order:
+            if nxt == last:
+                continue
+            if not data.poset.leq(data.poset.elements[nxt],
+                                  data.poset.elements[last]):
+                continue
+            for a in sorted(cut_values(data, last, nxt)):
+                if a > cuts[-1]:
+                    extend(dirs + [nxt], cuts + [a])
+
+    for start in order:
+        extend([start], [Q(0)])
+    return paths
+
+
+def is_standard_above(mono: PathMonomial) -> bool:
+    """Some arrangement of the factors is a chain pi_1 <= ... <= pi_s."""
+    factors = mono.factors
+    if len({f.shape for f in factors}) > 1:
+        raise ValueError("factors must share one shape")
+    for perm in itertools.permutations(range(len(factors))):
+        if all(path_leq(factors[perm[k]], factors[perm[k + 1]])
+               for k in range(len(factors) - 1)):
+            return True
+    return False
+
+
+def _parabolic_elements(real, nodes) -> list[WeylWord]:
+    out = {WeylWord(real, ()).key: WeylWord(real, ())}
+    frontier = list(out.values())
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for j in nodes:
+                cand = WeylWord(real, w.reduce() + (j,))
+                if cand.key not in out:
+                    out[cand.key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return list(out.values())
+
+
+def is_standard_below(mono: PathMonomial, block_index=None) -> bool:
+    """Some arrangement of the factors inside their blocks admits a globally
+    weakly increasing sequence of stabilizer-fibre lifts (backtracking)."""
+    if not mono.factors:
+        return True
+    real = mono.factors[0].real
+    if block_index is None:
+        block_index = lambda f: sum(f.shape.coords)
+    fibers: dict[frozenset, list[WeylWord]] = {}
+    blocks: dict = {}
+    for f in mono.factors:
+        blocks.setdefault(block_index(f), []).append(f)
+        J = stabilizer_nodes(f.shape)
+        if J not in fibers:
+            fibers[J] = _parabolic_elements(real, sorted(J))
+
+    def admits(factors) -> bool:
+        seq = []
+        for f in factors:
+            J = stabilizer_nodes(f.shape)
+            for d in reversed(f.dirs):      # increasing order within the path
+                seq.append((d, J))
+
+        def search(k: int, lower) -> bool:
+            if k == len(seq):
+                return True
+            coset, J = seq[k]
+            for u in fibers[J]:
+                lift = coset.word * u
+                if lower is None or bruhat_leq(lower, lift):
+                    if search(k + 1, lift):
+                        return True
+            return False
+
+        return search(0, None)
+
+    keys = sorted(blocks)
+    for arrangement in itertools.product(
+            *(itertools.permutations(blocks[k]) for k in keys)):
+        flat = [f for block in arrangement for f in block]
+        if admits(flat):
+            return True
+    return False
+
+
+def graded_count(gc, n: int, locus: str = "S") -> int:
+    """Standard-from-above multisets of size n from `gc.pool(locus)`."""
+    pool = gc.pool(locus)
+    if n < 0:
+        raise ValueError(f"degree {n} out of range: must be >= 0")
+    if n == 0:
+        return 1
+    if n == 1:
+        return len(pool)
+    return sum(1 for combo in itertools.combinations_with_replacement(pool, n)
+               if is_standard_above(PathMonomial(combo)))

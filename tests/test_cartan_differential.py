@@ -1,10 +1,11 @@
 """The integer weight kernels against the Fraction reference kernels.
 
-Demazure characters, simple-root expansions and Weyl dimensions on a
-finite, an affine, a restricted-tier (delta coefficient 2), an indefinite
-and a singular realization (an affine matrix without a delta node): the
-integer-tuple character loop, the integer left inverse and the integer
-product must give exactly what the Fraction code they replaced gives.
+Demazure characters, simple-root expansions, the real-root test and Weyl
+dimensions on a finite, an affine, a restricted-tier (delta coefficient 2),
+an indefinite and a singular realization (an affine matrix without a delta
+node): the integer-tuple character loop, the integer left inverse, the
+integer height descent and the integer product must give exactly what the
+Fraction code they replaced gives.
 """
 
 import itertools
@@ -95,6 +96,27 @@ def test_root_coords_agree(case):
     name, v = case
     real = REALIZATIONS[name]
     assert real.root_coords(v) == CR.root_coords(real, v)
+
+
+@st.composite
+def root_candidates(draw):
+    """k * w(alpha_i) for a random word w, or a weight from `expansions`."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    if draw(st.booleans()):
+        word = draw(st.lists(st.integers(0, real.n - 1), max_size=6))
+        alpha = real.simple_root(draw(st.integers(0, real.n - 1)))
+        k = draw(st.sampled_from([Q(1), Q(-1), Q(2), Q(-2), Q(1, 2)]))
+        return name, real.act_letters(word, alpha).scale(k)
+    return draw(expansions())
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_candidates())
+def test_is_real_root_agrees(case):
+    name, v = case
+    real = REALIZATIONS[name]
+    assert real.is_real_root(v) == CR.is_real_root(real, v)
 
 
 def test_root_coords_out_of_span_and_singular():

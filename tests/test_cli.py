@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -147,6 +148,45 @@ def test_lspath_cli_rejects_negative_degree():
                                   "--top", "tau1", "--degree", "-1")
     assert code == 1
     assert out == {"error": "degree -1 out of range: must be >= 0"}
+
+
+def test_lspath_cli_degree_5():
+    code, out, _ = run_in_process("lspath", "enumerate", "--case", "flip-sp4", "--top", "tau2",
+                                  "--degree", "5", "--locus", "S")
+    assert code == 0
+    assert out["outputs"]["count"] == 111384
+
+
+@pytest.mark.parametrize("case,top", [("flip-sl2", "tau1"), ("flip-sp4", "tau2")])
+@pytest.mark.parametrize("locus", ["S", "R"])
+@pytest.mark.parametrize("degree", range(7))
+def test_lspath_cli_degrees(case, top, locus, degree):
+    """Degrees 0..6 on both loci: one JSON object, exit 0, no traceback."""
+    code, out, err = run_in_process("lspath", "enumerate", "--case", case, "--top", top,
+                                    "--degree", str(degree), "--locus", locus)
+    assert code == 0
+    assert isinstance(out["outputs"]["count"], int)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_lspath_cli_rejects_bad_cap(value):
+    r = subprocess.run([sys.executable, "-m", "smt_kit.cli", "lspath", "enumerate",
+                        "--case", "flip-sl2", "--top", "tau1"],
+                       capture_output=True, text=True, env={**os.environ, "SMT_KIT_CAP": value})
+    assert r.returncode == 1
+    assert json.loads(r.stdout) == {
+        "error": f"SMT_KIT_CAP={value!r}: expected a positive integer"}
+    assert "Traceback" not in r.stderr
+
+
+def test_lspath_cli_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("SMT_KIT_CAP", "3")
+    code, out, err = run_in_process("lspath", "enumerate", "--case", "flip-sl2", "--top", "tau1")
+    assert code == 1
+    assert out["error"].startswith("coset interval cap exceeded: cap=3, ")
+    assert out["error"].endswith(" cosets reached")
+    assert "Traceback" not in err
 
 
 def test_straighten_cli_builtin_and_file(tmp_path):

@@ -191,3 +191,38 @@ def test_tensor_requires_finite():
     v = C.WeightVec("x", (Q(1), Q(0), Q(0)))
     with pytest.raises(ValueError):
         L.tensor_multiplicity(v, v, v, aff)
+
+
+def test_coset_interval_cap_names_cap_and_size():
+    gcm, real, lam, top = model("A2", (1, 1))
+    with pytest.raises(ValueError, match=r"^coset interval cap exceeded: "
+                                         r"cap=5, 6 cosets reached$"):
+        L.enumerate_paths(lam, top, cap=5)
+    assert len(W.coset_interval(top, cap=6)) == 6
+
+
+def test_chain_data_cap_zero_is_a_cap():
+    # cap=0 is a cap of zero cosets, not the default
+    gcm, real, lam, top = model("A2", (1, 1))
+    bottom = W.CosetRep(W.WeylWord(real, ()), L.stabilizer_nodes(lam))
+    for t in (top, bottom):
+        with pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=0, "):
+            L.ChainData(lam, t, cap=0)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " 7", "²"])
+def test_smt_kit_cap_must_be_a_positive_integer(value, monkeypatch):
+    gcm, real, lam, top = model("A2", (1, 1))
+    monkeypatch.setenv("SMT_KIT_CAP", value)
+    with pytest.raises(ValueError) as err:
+        L.enumerate_paths(lam, top)
+    assert str(err.value) == f"SMT_KIT_CAP={value!r}: expected a positive integer"
+
+
+def test_smt_kit_cap_positive_integer(monkeypatch):
+    gcm, real, lam, top = model("A2", (1, 1))
+    monkeypatch.setenv("SMT_KIT_CAP", "6")
+    assert len(L.enumerate_paths(lam, top)) == 8
+    monkeypatch.setenv("SMT_KIT_CAP", "5")
+    with pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=5, "):
+        L.enumerate_paths(lam, top)

@@ -12,7 +12,9 @@ no answer: the negative-root test that `Realization` used to carry lives
 here as `is_negative_root_vec`, on the `linalg.solve` expansion of
 `cartan_reference`, and the reduction cache is held per live Realization
 (a WeakKeyDictionary) instead of under `id(realization)`, whose reuse after
-garbage collection used to return another group's reductions.
+garbage collection used to return another group's reductions.  Every
+action is the Fraction reflection loop `cartan_reference.act_letters`, so
+the kernel does not lean on the integer walk of `Realization.act_letters`.
 `demazure_character` is the divided-difference loop on Fraction
 `WeightVec`s that the integer-tuple loop of `smt_kit.weyl` replaced.
 """
@@ -45,7 +47,7 @@ class WeylWord:
 
     def _images(self):
         real = self.real
-        return tuple(real.act_letters(self.letters, real.fundamental(j))
+        return tuple(cartan_reference.act_letters(real, self.letters, real.fundamental(j))
                      for j in range(real.n))
 
     @property
@@ -64,7 +66,7 @@ class WeylWord:
         return f"WeylWord({list(self.letters)})"
 
     def act(self, v: WeightVec) -> WeightVec:
-        return self.real.act_letters(self.letters, v)
+        return cartan_reference.act_letters(self.real, self.letters, v)
 
     def is_identity(self) -> bool:
         real = self.real
@@ -76,7 +78,8 @@ class WeylWord:
         real = self.real
         inv = tuple(reversed(self.letters))
         for i in range(real.n):
-            if is_negative_root_vec(real, real.act_letters(inv, real.simple_root(i))):
+            image = cartan_reference.act_letters(real, inv, real.simple_root(i))
+            if is_negative_root_vec(real, image):
                 return i
         return None
 
