@@ -515,26 +515,44 @@ def root_rows(m: GCM) -> list[list[Fraction]]:
              for j in range(m.n)] for i in range(m.n)]
 
 
+@functools.lru_cache(maxsize=64)
+def root_inverse(m: GCM) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(L, d) with root coordinates L.v / d for a weight v; cached by GCM value.
+
+    The root rows are scaled to integers (a BC column is halved) before
+    `linalg.left_inverse`.  Raises ValueError when the simple roots are
+    linearly dependent (an affine matrix), so the inverse is exact.
+    """
+    rows = root_rows(m)
+    n = m.n
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    left, cons, d = linalg.left_inverse([[scale * rows[i][j] for i in range(n)]
+                                         for j in range(n)])
+    if cons:
+        raise ValueError("simple roots must be linearly independent")
+    return tuple(tuple(scale * x for x in row) for row in left), d
+
+
 def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) -> bool:
-    """True iff lam <= mu: mu - lam is a nonnegative-integer sum of simple roots."""
+    """True iff lam <= mu: mu - lam is a nonnegative-integer sum of simple roots.
+
+    Off the affine types the root coordinates come from the cached integer
+    inverse `root_inverse`, which raises ValueError on dependent roots.
+    """
     lam._check(mu)
-    kind = classify(m)
-    if kind == AFFINE:
+    diff = mu - lam
+    if classify(m) == AFFINE:
         if not use_delta:
             raise ValueError("need delta coordinate")
-        real = Realization.standard(m, lam.basis_id)
-        coords = real.root_coords(mu - lam)
-    else:
-        diff = mu - lam
-        if diff.delta != 0:
-            return False
-        rows = root_rows(m)
-        cols = [[rows[i][j] for i in range(m.n)] for j in range(m.n)]
-        sol = linalg.solve(cols, list(diff.coords))
-        coords = tuple(sol) if sol is not None else None
-    if coords is None:
+        coords = Realization.standard(m, lam.basis_id).root_coords(diff)
+        return coords is not None and all(c >= 0 and c.denominator == 1 for c in coords)
+    if diff.delta != 0:
         return False
-    return all(c >= 0 and c.denominator == 1 for c in coords)
+    left, d = root_inverse(m)
+    den = math.lcm(*(x.denominator for x in diff.coords))
+    scaled = [int(den * x) for x in diff.coords]
+    return all(c >= 0 and c % (den * d) == 0
+               for c in (sum(a * x for a, x in zip(row, scaled)) for row in left))
 
 
 # ---------------------------------------------------------------------------

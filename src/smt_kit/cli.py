@@ -175,8 +175,10 @@ def cmd_inv(args, t0):
 
 def cmd_verify(args, t0):
     names = list(criteria.SUITES) if args.suite == "all" else [args.suite]
+    # options left unset keep the suite's own defaults
     options = {"bound": args.bound, "max_rank": args.max_rank,
                "trials": args.trials, "seed": args.seed}
+    options = {k: v for k, v in options.items() if v is not None}
     checks = []
     for name in names:
         suite = criteria.SUITES[name]
@@ -254,9 +256,9 @@ def main(argv=None) -> int:
 
     p = add_parser("verify")
     p.add_argument("suite", choices=["all"] + sorted(criteria.SUITES))
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--max-rank", type=int)
+    p.add_argument("--bound", type=int)
+    p.add_argument("--trials", type=int)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

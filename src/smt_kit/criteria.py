@@ -64,7 +64,7 @@ def _quadratic_lattices(fam: str, rank: int) -> dict[str, bool]:
     return {"P=Q": fam == "BC"}
 
 
-def prop5(bound: int = 12, max_rank: int = 4) -> list[dict]:
+def prop5(bound: int = 12, max_rank: int = 6) -> list[dict]:
     """Criterion 2 (Prop. 5): the quadratic lattices of each type of rank at
     most `max_rank`, with certificates for the negative verdicts."""
     labels = ([(fam, r) for fam in ("A", "B", "C", "BC")

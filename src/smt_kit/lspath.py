@@ -324,7 +324,7 @@ def _minimal(lifts: list[WeylWord]) -> list[WeylWord]:
     return out
 
 
-def is_standard_below(mono: PathMonomial, block_index=None,
+def is_standard_below(mono: PathMonomial, block_keys=None,
                       lifts: FibreLifts | None = None) -> bool:
     """Defining-sequence standardness for factors of quadratic-basis shapes.
 
@@ -340,18 +340,20 @@ def is_standard_below(mono: PathMonomial, block_index=None,
     last lifts that some admissible prefix placing exactly those factors
     reaches: whatever follows an element above a kept one also follows the
     kept one.  Factors with the same directions and stabilizer place alike,
-    so they count as one kind with a multiplicity.  `lifts` holds the fibre
-    lifts; without one the call builds its own.
+    so they count as one kind with a multiplicity.  `block_keys` gives the
+    block of each factor, in factor order (by default the coordinate sum of
+    its shape); `lifts` holds the fibre lifts, and without one the call
+    builds its own.
     """
     if not mono.factors:
         return True
-    if block_index is None:
-        block_index = lambda f: sum(f.shape.coords)
+    if block_keys is None:
+        block_keys = [sum(f.shape.coords) for f in mono.factors]
     if lifts is None:
         lifts = FibreLifts(mono.factors[0].real)
     blocks: dict = {}
-    for f in mono.factors:
-        blocks.setdefault(block_index(f), []).append(f)
+    for key, f in zip(block_keys, mono.factors, strict=True):
+        blocks.setdefault(key, []).append(f)
 
     def place(ends, steps):
         for step in steps:

@@ -7,34 +7,38 @@ most two.  Freeness is certified only up to an enumeration height bound
 (recorded in the reports); the height criterion hgt(alpha) >= 0 on simple
 roots is checked alongside and the two verdicts are asserted to agree.
 
-Every per-point test is integer arithmetic against data built once per
-lattice, basis or GCM: membership reduces a point by the Hermite normal form
-of the generators (Cohen, A Course in Computational Algebraic Number Theory,
-Sec. 2.4); freeness is one coin-change count over the dominant points in
-height order, capped at 2 (a point nothing reaches is irreducible); heights
-are one integer row over the basis, from `linalg.left_inverse`; and root
-coordinates, for the dominance box and for the classes of P/Q, come from
-one integer left inverse of the root rows per GCM.  Fractions remain only in
-the `WeightVec`s handed in and out and in the height and class values.
+Every kernel is integer arithmetic on data built once per lattice, basis or
+GCM.  The Hermite normal form (HNF) of the generators (Cohen, A Course in
+Computational Algebraic Number Theory, Sec. 2.4) is upper triangular, so the
+dominant lattice points are read off it column by column, and membership by
+reduction against it is used only by `contains`.  Freeness is one
+coin-change count over those points in height order, on one integer code per
+point and capped at 2 (a point nothing reaches is irreducible); heights are
+one integer row over the basis, from `linalg.left_inverse`; and root
+coordinates, for the dominance walk and for the classes of P/Q, come from
+`cartan.root_inverse`, one integer left inverse of the root rows per GCM.
+Fractions remain only in the `WeightVec`s handed in and out and in the
+height and class values.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cartan import (GCM, FinTypeLabel, WeightVec, build_cartan, dominant_leq,
-                     quadratic_basis, root_rows)
+from .cartan import (FinTypeLabel, WeightVec, build_cartan, dominant_leq, quadratic_basis,
+                     root_inverse, root_rows)
 
 Q = Fraction
 
-# `monoid_basis` refuses a box of more dominant candidates than this before
-# enumerating any (the classification workloads reach 1,819)
+# `monoid_basis` refuses a box of more than this many coordinate vectors,
+# C(bound + n, n), before enumerating any; the HNF walk lists only the
+# lattice points in it.  Criterion 2 reaches 18,564 (rank 6, bound 12)
 _MONOID_POINT_CAP = 200000
 
 
@@ -160,36 +164,31 @@ def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
     return _height_form(basis, len(lam.coords))(lam)
 
 
-@functools.lru_cache(maxsize=64)
-def _root_inverse(gcm: GCM) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(L, d) with root coordinates L.v / d for a weight v; cached by GCM value.
+def _dominant_points(lat: SubLattice, bound: int) -> list[tuple[int, ...]]:
+    """Nonzero dominant lattice points with coordinate sum <= bound, as int tuples.
 
-    The root rows are scaled to integers (a BC column is halved) before
-    `linalg.left_inverse`; a finite type has no span constraints.
+    Read off the HNF: row j has its pivot h_j > 0 in column j and zeros
+    before it, so coordinate j of sum a_i row_i is offset_j + a_j h_j, where
+    offset_j comes from the rows already chosen.  Column by column, coordinate
+    j runs over the values in [0, budget] congruent to offset_j mod h_j; every
+    value in the last column is a lattice point.
     """
-    rows = root_rows(gcm)
-    n = gcm.n
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    left, cons, d = linalg.left_inverse([[scale * rows[i][j] for i in range(n)]
-                                         for j in range(n)])
-    assert not cons, "simple roots must be linearly independent"
-    return tuple(tuple(scale * x for x in row) for row in left), d
+    hnf = lat._hnf
+    n = len(hnf)
+    out = []
 
-
-def _dominant_points(lat: SubLattice, bound: int):
-    """Nonzero dominant lattice points with coordinate sum <= bound, as int tuples."""
-    n = lat.gcm.n
-
-    def rec(prefix, budget):
-        if len(prefix) == n:
-            yield tuple(prefix)
+    def rec(j, coords, offsets, budget):
+        row, h, off = hnf[j], hnf[j][j], offsets[j]
+        if j == n - 1:
+            out.extend(coords + (c,) for c in range(off % h, budget + 1, h))
             return
-        for c in range(budget + 1):
-            yield from rec(prefix + [c], budget - c)
+        for c in range(off % h, budget + 1, h):
+            a = (c - off) // h
+            rec(j + 1, coords + (c,), [o + a * r for o, r in zip(offsets, row)] if a
+                else offsets, budget - c)
 
-    for coords in rec([], bound):
-        if any(coords) and lat.contains_int(coords):
-            yield coords
+    rec(0, (), [0] * n, bound)
+    return out[1:]      # the first point listed is zero
 
 
 def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
@@ -207,23 +206,31 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     if box > _MONOID_POINT_CAP:
         raise ValueError(f"monoid_basis cap exceeded: cap={_MONOID_POINT_CAP}, "
                          f"box of {box} points at bound {height_bound}")
-    zero = (0,) * n
-    points = [zero] + sorted(_dominant_points(lat, height_bound), key=lambda v: (sum(v), v))
-    heights = [sum(v) for v in points]
-    count = dict.fromkeys(points, 0)
-    count[zero] = 1
+    # one int per point, its coordinates as digits in base bound + 1: a sum
+    # u + v of height <= bound has every coordinate <= bound, so no digit
+    # carries and the code of u + v is the sum of the codes.  Codes order as
+    # the coordinate tuples, so the points are sorted by (height, code).
+    base = max(height_bound, 0) + 1
+    powers = [base ** (n - 1 - j) for j in range(n)]
+    points = sorted((sum(v), sum(map(operator.mul, v, powers)), v)
+                    for v in _dominant_points(lat, height_bound))
+    heights = [0] + [h for h, _, _ in points]
+    codes = [0] + [c for _, c, _ in points]     # the zero point first
+    count = dict.fromkeys(codes, 0)
+    count[0] = 1
     irred: list[tuple[int, ...]] = []
-    for v, h in zip(points[1:], heights[1:]):
-        if count[v] > 1:
+    for h, cv, v in points:
+        if count[cv] > 1:
             return None
-        if count[v]:
+        if count[cv]:
             continue
         irred.append(v)
         # u + v is again a point: dominant, in the lattice, of height <= bound
-        for u in points[:bisect.bisect_right(heights, height_bound - h)]:
-            if count[u]:
-                s = tuple(a + b for a, b in zip(u, v))
-                count[s] = min(2, count[s] + count[u])
+        for cu in codes[:bisect.bisect_right(heights, height_bound - h)]:
+            k = count[cu]
+            if k:
+                s = cu + cv
+                count[s] = min(2, count[s] + k)
     return [WeightVec(lat.basis_id, v) for v in sorted(irred, reverse=True)]
 
 
@@ -282,26 +289,44 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
 
 
 def _dominant_below(lat: SubLattice, top: WeightVec):
-    """Dominant integral weights <= top in the dominance order."""
+    """Dominant integral weights <= top in the dominance order.
+
+    A depth-first walk over the root coordinates k_0 ... k_{n-1} of top - lam,
+    in lexicographic order.  Coordinate j of top - sum k_i alpha_i is final
+    once the last root with a nonzero entry in column j is fixed; it is
+    checked there, and a subtree that fails is skipped.
+    """
     gcm = lat.gcm
     rows = root_rows(gcm)
     n = gcm.n
-    # scale by a common denominator (root_rows halves a BC column) so the box
+    # scale by a common denominator (root_rows halves a BC column) so the walk
     # runs in integers; a point is kept only if it divides back to integers
     d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
-    top_d = [int(d * c) for c in top.coords]
+    coords = [int(d * c) for c in top.coords]
     rows_d = [[int(d * x) for x in row] for row in rows]
-    left, d_inv = _root_inverse(gcm)
-    top_rc = [sum(a * c for a, c in zip(row, top_d)) for row in left]
+    left, d_inv = root_inverse(gcm)
+    top_rc = [sum(a * c for a, c in zip(row, coords)) for row in left]
     assert all(c >= 0 for c in top_rc)
-    for combo in itertools.product(*(range(c // (d * d_inv) + 1) for c in top_rc)):
-        coords = list(top_d)
-        for k, row in zip(combo, rows_d):
+    highs = [c // (d * d_inv) for c in top_rc]
+    final_at: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        final_at[max((i for i in range(n) if rows_d[i][j]), default=0)].append(j)
+
+    def rec(i):
+        row, checks = rows_d[i], final_at[i]
+        for k in range(highs[i] + 1):
             if k:
                 for j in range(n):
-                    coords[j] -= k * row[j]
-        if all(c >= 0 and c % d == 0 for c in coords):
-            yield WeightVec(lat.basis_id, tuple(c // d for c in coords))
+                    coords[j] -= row[j]
+            if all(coords[j] >= 0 and coords[j] % d == 0 for j in checks):
+                if i == n - 1:
+                    yield WeightVec(lat.basis_id, tuple(c // d for c in coords))
+                else:
+                    yield from rec(i + 1)
+        for j in range(n):
+            coords[j] += highs[i] * row[j]
+
+    yield from rec(0)
 
 
 def _intermediate_lattices(label: FinTypeLabel):
@@ -313,7 +338,7 @@ def _intermediate_lattices(label: FinTypeLabel):
     gcm = build_cartan(label)
     n = gcm.n
     rows = root_rows(gcm)
-    left, d = _root_inverse(gcm)
+    left, d = root_inverse(gcm)
 
     def cls(coords):
         return tuple(Q(sum(a * c for a, c in zip(row, coords)) % d, d) for row in left)

@@ -343,8 +343,6 @@ def two_basis_counts(case, degree: int) -> dict:
     """
     l = case.rank
     pools = {i: case.base_paths(i) for i in range(1, l + 1)}
-    shape_index = {case.eps_base_weight(i).coords: i for i in range(1, l + 1)}
-    block_index = lambda f: shape_index[f.shape.coords]
 
     lifted = {i: [case.lift_to_grassmannian(p, i) for p in pools[i]]
               for i in pools}
@@ -377,7 +375,8 @@ def two_basis_counts(case, degree: int) -> dict:
             picked = [(i, t) for (i, _), chosen in zip(sorted(groups.items()), pick)
                       for t in chosen]
             mono = lspath.PathMonomial(tuple(pools[i][t] for i, t in picked))
-            if lspath.is_standard_below(mono, block_index, fibre_lifts):
+            # a factor's block is its pool index i
+            if lspath.is_standard_below(mono, [i for i, _ in picked], fibre_lifts):
                 count += 1
                 lifted_mono = lspath.PathMonomial(tuple(lifted[i][t] for i, t in picked))
                 if not lspath.is_standard_above(lifted_mono):

@@ -10,7 +10,9 @@ integer left inverse, the integer product and the integer walks in
 `smt_kit.cartan`, which makes them differential oracles for
 `tests/test_cartan_differential.py` and `tests/test_lspath_differential.py`
 (and, through `weyl_reference.is_negative_root_vec` and `act_letters`, for
-the Weyl reference kernel).
+the Weyl reference kernel).  `dominant_leq` expands the difference over the
+simple roots with one `linalg.solve` per call on a non-affine type, where
+`smt_kit.cartan` applies the cached integer inverse `root_inverse`.
 
 The code is the earlier `smt_kit.cartan` code with two changes that alter
 no answer: `root_coords`, `act_letters` and `is_real_root` are functions of
@@ -24,7 +26,8 @@ import weakref
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import FinTypeLabel, GCM, Realization, WeightVec, build_cartan, finite_roots
+from smt_kit.cartan import (AFFINE, FinTypeLabel, GCM, Realization, WeightVec, build_cartan,
+                           classify, finite_roots, root_rows)
 
 Q = Fraction
 
@@ -93,3 +96,25 @@ def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
         dim *= Q(num, den)
     assert dim.denominator == 1
     return int(dim)
+
+
+def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) -> bool:
+    """True iff lam <= mu: mu - lam is a nonnegative-integer sum of simple roots."""
+    lam._check(mu)
+    kind = classify(m)
+    if kind == AFFINE:
+        if not use_delta:
+            raise ValueError("need delta coordinate")
+        real = Realization.standard(m, lam.basis_id)
+        coords = real.root_coords(mu - lam)
+    else:
+        diff = mu - lam
+        if diff.delta != 0:
+            return False
+        rows = root_rows(m)
+        cols = [[rows[i][j] for i in range(m.n)] for j in range(m.n)]
+        sol = linalg.solve(cols, list(diff.coords))
+        coords = tuple(sol) if sol is not None else None
+    if coords is None:
+        return False
+    return all(c >= 0 and c.denominator == 1 for c in coords)

@@ -8,6 +8,14 @@ simple roots.  None of it shares arithmetic with the integer kernels (HNF
 reduction, integer tuples, root-coordinate depths), which makes it a
 differential oracle for `tests/test_quadlat_differential.py`.
 
+`dominant_below_box` is the integer kernel the pruned walk of
+`smt_kit.quadlat._dominant_below` replaced: it tests every point of the
+whole box of root coordinates, which is cheap enough to check the walk at
+rank 5, where the Fraction `dominant_below` takes seconds per lattice.  It
+shares the box bounds from `cartan.root_inverse` with the walk; the
+dominance test of `tests/test_cartan_differential.py` checks that inverse
+against the solve.
+
 `hgt` solves for the expansion over the basis on every call, and
 `intermediate_lattices` finds the classes of P/Q with one `linalg.solve`
 per lookup, where `smt_kit.quadlat` applies one integer left inverse per
@@ -20,10 +28,11 @@ apart from methods becoming functions of the lattice or poset.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import WeightVec, build_cartan, root_rows
+from smt_kit.cartan import WeightVec, build_cartan, root_inverse, root_rows
 from smt_kit.quadlat import SubLattice, _hnf
 
 Q = Fraction
@@ -120,6 +129,30 @@ def dominant_below(lat, top: WeightVec):
                   for j in range(n)]
         if all(c >= 0 and c.denominator == 1 for c in coords):
             yield WeightVec(lat.basis_id, tuple(coords))
+
+
+def dominant_below_box(lat, top: WeightVec):
+    """Dominant integral weights <= top: the integer walk over the whole box
+    of root coordinates, each point tested once all of them are fixed."""
+    gcm = lat.gcm
+    rows = root_rows(gcm)
+    n = gcm.n
+    # scale by a common denominator (root_rows halves a BC column) so the box
+    # runs in integers; a point is kept only if it divides back to integers
+    d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
+    top_d = [int(d * c) for c in top.coords]
+    rows_d = [[int(d * x) for x in row] for row in rows]
+    left, d_inv = root_inverse(gcm)
+    top_rc = [sum(a * c for a, c in zip(row, top_d)) for row in left]
+    assert all(c >= 0 for c in top_rc)
+    for combo in itertools.product(*(range(c // (d * d_inv) + 1) for c in top_rc)):
+        coords = list(top_d)
+        for k, row in zip(combo, rows_d):
+            if k:
+                for j in range(n):
+                    coords[j] -= k * row[j]
+        if all(c >= 0 and c % d == 0 for c in coords):
+            yield WeightVec(lat.basis_id, tuple(c // d for c in coords))
 
 
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:

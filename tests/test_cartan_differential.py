@@ -5,7 +5,9 @@ dimensions on a finite, an affine, a restricted-tier (delta coefficient 2),
 an indefinite and a singular realization (an affine matrix without a delta
 node): the integer-tuple character loop, the integer left inverse, the
 integer height descent and the integer product must give exactly what the
-Fraction code they replaced gives.
+Fraction code they replaced gives.  The dominance order on A-BC, D4, G2, F4
+and the non-singular indefinite type through the cached integer root
+inverse must agree with the per-call solve on random weight pairs.
 """
 
 import itertools
@@ -135,6 +137,40 @@ def test_root_coords_out_of_span_and_singular():
     assert sing.root_coords(w) == CR.root_coords(sing, w) == (Q(-1, 2), 1, 0)
     assert sing.root_coords(sing.fundamental(0)) is None
     assert CR.root_coords(sing, sing.fundamental(0)) is None
+
+
+DOMINANCE_GCMS = {name: C.build_cartan(C.FinTypeLabel.parse(name))
+                  for name in ["A1", "A3", "A4", "B2", "B3", "C3", "BC1", "BC2", "BC3",
+                               "D4", "G2", "F4"]}
+DOMINANCE_GCMS["hyp33"] = REALIZATIONS["indefinite"].gcm
+
+
+@st.composite
+def dominance_pairs(draw):
+    """(lam, mu) with mu - lam a random combination of the simple roots
+    (mostly nonnegative integers, sometimes a negative or a half) or an
+    arbitrary half-integral weight, now and then with a delta part."""
+    name = draw(st.sampled_from(sorted(DOMINANCE_GCMS)))
+    gcm = DOMINANCE_GCMS[name]
+    n = gcm.n
+    lam = C.WeightVec(name, tuple(draw(st.lists(HALVES, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        rows = C.root_rows(gcm)
+        ks = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, -1, Q(1, 2)]),
+                           min_size=n, max_size=n))
+        diff = tuple(sum(k * rows[i][j] for i, k in enumerate(ks)) for j in range(n))
+    else:
+        diff = tuple(draw(st.lists(HALVES, min_size=n, max_size=n)))
+    delta = draw(st.sampled_from([0, 0, 0, 1]))
+    return gcm, lam, C.WeightVec(name, tuple(a + b for a, b in zip(lam.coords, diff)), delta)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dominance_pairs())
+def test_dominant_leq_agrees(case):
+    gcm, lam, mu = case
+    assert C.dominant_leq(lam, mu, gcm) == CR.dominant_leq(lam, mu, gcm)
+    assert C.dominant_leq(mu, lam, gcm) == CR.dominant_leq(mu, lam, gcm)
 
 
 FINITE_TYPES = [f"{fam}{rank}" for fam, rank in itertools.product("ABCD", range(1, 5))

@@ -246,6 +246,10 @@ def test_verify_prop5_rank_filter():
     r = run("verify", "prop5", "--max-rank", "4")
     assert r.returncode == 0
     assert {"prop5: G2", "prop5: F4", "prop5: D4"} <= set(names(r))
+    # without the option the suite's own default (rank 6) applies
+    r = run("verify", "prop5")
+    assert r.returncode == 0
+    assert "prop5: BC6" in names(r) and not any("7" in n for n in names(r))
 
 
 def test_verify_suite_without_checks_exit_1():
@@ -305,10 +309,18 @@ def test_inv_lookup_cli_every_name(name):
 
 
 @pytest.mark.parametrize("name", [k + str(n) for k in CATALOG_KEYS for n in (6, 7)])
-def test_inv_lookup_cli_rank_6_and_7(name, monkeypatch):
-    """Parameters 6 and 7 through the same CLI path.  The bound-8 quadratic
-    verdict of a rank 6 or 7 B, C or BC lattice takes seconds to minutes, so
-    a fixed verdict stands in for it; the catalog parse, the instantiation
-    and the JSON report run as they are."""
-    monkeypatch.setattr(involutions, "quadratic_verdict", lambda rec, bound=None: True)
-    _check_inv_lookup(name)
+def test_inv_lookup_cli_rank_6_and_7(name):
+    """Parameters 6 and 7 through the same CLI path, with the real bound-8
+    quadratic verdict: a parameter its family accepts gives exit 0 and a
+    quadratic lattice (each such row has restricted type A, C or BC with G
+    simply connected, or B with G adjoint), one it refuses gives exit 1 with
+    the lookup error."""
+    code, out, err = run_in_process("inv", "lookup", name)
+    assert "Traceback" not in err
+    try:
+        involutions.lookup(name)
+    except KeyError:
+        assert code == 1 and set(out) == {"error"}
+    else:
+        assert code == 0
+        assert out["outputs"]["quadratic"] is True

@@ -178,8 +178,9 @@ def below_monomials(draw):
 def test_standard_below_agrees(case):
     mono, block_index, lifts = case
     want = R.is_standard_below(mono, block_index)
-    assert L.is_standard_below(mono, block_index, lifts) == want
-    assert L.is_standard_below(mono, block_index) == want
+    keys = [block_index(f) for f in mono.factors]
+    assert L.is_standard_below(mono, keys, lifts) == want
+    assert L.is_standard_below(mono, keys) == want
 
 
 def test_standard_below_agrees_with_default_blocks():

@@ -2,14 +2,17 @@
 
 Every intermediate lattice Q <= L <= P of A1-A4, B2-B4, C2-C4, BC1-BC4 (whose
 root rows come from a halved column), D4, G2 and F4: HNF membership against
-the coefficient solve on random points, the coin-change monoid count against
-the pairwise test and memoised expansion count at small bounds and at the
-classification bounds, and the integer dominance box below every sum of two
-basis elements and below half of it.  The integer height form is compared
-with the per-call solve on random weights over full and partial bases, and
-the integer class map of P/Q with the solve-based one through the generators
-of every intermediate lattice.  The integer-depth order of the E7 minuscule
-poset is compared with the root-coordinate order on every pair.
+the coefficient solve on random points, the dominant points read off the HNF
+against the box points that pass the coefficient solve, the coin-change
+monoid count against the pairwise test and memoised expansion count at small
+bounds and at the classification bounds, and the pruned dominance walk below
+every sum of two basis elements and below half of it.  At rank 5 (A5, B5, C5,
+BC5) the walk is compared with the whole-box integer walk it replaced.  The
+integer height form is compared with the per-call solve on random weights
+over full and partial bases, and the integer class map of P/Q with the
+solve-based one through the generators of every intermediate lattice.  The
+integer-depth order of the E7 minuscule poset is compared with the
+root-coordinate order on every pair.
 """
 
 import itertools
@@ -44,6 +47,16 @@ def test_contains_agrees(case):
     k, lam = case
     lat = LATTICES[k][1]
     assert lat.contains(lam) == R.contains(lat, lam), LATTICES[k][0]
+
+
+def test_dominant_points_agree():
+    """The points read off the HNF are the box points that pass membership,
+    each once: bound 12 up to rank 3, bound 8 at rank 4."""
+    for name, lat in LATTICES:
+        bound = 12 if lat.gcm.n <= 3 else 8
+        got = QL._dominant_points(lat, bound)
+        want = {tuple(int(c) for c in v.coords) for v in R.dominant_points(lat, bound)}
+        assert len(got) == len(set(got)) and set(got) == want, (name, bound)
 
 
 def test_monoid_basis_agrees_at_small_bounds():
@@ -126,6 +139,29 @@ def test_dominant_below_agrees_on_sums_of_two_basis_elements():
                     list(R.dominant_below(lat, top)), (name, top)
             compared += 1
     assert compared > 100
+
+
+RANK5 = [(f"{name} |L/Q|={order}", lat) for name in ("A5", "B5", "C5", "BC5")
+         for order, lat in QL._intermediate_lattices(C.FinTypeLabel.parse(name))]
+
+
+def test_dominant_below_agrees_at_rank_5():
+    """The pruned walk against the whole-box walk below every sum of two
+    bound-8 basis elements (and half of it) of every rank-5 lattice with a
+    free monoid, in order; on A5 also against the Fraction box."""
+    compared = 0
+    for name, lat in RANK5:
+        basis = QL.monoid_basis(lat, 8)
+        if basis is None:
+            continue
+        for e, f in itertools.combinations_with_replacement(basis, 2):
+            for top in (e + f, (e + f).scale(Q(1, 2))):
+                got = list(QL._dominant_below(lat, top))
+                assert got == list(R.dominant_below_box(lat, top)), (name, top)
+                if name.startswith("A5"):
+                    assert got == list(R.dominant_below(lat, top)), (name, top)
+            compared += 1
+    assert compared == 5 * 15
 
 
 def test_minuscule_leq_agrees_on_every_e7_pair():
