@@ -346,6 +346,33 @@ def _scaled(v: WeightVec) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in b], den
 
 
+def reflect_int(roots, v: list[int], i: int) -> None:
+    """s_i applied in place to an integer weight v (delta last); `roots` is
+    a Realization's `int_roots`."""
+    c = v[i]
+    if c:
+        for j, a in roots[i]:
+            v[j] -= c * a
+
+
+def peel(roots, v: list[int], cap: int) -> list[int]:
+    """Letters i_1, i_2, ..., each the smallest negative coordinate of v at
+    its step, applying s_{i_1}, s_{i_2}, ... to v in place until v is
+    dominant or `cap` letters are taken; the caller checks which."""
+    n = len(roots)
+    out: list[int] = []
+    for _ in range(cap):
+        i = next((j for j in range(n) if v[j] < 0), None)
+        if i is None:
+            break
+        out.append(i)
+        reflect_int(roots, v, i)
+    return out
+
+
+_DOMINANT_CONJUGATE_CAP = 10000
+
+
 class Realization:
     """Weight coordinates of a GCM: fundamental weights plus a delta slot.
 
@@ -353,9 +380,9 @@ class Realization:
     ``delta_node`` (1 for a standard affine matrix, 2 for a restricted tier
     whose node-0 root is twice an ambient root, None/0 for finite type).
     ``int_roots[i]`` lists the nonzero integer coordinates of the i-th
-    simple root as (slot, value) pairs, slot n being delta; the integer
-    Weyl kernel in `weyl`, `act_letters` and `is_real_root` reflect with
-    them.
+    simple root as (slot, value) pairs, slot n being delta; `reflect_int`
+    and `peel` act with them, for `reflect`, `act_letters`,
+    `dominant_conjugate`, `is_real_root` and the Weyl kernel in `weyl`.
     """
 
     def __init__(self, gcm: GCM, basis_id: str, delta_node: int | None = None,
@@ -407,24 +434,19 @@ class Realization:
         return self._roots[i]
 
     def reflect(self, i: int, v: WeightVec) -> WeightVec:
-        c = v.coords[i]
-        return v if c == 0 else v - self._roots[i].scale(c)
+        return self.act_letters((i,), v)
 
     def act_letters(self, letters, v: WeightVec) -> WeightVec:
         # group element s_{l_1} ... s_{l_k} acts with s_{l_k} first; the walk
         # runs on one integer vector (v times the lcm of its denominators,
         # delta last) through int_roots, and the WeightVec is built on return
         x, den = _scaled(v)
-        roots = self.int_roots
-        moved = False
+        start = x[:]
         for i in reversed(letters):
-            c = x[i]
-            if c:
-                moved = True
-                for j, a in roots[i]:
-                    x[j] -= c * a
-        if not moved:
-            return v
+            reflect_int(self.int_roots, x, i)
+        return v if x == start else self._unscaled(x, den)
+
+    def _unscaled(self, x: list[int], den: int) -> WeightVec:
         return WeightVec(self.basis_id, tuple(Q(y, den) for y in x[:-1]), Q(x[-1], den))
 
     def root_coords(self, v: WeightVec) -> tuple[Fraction, ...] | None:
@@ -454,18 +476,18 @@ class Realization:
         return self._inverse
 
     def dominant_conjugate(self, v: WeightVec) -> tuple[WeightVec, list[int]]:
-        """(dominant representative, letters l with s_{l_1}...s_{l_k} v dominant).
+        """(dom, letters): `peel` on the scaled integer vector of v, so that
+        dom is dominant and WeylWord(self, letters).act(dom) == v.
 
-        Terminates for weights in the Tits cone (all weights handled here
-        are of positive or zero level).
+        The peel ends for weights in the Tits cone; more than
+        _DOMINANT_CONJUGATE_CAP reflections raise ValueError.
         """
-        letters: list[int] = []
-        while True:
-            i = next((j for j in range(self.n) if v.coords[j] < 0), None)
-            if i is None:
-                return v, letters
-            v = self.reflect(i, v)
-            letters.append(i)
+        x, den = _scaled(v)
+        letters = peel(self.int_roots, x, _DOMINANT_CONJUGATE_CAP)
+        if any(t < 0 for t in x[:-1]):
+            raise ValueError(f"dominant_conjugate cap exceeded: cap={_DOMINANT_CONJUGATE_CAP}, "
+                             f"{len(letters)} reflections taken")
+        return (self._unscaled(x, den) if letters else v), letters
 
     def is_real_root(self, v: WeightVec) -> bool:
         """True iff v is a real root (W-conjugate of a simple root).
@@ -485,7 +507,6 @@ class Realization:
             x, y = [-t for t in x], [-t for t in y]
         if not any(y):
             return False
-        roots = self.int_roots
         for _ in range(sum(y) // (d * den) * 2 + 4):
             if any(t < 0 for t in y):
                 return False
@@ -494,9 +515,7 @@ class Realization:
             i = next((j for j in range(self.n) if x[j] > 0), None)
             if i is None:
                 return False
-            k = x[i]
-            for j, a in roots[i]:
-                x[j] -= k * a
+            reflect_int(self.int_roots, x, i)
             y = [sum(a * b for a, b in zip(row, x)) for row in left]
         return False
 

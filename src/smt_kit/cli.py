@@ -266,7 +266,9 @@ def main(argv=None) -> int:
     try:
         report = args.func(args, t0)
     except (ValueError, KeyError, OSError) as exc:
-        print(_dump({"error": str(exc)}))
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(_dump({"error": str(msg)}))
         return 1
     if args.tsv and report["checks"]:
         print(_tsv(report["checks"]))

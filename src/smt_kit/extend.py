@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .cartan import (AFFINE, FINITE, GCM, FinTypeLabel, Realization, WeightVec,
                      build_cartan, classify, identify_label)
-from . import linalg
 
 Q = Fraction
 
@@ -174,12 +173,8 @@ def split_normal_form(datum: ExtendedDatum, v: WeightVec) -> SplitWeight:
     """Expand a tier weight as sum(a_i e_eps_i) + g*gamma + b*delta, a_0 = 0."""
     if datum.kind != "restricted":
         raise ValueError("split normal form lives on the restricted tier")
-    l = datum.rank
-    eps = [datum.e_eps(i) for i in range(1, l + 1)]
-    rows = [[eps[i].coords[j + 1] for i in range(l)] for j in range(l)]
-    sol = linalg.solve(rows, [v.coords[j + 1] for j in range(l)])
-    assert sol is not None
-    a = [Q(0)] + list(sol)
+    # e_eps(i) has one nonzero coordinate, at node i, so a_i is a quotient
+    a = [Q(0)] + [v.coords[i] / datum.e_eps(i).coords[i] for i in range(1, datum.rank + 1)]
     gamma = 2 * v.coords[0]             # gamma = half the node-0 fundamental weight
     return SplitWeight(tuple(a), gamma, v.delta)
 

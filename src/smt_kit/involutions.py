@@ -96,7 +96,7 @@ def lookup(name: str) -> InvolutionRecord:
             wmap = _weight_map(ambient, restricted, perm)
         return InvolutionRecord(text, ambient, row["fixed_algebra"], restricted,
                                 row["isogeny"], row["implemented"], wmap, perm)
-    raise KeyError(name)
+    raise KeyError(f"unknown involution {name!r}")
 
 
 def _instantiate(row: dict, n: int | None):

@@ -136,17 +136,17 @@ class ChainData:
         self.below = [sorted(d) for d in down]
 
     def _cover_pairing(self, upper: int, lower: int) -> int:
-        """n with mu_upper - mu_lower = n * beta for the covering root beta."""
+        """n with mu_upper - mu_lower = n * beta for the covering root beta.
+
+        W preserves the root lattice and every simple root is primitive in
+        it, so every real root is: n is the content (the gcd of the
+        simple-root coordinates) of the difference."""
         diff = self.weights[upper] - self.weights[lower]
         coords = self.real.root_coords(diff)
         assert coords is not None and all(c.denominator == 1 for c in coords)
-        content = math.gcd(*(abs(int(c)) for c in coords)) or 1
-        hits = [n for n in range(1, content + 1) if content % n == 0
-                and self.real.is_real_root(
-                    WeightVec(diff.basis_id,
-                              tuple(c / n for c in diff.coords), diff.delta / n))]
-        assert len(hits) == 1, "covering reflection not unique"
-        return hits[0]
+        n = math.gcd(*(int(c) for c in coords)) or 1
+        assert self.real.is_real_root(diff.scale(Q(1, n))), "cover is not along a real root"
+        return n
 
     def _chain_gcds(self, lower: int) -> dict[int, frozenset[int]]:
         """node -> the gcds of the pairings along the saturated chains from

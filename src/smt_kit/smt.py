@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
                      weyl_dim)
-from .weyl import CosetRep, bruhat_leq, coset_interval, longest_parabolic, tau_full
+from .weyl import (CosetRep, bruhat_leq, coset_interval, longest_parabolic, orbit_bfs,
+                   tau_full)
 from . import lspath
 
 Q = Fraction
@@ -38,17 +39,8 @@ class MinusculePoset:
         self.real = real
         self.node = node
         self.highest = real.fundamental(node)
-        orbit = {self.highest.coords: self.highest}
-        frontier = [self.highest]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(real.n):
-                    im = real.reflect(i, v)
-                    if im.coords not in orbit:
-                        orbit[im.coords] = im
-                        nxt.append(im)
-            frontier = nxt
+        orbit = {coords: WeightVec(real.basis_id, coords, delta)
+                 for coords, delta in orbit_bfs(real, range(real.n), self.highest)}
         dim = weyl_dim(real.gcm, self.highest)
         if len(orbit) != dim:
             raise ValueError("weight is not minuscule (orbit misses weights)")

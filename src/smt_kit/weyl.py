@@ -10,27 +10,21 @@ Bruhat order is decided by Deodhar's Z-property (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
 min(u, s u) <= s v.  The divided-difference character of a Schubert cell
 runs on integer tuples (coordinates, then delta times its denominator) and
-builds its Fraction keys once, on return.  Weights handed in and out stay
-exact Fraction `WeightVec`s: `act` (through `Realization.act_letters`, one
-walk on an integer vector), `coset_from_weight`, the telescoping words
-built from the distinguished node and `orbit_bfs` work on them.
+builds its Fraction keys once, on return.  The integer reflection and
+the peel are `cartan.reflect_int` and `cartan.peel`, the only copies in
+the package.  Weights handed in and out stay exact Fraction `WeightVec`s:
+`WeylWord.act` goes through `Realization.act_letters`, `coset_from_weight`
+through `Realization.dominant_conjugate` and `orbit_bfs` through
+`Realization.reflect`, each one walk on an integer vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec
+from .cartan import Realization, WeightVec, peel, reflect_int
 
 Q = Fraction
-
-
-def _reflect(roots, v: list[int], i: int) -> None:
-    """s_i applied in place to an integer weight v (delta last)."""
-    c = v[i]
-    if c:
-        for j, a in roots[i]:
-            v[j] -= c * a
 
 
 def _image(real: Realization, letters, start: list[int]) -> list[int]:
@@ -38,26 +32,18 @@ def _image(real: Realization, letters, start: list[int]) -> list[int]:
     v = list(start)
     roots = real.int_roots
     for i in reversed(letters):
-        _reflect(roots, v, i)
+        reflect_int(roots, v, i)
     return v
 
 
 def _peel(real: Realization, v: list[int], bound: int, target: list[int],
           what: str) -> tuple[int, ...]:
-    """Letters i_1, ..., i_k, each the smallest negative coordinate at its
-    step, with s_{i_k} ... s_{i_1} v = target; w = s_{i_1} ... s_{i_k} is then
-    reduced.  Each peel shortens w, so more than `bound` peels, or a
-    descent-free end other than `target`, is an internal error."""
-    n = real.n
-    roots = real.int_roots
+    """Letters i_1, ..., i_k of `cartan.peel` with s_{i_k} ... s_{i_1} v =
+    target; w = s_{i_1} ... s_{i_k} is then reduced.  Each peel shortens w,
+    so more than `bound` peels, or a descent-free end other than `target`,
+    is an internal error."""
     v = list(v)
-    out: list[int] = []
-    for _ in range(bound + 1):
-        i = next((j for j in range(n) if v[j] < 0), None)
-        if i is None:
-            break
-        out.append(i)
-        _reflect(roots, v, i)
+    out = peel(real.int_roots, v, bound)
     if v != target:
         raise AssertionError(what)
     return tuple(out)
@@ -132,10 +118,6 @@ class WeylWord:
         return len(self.reduce())
 
 
-def act(w: WeylWord, v: WeightVec) -> WeightVec:
-    return w.act(v)
-
-
 def longest_parabolic(real: Realization, nodes, cap: int = 4096) -> WeylWord:
     """Longest element of the (finite) parabolic generated by the given nodes.
 
@@ -189,25 +171,13 @@ class CosetRep:
         return len(self.word.letters)
 
 
-_COSET_FROM_WEIGHT_CAP = 10000
-
-
 def coset_from_weight(real: Realization, parabolic, dominant: WeightVec,
                       target: WeightVec) -> CosetRep:
     """The coset whose minimal representative sends `dominant` to `target`."""
-    cap = _COSET_FROM_WEIGHT_CAP
-    v = target
-    letters: list[int] = []
-    while v != dominant:
-        i = next((j for j in range(real.n) if v.coords[j] < 0), None)
-        if i is None:
-            raise ValueError("target not in the orbit of the dominant weight")
-        if len(letters) >= cap:
-            raise ValueError(f"coset_from_weight cap exceeded: cap={cap}, "
-                             f"{len(letters)} reflections taken")
-        v = real.reflect(i, v)
-        letters.append(i)
-    return CosetRep(WeylWord(real, tuple(letters)), parabolic)
+    dom, letters = real.dominant_conjugate(target)
+    if dom != dominant:
+        raise ValueError("target not in the orbit of the dominant weight")
+    return CosetRep(WeylWord(real, letters), parabolic)
 
 
 def bruhat_leq(u, v) -> bool:
@@ -226,7 +196,7 @@ def bruhat_leq(u, v) -> bool:
     x = list(coords) + [delta]
     for s in v.reduce():
         if x[s] < 0:
-            _reflect(roots, x, s)
+            reflect_int(roots, x, s)
     return x[-1] == 0 and x.count(1) == len(x) - 1      # x == rho
 
 

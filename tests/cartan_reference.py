@@ -3,7 +3,8 @@
 `root_coords` expands a weight over the simple roots with one exact
 `linalg.solve` per weight, `weyl_dim` multiplies the Weyl dimension
 formula out as a product of Fractions over an uncached root enumeration,
-`act_letters` applies one Fraction reflection per letter, and
+`reflect` subtracts a Fraction multiple of a simple root, `act_letters`
+and `dominant_conjugate` apply one such reflection per letter, and
 `is_real_root` descends in height on Fraction weights, solving for the
 coordinates at each step.  They are slow but share no arithmetic with the
 integer left inverse, the integer product and the integer walks in
@@ -15,9 +16,10 @@ simple roots with one `linalg.solve` per call on a non-affine type, where
 `smt_kit.cartan` applies the cached integer inverse `root_inverse`.
 
 The code is the earlier `smt_kit.cartan` code with two changes that alter
-no answer: `root_coords`, `act_letters` and `is_real_root` are functions of
-the Realization, and the `root_coords` cache is held per live Realization (a
-WeakKeyDictionary) apart from the Realization's own.
+no answer: `root_coords`, `reflect`, `act_letters`, `dominant_conjugate`
+and `is_real_root` are functions of the Realization, and the `root_coords`
+cache is held per live Realization (a WeakKeyDictionary) apart from the
+Realization's own.
 """
 
 from __future__ import annotations
@@ -48,11 +50,29 @@ def root_coords(real: Realization, v: WeightVec) -> tuple[Fraction, ...] | None:
     return cache[key]
 
 
+def reflect(real: Realization, i: int, v: WeightVec) -> WeightVec:
+    """s_i v = v - <v, alpha_i^vee> alpha_i on Fraction weights."""
+    c = v.coords[i]
+    return v if c == 0 else v - real.simple_root(i).scale(c)
+
+
 def act_letters(real: Realization, letters, v: WeightVec) -> WeightVec:
     """s_{l_1} ... s_{l_k} applied to v, s_{l_k} first, one reflection at a time."""
     for i in reversed(letters):
-        v = real.reflect(i, v)
+        v = reflect(real, i, v)
     return v
+
+
+def dominant_conjugate(real: Realization, v: WeightVec) -> tuple[WeightVec, list[int]]:
+    """(dom, letters): reflect by the smallest negative coordinate until v is
+    dominant (uncapped; it ends for weights in the Tits cone)."""
+    letters: list[int] = []
+    while True:
+        i = next((j for j in range(real.n) if v.coords[j] < 0), None)
+        if i is None:
+            return v, letters
+        v = reflect(real, i, v)
+        letters.append(i)
 
 
 def is_real_root(real: Realization, v: WeightVec) -> bool:
@@ -77,7 +97,7 @@ def is_real_root(real: Realization, v: WeightVec) -> bool:
         i = next((j for j in range(real.n) if v.coords[j] > 0), None)
         if i is None:
             return False
-        v = real.reflect(i, v)
+        v = reflect(real, i, v)
     return False
 
 

@@ -1,15 +1,18 @@
 """The brute-force LS-path kernels that `smt_kit.lspath` and `smt_kit.smt`
 replaced, kept as test oracles.
 
-`cut_values` walks every saturated chain from `upper` down to `lower` by
-depth-first search; `enumerate_paths` extends a path by testing every coset
-of the interval against its last direction; `is_standard_above` tries every
-order of the factors; `is_standard_below` backtracks over every arrangement
-of every block and every fibre lift; `graded_count` tests every multiset of
-the pool.  They are exponential, but share no search with the memoised
-chain gcds and down-sets, the pairwise comparison, the forward pass over
-sub-multisets and the multichain count of the library, which makes them
-differential oracles for `tests/test_lspath_differential.py`.
+`cover_pairing` tests every divisor of a cover's content with the Fraction
+real-root descent of `cartan_reference`; `cut_values` walks every saturated
+chain from `upper` down to `lower` by depth-first search; `enumerate_paths`
+extends a path by testing every coset of the interval against its last
+direction; `is_standard_above` tries every order of the factors;
+`is_standard_below` backtracks over every arrangement of every block and
+every fibre lift; `graded_count` tests every multiset of the pool.  They
+are exponential, but share no search with the content of the root
+coordinates, the memoised chain gcds and down-sets, the pairwise
+comparison, the forward pass over sub-multisets and the multichain count
+of the library, which makes them differential oracles for
+`tests/test_lspath_differential.py`.
 
 The code is the earlier library code with one change that alters no
 answer: each kernel is a function of the object it used to be a method of
@@ -22,11 +25,26 @@ import itertools
 import math
 from fractions import Fraction
 
+import cartan_reference
 from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, PathMonomial, path_leq,
                            stabilizer_nodes)
 from smt_kit.weyl import WeylWord, bruhat_leq
 
 Q = Fraction
+
+
+def cover_pairing(data, upper: int, lower: int) -> int:
+    """n with mu_upper - mu_lower = n * beta for the covering root beta: the
+    one divisor n of the content for which the difference over n is a real
+    root."""
+    diff = data.weights[upper] - data.weights[lower]
+    coords = cartan_reference.root_coords(data.real, diff)
+    assert coords is not None and all(c.denominator == 1 for c in coords)
+    content = math.gcd(*(abs(int(c)) for c in coords)) or 1
+    hits = [n for n in range(1, content + 1) if content % n == 0
+            and cartan_reference.is_real_root(data.real, diff.scale(Q(1, n)))]
+    assert len(hits) == 1, "covering reflection not unique"
+    return hits[0]
 
 
 def cut_values(data, upper: int, lower: int) -> frozenset[Fraction]:

@@ -1,11 +1,12 @@
 """The integer weight kernels against the Fraction reference kernels.
 
-Demazure characters, simple-root expansions, the real-root test and Weyl
-dimensions on a finite, an affine, a restricted-tier (delta coefficient 2),
-an indefinite and a singular realization (an affine matrix without a delta
-node): the integer-tuple character loop, the integer left inverse, the
-integer height descent and the integer product must give exactly what the
-Fraction code they replaced gives.  The dominance order on A-BC, D4, G2, F4
+Demazure characters, simple-root expansions, reflections, dominant
+conjugates, the real-root test and Weyl dimensions on a finite, an affine,
+a restricted-tier (delta coefficient 2), an indefinite and a singular
+realization (an affine matrix without a delta node): the integer-tuple
+character loop, the integer left inverse, the integer reflection and peel,
+the integer height descent and the integer product must give exactly what
+the Fraction code they replaced gives.  The dominance order on A-BC, D4, G2, F4
 and the non-singular indefinite type through the cached integer root
 inverse must agree with the per-call solve on random weight pairs.
 """
@@ -98,6 +99,45 @@ def test_root_coords_agree(case):
     name, v = case
     real = REALIZATIONS[name]
     assert real.root_coords(v) == CR.root_coords(real, v)
+
+
+WEIGHT_PARTS = st.one_of(HALVES, st.integers(-6, 6).map(lambda k: Q(k, 3)))
+
+
+@st.composite
+def reflections(draw):
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    coords = draw(st.lists(WEIGHT_PARTS, min_size=real.n, max_size=real.n))
+    return real, draw(st.integers(0, real.n - 1)), real.weight(coords, draw(WEIGHT_PARTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflections())
+def test_reflect_agrees(case):
+    real, i, v = case
+    assert real.reflect(i, v) == CR.reflect(real, i, v)
+
+
+@st.composite
+def moved_weights(draw):
+    """w(lam) for a random word w and a dominant lam of level >= 0, which
+    lies in the Tits cone, so the reference peel ends."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    coords = draw(st.lists(st.integers(0, 6).map(lambda k: Q(k, 2)),
+                           min_size=real.n, max_size=real.n))
+    word = draw(st.lists(st.integers(0, real.n - 1), max_size=8))
+    return real, real.act_letters(word, real.weight(coords, draw(WEIGHT_PARTS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moved_weights())
+def test_dominant_conjugate_agrees(case):
+    real, v = case
+    dom, letters = real.dominant_conjugate(v)
+    assert (dom, letters) == CR.dominant_conjugate(real, v)
+    assert dom.is_dominant() and CR.act_letters(real, letters, dom) == v
 
 
 @st.composite

@@ -46,6 +46,15 @@ def test_computational_error_exit_1():
     assert "error" in json.loads(r.stdout)
 
 
+def test_inv_lookup_errors_print_the_message():
+    """A refused parameter and an unknown name print the KeyError's message,
+    not its repr."""
+    assert run_in_process("inv", "lookup", "flip-sp7") == (
+        1, {"error": "flip-sp needs even n >= 4"}, "")
+    assert run_in_process("inv", "lookup", "nosuch") == (
+        1, {"error": "unknown involution 'nosuch'"}, "")
+
+
 def test_verify_suite_exit_0():
     r = run("verify", "lemma34")
     assert r.returncode == 0

@@ -3,8 +3,9 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smt_kit import cartan as C, extend as X
+from smt_kit import cartan as C, extend as X, linalg
 from smt_kit.weyl import tau_hat
 
 
@@ -72,6 +73,29 @@ def test_split_normal_form():
     # egr is insensitive to moving weight between e_eps_0 and gamma
     shifted = X.SplitWeight((Q(1, 2), 0, 0), Q(0), Q(0))
     assert X.egr(datum, shifted) == X.egr(datum, om)
+
+
+def _solve_split_normal_form(datum, v):
+    """The split normal form by one linear solve over e_eps_1..e_eps_l, the
+    earlier `split_normal_form`."""
+    l = datum.rank
+    eps = [datum.e_eps(i) for i in range(1, l + 1)]
+    rows = [[eps[i].coords[j + 1] for i in range(l)] for j in range(l)]
+    sol = linalg.solve(rows, [v.coords[j + 1] for j in range(l)])
+    assert sol is not None
+    return X.SplitWeight((Q(0),) + tuple(sol), 2 * v.coords[0], v.delta)
+
+
+TIERS = [X.extend_restricted(lab(f"{fam}{rank}")) for fam in ("A", "B", "C", "BC")
+         for rank in range(1, 5) if not (fam == "C" and rank == 1)]
+HALVES = st.integers(-7, 7).map(lambda k: Q(k, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TIERS), st.lists(HALVES, min_size=5, max_size=5), HALVES)
+def test_split_normal_form_agrees_with_solve(datum, coords, delta):
+    v = datum.real.weight(coords[:datum.rank + 1], delta)
+    assert X.split_normal_form(datum, v) == _solve_split_normal_form(datum, v)
 
 
 def test_pairing_D_tau_hat():

@@ -1,6 +1,7 @@
 """The polynomial LS-path kernels against the brute-force reference kernels.
 
-Memoised chain gcds against the depth-first walk over every chain, the
+Cover pairings read off the content against the search over its
+divisors, memoised chain gcds against the depth-first walk over every chain, the
 enumeration over down-sets against testing every coset, the pairwise
 standardness test against every order of the factors, the forward
 pass over sub-multisets against the backtracking over every arrangement,
@@ -78,7 +79,42 @@ def test_act_letters_agrees(case):
 
 
 # ---------------------------------------------------------------------------
-# cut values
+# cover pairings and cut values
+
+
+def _cover_pairings_agree(data) -> list[int]:
+    """Every cover's pairing against the divisor search; the pairings."""
+    pairings = []
+    for upper, covers in data._covers_below.items():
+        for lower, n in covers:
+            assert n == R.cover_pairing(data, upper, lower), (upper, lower)
+            pairings.append(n)
+    return pairings
+
+
+def test_cover_pairings_agree_below_tau():
+    pairings = [n for (name, m), gc in GRADED.items()
+                for n in _cover_pairings_agree(L.ChainData(gc.case.amb.e_omega0(),
+                                                           gc.case.tau_coset(m)))]
+    assert max(pairings) > 1
+
+
+@st.composite
+def cover_intervals(draw):
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    coords = draw(st.lists(st.integers(0, 3), min_size=real.n, max_size=real.n))
+    word = draw(st.lists(st.integers(0, real.n - 1), max_size=6))
+    return real.weight(coords), W.WeylWord(real, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_intervals())
+def test_cover_pairings_agree_on_random_intervals(case):
+    """On the finite, affine, tier and indefinite GCMs."""
+    shape, word = case
+    _cover_pairings_agree(L.ChainData(shape, W.CosetRep(word, L.stabilizer_nodes(shape))))
+
 
 
 def _cut_values_or_cap(kernel, data, upper, lower):

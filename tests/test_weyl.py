@@ -85,7 +85,7 @@ def test_coset_from_weight_errors(monkeypatch):
     w0 = W.longest_parabolic(real, range(3))
     target = w0.act(lam)
     with monkeypatch.context() as m:
-        m.setattr(W, "_COSET_FROM_WEIGHT_CAP", 2)
+        m.setattr(C, "_DOMINANT_CONJUGATE_CAP", 2)
         with pytest.raises(ValueError, match=r"cap=2, 2 reflections taken"):
             W.coset_from_weight(real, frozenset({0}), lam, target)
     assert W.coset_from_weight(real, frozenset({0}), lam, target).word.act(lam) == target

@@ -2,7 +2,8 @@
 
 Random words on a finite, an affine, a restricted-tier (delta coefficient 2)
 and an indefinite GCM: both kernels must give the same reduced words,
-equalities, left descents, minimal coset words and Bruhat comparisons.
+equalities, left descents, minimal coset words, Bruhat comparisons and
+cosets found from a weight.
 The second half guards against reductions leaking between Realizations.
 """
 
@@ -59,6 +60,40 @@ def test_kernels_agree(case):
     assert (cu == cv) == (rcu == rcv)
     assert W.bruhat_leq(cu, cv) == R.bruhat_leq(rcu, rcv)
     assert W.bruhat_leq(cv, cu) == R.bruhat_leq(rcv, rcu)
+
+
+@st.composite
+def orbit_targets(draw):
+    """(real, lam, J, target): lam dominant, J the nodes it is zero on, and
+    target w(lam) or, now and then, w(lam') for another dominant lam', which
+    lies outside the orbit unless lam' = lam (delta included)."""
+    real = REALIZATIONS[draw(st.sampled_from(sorted(REALIZATIONS)))]
+    dominant = st.lists(st.integers(0, 2), min_size=real.n, max_size=real.n)
+    lam = real.weight(draw(dominant), draw(st.integers(-2, 2)))
+    other = real.weight(draw(dominant), draw(st.integers(-2, 2)))
+    start = other if draw(st.booleans()) else lam
+    word = draw(st.lists(st.integers(0, real.n - 1), max_size=7))
+    parabolic = frozenset(j for j in range(real.n) if lam.coords[j] == 0)
+    return real, parabolic, lam, real.act_letters(word, start)
+
+
+def _coset_or_error(kernel, real, parabolic, lam, target):
+    try:
+        return kernel(real, parabolic, lam, target)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_targets())
+def test_coset_from_weight_agrees(case):
+    new = _coset_or_error(W.coset_from_weight, *case)
+    old = _coset_or_error(R.coset_from_weight, *case)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        _, _, lam, target = case
+        assert new.word.letters == old.word.letters and new.word.act(lam) == target
 
 
 def test_longest_parabolic_agrees():

@@ -16,7 +16,9 @@ garbage collection used to return another group's reductions.  Every
 action is the Fraction reflection loop `cartan_reference.act_letters`, so
 the kernel does not lean on the integer walk of `Realization.act_letters`.
 `demazure_character` is the divided-difference loop on Fraction
-`WeightVec`s that the integer-tuple loop of `smt_kit.weyl` replaced.
+`WeightVec`s that the integer-tuple loop of `smt_kit.weyl` replaced, and
+`coset_from_weight` the capped Fraction reflection loop that
+`Realization.dominant_conjugate` replaced.
 """
 
 from __future__ import annotations
@@ -158,6 +160,28 @@ class CosetRep:
 
     def length(self) -> int:
         return len(self.word.letters)
+
+
+_COSET_FROM_WEIGHT_CAP = 10000
+
+
+def coset_from_weight(real: Realization, parabolic, dominant: WeightVec,
+                      target: WeightVec) -> CosetRep:
+    """The coset whose minimal representative sends `dominant` to `target`,
+    by reflecting `target` down one Fraction reflection at a time."""
+    cap = _COSET_FROM_WEIGHT_CAP
+    v = target
+    letters: list[int] = []
+    while v != dominant:
+        i = next((j for j in range(real.n) if v.coords[j] < 0), None)
+        if i is None:
+            raise ValueError("target not in the orbit of the dominant weight")
+        if len(letters) >= cap:
+            raise ValueError(f"coset_from_weight cap exceeded: cap={cap}, "
+                             f"{len(letters)} reflections taken")
+        v = cartan_reference.reflect(real, i, v)
+        letters.append(i)
+    return CosetRep(WeylWord(real, tuple(letters)), parabolic)
 
 
 def bruhat_leq(u, v) -> bool:
