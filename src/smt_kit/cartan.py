@@ -393,15 +393,11 @@ class Realization:
         self.delta_coeff = Q(delta_coeff) if delta_node is not None else Q(0)
         if self.delta_coeff.denominator != 1:
             raise ValueError(f"delta coefficient {self.delta_coeff} is not an integer")
-        n = gcm.n
-        self._roots = tuple(
-            WeightVec(basis_id, tuple(Q(x) for x in gcm.entries[i]),
-                      self.delta_coeff if i == delta_node else Q(0))
-            for i in range(n)
-        )
+        n, dc = gcm.n, int(self.delta_coeff)
         self.int_roots = tuple(
-            tuple((j, int(x)) for j, x in enumerate(root.coords + (root.delta,)) if x)
-            for root in self._roots)
+            tuple((j, x) for j, x in enumerate(gcm.entries[i]) if x)
+            + (((n, dc),) if i == delta_node and dc else ())
+            for i in range(n))
         self._expand_cache: dict[tuple, tuple[Fraction, ...] | None] = {}
         self._inverse: tuple | None = None
 
@@ -429,6 +425,12 @@ class Realization:
 
     def rho(self) -> WeightVec:
         return WeightVec(self.basis_id, (Q(1),) * self.n)
+
+    @functools.cached_property
+    def _roots(self) -> tuple[WeightVec, ...]:
+        return tuple(WeightVec(self.basis_id, tuple(Q(x) for x in self.gcm.entries[i]),
+                               self.delta_coeff if i == self.delta_node else Q(0))
+                     for i in range(self.n))
 
     def simple_root(self, i: int) -> WeightVec:
         return self._roots[i]
@@ -470,8 +472,10 @@ class Realization:
     def _left_inverse(self) -> tuple:
         """The integer left inverse (L, C, d) of the simple-root matrix."""
         if self._inverse is None:
-            rows = [[root.coords[j] for root in self._roots] for j in range(self.n)]
-            rows.append([root.delta for root in self._roots])
+            rows = [[0] * self.n for _ in range(self.n + 1)]
+            for i, root in enumerate(self.int_roots):
+                for j, a in root:
+                    rows[j][i] = a
             self._inverse = linalg.left_inverse(rows)
         return self._inverse
 

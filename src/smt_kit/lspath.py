@@ -5,12 +5,19 @@ chain of cosets modulo the stabilizer parabolic of lambda, stored largest
 first, and rationals 0 = a_0 < ... < a_r = 1.  Between consecutive
 directions there must be a chain of covering reflections s_beta in the
 coset order with a_i <beta-pairing> integral at every step (an a-chain,
-Littelmann, Invent. Math. 116, 1994).  So a = t/q is admissible iff some
-saturated chain has every pairing divisible by q: the gcds of the pairings
-along the chains down to a lower coset are memoised per coset in one pass
-up the length-sorted interval, instead of walking every chain.  The number
-of paths of shape lambda whose top direction lies below a coset [w] equals
-the dimension of the corresponding Demazure module; both that and the full
+Littelmann, Invent. Math. 116, 1994).  The covers come with the interval:
+`weyl.coset_interval` reads them off the letter drops.  The cover that
+drops letter p from the word l_0 l_1 ... has the covering root
+beta = s_{l_0} ... s_{l_{p-1}}(alpha_{l_p}), and its pairing is the n with
+mu_lower - mu_upper = n beta, read off the integer images of the scaled
+shape.  So a = t/q is admissible iff some saturated chain has every
+pairing divisible by q: the gcds of the pairings along the chains down to
+a lower coset are memoised per coset in one pass up the length-sorted
+interval, instead of walking every chain.  Path values (breakpoints,
+endpoint, node-0 degree) are sums of the same integer images weighted by
+the cut differences over one common denominator.  The number of paths of
+shape lambda whose top direction lies below a coset [w] equals the
+dimension of the corresponding Demazure module; both that and the full
 Weyl dimension are used as oracles in the tests.
 
 Standardness of a product comes in two flavours.  From above: the factors
@@ -25,14 +32,16 @@ i-th telescoping word turns the second into the first.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec
-from .weyl import (CosetRep, WeylWord, bruhat_leq, coset_interval,
+from .cartan import Realization, WeightVec, _scaled
+from .weyl import (CosetRep, WeylWord, _image, bruhat_leq, coset_interval,
                    longest_parabolic)
 
 Q = Fraction
@@ -62,27 +71,44 @@ class LSPath:
     cuts: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(Q(c) for c in self.cuts))
+        object.__setattr__(self, "cuts", tuple(
+            c if type(c) is Fraction else Q(c) for c in self.cuts))
 
     @property
     def real(self) -> Realization:
         return self.dirs[0].real
 
-    def direction_weights(self) -> list[WeightVec]:
-        return [d.word.act(self.shape) for d in self.dirs]
+    def _scaled_breakpoints(self) -> tuple[list[list[int]], int]:
+        """(points, scale): the path values at the cut points, both ends
+        included, times `scale` as integer vectors (delta last).
+
+        With x = den * shape on integers and q the lcm of the cut
+        denominators, segment k adds q (a_{k+1} - a_k) times the image of x
+        under the k-th direction, and scale = den * q.
+        """
+        x, den = _scaled(self.shape)
+        q = math.lcm(*(c.denominator for c in self.cuts))
+        steps = [c.numerator * (q // c.denominator) for c in self.cuts]
+        acc = [0] * len(x)
+        out = [acc]
+        for d, lo, hi in zip(self.dirs, steps, steps[1:]):
+            t = hi - lo
+            acc = [a + t * y for a, y in zip(acc, _image(self.real, d.word.letters, x))]
+            out.append(acc)
+        return out, den * q
+
+    def _weight(self, v: list[int], scale: int) -> WeightVec:
+        return WeightVec(self.shape.basis_id, tuple(Q(y, scale) for y in v[:-1]),
+                         Q(v[-1], scale))
 
     def breakpoints(self) -> list[WeightVec]:
         """Path values at the cut points, including both endpoints."""
-        acc = self.shape.scale(0)
-        out = [acc]
-        ws = self.direction_weights()
-        for k in range(len(self.dirs)):
-            acc = acc + ws[k].scale(self.cuts[k + 1] - self.cuts[k])
-            out.append(acc)
-        return out
+        points, scale = self._scaled_breakpoints()
+        return [self._weight(v, scale) for v in points]
 
     def endpoint(self) -> WeightVec:
-        return self.breakpoints()[-1]
+        points, scale = self._scaled_breakpoints()
+        return self._weight(points[-1], scale)
 
     def degree(self) -> Fraction:
         return self.cuts[-1]
@@ -99,7 +125,13 @@ def straight_path(shape: WeightVec, coset: CosetRep) -> LSPath:
 
 class ChainData:
     """Cover relations, reflection pairings and admissible cut values for
-    the coset interval below a top coset."""
+    the coset interval below a top coset.
+
+    The covers are the ones `coset_interval` records.  Each coset's weight
+    is kept as the integer image of den * shape (delta last, den the lcm of
+    the shape's denominators), and a cover's pairing is read off the
+    difference of two images along the covering root of the cover.
+    """
 
     def __init__(self, shape: WeightVec, top: CosetRep, cap: int | None = None,
                  denom_cap: int = DEFAULT_DENOM_CAP):
@@ -109,8 +141,9 @@ class ChainData:
         self.denom_cap = denom_cap
         self.real = top.real
         self.poset = coset_interval(top, cap if cap is not None else _enum_cap())
-        self.index = {c.key: i for i, c in enumerate(self.poset.elements)}
-        self.weights = [c.word.act(shape) for c in self.poset.elements]
+        self.index = self.poset.index
+        x, self._den = _scaled(shape)
+        self._images = [_image(self.real, c.word.letters, x) for c in self.poset.elements]
         self._covers_below: dict[int, list[tuple[int, int]]] = {}
         self._gcds_down_to: dict[int, dict[int, frozenset[int]]] = {}
         self._cut_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
@@ -121,31 +154,31 @@ class ChainData:
         below i in increasing order: the union of the covers of i and what
         lies below them (every relation in the interval is a chain of
         covers, and the covers of i come before i in length order)."""
-        els = self.poset.elements
-        by_len: dict[int, list[int]] = {}
-        for i, c in enumerate(els):
-            by_len.setdefault(c.length(), []).append(i)
         down: list[set[int]] = []
-        for i, c in enumerate(els):
-            lst = []
-            for j in by_len.get(c.length() - 1, ()):
-                if self.poset.leq(els[j], c):
-                    lst.append((j, self._cover_pairing(i, j)))
+        for i, covered in enumerate(self.poset.lower_covers):
+            lst = [(j, self._cover_pairing(i, j, p)) for j, p in covered]
             self._covers_below[i] = lst
             down.append({j for j, _ in lst}.union(*(down[j] for j, _ in lst)))
         self.below = [sorted(d) for d in down]
 
-    def _cover_pairing(self, upper: int, lower: int) -> int:
-        """n with mu_upper - mu_lower = n * beta for the covering root beta.
+    def _cover_pairing(self, upper: int, lower: int, p: int) -> int:
+        """n > 0 with mu_lower - mu_upper = n * beta, beta the covering root
+        of the drop of letter p from the word of `upper`.
 
-        W preserves the root lattice and every simple root is primitive in
-        it, so every real root is: n is the content (the gcd of the
-        simple-root coordinates) of the difference."""
-        diff = self.weights[upper] - self.weights[lower]
-        coords = self.real.root_coords(diff)
-        assert coords is not None and all(c.denominator == 1 for c in coords)
-        n = math.gcd(*(int(c) for c in coords)) or 1
-        assert self.real.is_real_root(diff.scale(Q(1, n))), "cover is not along a real root"
+        lower = s_beta upper gives mu_lower - mu_upper = -<mu_upper, beta^vee>
+        beta; n is read off one coordinate of the integer images and the
+        equality is asserted on every coordinate, which names the root."""
+        real, den = self.real, self._den
+        word = self.poset.elements[upper].word.letters
+        alpha = [0] * (real.n + 1)
+        for j, a in real.int_roots[word[p]]:
+            alpha[j] = a
+        beta = _image(real, word[:p], alpha)
+        diff = list(map(operator.sub, self._images[lower], self._images[upper]))
+        k = next(k for k, b in enumerate(beta) if b)
+        n = diff[k] // (den * beta[k])
+        assert n > 0 and all(d == n * den * b for d, b in zip(diff, beta)), \
+            "cover is not along its covering root"
         return n
 
     def _chain_gcds(self, lower: int) -> dict[int, frozenset[int]]:
@@ -186,19 +219,24 @@ def enumerate_paths(shape: WeightVec, top: CosetRep, cap: int | None = None,
     """All LS paths of the given shape with top direction <= top."""
     data = ChainData(shape, top, cap, denom_cap)
     paths: list[LSPath] = []
+    one, zero = Q(1), Q(0)
+    ordered: dict[tuple[int, int], list[Fraction]] = {}     # sorted cut values
 
     def extend(dirs: list[int], cuts: list[Fraction]):
         paths.append(LSPath(shape,
                             tuple(data.poset.elements[i] for i in dirs),
-                            tuple(cuts) + (Q(1),)))
+                            tuple(cuts) + (one,)))
         last = dirs[-1]
         for nxt in data.below[last]:
-            for a in sorted(data.cut_values(last, nxt)):
-                if a > cuts[-1]:
-                    extend(dirs + [nxt], cuts + [a])
+            key = (last, nxt)
+            if key not in ordered:
+                ordered[key] = sorted(data.cut_values(last, nxt))
+            values = ordered[key]
+            for a in values[bisect.bisect_right(values, cuts[-1]):]:
+                extend(dirs + [nxt], cuts + [a])
 
     for start in range(len(data.poset.elements)):
-        extend([start], [Q(0)])
+        extend([start], [zero])
     return paths
 
 
@@ -224,19 +262,24 @@ def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
             il = data.index[candidate.dirs[k + 1].key]
             if cuts[k + 1] not in data.cut_values(iu, il):
                 return False
-    end = candidate.endpoint()
-    if not (end.is_integral() and end.delta.denominator == 1):
-        return False
-    return True
+    points, scale = candidate._scaled_breakpoints()
+    return all(y % scale == 0 for y in points[-1])
 
 
 def d_degree(path: LSPath, node: int = 0) -> int:
-    """Coefficient of the distinguished simple root in shape - endpoint."""
-    diff = path.shape - path.endpoint()
-    coords = path.real.root_coords(diff)
-    if coords is None or coords[node].denominator != 1:
+    """Coefficient of the distinguished simple root in shape - endpoint.
+
+    On integers: with the integer left inverse (L, C, d) of the simple-root
+    matrix, a vector v lies in the span iff C v = 0, and its root
+    coordinates are then L v / d."""
+    points, scale = path._scaled_breakpoints()
+    x, den = _scaled(path.shape)
+    diff = [a * (scale // den) - b for a, b in zip(x, points[-1])]
+    left, span, d = path.real._left_inverse()
+    k, r = divmod(sum(map(operator.mul, left[node], diff)), d * scale)
+    if r or any(sum(map(operator.mul, row, diff)) for row in span):
         raise ValueError("endpoint does not expand integrally")
-    return int(coords[node])
+    return k
 
 
 def is_G_dominant(path: LSPath, nodes=None) -> bool:
@@ -247,7 +290,8 @@ def is_G_dominant(path: LSPath, nodes=None) -> bool:
     """
     if nodes is None:
         nodes = range(1, path.real.n)
-    return all(v.coords[j] >= 0 for v in path.breakpoints() for j in nodes)
+    points, _ = path._scaled_breakpoints()
+    return all(v[j] >= 0 for v in points for j in nodes)
 
 
 def path_leq(pi: LSPath, eta: LSPath) -> bool:

@@ -145,23 +145,26 @@ def root_lattice(label: FinTypeLabel) -> SubLattice:
 
 
 def _height_form(basis: list[WeightVec], n: int):
-    """hgt over a fixed basis as one integer left inverse: lam -> (s . lam) / d."""
+    """hgt over a fixed basis as one integer row: (scaled, d) with
+    hgt(lam) = scaled(coords) / d, scaled(coords) = s . coords for the
+    coordinates of lam (integers or Fractions), from one left inverse."""
     cols = [[b.coords[j] for b in basis] for j in range(n)]
     scale = math.lcm(*(x.denominator for row in cols for x in row))
     left, cons, d = linalg.left_inverse([[scale * x for x in row] for row in cols])
     s = [scale * sum(row[j] for row in left) for j in range(n)]
 
-    def height(lam: WeightVec) -> Fraction:
-        if any(sum(a * c for a, c in zip(row, lam.coords)) for row in cons):
+    def scaled(coords):
+        if any(sum(map(operator.mul, row, coords)) for row in cons):
             raise ValueError("weight not in the span of the basis")
-        return Q(sum(a * c for a, c in zip(s, lam.coords)), d)
+        return sum(map(operator.mul, s, coords))
 
-    return height
+    return scaled, d
 
 
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
     """Sum of the expansion coefficients of lam over the given basis."""
-    return _height_form(basis, len(lam.coords))(lam)
+    scaled, d = _height_form(basis, len(lam.coords))
+    return Q(scaled(lam.coords), d)
 
 
 def _dominant_points(lat: SubLattice, bound: int) -> list[tuple[int, ...]]:
@@ -261,10 +264,10 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
         report["certificate"] = "monoid basis size differs from rank"
         return False, report
 
-    height = _height_form(basis, n)
+    scaled, d = _height_form(basis, n)
     by_height = True
     for i, root in enumerate(root_rows(lat.gcm)):
-        h = height(WeightVec(lat.basis_id, tuple(root)))
+        h = Q(scaled(root), d)
         if h < 0:
             by_height = False
             report["certificate"] = {"simple_root": i, "hgt": str(h)}
@@ -275,11 +278,11 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
     by_direct = True
     for e, f in itertools.combinations_with_replacement(basis, 2):
         for lam in _dominant_below(lat, e + f):
-            if height(lam) > 2:
+            if scaled(lam) > 2 * d:
                 by_direct = False
                 report.setdefault("certificate",
                                   {"below": [str(c) for c in (e + f).coords],
-                                   "weight": [str(c) for c in lam.coords]})
+                                   "weight": [str(c) for c in lam]})
                 break
         if not by_direct:
             break
@@ -289,7 +292,7 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
 
 
 def _dominant_below(lat: SubLattice, top: WeightVec):
-    """Dominant integral weights <= top in the dominance order.
+    """Dominant integral weights <= top in the dominance order, as int tuples.
 
     A depth-first walk over the root coordinates k_0 ... k_{n-1} of top - lam,
     in lexicographic order.  Coordinate j of top - sum k_i alpha_i is final
@@ -320,7 +323,7 @@ def _dominant_below(lat: SubLattice, top: WeightVec):
                     coords[j] -= row[j]
             if all(coords[j] >= 0 and coords[j] % d == 0 for j in checks):
                 if i == n - 1:
-                    yield WeightVec(lat.basis_id, tuple(c // d for c in coords))
+                    yield tuple(c // d for c in coords)
                 else:
                     yield from rec(i + 1)
         for j in range(n):
@@ -412,15 +415,19 @@ def check_lemma7(label: FinTypeLabel) -> dict:
     lat = root_lattice(label) if (fam == "B" and label.rank >= 2) else full_weight_lattice(label)
     report = {"label": str(label), "part_i": True, "part_ii": True,
               "downsets": {}, "counterexample": None}
+
+    def weight(v):
+        return WeightVec(str(label), v)
+
     for i in range(1, gcm.n + 1):
         e_i = eps[i - 1]
         e_prev = eps[i - 2] if i >= 2 else zero
         if not dominant_leq(e_i, eps[0] + e_prev, gcm):
             report["part_i"] = False
-        down = [v for v in _dominant_below(lat, e_i) if lat.contains(v)]
-        report["downsets"][i] = sorted(tuple(map(int, v.coords)) for v in down)
-        for mu in _dominant_below(lat, eps[0]):
-            for lam in _dominant_below(lat, e_prev):
+        down = [v for v in _dominant_below(lat, e_i) if lat.contains_int(v)]
+        report["downsets"][i] = sorted(down)
+        for mu in map(weight, _dominant_below(lat, eps[0])):
+            for lam in map(weight, _dominant_below(lat, e_prev)):
                 if dominant_leq(e_i, lam + mu, gcm):
                     if not (mu == eps[0] and lam == e_prev):
                         report["part_ii"] = False

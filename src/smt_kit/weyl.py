@@ -8,11 +8,15 @@ until rho is reached; a coset w W_J is found the same way from
 w(rho_J), rho_J = sum of omega_j for j not in J, whose stabilizer is W_J.
 Bruhat order is decided by Deodhar's Z-property (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
-min(u, s u) <= s v.  The divided-difference character of a Schubert cell
-runs on integer tuples (coordinates, then delta times its denominator) and
-builds its Fraction keys once, on return.  The integer reflection and
-the peel are `cartan.reflect_int` and `cartan.peel`, the only copies in
-the package.  Weights handed in and out stay exact Fraction `WeightVec`s:
+min(u, s u) <= s v.  A coset interval is closed under letter drops, and by
+the strong exchange property the drops one shorter than a coset are
+exactly its covers, so `coset_interval` records the covers, each with the
+position of its dropped letter, without a Bruhat comparison.  The
+divided-difference character of a Schubert cell runs on integer tuples
+(coordinates, then delta times its denominator) and builds its Fraction
+keys once, on return.  The integer reflection and the peel are
+`cartan.reflect_int` and `cartan.peel`, the only copies in the package.
+Weights handed in and out stay exact Fraction `WeightVec`s:
 `WeylWord.act` goes through `Realization.act_letters`, `coset_from_weight`
 through `Realization.dominant_conjugate` and `orbit_bfs` through
 `Realization.reflect`, each one walk on an integer vector.
@@ -201,28 +205,30 @@ def bruhat_leq(u, v) -> bool:
 
 
 class CosetPoset:
-    """The interval {eta <= top} in W/W_J with covering relations."""
+    """The interval {eta <= top} in W/W_J, sorted by length and word, with
+    its covering relations.
 
-    def __init__(self, elements: list[CosetRep], top: CosetRep):
+    `lower_covers[i]` lists (j, p), in increasing j, for each coset j that
+    element i covers: p is the index in i's reduced word l_0 l_1 ... of the
+    letter whose drop gives j, so that j = s_beta i for the covering root
+    beta = s_{l_0} ... s_{l_{p-1}}(alpha_{l_p}).
+    """
+
+    def __init__(self, elements: list[CosetRep], top: CosetRep,
+                 drops: dict[tuple, list[tuple[int, tuple]]]):
         self.top = top
         self.elements = sorted(elements, key=lambda c: (c.length(), c.word.letters))
-        self._leq_cache: dict[tuple, bool] = {}
+        self.index = {c.key: i for i, c in enumerate(self.elements)}
+        self.lower_covers = [sorted((self.index[key], p) for p, key in drops[c.key])
+                             for c in self.elements]
 
     def leq(self, a: CosetRep, b: CosetRep) -> bool:
-        key = (a.key, b.key)
-        if key not in self._leq_cache:
-            self._leq_cache[key] = bruhat_leq(a, b)
-        return self._leq_cache[key]
+        return bruhat_leq(a, b)
 
     def covers(self) -> list[tuple[CosetRep, CosetRep]]:
-        """(lower, upper) pairs with length difference one (W/W_J is graded)."""
-        out = []
-        for b in self.elements:
-            lb = b.length()
-            for a in self.elements:
-                if a.length() == lb - 1 and self.leq(a, b):
-                    out.append((a, b))
-        return out
+        """(lower, upper) pairs, by upper then lower."""
+        els = self.elements
+        return [(els[j], b) for b, below in zip(els, self.lower_covers) for j, _ in below]
 
     def __len__(self):
         return len(self.elements)
@@ -234,23 +240,31 @@ class CosetPoset:
 def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     """All cosets <= v, by closing minimal representatives under letter drops.
 
-    More than `cap` cosets (v itself counts) raise ValueError."""
+    By the strong exchange property the covers of a coset c in W^J are
+    exactly the drops from its reduced word that have length l(c) - 1 (W^J
+    is graded; Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 1.4.3
+    and Sec. 2.5), so the walk records them as it goes.  More than `cap`
+    cosets (v itself counts) raise ValueError."""
     seen = {v.key: v}
+    drops: dict[tuple, list[tuple[int, tuple]]] = {}
     frontier = [v]
     while frontier:
         nxt = []
         for c in frontier:
             word = c.word.letters
+            covered = drops[c.key] = []
             for p in range(len(word)):
                 sub = CosetRep(WeylWord(c.real, word[:p] + word[p + 1:]), c.parabolic)
                 if sub.key not in seen:
                     seen[sub.key] = sub
                     nxt.append(sub)
+                if len(sub.word.letters) == len(word) - 1:
+                    covered.append((p, sub.key))
             if len(seen) > cap:
                 raise ValueError(f"coset interval cap exceeded: cap={cap}, "
                                  f"{len(seen)} cosets reached")
         frontier = nxt
-    return CosetPoset(list(seen.values()), v)
+    return CosetPoset(list(seen.values()), v, drops)
 
 
 _DEMAZURE_WEIGHT_CAP = 100000

@@ -1,18 +1,21 @@
 """The brute-force LS-path kernels that `smt_kit.lspath` and `smt_kit.smt`
 replaced, kept as test oracles.
 
-`cover_pairing` tests every divisor of a cover's content with the Fraction
-real-root descent of `cartan_reference`; `cut_values` walks every saturated
-chain from `upper` down to `lower` by depth-first search; `enumerate_paths`
-extends a path by testing every coset of the interval against its last
-direction; `is_standard_above` tries every order of the factors;
-`is_standard_below` backtracks over every arrangement of every block and
-every fibre lift; `graded_count` tests every multiset of the pool.  They
-are exponential, but share no search with the content of the root
-coordinates, the memoised chain gcds and down-sets, the pairwise
-comparison, the forward pass over sub-multisets and the multichain count
-of the library, which makes them differential oracles for
-`tests/test_lspath_differential.py`.
+`cover_search` tests every pair of cosets at adjacent lengths with
+`bruhat_leq` and takes a cover's pairing as the content of the root
+coordinates of its Fraction weight difference; `cover_pairing` tests every
+divisor of that content with the Fraction real-root descent of
+`cartan_reference`; `cut_values` walks every saturated chain from `upper`
+down to `lower` by depth-first search; `enumerate_paths` extends a path by
+testing every coset of the interval against its last direction;
+`is_standard_above` tries every order of the factors; `is_standard_below`
+backtracks over every arrangement of every block and every fibre lift;
+`graded_count` tests every multiset of the pool.  They are exponential, but
+share no search with the covers read off the letter drops, the pairings
+read off the covering roots on integer weights, the memoised chain gcds
+and down-sets, the pairwise comparison, the forward pass over
+sub-multisets and the multichain count of the library, which makes them
+differential oracles for `tests/test_lspath_differential.py`.
 
 The code is the earlier library code with one change that alters no
 answer: each kernel is a function of the object it used to be a method of
@@ -33,16 +36,42 @@ from smt_kit.weyl import WeylWord, bruhat_leq
 Q = Fraction
 
 
-def cover_pairing(data, upper: int, lower: int) -> int:
+def direction_weights(data) -> list:
+    """The Fraction weight c(shape) of every coset c of the interval."""
+    return [c.word.act(data.shape) for c in data.poset.elements]
+
+
+def cover_search(data) -> dict[int, list[tuple[int, int]]]:
+    """upper -> [(lower, pairing)] in increasing lower: every coset one
+    shorter tested with `bruhat_leq` (W/W_J is graded), each pairing the
+    content (the gcd of the simple-root coordinates) of the weight
+    difference, asserted to be a multiple of a real root."""
+    els, real = data.poset.elements, data.real
+    weights = direction_weights(data)
+    out = {}
+    for i, c in enumerate(els):
+        out[i] = []
+        for j, b in enumerate(els):
+            if b.length() == c.length() - 1 and bruhat_leq(b, c):
+                diff = weights[i] - weights[j]
+                coords = real.root_coords(diff)
+                assert coords is not None and all(x.denominator == 1 for x in coords)
+                n = math.gcd(*(int(x) for x in coords)) or 1
+                assert real.is_real_root(diff.scale(Q(1, n))), "cover is not along a real root"
+                out[i].append((j, n))
+    return out
+
+
+def cover_pairing(real, weights, upper: int, lower: int) -> int:
     """n with mu_upper - mu_lower = n * beta for the covering root beta: the
     one divisor n of the content for which the difference over n is a real
     root."""
-    diff = data.weights[upper] - data.weights[lower]
-    coords = cartan_reference.root_coords(data.real, diff)
+    diff = weights[upper] - weights[lower]
+    coords = cartan_reference.root_coords(real, diff)
     assert coords is not None and all(c.denominator == 1 for c in coords)
     content = math.gcd(*(abs(int(c)) for c in coords)) or 1
     hits = [n for n in range(1, content + 1) if content % n == 0
-            and cartan_reference.is_real_root(data.real, diff.scale(Q(1, n)))]
+            and cartan_reference.is_real_root(real, diff.scale(Q(1, n)))]
     assert len(hits) == 1, "covering reflection not unique"
     return hits[0]
 

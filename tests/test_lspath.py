@@ -226,3 +226,34 @@ def test_smt_kit_cap_positive_integer(monkeypatch):
     monkeypatch.setenv("SMT_KIT_CAP", "5")
     with pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=5, "):
         L.enumerate_paths(lam, top)
+
+
+def test_chain_data_reads_covers_off_the_letter_drops(monkeypatch):
+    """Building a ChainData makes no pairwise Bruhat search and expands no
+    weight difference: `bruhat_leq` (in lspath and weyl),
+    `Realization.root_coords` and `Realization.is_real_root` are never
+    called, below tau_2 of flip-sp4 and for G2 at rho."""
+    case = I.AmbientCase("flip-sp4")
+    _, _, rho, g2_top = model("G2", (1, 1))
+    builds = [(case.amb.e_omega0(), case.tau_coset(2)), (rho, g2_top)]
+    calls = dict.fromkeys(("bruhat_leq", "root_coords", "is_real_root"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (L, W):
+        monkeypatch.setattr(module, "bruhat_leq", counted("bruhat_leq", module.bruhat_leq))
+    for name in ("root_coords", "is_real_root"):
+        monkeypatch.setattr(L.Realization, name, counted(name, getattr(L.Realization, name)))
+    for shape, top in builds:
+        data = L.ChainData(shape, top)
+        assert any(data._covers_below.values())
+    assert calls == {"bruhat_leq": 0, "root_coords": 0, "is_real_root": 0}
+    # the counters are live
+    L.bruhat_leq(g2_top, g2_top)
+    g2_top.real.root_coords(rho)
+    g2_top.real.is_real_root(rho)
+    assert calls == {"bruhat_leq": 1, "root_coords": 1, "is_real_root": 1}

@@ -1,7 +1,9 @@
 """The polynomial LS-path kernels against the brute-force reference kernels.
 
-Cover pairings read off the content against the search over its
-divisors, memoised chain gcds against the depth-first walk over every chain, the
+Covers read off the letter drops against the pairwise Bruhat search at
+adjacent lengths, cover pairings read off the covering roots on integer
+weights against the content of the Fraction weight difference and the
+search over its divisors, memoised chain gcds against the depth-first walk over every chain, the
 enumeration over down-sets against testing every coset, the pairwise
 standardness test against every order of the factors, the forward
 pass over sub-multisets against the backtracking over every arrangement,
@@ -82,20 +84,23 @@ def test_act_letters_agrees(case):
 # cover pairings and cut values
 
 
-def _cover_pairings_agree(data) -> list[int]:
-    """Every cover's pairing against the divisor search; the pairings."""
+def _covers_agree(data) -> list[int]:
+    """Every cover set and every pairing against the pairwise search, each
+    pairing also against the divisor search; the pairings."""
+    assert data._covers_below == R.cover_search(data)
+    weights = R.direction_weights(data)
     pairings = []
     for upper, covers in data._covers_below.items():
         for lower, n in covers:
-            assert n == R.cover_pairing(data, upper, lower), (upper, lower)
+            assert n == R.cover_pairing(data.real, weights, upper, lower), (upper, lower)
             pairings.append(n)
     return pairings
 
 
 def test_cover_pairings_agree_below_tau():
     pairings = [n for (name, m), gc in GRADED.items()
-                for n in _cover_pairings_agree(L.ChainData(gc.case.amb.e_omega0(),
-                                                           gc.case.tau_coset(m)))]
+                for n in _covers_agree(L.ChainData(gc.case.amb.e_omega0(),
+                                                   gc.case.tau_coset(m)))]
     assert max(pairings) > 1
 
 
@@ -113,7 +118,7 @@ def cover_intervals(draw):
 def test_cover_pairings_agree_on_random_intervals(case):
     """On the finite, affine, tier and indefinite GCMs."""
     shape, word = case
-    _cover_pairings_agree(L.ChainData(shape, W.CosetRep(word, L.stabilizer_nodes(shape))))
+    _covers_agree(L.ChainData(shape, W.CosetRep(word, L.stabilizer_nodes(shape))))
 
 
 

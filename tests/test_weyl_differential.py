@@ -2,8 +2,9 @@
 
 Random words on a finite, an affine, a restricted-tier (delta coefficient 2)
 and an indefinite GCM: both kernels must give the same reduced words,
-equalities, left descents, minimal coset words, Bruhat comparisons and
-cosets found from a weight.
+equalities, left descents, minimal coset words, Bruhat comparisons,
+cosets found from a weight, and the covers of a coset interval (read off
+its letter drops against the pairwise search).
 The second half guards against reductions leaking between Realizations.
 """
 
@@ -60,6 +61,15 @@ def test_kernels_agree(case):
     assert (cu == cv) == (rcu == rcv)
     assert W.bruhat_leq(cu, cv) == R.bruhat_leq(rcu, rcv)
     assert W.bruhat_leq(cv, cu) == R.bruhat_leq(rcv, rcu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(max_len=6))
+def test_interval_covers_agree(case):
+    name, _, v_letters, parabolic = case
+    top = W.CosetRep(W.WeylWord(REALIZATIONS[name], v_letters), parabolic)
+    poset = W.coset_interval(top)
+    assert poset.covers() == R.covers(poset)
 
 
 @st.composite

@@ -18,7 +18,9 @@ the kernel does not lean on the integer walk of `Realization.act_letters`.
 `demazure_character` is the divided-difference loop on Fraction
 `WeightVec`s that the integer-tuple loop of `smt_kit.weyl` replaced, and
 `coset_from_weight` the capped Fraction reflection loop that
-`Realization.dominant_conjugate` replaced.
+`Realization.dominant_conjugate` replaced, and `covers` the pairwise
+search that `CosetPoset.covers` made before `coset_interval` recorded the
+covers among its letter drops.
 """
 
 from __future__ import annotations
@@ -211,6 +213,17 @@ def bruhat_leq(u, v) -> bool:
         return memo[key]
 
     return leq(WeylWord(real, uw), 0)
+
+
+def covers(poset) -> list[tuple]:
+    """(lower, upper) pairs of a library `CosetPoset`, by upper then lower:
+    every pair at adjacent lengths (W/W_J is graded) compared by the
+    subword rule on the reference cosets."""
+    def ref(c):
+        return CosetRep(WeylWord(c.real, c.word.letters), c.parabolic)
+
+    return [(a, b) for b in poset.elements for a in poset.elements
+            if a.length() == b.length() - 1 and bruhat_leq(ref(a), ref(b))]
 
 
 def demazure_character(w, lam: WeightVec) -> dict[tuple, int]:
