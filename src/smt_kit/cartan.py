@@ -318,13 +318,17 @@ def classify(m: GCM) -> str:
 
     Raises ValueError on non-symmetrizable input (not cached, so every
     call raises).  finite = positive definite, affine = positive
-    semidefinite with 1-dim kernel.  Cached by the value of the (frozen)
-    matrix.
+    semidefinite with 1-dim kernel.  The symmetrized form D A is scaled by
+    the lcm of the denominators of D to an integer matrix for
+    `linalg.char_poly`; a positive scale keeps every sign count.  Cached by
+    the value of the (frozen) matrix.
     """
     d = symmetrizer(m)
     if d is None:
         raise ValueError("non-symmetrizable GCM")
-    b = [[d[i] * m.entries[i][j] for j in range(m.n)] for i in range(m.n)]
+    scale = math.lcm(*(x.denominator for x in d))
+    dd = [x.numerator * (scale // x.denominator) for x in d]
+    b = [[dd[i] * m.entries[i][j] for j in range(m.n)] for i in range(m.n)]
     pos, zero, neg = linalg.real_rooted_sign_counts(linalg.char_poly(b))
     if neg > 0:
         return INDEFINITE
@@ -556,26 +560,39 @@ def root_inverse(m: GCM) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(scale * x for x in row) for row in left), d
 
 
+@functools.lru_cache(maxsize=64)
+def _affine_inverse(m: GCM) -> tuple:
+    """The integer left inverse (L, C, d) of the simple roots of the standard
+    affine realization of m (delta at node 0), delta row included; cached
+    by GCM value."""
+    return Realization.standard(m, "affine")._left_inverse()
+
+
 def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) -> bool:
     """True iff lam <= mu: mu - lam is a nonnegative-integer sum of simple roots.
 
-    Off the affine types the root coordinates come from the cached integer
-    inverse `root_inverse`, which raises ValueError on dependent roots.
+    The root coordinates are L x / (d den) for x = den * (mu - lam), delta
+    last, and a cached integer inverse (L, d) per GCM: on the affine types
+    `_affine_inverse`, whose delta row puts x outside the span when C x != 0;
+    elsewhere `root_inverse`, which raises ValueError on dependent roots and
+    whose rows stop before the delta slot.
     """
     lam._check(mu)
     diff = mu - lam
     if classify(m) == AFFINE:
         if not use_delta:
             raise ValueError("need delta coordinate")
-        coords = Realization.standard(m, lam.basis_id).root_coords(diff)
-        return coords is not None and all(c >= 0 and c.denominator == 1 for c in coords)
-    if diff.delta != 0:
+        left, span, d = _affine_inverse(m)
+        x, den = _scaled(diff)
+        if any(sum(a * y for a, y in zip(row, x)) for row in span):
+            return False
+    elif diff.delta != 0:
         return False
-    left, d = root_inverse(m)
-    den = math.lcm(*(x.denominator for x in diff.coords))
-    scaled = [int(den * x) for x in diff.coords]
-    return all(c >= 0 and c % (den * d) == 0
-               for c in (sum(a * x for a, x in zip(row, scaled)) for row in left))
+    else:
+        left, d = root_inverse(m)
+        x, den = _scaled(diff)
+    return all(c >= 0 and c % (d * den) == 0
+               for c in (sum(a * y for a, y in zip(row, x)) for row in left))
 
 
 # ---------------------------------------------------------------------------
@@ -587,39 +604,33 @@ def finite_roots(m: GCM) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Positive roots of a finite-type GCM as (root, coroot) coordinate pairs.
 
     Roots are in simple-root coordinates, coroots in simple-coroot
-    coordinates; generated as the Weyl closure of the simple pairs.  Cached
-    by the value of the (frozen) matrix.
+    coordinates.  s_i permutes the positive roots other than alpha_i
+    (Bourbaki, Lie Groups, Ch. VI Sec. 1.6), and every positive root is
+    reached from a simple one by such steps, so the closure of the simple
+    pairs under the s_i keeps only the positive images.  Cached by the value
+    of the (frozen) matrix.
     """
     if classify(m) != FINITE:
         raise ValueError("finite-type GCM required")
     n = m.n
     a = m.entries
-
-    def reflect(pair, i):
-        root, co = pair
-        pr = sum(root[j] * a[j][i] for j in range(n))       # <root, alpha_i^vee>
-        pc = sum(co[j] * a[i][j] for j in range(n))         # <alpha_i, coroot>
-        new_root = tuple(root[j] - (pr if j == i else 0) for j in range(n))
-        new_co = tuple(co[j] - (pc if j == i else 0) for j in range(n))
-        return (new_root, new_co)
-
-    seen = set()
-    frontier = []
-    for i in range(n):
-        root = tuple(1 if j == i else 0 for j in range(n))
-        co = root
-        seen.add((root, co))
-        frontier.append((root, co))
+    frontier = [(tuple(int(j == i) for j in range(n)),) * 2 for i in range(n)]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for pair in frontier:
+        for root, co in frontier:
             for i in range(n):
-                img = reflect(pair, i)
+                pr = sum(root[j] * a[j][i] for j in range(n))       # <root, alpha_i^vee>
+                if pr == 0 or root[i] < pr:
+                    continue        # s_i fixes root, or root = alpha_i
+                pc = sum(co[j] * a[i][j] for j in range(n))         # <alpha_i, coroot>
+                img = (root[:i] + (root[i] - pr,) + root[i + 1:],
+                       co[:i] + (co[i] - pc,) + co[i + 1:])
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return tuple(p for p in seen if all(x >= 0 for x in p[0]))
+    return tuple(seen)
 
 
 def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:

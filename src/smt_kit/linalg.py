@@ -1,8 +1,8 @@
 """Exact linear algebra: solving, integer left inverses, char polys.
 
-`solve`, `char_poly` and their helpers take and return fractions.Fraction
-entries; `left_inverse` works over the integers.  There is no floating
-point anywhere in the package.
+`solve` takes and returns fractions.Fraction entries; `left_inverse` and
+`char_poly` work over the integers.  There is no floating point anywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -13,29 +13,6 @@ from fractions import Fraction
 Q = Fraction
 
 Matrix = list[list[Fraction]]
-
-
-def identity(n: int) -> Matrix:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Q(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += x * bt[j]
-    return out
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Q(0))
 
 
 def solve(a_rows: Matrix, b: list[Fraction]) -> list[Fraction] | None:
@@ -115,23 +92,29 @@ def left_inverse(a_rows) -> tuple[list[list[int]], list[list[int]], int]:
     return left, [aug[i][n:] for i in range(r, m)], d
 
 
-def char_poly(a: Matrix) -> list[Fraction]:
+def char_poly(a: list[list[int]]) -> list[int]:
     """Coefficients [1, c1, ..., cn] of det(xI - A), highest degree first.
 
-    Faddeev-LeVerrier; exact for Fraction input.
+    Faddeev-LeVerrier over the integers: M_0 = I, c_k = -tr(A M_{k-1}) / k,
+    M_k = A M_{k-1} + c_k I.  The c_k of an integer matrix are integers, so
+    each division is exact (asserted).
     """
     n = len(a)
-    coeffs = [Q(1)]
-    m = identity(n)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -trace(am) / k
+        am = [[sum(x * m[t][j] for t, x in enumerate(row) if x) for j in range(n)]
+              for row in a]
+        c, rest = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert rest == 0, "characteristic polynomial coefficient is not an integer"
         coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            am[i][i] += c
+        m = am
     return coeffs
 
 
-def real_rooted_sign_counts(coeffs: list[Fraction]) -> tuple[int, int, int]:
+def real_rooted_sign_counts(coeffs: list[int]) -> tuple[int, int, int]:
     """(positive, zero, negative) root counts of a poly known to be real-rooted.
 
     Zero roots are the trailing zero coefficients; positive roots are the

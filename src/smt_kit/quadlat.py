@@ -3,22 +3,31 @@
 A sublattice Q <= L <= P is admissible when its dominant monoid L+ is
 finitely generated and free; it is quadratic when additionally every
 dominant element below a sum of two basis elements has basis-height at
-most two.  Freeness is certified only up to an enumeration height bound
-(recorded in the reports); the height criterion hgt(alpha) >= 0 on simple
-roots is checked alongside and the two verdicts are asserted to agree.
+most two.  The height criterion hgt(alpha) >= 0 on simple roots is checked
+alongside the direct one and the two verdicts are asserted to agree.
+
+Freeness.  L+ = L cap N^n is a normal affine monoid, and such a monoid is
+free exactly when its Hilbert basis has n elements (Bruns-Gubeladze,
+Polytopes, Rings and K-Theory, Ch. 2); its n generators then lie on the n
+coordinate rays, so L+ is free iff L = sum of m_i Z omega_i, i.e. iff the
+Hermite normal form (HNF) of L is diagonal.  On a diagonal HNF
+`monoid_basis` returns the m_i omega_i with m_i <= bound directly, and that
+verdict holds without the bound.  Any other lattice keeps a bounded test: a
+coin-change count over the dominant points up to the height bound (recorded
+in the reports), whose outcome, None or more than n irreducibles, is the
+certificate.
 
 Every kernel is integer arithmetic on data built once per lattice, basis or
-GCM.  The Hermite normal form (HNF) of the generators (Cohen, A Course in
-Computational Algebraic Number Theory, Sec. 2.4) is upper triangular, so the
-dominant lattice points are read off it column by column, and membership by
-reduction against it is used only by `contains`.  Freeness is one
-coin-change count over those points in height order, on one integer code per
-point and capped at 2 (a point nothing reaches is irreducible); heights are
-one integer row over the basis, from `linalg.left_inverse`; and root
-coordinates, for the dominance walk and for the classes of P/Q, come from
-`cartan.root_inverse`, one integer left inverse of the root rows per GCM.
-Fractions remain only in the `WeightVec`s handed in and out and in the
-height and class values.
+GCM.  The HNF of the generators (Cohen, A Course in Computational Algebraic
+Number Theory, Sec. 2.4) is upper triangular, so the dominant lattice points
+are read off it column by column, and membership by reduction against it is
+used only by `contains`.  The coin change runs in height order on one
+integer code per point, capped at 2 (a point nothing reaches is
+irreducible); heights are one integer row over the basis, from
+`linalg.left_inverse`; and root coordinates, for the dominance walk and for
+the classes of P/Q (integer residues mod d), come from `cartan.root_inverse`,
+one integer left inverse of the root rows per GCM.  Fractions remain only
+in the `WeightVec`s handed in and out and in the height values.
 """
 
 from __future__ import annotations
@@ -197,18 +206,25 @@ def _dominant_points(lat: SubLattice, bound: int) -> list[tuple[int, ...]]:
 def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     """Irreducibles of the dominant monoid, iff expansion over them is unique.
 
-    The verdict is certified only for elements of coordinate height up to
-    the bound; None means the bounded test found non-freeness.  One pass
-    over the points by height counts factorizations, capped at 2, coin-change
-    style: a point nothing has reached yet is irreducible and becomes a coin.
-    Every partial sum of a factorization is itself a point of smaller
-    height, so the count never leaves the points.
+    A diagonal HNF gives the free monoid on the m_i omega_i, and the
+    irreducibles of height up to the bound are returned without a search.
+    Otherwise the verdict is certified only for elements of coordinate
+    height up to the bound; None means the bounded test found non-freeness.
+    One pass over the points by height counts factorizations, capped at 2,
+    coin-change style: a point nothing has reached yet is irreducible and
+    becomes a coin.  Every partial sum of a factorization is itself a point
+    of smaller height, so the count never leaves the points.  A box of more
+    than _MONOID_POINT_CAP coordinate vectors raises ValueError first.
     """
     n = lat.gcm.n
     box = math.comb(max(height_bound, 0) + n, n)
     if box > _MONOID_POINT_CAP:
         raise ValueError(f"monoid_basis cap exceeded: cap={_MONOID_POINT_CAP}, "
                          f"box of {box} points at bound {height_bound}")
+    if all(not x for i, row in enumerate(lat._hnf) for x in row[i + 1:]):
+        # a diagonal HNF: L+ is free on the m_i omega_i, in decreasing order
+        return [WeightVec(lat.basis_id, tuple(row)) for i, row in enumerate(lat._hnf)
+                if row[i] <= height_bound]
     # one int per point, its coordinates as digits in base bound + 1: a sum
     # u + v of height <= bound has every coordinate <= bound, so no digit
     # carries and the code of u + v is the sum of the codes.  Codes order as
@@ -335,18 +351,21 @@ def _dominant_below(lat: SubLattice, top: WeightVec):
 def _intermediate_lattices(label: FinTypeLabel):
     """All lattices Q <= L <= P, via the finite quotient P/Q.
 
-    Classes are fractional root-coordinate vectors; subgroups are found by
-    brute-force closure (the quotient has order at most 5 here).
+    Classes are fractional root-coordinate vectors, as integer residues;
+    subgroups are found by brute-force closure (the quotient has order at
+    most 5 here).
     """
     gcm = build_cartan(label)
     n = gcm.n
     rows = root_rows(gcm)
     left, d = root_inverse(gcm)
 
+    # a class is its root coordinates mod 1, kept as integer residues mod d;
+    # d is common to all classes, so they sort as the fractions r / d would
     def cls(coords):
-        return tuple(Q(sum(a * c for a, c in zip(row, coords)) % d, d) for row in left)
+        return tuple(sum(a * c for a, c in zip(row, coords)) % d for row in left)
 
-    zero = tuple(Q(0) for _ in range(n))
+    zero = (0,) * n
     reps = {zero: (0,) * n}
     frontier = [reps[zero]]
     while frontier:

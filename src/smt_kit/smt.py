@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
-                     weyl_dim)
+                     root_inverse, weyl_dim)
 from .weyl import (CosetRep, bruhat_leq, coset_interval, longest_parabolic, orbit_bfs,
                    tau_full)
 from . import lspath
@@ -32,7 +32,8 @@ class MinusculePoset:
     The minimum is the highest weight (the order follows restriction of
     sections: the dual basis vector at the highest weight is the smallest).
     ``depth[i]`` holds the integer simple-root coordinates of
-    highest - weights[i]; the order and the node degrees are read off it.
+    highest - weights[i], read with the cached integer inverse
+    `cartan.root_inverse`; the order and the node degrees are read off it.
     """
 
     def __init__(self, real: Realization, node: int):
@@ -44,12 +45,15 @@ class MinusculePoset:
         dim = weyl_dim(real.gcm, self.highest)
         if len(orbit) != dim:
             raise ValueError("weight is not minuscule (orbit misses weights)")
+        left, d = root_inverse(real.gcm)
         depth = {}
-        for coords, w in orbit.items():
-            rc = real.root_coords(self.highest - w)
-            assert rc is not None and all(c.denominator == 1 for c in rc), \
+        for coords in orbit:
+            # the orbit of a fundamental weight is integral
+            diff = [int(i == node) - int(c) for i, c in enumerate(coords)]
+            rc = [sum(a * x for a, x in zip(row, diff)) for row in left]
+            assert all(c % d == 0 for c in rc), \
                 "orbit weight is not the highest weight minus a root-lattice element"
-            depth[coords] = tuple(int(c) for c in rc)
+            depth[coords] = tuple(c // d for c in rc)
         self.weights = sorted(orbit.values(),
                               key=lambda w: (sum(depth[w.coords]), w.coords))
         self.index = {w.coords: i for i, w in enumerate(self.weights)}
@@ -441,9 +445,6 @@ def finite_case_structure(case) -> dict:
     report["ambient_F0_size"] = len(amb_down) - 1
     report["ambient_F0_matches_dims"] = (
         report["ambient_F0_size"] == sum(dims[1:-1]) == len(p) - 2)
-    # in the finite case the two extreme sections can be scaled to the
-    # constant function; the substitution polynomials they contribute are 1
-    report["substitution_normalization"] = {"f0": 1, "f1": 1}
     report["ok"] = all(v for k, v in report.items()
                        if isinstance(v, bool))
     return report

@@ -14,19 +14,20 @@ exactly its covers, so `coset_interval` records the covers, each with the
 position of its dropped letter, without a Bruhat comparison.  The
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
-keys once, on return.  The integer reflection and the peel are
-`cartan.reflect_int` and `cartan.peel`, the only copies in the package.
-Weights handed in and out stay exact Fraction `WeightVec`s:
-`WeylWord.act` goes through `Realization.act_letters`, `coset_from_weight`
-through `Realization.dominant_conjugate` and `orbit_bfs` through
-`Realization.reflect`, each one walk on an integer vector.
+keys once, on return, and so does the orbit search `orbit_bfs`.  The
+integer reflection and the peel are `cartan.reflect_int` and `cartan.peel`,
+the only copies in the package.  Weights handed in and out stay exact
+Fraction `WeightVec`s: `WeylWord.act` goes through
+`Realization.act_letters` and `coset_from_weight` through
+`Realization.dominant_conjugate`, each one walk on an integer vector.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec, peel, reflect_int
+from .cartan import Realization, WeightVec, _scaled, peel, reflect_int
 
 Q = Fraction
 
@@ -55,6 +56,10 @@ def _peel(real: Realization, v: list[int], bound: int, target: list[int],
 
 def _rho(real: Realization) -> list[int]:
     return [1] * real.n + [0]
+
+
+def _rho_j(real: Realization, parabolic: frozenset) -> list[int]:
+    return [0 if j in parabolic else 1 for j in range(real.n)] + [0]
 
 
 class WeylWord:
@@ -151,7 +156,7 @@ class CosetRep:
     def __init__(self, word: WeylWord, parabolic):
         self.parabolic = frozenset(parabolic)
         self.real = real = word.real
-        rho_j = [0 if j in self.parabolic else 1 for j in range(real.n)] + [0]
+        rho_j = _rho_j(real, self.parabolic)
         image = _image(real, word.letters, rho_j)
         letters = _peel(real, image, len(word.letters), rho_j,
                         "coset peeling did not reach rho_J")
@@ -243,8 +248,11 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     By the strong exchange property the covers of a coset c in W^J are
     exactly the drops from its reduced word that have length l(c) - 1 (W^J
     is graded; Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 1.4.3
-    and Sec. 2.5), so the walk records them as it goes.  More than `cap`
-    cosets (v itself counts) raise ValueError."""
+    and Sec. 2.5), so the walk records them as it goes.  A drop is keyed by
+    its image of rho_J first, and only an unseen coset is peeled into a
+    `CosetRep`.  More than `cap` cosets (v itself counts) raise ValueError."""
+    real, parabolic = v.real, v.parabolic
+    rho_j = _rho_j(real, parabolic)
     seen = {v.key: v}
     drops: dict[tuple, list[tuple[int, tuple]]] = {}
     frontier = [v]
@@ -254,12 +262,15 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
             word = c.word.letters
             covered = drops[c.key] = []
             for p in range(len(word)):
-                sub = CosetRep(WeylWord(c.real, word[:p] + word[p + 1:]), c.parabolic)
-                if sub.key not in seen:
-                    seen[sub.key] = sub
+                letters = word[:p] + word[p + 1:]
+                image = _image(real, letters, rho_j)
+                key = ((tuple(image[:-1]), image[-1]), parabolic)
+                sub = seen.get(key)
+                if sub is None:
+                    sub = seen[key] = CosetRep(WeylWord(real, letters), parabolic)
                     nxt.append(sub)
-                if len(sub.word.letters) == len(word) - 1:
-                    covered.append((p, sub.key))
+                if sub.length() == len(word) - 1:
+                    covered.append((p, key))
             if len(seen) > cap:
                 raise ValueError(f"coset interval cap exceeded: cap={cap}, "
                                  f"{len(seen)} cosets reached")
@@ -374,20 +385,30 @@ def lift_restricted_reflection(i: int, case) -> WeylWord:
 
 def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | None = None,
               cap: int = 200000) -> set:
-    """Orbit of `start` under the listed simple reflections.
+    """Orbit of `start` under the listed simple reflections, as a set of
+    (coords, delta) Fraction tuples.
 
-    delta_cap bounds |delta coordinate| to keep affine orbits finite.
+    The search runs on integer vectors, den * v with delta last for den
+    the lcm of start's denominators, and skips a letter whose coordinate is
+    zero (it fixes the weight).  delta_cap bounds |delta coordinate| to keep
+    affine orbits finite; more than `cap` weights raise ValueError.
     """
-    seen = {(start.coords, start.delta)}
-    frontier = [start]
+    x, den = _scaled(start)
+    limit = None if delta_cap is None else math.floor(delta_cap * den)
+    roots = real.int_roots
+    seen = {tuple(x)}
+    frontier = [x]
     while frontier:
         nxt = []
         for v in frontier:
             for i in gens:
-                im = real.reflect(i, v)
-                if delta_cap is not None and abs(im.delta) > delta_cap:
+                if not v[i]:
                     continue
-                k = (im.coords, im.delta)
+                im = v[:]
+                reflect_int(roots, im, i)
+                if limit is not None and abs(im[-1]) > limit:
+                    continue
+                k = tuple(im)
                 if k not in seen:
                     if len(seen) >= cap:
                         raise ValueError(f"orbit cap exceeded: cap={cap}, "
@@ -395,4 +416,4 @@ def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | N
                     seen.add(k)
                     nxt.append(im)
         frontier = nxt
-    return seen
+    return {(tuple(Q(y, den) for y in k[:-1]), Q(k[-1], den)) for k in seen}

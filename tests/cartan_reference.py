@@ -13,13 +13,23 @@ integer left inverse, the integer product and the integer walks in
 (and, through `weyl_reference.is_negative_root_vec` and `act_letters`, for
 the Weyl reference kernel).  `dominant_leq` expands the difference over the
 simple roots with one `linalg.solve` per call on a non-affine type, where
-`smt_kit.cartan` applies the cached integer inverse `root_inverse`.
+`smt_kit.cartan` applies the cached integer inverse `root_inverse` (on an
+affine type, the reference `root_coords` of a standard realization, where
+`smt_kit.cartan` applies one cached integer inverse per GCM).
+`finite_roots` closes the simple (root, coroot) pairs under every s_i,
+negative roots included, and keeps the positive ones at the end, where
+`smt_kit.cartan` keeps only positive images as it goes; `weyl_dim` here
+multiplies over it.  `char_poly` is the Faddeev-LeVerrier recursion on
+Fraction matrices and `classify` hands it the Fraction symmetrized form,
+where `smt_kit.linalg.char_poly` runs on the integer form scaled by the
+lcm of the symmetrizer's denominators.
 
-The code is the earlier `smt_kit.cartan` code with two changes that alter
-no answer: `root_coords`, `reflect`, `act_letters`, `dominant_conjugate`
-and `is_real_root` are functions of the Realization, and the `root_coords`
-cache is held per live Realization (a WeakKeyDictionary) apart from the
-Realization's own.
+The code is the earlier `smt_kit.cartan` and `smt_kit.linalg` code with
+these changes that alter no answer: `root_coords`, `reflect`,
+`act_letters`, `dominant_conjugate` and `is_real_root` are functions of the
+Realization, the `root_coords` cache is held per live Realization (a
+WeakKeyDictionary) apart from the Realization's own, and `classify` and
+`finite_roots` are not cached.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ import weakref
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import (AFFINE, FinTypeLabel, GCM, Realization, WeightVec, build_cartan,
-                           classify, finite_roots, root_rows)
+from smt_kit.cartan import (AFFINE, FINITE, INDEFINITE, FinTypeLabel, GCM, Realization,
+                           WeightVec, build_cartan, root_rows, symmetrizer)
 
 Q = Fraction
 
@@ -101,6 +111,73 @@ def is_real_root(real: Realization, v: WeightVec) -> bool:
     return False
 
 
+def char_poly(a: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients [1, c1, ..., cn] of det(xI - A), highest degree first.
+
+    Faddeev-LeVerrier; exact for Fraction input.
+    """
+    n = len(a)
+    coeffs = [Q(1)]
+    m = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum((a[i][t] * m[t][j] for t in range(n)), Q(0)) for j in range(n)]
+              for i in range(n)]
+        c = -sum((am[i][i] for i in range(n)), Q(0)) / k
+        coeffs.append(c)
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def classify(m: GCM) -> str:
+    """Sign class of the Fraction symmetrized form: finite / affine / indefinite."""
+    d = symmetrizer(m)
+    if d is None:
+        raise ValueError("non-symmetrizable GCM")
+    b = [[d[i] * m.entries[i][j] for j in range(m.n)] for i in range(m.n)]
+    pos, zero, neg = linalg.real_rooted_sign_counts(char_poly(b))
+    if neg > 0:
+        return INDEFINITE
+    if zero == 0:
+        return FINITE
+    if zero == 1:
+        return AFFINE
+    return INDEFINITE
+
+
+def finite_roots(m: GCM) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Positive (root, coroot) pairs: the Weyl closure of the simple pairs,
+    negative roots included, filtered at the end."""
+    if classify(m) != FINITE:
+        raise ValueError("finite-type GCM required")
+    n = m.n
+    a = m.entries
+
+    def reflect_pair(pair, i):
+        root, co = pair
+        pr = sum(root[j] * a[j][i] for j in range(n))       # <root, alpha_i^vee>
+        pc = sum(co[j] * a[i][j] for j in range(n))         # <alpha_i, coroot>
+        new_root = tuple(root[j] - (pr if j == i else 0) for j in range(n))
+        new_co = tuple(co[j] - (pc if j == i else 0) for j in range(n))
+        return (new_root, new_co)
+
+    seen = set()
+    frontier = []
+    for i in range(n):
+        root = tuple(1 if j == i else 0 for j in range(n))
+        seen.add((root, root))
+        frontier.append((root, root))
+    while frontier:
+        nxt = []
+        for pair in frontier:
+            for i in range(n):
+                img = reflect_pair(pair, i)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(p for p in seen if all(x >= 0 for x in p[0]))
+
+
 def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
     """dim V_lam by the Weyl dimension formula, evaluated exactly."""
     if isinstance(m, FinTypeLabel):
@@ -110,7 +187,7 @@ def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
     if not (lam.is_dominant() and lam.is_integral()):
         raise ValueError("dominant integral weight required")
     dim = Q(1)
-    for _, co in finite_roots.__wrapped__(m):
+    for _, co in finite_roots(m):
         num = sum((lam.coords[j] + 1) * co[j] for j in range(m.n))
         den = sum(co[j] for j in range(m.n))
         dim *= Q(num, den)
@@ -126,7 +203,7 @@ def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) 
         if not use_delta:
             raise ValueError("need delta coordinate")
         real = Realization.standard(m, lam.basis_id)
-        coords = real.root_coords(mu - lam)
+        coords = root_coords(real, mu - lam)
     else:
         diff = mu - lam
         if diff.delta != 0:

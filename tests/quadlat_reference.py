@@ -19,7 +19,10 @@ against the solve.
 `hgt` solves for the expansion over the basis on every call, and
 `intermediate_lattices` finds the classes of P/Q with one `linalg.solve`
 per lookup, where `smt_kit.quadlat` applies one integer left inverse per
-basis or per GCM.
+basis or per GCM.  `monoid_basis` searches every lattice, also those with
+a diagonal HNF, whose free monoid `smt_kit.quadlat` reads off directly.
+`minuscule_depths` reads the depths of a minuscule poset with
+`Realization.root_coords`, where `smt_kit.smt` applies `cartan.root_inverse`.
 
 The code is the earlier `smt_kit.quadlat` / `smt_kit.smt` code unchanged
 apart from methods becoming functions of the lattice or poset.
@@ -217,6 +220,17 @@ def intermediate_lattices(label):
         gens = [WeightVec(str(label), tuple(Q(x) for x in row)) for row in basis]
         lattices.append((len(group), SubLattice(label, gens)))
     return lattices
+
+
+def minuscule_depths(p) -> dict[tuple, tuple[int, ...]]:
+    """The depth of each weight of the poset, highest - weight read with
+    `Realization.root_coords`, keyed by the weight's coordinates."""
+    out = {}
+    for w in p.weights:
+        rc = p.real.root_coords(p.highest - w)
+        assert rc is not None and all(c.denominator == 1 for c in rc)
+        out[w.coords] = tuple(int(c) for c in rc)
+    return out
 
 
 def minuscule_leq(p, i: int, j: int) -> bool:

@@ -8,7 +8,13 @@ character loop, the integer left inverse, the integer reflection and peel,
 the integer height descent and the integer product must give exactly what
 the Fraction code they replaced gives.  The dominance order on A-BC, D4, G2, F4
 and the non-singular indefinite type through the cached integer root
-inverse must agree with the per-call solve on random weight pairs.
+inverse, and on three affine types through the cached integer inverse with
+its delta row, must agree with the per-call solve on random weight pairs.
+The positive-root closure must list the positive roots of the full closure
+on every finite type up to E8, F4 and G2, and the integer characteristic
+polynomial and sign classification must agree with the Fraction ones on
+random integer matrices and random GCMs (finite, affine, indefinite and
+non-symmetrizable).
 """
 
 import itertools
@@ -19,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import cartan_reference as CR
 import weyl_reference as WR
-from smt_kit import cartan as C, extend as X, weyl as W
+from smt_kit import cartan as C, extend as X, linalg, weyl as W
 
 Q = Fraction
 
@@ -183,25 +189,30 @@ DOMINANCE_GCMS = {name: C.build_cartan(C.FinTypeLabel.parse(name))
                   for name in ["A1", "A3", "A4", "B2", "B3", "C3", "BC1", "BC2", "BC3",
                                "D4", "G2", "F4"]}
 DOMINANCE_GCMS["hyp33"] = REALIZATIONS["indefinite"].gcm
+AFFINE_NAMES = ["C2^(1)", "A4^(2)", "A5^(2)"]
+DOMINANCE_GCMS.update((name, C.build_affine_cartan(name)) for name in AFFINE_NAMES)
 
 
 @st.composite
 def dominance_pairs(draw):
     """(lam, mu) with mu - lam a random combination of the simple roots
     (mostly nonnegative integers, sometimes a negative or a half) or an
-    arbitrary half-integral weight, now and then with a delta part."""
+    arbitrary half-integral weight, now and then with a delta part; on an
+    affine type the combination carries the delta of its node-0 root."""
     name = draw(st.sampled_from(sorted(DOMINANCE_GCMS)))
     gcm = DOMINANCE_GCMS[name]
     n = gcm.n
     lam = C.WeightVec(name, tuple(draw(st.lists(HALVES, min_size=n, max_size=n))))
+    delta = draw(st.sampled_from([0, 0, 0, 1]))
     if draw(st.booleans()):
         rows = C.root_rows(gcm)
         ks = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, -1, Q(1, 2)]),
                            min_size=n, max_size=n))
         diff = tuple(sum(k * rows[i][j] for i, k in enumerate(ks)) for j in range(n))
+        if name in AFFINE_NAMES:
+            delta += ks[0]
     else:
         diff = tuple(draw(st.lists(HALVES, min_size=n, max_size=n)))
-    delta = draw(st.sampled_from([0, 0, 0, 1]))
     return gcm, lam, C.WeightVec(name, tuple(a + b for a, b in zip(lam.coords, diff)), delta)
 
 
@@ -234,3 +245,78 @@ def test_weyl_dim_rejections_agree():
             kernel(C.FinTypeLabel("C", 2), C.WeightVec("C2", (Q(-1), Q(0))))
         with pytest.raises(ValueError):
             kernel(C.FinTypeLabel("C", 2), C.WeightVec("C2", (Q(1, 2), Q(0))))
+
+
+ALL_FINITE_TYPES = ([f"{fam}{rank}" for fam in ("A", "B", "C", "D", "BC") for rank in range(1, 9)
+                     if not (fam == "C" and rank == 1) and not (fam == "D" and rank < 3)]
+                    + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", ALL_FINITE_TYPES)
+def test_finite_roots_agree(name):
+    gcm = C.build_cartan(C.FinTypeLabel.parse(name))
+    got = C.finite_roots.__wrapped__(gcm)
+    assert len(got) == len(set(got))
+    assert set(got) == set(CR.finite_roots(gcm))
+
+
+def test_finite_roots_reject_non_finite_types():
+    for gcm in (C.build_affine_cartan("C2^(1)"), C.GCM(((2, -3), (-3, 2)))):
+        for kernel in (C.finite_roots.__wrapped__, CR.finite_roots):
+            with pytest.raises(ValueError, match="finite-type GCM required"):
+                kernel(gcm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_char_poly_agrees(rows):
+    got = linalg.char_poly(rows)
+    assert got == CR.char_poly([[Q(x) for x in row] for row in rows])
+    assert all(type(c) is int for c in got)
+
+
+@st.composite
+def gcms(draw):
+    """A random GCM of rank 1-4: each off-diagonal pair is both zero or
+    both negative, so many are non-symmetrizable from rank 3 on."""
+    n = draw(st.integers(1, 4))
+    ent = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            ent[i][j] = -draw(st.integers(1, 4))
+            ent[j][i] = -draw(st.integers(1, 4))
+    return C.GCM(tuple(map(tuple, ent)))
+
+
+NAMED_GCMS = ([C.build_cartan(C.FinTypeLabel.parse(name)) for name in ALL_FINITE_TYPES]
+              + [C.build_affine_cartan(name) for name in
+                 ("C2^(1)", "C3^(1)", "A2^(2)", "A4^(2)", "A6^(2)", "A3^(2)", "A5^(2)")]
+              + [X.extend_restricted(C.FinTypeLabel.parse(name)).extended
+                 for name in ("A2", "B3", "C3", "BC2")]
+              + [REALIZATIONS["indefinite"].gcm])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcms())
+def test_classify_agrees(gcm):
+    try:
+        want = CR.classify(gcm)
+    except ValueError as exc:
+        assert str(exc) == "non-symmetrizable GCM"
+        with pytest.raises(ValueError, match="^non-symmetrizable GCM$"):
+            C.classify.__wrapped__(gcm)
+        return
+    assert C.classify.__wrapped__(gcm) == want
+
+
+def test_classify_agrees_on_named_gcms():
+    kinds = {CR.classify(gcm) for gcm in NAMED_GCMS}
+    assert kinds == {C.FINITE, C.AFFINE, C.INDEFINITE}
+    assert all(C.classify.__wrapped__(gcm) == CR.classify(gcm) for gcm in NAMED_GCMS)
+    witness = C.GCM(((2, -1, -2), (-1, 2, -1), (-1, -1, 2)))
+    with pytest.raises(ValueError, match="^non-symmetrizable GCM$"):
+        C.classify.__wrapped__(witness)
+    with pytest.raises(ValueError, match="^non-symmetrizable GCM$"):
+        CR.classify(witness)

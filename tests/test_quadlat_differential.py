@@ -12,10 +12,15 @@ integer height form is compared with the per-call solve on random weights
 over full and partial bases, and the integer class map of P/Q with the
 solve-based one through the generators of every intermediate lattice.  The
 integer-depth order of the E7 minuscule poset is compared with the
-root-coordinate order on every pair.
+root-coordinate order on every pair, and the depths that `root_inverse`
+gives with the `root_coords` reading on E7, A_n, C3 and the flip ambients.
+The free monoid read off a diagonal HNF is compared with the search on
+every diagonal lattice between Q and P of A1-A4, B1-B5, C2-C4, BC1-BC3, D4,
+G2 and F4, at bounds 0-5, below and above its generators.
 """
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -23,7 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadlat_reference as R
-from smt_kit import cartan as C, quadlat as QL, smt as S
+import weyl_reference as WR
+from smt_kit import cartan as C, involutions as I, quadlat as QL, smt as S
 
 NAMES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
          "BC1", "BC2", "BC3", "BC4", "D4", "G2", "F4"]
@@ -177,3 +183,50 @@ def test_minuscule_leq_agrees_on_every_e7_pair():
     for i, w in enumerate(p.weights):
         assert [p.d_degree(i, node) for node in range(7)] == \
             [int(c) for c in p.real.root_coords(p.highest - w)], i
+
+
+def _minuscule_cases():
+    for name, nodes in (("A1", [0]), ("A3", [0, 1, 2]), ("A4", [0, 1, 2, 3]), ("C3", [0])):
+        label = C.FinTypeLabel.parse(name)
+        for node in nodes:
+            yield f"{name}@{node}", S.minuscule_poset(label, node)
+    yield "E7", S.e7_minuscule()
+    for name in ("flip-sl2", "flip-sl3", "flip-sl4"):
+        yield name, S.MinusculePoset(I.AmbientCase(name).amb.real, 0)
+
+
+def test_minuscule_depths_agree():
+    compared = 0
+    for name, p in _minuscule_cases():
+        want = R.minuscule_depths(p)
+        assert [want[w.coords] for w in p.weights] == p.depth, name
+        orbit = WR.orbit_bfs(p.real, range(p.real.n), p.highest)
+        assert {(w.coords, w.delta) for w in p.weights} == orbit, name
+        compared += len(p)
+    assert compared == 2 + (4 + 6 + 4) + (5 + 10 + 10 + 5) + 6 + 56 + (6 + 20 + 70)
+
+
+def _diagonal_lattices():
+    """Every lattice sum of m_i Z omega_i between Q and P: m_i divides the
+    gcd g_i of column i of the root rows."""
+    for name in ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+                 "BC1", "BC2", "BC3", "D4", "G2", "F4"]:
+        label = C.FinTypeLabel.parse(name)
+        rows = C.root_rows(C.build_cartan(label))
+        n = len(rows)
+        gcds = [math.gcd(*(int(row[j]) for row in rows)) for j in range(n)]
+        for ms in itertools.product(*([m for m in range(1, g + 1) if g % m == 0]
+                                      for g in gcds)):
+            gens = [C.WeightVec(name, tuple(m if j == i else 0 for j in range(n)))
+                    for i, m in enumerate(ms)]
+            yield f"{name} m={ms}", QL.SubLattice(label, gens)
+
+
+def test_monoid_basis_on_diagonal_lattices_agrees():
+    seen = set()
+    for name, lat in _diagonal_lattices():
+        ms = tuple(lat._hnf[i][i] for i in range(lat.gcm.n))
+        for bound in range(0, 6):
+            assert QL.monoid_basis(lat, bound) == R.monoid_basis(lat, bound), (name, bound)
+            seen.add(max(ms) > bound)
+    assert seen == {True, False}

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smt_kit import cartan as C, involutions as I, smt as S
+from smt_kit import cartan as C, involutions as I, quadlat as QL, smt as S
 
 
 def diamond_system():
@@ -108,6 +108,31 @@ def test_minuscule_poset_examples():
     assert C.weyl_dim(C.FinTypeLabel("C", 3), real.fundamental(0).scale(2)) == 21
     with pytest.raises(ValueError):
         S.minuscule_poset(C.FinTypeLabel("C", 3), 1)  # not minuscule
+
+
+def test_e7_poset_and_free_monoids_skip_the_fraction_kernels(monkeypatch):
+    """The E7 poset is built from integer orbit vectors and integer depths,
+    and the monoid of a diagonal HNF (P of D4, P = Q of F4) is read off
+    without listing its dominant points."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(C.Realization, "root_coords",
+                        counting("root_coords", C.Realization.root_coords))
+    monkeypatch.setattr(C.Realization, "reflect", counting("reflect", C.Realization.reflect))
+    monkeypatch.setattr(QL, "_dominant_points", counting("_dominant_points",
+                                                         QL._dominant_points))
+    assert len(S.e7_minuscule()) == 56
+    for name in ("D4", "F4"):
+        P = QL.full_weight_lattice(C.FinTypeLabel.parse(name))
+        assert [w.coords for w in QL.monoid_basis(P, 12)] == \
+            [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert calls == []
 
 
 def test_three_chain_pairs():

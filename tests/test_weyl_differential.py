@@ -4,12 +4,15 @@ Random words on a finite, an affine, a restricted-tier (delta coefficient 2)
 and an indefinite GCM: both kernels must give the same reduced words,
 equalities, left descents, minimal coset words, Bruhat comparisons,
 cosets found from a weight, and the covers of a coset interval (read off
-its letter drops against the pairwise search).
+its letter drops against the pairwise search).  The integer orbit search
+must give the Fraction one's orbit, under the delta cap on the affine and
+the tier realization, and the same cap error on the indefinite one.
 The second half guards against reductions leaking between Realizations.
 """
 
 import gc
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +117,43 @@ def test_longest_parabolic_agrees():
                     continue                       # infinite group
                 new = W.longest_parabolic(real, nodes)
                 assert new.letters == R.longest_parabolic(real, nodes).letters
+
+
+@st.composite
+def orbit_starts(draw):
+    """A start weight with integral, half or third coordinates; a delta cap
+    of 0 to 3 above the start's |delta| on the affine and tier realizations,
+    a small weight cap on the indefinite one (most of its orbits are
+    infinite)."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    part = st.sampled_from([Fraction(k, q) for q in (1, 2, 3) for k in range(-2 * q, 2 * q + 1)])
+    coords = draw(st.lists(part, min_size=real.n, max_size=real.n))
+    start = real.weight(coords, draw(part))
+    gens = sorted(draw(st.sets(st.integers(0, real.n - 1), min_size=1)))
+    if name in ("C2^(1)", "tier(C2)"):
+        cap = abs(start.delta) + Fraction(draw(st.integers(0, 6)), 2)
+        return real, gens, start, {"delta_cap": cap}
+    if name == "indefinite":
+        return real, gens, start, {"cap": draw(st.integers(1, 60))}
+    return real, gens, start, {}
+
+
+def _orbit_or_error(kernel, real, gens, start, kwargs):
+    try:
+        return kernel(real, gens, start, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_starts())
+def test_orbit_bfs_agrees(case):
+    real, gens, start, kwargs = case
+    got = _orbit_or_error(W.orbit_bfs, real, gens, start, kwargs)
+    assert got == _orbit_or_error(R.orbit_bfs, real, gens, start, kwargs)
+    if isinstance(got, set):
+        assert all(type(c) is Fraction for coords, delta in got for c in coords + (delta,))
 
 
 def _bfs_lengths(gcm):

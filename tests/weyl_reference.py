@@ -20,7 +20,8 @@ the kernel does not lean on the integer walk of `Realization.act_letters`.
 `coset_from_weight` the capped Fraction reflection loop that
 `Realization.dominant_conjugate` replaced, and `covers` the pairwise
 search that `CosetPoset.covers` made before `coset_interval` recorded the
-covers among its letter drops.
+covers among its letter drops.  `orbit_bfs` is the orbit search on
+Fraction `WeightVec`s that the integer search of `smt_kit.weyl` replaced.
 """
 
 from __future__ import annotations
@@ -260,3 +261,27 @@ def demazure_character(w, lam: WeightVec) -> dict[tuple, int]:
                     add(mu + alpha.scale(t), -mult)
         char = nxt
     return char
+
+
+def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap=None,
+              cap: int = 200000) -> set:
+    """Orbit of `start` under the listed simple reflections, one Fraction
+    reflection per letter; delta_cap bounds |delta coordinate|."""
+    seen = {(start.coords, start.delta)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in gens:
+                im = cartan_reference.reflect(real, i, v)
+                if delta_cap is not None and abs(im.delta) > delta_cap:
+                    continue
+                k = (im.coords, im.delta)
+                if k not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"orbit cap exceeded: cap={cap}, "
+                                         f"{len(seen)} weights reached")
+                    seen.add(k)
+                    nxt.append(im)
+        frontier = nxt
+    return seen
