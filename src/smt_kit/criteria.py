@@ -189,7 +189,7 @@ def prop47() -> list[dict]:
 def thm50() -> list[dict]:
     """Criterion 7 (Thm 5.0): standard monomials from below and from above
     agree, and the lift carries one basis to the other (flip-sl2 to degree
-    4, flip-sp4 to degree 3)."""
+    4, flip-sp4 to degree 4, flip-sp6 to degree 2)."""
     checks = []
     case = involutions.AmbientCase("flip-sl2")
     for deg in (2, 3):
@@ -217,6 +217,18 @@ def thm50() -> list[dict]:
                          rep["below_by_multidegree"]))
     checks.append(_check("flip-sp4 deg 3 lift", True,
                          rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
+    for name, degree, total, multidegrees in (
+            ("flip-sp4", 4, 21307, {"1+1+1+1": 1225, "1+1+1+2": 4096, "1+1+2+2": 6561,
+                                    "1+2+2+2": 6400, "2+2+2+2": 3025}),
+            ("flip-sp6", 2, 40469, {"1+1": 441, "1+2": 4096, "1+3": 4900, "2+2": 8100,
+                                    "2+3": 15876, "3+3": 7056})):
+        rep = smt.two_basis_counts(involutions.AmbientCase(name), degree)
+        checks.append(_check(f"{name} deg {degree} totals", (total, total),
+                             (rep["below_total"], rep["above_total"])))
+        checks.append(_check(f"{name} deg {degree} multidegrees", multidegrees,
+                             rep["below_by_multidegree"]))
+        checks.append(_check(f"{name} deg {degree} lift", True,
+                             rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
     return checks
 
 

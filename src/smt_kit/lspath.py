@@ -25,9 +25,13 @@ form a chain for pi <= eta iff max dir(pi) <= min dir(eta); that relation is
 transitive, antisymmetric on distinct paths and reflexive exactly on the
 straight ones, so the factors are compared pairwise.  From below: a weakly
 increasing global defining sequence of Weyl group elements through the
-stabilizer fibers, decided by a forward pass that keeps the Bruhat-minimal
-lifts some admissible prefix reaches.  Lifting a path of shape eps_i by the
-i-th telescoping word turns the second into the first.
+stabilizer fibers, decided by a forward pass over sub-multisets that keeps
+the lifts some admissible prefix can end in.  `FibreLifts` numbers the
+lifts and keeps the Bruhat down-set of each as an int bitset, built by the
+lifting property, so "some end lies below this lift" is one AND; the same
+owner memoises the state of every sub-multiset it meets.  Lifting a path
+of shape eps_i by the i-th telescoping word turns the second into the
+first.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec, _scaled
+from .cartan import Realization, WeightVec, _scaled, reflect_int
 from .weyl import (CosetRep, WeylWord, _image, bruhat_leq, coset_interval,
                    longest_parabolic)
 
@@ -217,7 +221,12 @@ class ChainData:
 def enumerate_paths(shape: WeightVec, top: CosetRep, cap: int | None = None,
                     denom_cap: int = DEFAULT_DENOM_CAP) -> list[LSPath]:
     """All LS paths of the given shape with top direction <= top."""
-    data = ChainData(shape, top, cap, denom_cap)
+    return chain_paths(ChainData(shape, top, cap, denom_cap))
+
+
+def chain_paths(data: ChainData) -> list[LSPath]:
+    """All LS paths of the data's shape with directions in its interval."""
+    shape = data.shape
     paths: list[LSPath] = []
     one, zero = Q(1), Q(0)
     ordered: dict[tuple[int, int], list[Fraction]] = {}     # sorted cut values
@@ -322,6 +331,7 @@ def is_standard_above(mono: PathMonomial) -> bool:
 
 
 def _parabolic_elements(real: Realization, nodes) -> list[WeylWord]:
+    """The elements of W_J as reduced words, the identity first."""
     out = {WeylWord(real, ()).key: WeylWord(real, ())}
     frontier = list(out.values())
     while frontier:
@@ -336,36 +346,155 @@ def _parabolic_elements(real: Realization, nodes) -> list[WeylWord]:
     return list(out.values())
 
 
+def _bits(mask: int):
+    """The positions of the set bits of a nonnegative int, increasing."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 class FibreLifts:
-    """The lifts coset.word * u, u in the stabilizer fibre W_J, of direction
-    cosets: each fibre is built once, each lift reduced once, and the lifts
-    of a coset are listed by increasing length (the minimal representative
-    first).  Its owner passes it to every `is_standard_below` call that
-    shares the realization, so the lifts are built once per owner."""
+    """Fibre lifts with their Bruhat order, and the forward-pass states of
+    `is_standard_below`, kept by one owner for every call that shares the
+    realization.
+
+    Every Weyl element it meets is numbered once, keyed by w(rho).  The
+    lifts of a direction coset are the elements coset.word * u, u in the
+    stabilizer fibre W_J, the minimal representative first.  `below(i)` is
+    the down-set of element i as an int bitset over the numbers, built on
+    first use by the lifting property: for a left descent s of w,
+    [e, w] = [e, sw] | s [e, sw] (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, Prop. 2.2.7), where s acts on a key by `reflect_int`.  Building
+    a down-set numbers every element of the interval, so an element
+    numbered later never lies below a finished one and the bitsets stay
+    exact.
+
+    A factor's kind is its stabilizer and direction cosets; factors of one
+    kind place alike.  `standard(placed)` takes the sorted (block, kind)
+    pairs of a monomial.  A state is the bitset of the lifts that can end
+    an admissible prefix; only what lies above some end matters, so the
+    ends are kept whole, not cut down to the Bruhat-minimal ones.  The
+    state of every sub-multiset met is memoised under its own sorted
+    pairs, so a monomial whose sub-multisets were decided before costs at
+    most one placement per kind of its last block.
+    """
 
     def __init__(self, real: Realization):
         self.real = real
-        self._fibres: dict[frozenset[int], list[WeylWord]] = {}
-        self._lifts: dict[tuple, list[WeylWord]] = {}
+        self._fibres: dict[frozenset[int], list[list[int]]] = {}
+        self._numbers: dict[tuple, int] = {}
+        self._keys: list[tuple[int, ...]] = []      # w(rho), delta last
+        self._left: list[list[int | None]] = []     # the number of s w, per s
+        self._below: list[int | None] = []
+        self._lifts: dict[tuple, list[int]] = {}
+        self._kinds: dict[tuple, int] = {}
+        self._steps: list[list[list[tuple[int, int]]]] = []
+        self._states: dict[tuple, int | None] = {(): None}
 
-    def __call__(self, coset: CosetRep, J: frozenset[int]) -> list[WeylWord]:
+    def _number(self, key) -> int:
+        key = tuple(key)
+        i = self._numbers.setdefault(key, len(self._keys))
+        if i == len(self._keys):
+            self._keys.append(key)
+            self._left.append([None] * self.real.n)
+            self._below.append(None)
+        return i
+
+    def number(self, w: WeylWord) -> int:
+        coords, delta = w.key
+        return self._number(coords + (delta,))
+
+    def _times(self, s: int, i: int) -> int:
+        """The number of s w_i."""
+        j = self._left[i][s]
+        if j is None:
+            v = list(self._keys[i])
+            reflect_int(self.real.int_roots, v, s)
+            j = self._left[i][s] = self._number(v)
+            self._left[j][s] = i
+        return j
+
+    def below(self, i: int) -> int:
+        """The numbers of the elements <= w_i, as a bitset."""
+        chain = []
+        w = i
+        while self._below[w] is None:
+            s = next((s for s, c in enumerate(self._keys[w][:-1]) if c < 0), None)
+            if s is None:                   # w(rho) = rho
+                self._below[w] = 1 << w
+                break
+            chain.append((w, s))
+            w = self._times(s, w)
+        for w, s in reversed(chain):
+            lower = self._below[self._times(s, w)]
+            mask = lower
+            for x in _bits(lower):
+                mask |= 1 << self._times(s, x)
+            self._below[w] = mask
+        return self._below[i]
+
+    def __call__(self, coset: CosetRep, J: frozenset[int]) -> list[int]:
+        """The numbers of the lifts of `coset`, the minimal representative first."""
         key = (coset.key, J)
         if key not in self._lifts:
             if J not in self._fibres:
-                self._fibres[J] = _parabolic_elements(self.real, sorted(J))
-            lifts = [WeylWord(self.real, (coset.word * u).reduce()) for u in self._fibres[J]]
-            self._lifts[key] = sorted(lifts, key=lambda w: len(w.letters))
+                self._fibres[J] = [u.key[0] + (u.key[1],)
+                                   for u in _parabolic_elements(self.real, sorted(J))]
+            letters = coset.word.letters
+            self._lifts[key] = [self._number(_image(self.real, letters, u))
+                                for u in self._fibres[J]]
         return self._lifts[key]
 
+    def kind(self, path: LSPath) -> int:
+        """The number of the factor's kind.  A new kind keeps its lifts,
+        direction by direction in increasing order, each lift as its bit
+        and its down-set."""
+        J = stabilizer_nodes(path.shape)
+        key = (J, tuple(d.key for d in path.dirs))
+        k = self._kinds.get(key)
+        if k is None:
+            k = self._kinds[key] = len(self._steps)
+            self._steps.append([[(1 << z, self.below(z)) for z in self(d, J)]
+                                for d in reversed(path.dirs)])
+        return k
 
-def _minimal(lifts: list[WeylWord]) -> list[WeylWord]:
-    """The Bruhat-minimal elements of reduced lifts sorted by length: a lift
-    is minimal iff no lift kept before it lies below it."""
-    out: list[WeylWord] = []
-    for z in lifts:
-        if not any(bruhat_leq(y, z) for y in out):
-            out.append(z)
-    return out
+    def _place(self, ends: int | None, kind: int) -> int:
+        """The lifts that can end a sequence placing one factor of `kind`
+        behind a prefix that can end in any of `ends` (None: nothing placed
+        yet), as a bitset: a lift is reached iff some end lies below it."""
+        for step in self._steps[kind]:
+            if ends is None:            # every lift lies above the minimal representative
+                ends = step[0][0]
+                continue
+            ends = sum(bit for bit, down in step if down & ends)
+            if not ends:
+                break
+        return ends
+
+    def _state(self, placed: tuple) -> int | None:
+        """The lifts that can end an admissible prefix placing exactly the
+        factors of `placed`: the factors of the last block go last, and
+        any of its kinds can be the last factor."""
+        if placed not in self._states:
+            block = placed[-1][0]
+            found = 0
+            for pos in range(len(placed) - 1, -1, -1):
+                if placed[pos][0] != block:
+                    break
+                if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
+                    continue                # the same pair, already tried
+                ends = self._state(placed[:pos] + placed[pos + 1:])
+                if ends != 0:
+                    found |= self._place(ends, placed[pos][1])
+            self._states[placed] = found
+        return self._states[placed]
+
+    def standard(self, placed: tuple) -> bool:
+        """Whether the monomial with the sorted (block, kind) pairs `placed`
+        admits a defining sequence."""
+        return self._state(placed) != 0
 
 
 def is_standard_below(mono: PathMonomial, block_keys=None,
@@ -379,15 +508,15 @@ def is_standard_below(mono: PathMonomial, block_keys=None,
     the factors inside their blocks admits a globally weakly increasing
     sequence of stabilizer-fiber lifts.
 
-    One forward pass decides it.  Within a block it walks the sub-multisets
-    of the block's factors by size, and for each keeps the Bruhat-minimal
-    last lifts that some admissible prefix placing exactly those factors
-    reaches: whatever follows an element above a kept one also follows the
-    kept one.  Factors with the same directions and stabilizer place alike,
-    so they count as one kind with a multiplicity.  `block_keys` gives the
-    block of each factor, in factor order (by default the coordinate sum of
-    its shape); `lifts` holds the fibre lifts, and without one the call
-    builds its own.
+    One forward pass decides it.  For each sub-multiset that places the
+    earlier blocks whole and part of the next, it keeps the last lifts
+    that some admissible prefix placing exactly those factors can end in;
+    a lift of the next direction is reached iff one of them lies below it.
+    Factors with the same directions and stabilizer place alike, so they
+    count as one kind.  `block_keys` gives the block of each factor, in
+    factor order (by default the coordinate sum of its shape); `lifts`
+    holds the fibre lifts, their order and the memoised states, and
+    without one the call builds its own.
     """
     if not mono.factors:
         return True
@@ -395,45 +524,8 @@ def is_standard_below(mono: PathMonomial, block_keys=None,
         block_keys = [sum(f.shape.coords) for f in mono.factors]
     if lifts is None:
         lifts = FibreLifts(mono.factors[0].real)
-    blocks: dict = {}
-    for key, f in zip(block_keys, mono.factors, strict=True):
-        blocks.setdefault(key, []).append(f)
-
-    def place(ends, steps):
-        for step in steps:
-            if ends is None:                # the minimal representative is below its coset
-                ends = step[:1]
-            else:
-                ends = _minimal([z for z in step if any(bruhat_leq(x, z) for x in ends)])
-                if not ends:
-                    break
-        return ends
-
-    ends: list[WeylWord] | None = None      # None before the first factor
-    for key in sorted(blocks):
-        kinds: dict[tuple, list] = {}       # (J, direction keys) -> factors of that kind
-        for f in blocks[key]:
-            kinds.setdefault((stabilizer_nodes(f.shape), tuple(d.key for d in f.dirs)),
-                             []).append(f)
-        steps = [[lifts(d, J) for d in reversed(fs[0].dirs)]     # increasing directions
-                 for (J, _), fs in kinds.items()]
-        full = tuple(len(fs) for fs in kinds.values())
-        states = {(0,) * len(kinds): ends}
-        for _ in blocks[key]:
-            grown: dict[tuple, list[WeylWord]] = {}
-            for used, cur in states.items():
-                for k, count in enumerate(full):
-                    if used[k] < count:
-                        nxt = place(cur, steps[k])
-                        if nxt:
-                            after = used[:k] + (used[k] + 1,) + used[k + 1:]
-                            grown.setdefault(after, []).extend(nxt)
-            if not grown:
-                return False
-            states = {used: _minimal(sorted(found, key=lambda w: len(w.letters)))
-                      for used, found in grown.items()}
-        ends = states[full]
-    return True
+    return lifts.standard(tuple(sorted(zip(block_keys, map(lifts.kind, mono.factors),
+                                           strict=True))))
 
 
 def lift_path(path: LSPath, tau_word: WeylWord, parabolic, shape: WeightVec,

@@ -14,11 +14,12 @@ weight spaces are lines, so edges mu -> mu - alpha determine the labels).
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 
-from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
-                     root_inverse, weyl_dim)
+from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
+                     classify, root_inverse, weyl_dim)
 from .weyl import (CosetRep, bruhat_leq, coset_interval, longest_parabolic, orbit_bfs,
                    tau_full)
 from . import lspath
@@ -40,6 +41,8 @@ class MinusculePoset:
         self.real = real
         self.node = node
         self.highest = real.fundamental(node)
+        if classify(real.gcm) != FINITE:        # before the orbit search, which need not end
+            raise ValueError("finite-type GCM required")
         orbit = {coords: WeightVec(real.basis_id, coords, delta)
                  for coords, delta in orbit_bfs(real, range(real.n), self.highest)}
         dim = weyl_dim(real.gcm, self.highest)
@@ -253,28 +256,33 @@ class GradedCounts:
     for `lspath.path_leq`, which is transitive, antisymmetric on distinct
     paths and reflexive on straight ones; so the standard monomials of
     degree n are the multichains of length n, counted by a dynamic program
-    over one comparability table built here.
+    over one comparability table, read off the down-sets of the
+    `lspath.ChainData` that the paths are enumerated from.
     """
 
     def __init__(self, case, m: int):
         self.case = case
         self.m = m
-        self.paths = lspath.enumerate_paths(case.amb.e_omega0(), case.tau_coset(m))
+        data = lspath.ChainData(case.amb.e_omega0(), case.tau_coset(m))
+        self.paths = lspath.chain_paths(data)
         self.f0 = next(p for p in self.paths
                        if len(p.dirs) == 1 and p.dirs[0].length() == 0)
         # above[a]: the b with paths[a] <= paths[b], i.e. top direction of a
-        # <= bottom direction of b; one Bruhat comparison per pair of cosets,
-        # and paths with the same top direction share their row
-        by_bottom: dict[tuple, tuple] = {}
-        for b, eta in enumerate(self.paths):
-            by_bottom.setdefault(eta.dirs[-1].key, (eta.dirs[-1], []))[1].append(b)
-        rows: dict[tuple, list[int]] = {}
+        # <= bottom direction of b, read off the interval's down-sets; paths
+        # with the same top direction share their row
+        index = data.index
+        up = [{i} for i in range(len(data.below))]       # up[i]: the cosets >= coset i
+        for i, lower in enumerate(data.below):
+            for j in lower:
+                up[j].add(i)
+        bottoms = [index[eta.dirs[-1].key] for eta in self.paths]
+        rows: dict[int, list[int]] = {}
+        self.above = []
         for a in self.paths:
-            top = a.dirs[0]
-            if top.key not in rows:
-                rows[top.key] = [b for bottom, bs in by_bottom.values()
-                                 if bruhat_leq(top, bottom) for b in bs]
-        self.above = [rows[a.dirs[0].key] for a in self.paths]
+            top = index[a.dirs[0].key]
+            if top not in rows:
+                rows[top] = [b for b, bottom in enumerate(bottoms) if bottom in up[top]]
+            self.above.append(rows[top])
 
     def _members(self, locus: str) -> list[int]:
         if locus == "S":
@@ -329,13 +337,42 @@ def expected(case, m: int, n: int, locus: str = "S") -> int:
 # The finite (restricted type A) structure
 
 
+def _comparability(paths: list) -> list[int]:
+    """comparable[a]: the bitset of the b with paths[a] <= paths[b] or
+    paths[b] <= paths[a] (`lspath.path_leq`), from at most one Bruhat
+    comparison per pair of a top and a bottom direction (none where the
+    top is the longer: Bruhat order never decreases length)."""
+    if len({p.shape for p in paths}) > 1:
+        raise ValueError("factors must share one shape")
+
+    def group(end: int) -> dict[tuple, list]:
+        """direction key -> [direction, bitset of the paths it ends]"""
+        out: dict[tuple, list] = {}
+        for a, p in enumerate(paths):
+            out.setdefault(p.dirs[end].key, [p.dirs[end], 0])[1] |= 1 << a
+        return out
+
+    tops, bottoms = group(0), group(-1)
+    up = dict.fromkeys(tops, 0)         # up[top]: the paths whose bottom is >= top
+    down = dict.fromkeys(bottoms, 0)    # down[bottom]: the paths whose top is <= bottom
+    for tkey, (top, top_paths) in tops.items():
+        for bkey, (bottom, bottom_paths) in bottoms.items():
+            if top.length() <= bottom.length() and bruhat_leq(top, bottom):
+                up[tkey] |= bottom_paths
+                down[bkey] |= top_paths
+    return [up[p.dirs[0].key] | down[p.dirs[-1].key] for p in paths]
+
+
 def two_basis_counts(case, degree: int) -> dict:
     """Standard monomials from below vs from above at the given degree.
 
     Below: multisets of base paths of quadratic-basis shapes admitting a
-    defining sequence (blocks in increasing basis index).  Above: standard
-    multisets of lifted paths on the Richardson locus.  The lift is checked
-    to be injective and to carry below-standard to above-standard.
+    defining sequence (blocks in increasing basis index), decided by one
+    `lspath.FibreLifts` that keeps the states of every sub-multiset.
+    Above: standard multisets of lifted paths on the Richardson locus,
+    counted on the `GradedCounts` table; a lifted monomial is standard iff
+    its factors are pairwise comparable.  The lift is checked to be
+    injective and to carry below-standard to above-standard.
     """
     l = case.rank
     pools = {i: case.base_paths(i) for i in range(1, l + 1)}
@@ -355,27 +392,33 @@ def two_basis_counts(case, degree: int) -> dict:
     report: dict = {"degree": degree,
                     "degree1_bijection": lifted_keys == pool_keys}
 
+    # per pool path, once: its (block, kind) pair for the forward pass (a
+    # factor's block is its pool index i), and its number first[i] + t
+    # among the lifted paths
+    fibre_lifts = lspath.FibreLifts(case.base_realization())
+    pairs = {i: [(i, fibre_lifts.kind(p)) for p in pools[i]] for i in pools}
+    first, flat = {}, []
+    for i in pools:
+        first[i] = len(flat)
+        flat += lifted[i]
+    comparable = _comparability(flat)
+
     below_total = 0
     above_total = gc.count(degree, "R")
     per_multidegree = {}
     lift_preserves = True
-    fibre_lifts = lspath.FibreLifts(case.base_realization())
     for idx in itertools.combinations_with_replacement(range(1, l + 1), degree):
-        groups = {}
-        for i in idx:
-            groups[i] = groups.get(i, 0) + 1
+        groups = sorted(collections.Counter(idx).items())
         count = 0
         choices = [itertools.combinations_with_replacement(range(len(pools[i])), k)
-                   for i, k in sorted(groups.items())]
+                   for i, k in groups]
         for pick in itertools.product(*choices):
-            picked = [(i, t) for (i, _), chosen in zip(sorted(groups.items()), pick)
-                      for t in chosen]
-            mono = lspath.PathMonomial(tuple(pools[i][t] for i, t in picked))
-            # a factor's block is its pool index i
-            if lspath.is_standard_below(mono, [i for i, _ in picked], fibre_lifts):
+            picked = [(i, t) for (i, _), chosen in zip(groups, pick) for t in chosen]
+            if fibre_lifts.standard(tuple(sorted(pairs[i][t] for i, t in picked))):
                 count += 1
-                lifted_mono = lspath.PathMonomial(tuple(lifted[i][t] for i, t in picked))
-                if not lspath.is_standard_above(lifted_mono):
+                lifted_mono = [first[i] + t for i, t in picked]
+                if not all(comparable[a] >> b & 1
+                           for a, b in itertools.combinations(lifted_mono, 2)):
                     lift_preserves = False
         per_multidegree[idx] = count
         below_total += count

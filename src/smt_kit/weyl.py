@@ -281,16 +281,9 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
 _DEMAZURE_WEIGHT_CAP = 100000
 
 
-def demazure_character(w: WeylWord, lam: WeightVec) -> dict[tuple, int]:
-    """Weight multiplicities of the Demazure module generated from e^lam.
-
-    Applies D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}) along a
-    reduced word of w, rightmost letter first.  Keys are (coords, delta)
-    tuples; lam must pair integrally with every simple coroot.  The loop
-    runs on integer tuples (coords..., delta * q), q the denominator of
-    lam's delta; a step with more than _DEMAZURE_WEIGHT_CAP weights raises
-    ValueError.
-    """
+def _demazure_int(w: WeylWord, lam: WeightVec) -> tuple[dict[tuple, int], int]:
+    """(char, q): the Demazure character on integer tuples (coords...,
+    delta * q), q the denominator of lam's delta; see `demazure_character`."""
     real = w.real
     if not all(c.denominator == 1 for c in lam.coords):
         raise ValueError("integral weight required for divided differences")
@@ -324,12 +317,28 @@ def demazure_character(w: WeylWord, lam: WeightVec) -> dict[tuple, int]:
                 raise ValueError(f"demazure_character cap exceeded: cap={cap}, "
                                  f"{len(nxt)} weights at letter {step} of {len(word)}")
         char = nxt
+    return char, q
+
+
+def demazure_character(w: WeylWord, lam: WeightVec) -> dict[tuple, int]:
+    """Weight multiplicities of the Demazure module generated from e^lam.
+
+    Applies D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}) along a
+    reduced word of w, rightmost letter first.  Keys are (coords, delta)
+    tuples; lam must pair integrally with every simple coroot.  The loop
+    runs on integer tuples (coords..., delta * q), q the denominator of
+    lam's delta; a step with more than _DEMAZURE_WEIGHT_CAP weights raises
+    ValueError.
+    """
+    char, q = _demazure_int(w, lam)
     return {(tuple(Q(c) for c in key[:-1]), Q(key[-1], q)): mult
             for key, mult in char.items()}
 
 
 def demazure_dim(w: WeylWord, lam: WeightVec) -> int:
-    return sum(demazure_character(w, lam).values())
+    """The dimension of the Demazure module: the sum of the integer
+    multiplicities, without the Fraction keys."""
+    return sum(_demazure_int(w, lam)[0].values())
 
 
 def tau_hat(m: int, datum) -> WeylWord:

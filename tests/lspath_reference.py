@@ -17,6 +17,13 @@ and down-sets, the pairwise comparison, the forward pass over
 sub-multisets and the multichain count of the library, which makes them
 differential oracles for `tests/test_lspath_differential.py`.
 
+`FibreLifts` and `forward_standard_below` are the forward pass as it was
+before the library numbered its lifts: lists of reduced lifts sorted by
+length, one `bruhat_leq` per pair in the filter and in `_minimal`, and
+the sub-multiset states of one call only.  `above_table` is the
+comparability table of `GradedCounts` from one `bruhat_leq` per pair of a
+top and a bottom coset.
+
 The code is the earlier library code with one change that alters no
 answer: each kernel is a function of the object it used to be a method of
 (the `ChainData` or the `GradedCounts`), or takes one as an argument.
@@ -208,3 +215,97 @@ def graded_count(gc, n: int, locus: str = "S") -> int:
         return len(pool)
     return sum(1 for combo in itertools.combinations_with_replacement(pool, n)
                if is_standard_above(PathMonomial(combo)))
+
+
+class FibreLifts:
+    """The lifts coset.word * u, u in W_J, of direction cosets as reduced
+    words sorted by length (the minimal representative first)."""
+
+    def __init__(self, real):
+        self.real = real
+        self._fibres: dict[frozenset[int], list[WeylWord]] = {}
+        self._lifts: dict[tuple, list[WeylWord]] = {}
+
+    def __call__(self, coset, J: frozenset[int]) -> list[WeylWord]:
+        key = (coset.key, J)
+        if key not in self._lifts:
+            if J not in self._fibres:
+                self._fibres[J] = _parabolic_elements(self.real, sorted(J))
+            lifts = [WeylWord(self.real, (coset.word * u).reduce()) for u in self._fibres[J]]
+            self._lifts[key] = sorted(lifts, key=lambda w: len(w.letters))
+        return self._lifts[key]
+
+
+def _minimal(lifts: list[WeylWord]) -> list[WeylWord]:
+    """The Bruhat-minimal elements of reduced lifts sorted by length: a lift
+    is minimal iff no lift kept before it lies below it."""
+    out: list[WeylWord] = []
+    for z in lifts:
+        if not any(bruhat_leq(y, z) for y in out):
+            out.append(z)
+    return out
+
+
+def forward_standard_below(mono: PathMonomial, block_keys=None,
+                           lifts: FibreLifts | None = None) -> bool:
+    """The forward pass over the sub-multisets of each block, on lists."""
+    if not mono.factors:
+        return True
+    if block_keys is None:
+        block_keys = [sum(f.shape.coords) for f in mono.factors]
+    if lifts is None:
+        lifts = FibreLifts(mono.factors[0].real)
+    blocks: dict = {}
+    for key, f in zip(block_keys, mono.factors, strict=True):
+        blocks.setdefault(key, []).append(f)
+
+    def place(ends, steps):
+        for step in steps:
+            if ends is None:                # the minimal representative is below its coset
+                ends = step[:1]
+            else:
+                ends = _minimal([z for z in step if any(bruhat_leq(x, z) for x in ends)])
+                if not ends:
+                    break
+        return ends
+
+    ends: list[WeylWord] | None = None      # None before the first factor
+    for key in sorted(blocks):
+        kinds: dict[tuple, list] = {}       # (J, direction keys) -> factors of that kind
+        for f in blocks[key]:
+            kinds.setdefault((stabilizer_nodes(f.shape), tuple(d.key for d in f.dirs)),
+                             []).append(f)
+        steps = [[lifts(d, J) for d in reversed(fs[0].dirs)]     # increasing directions
+                 for (J, _), fs in kinds.items()]
+        full = tuple(len(fs) for fs in kinds.values())
+        states = {(0,) * len(kinds): ends}
+        for _ in blocks[key]:
+            grown: dict[tuple, list[WeylWord]] = {}
+            for used, cur in states.items():
+                for k, count in enumerate(full):
+                    if used[k] < count:
+                        nxt = place(cur, steps[k])
+                        if nxt:
+                            after = used[:k] + (used[k] + 1,) + used[k + 1:]
+                            grown.setdefault(after, []).extend(nxt)
+            if not grown:
+                return False
+            states = {used: _minimal(sorted(found, key=lambda w: len(w.letters)))
+                      for used, found in grown.items()}
+        ends = states[full]
+    return True
+
+
+def above_table(gc) -> list[list[int]]:
+    """above[a]: the b with top(paths[a]) <= bottom(paths[b]), one
+    `bruhat_leq` per pair of a top and a bottom coset."""
+    by_bottom: dict[tuple, tuple] = {}
+    for b, eta in enumerate(gc.paths):
+        by_bottom.setdefault(eta.dirs[-1].key, (eta.dirs[-1], []))[1].append(b)
+    rows: dict[tuple, list[int]] = {}
+    for a in gc.paths:
+        top = a.dirs[0]
+        if top.key not in rows:
+            rows[top.key] = [b for bottom, bs in by_bottom.values()
+                             if bruhat_leq(top, bottom) for b in bs]
+    return [rows[a.dirs[0].key] for a in gc.paths]

@@ -6,9 +6,10 @@ a restricted-tier (delta coefficient 2), an indefinite and a singular
 realization (an affine matrix without a delta node): the integer-tuple
 character loop, the integer left inverse, the integer reflection and peel,
 the integer height descent and the integer product must give exactly what
-the Fraction code they replaced gives.  The dominance order on A-BC, D4, G2, F4
-and the non-singular indefinite type through the cached integer root
-inverse, and on three affine types through the cached integer inverse with
+the Fraction code they replaced gives, and the integer Demazure dimension
+must be the sum of the character's multiplicities.  The dominance order on
+A-BC, D4, G2, F4 and the non-singular indefinite type through the cached
+integer root inverse, and on three affine types through the cached integer inverse with
 its delta row, must agree with the per-call solve on random weight pairs.
 The positive-root closure must list the positive roots of the full closure
 on every finite type up to E8, F4 and G2, and the integer characteristic
@@ -81,6 +82,15 @@ def test_demazure_characters_agree(case):
     old = WR.demazure_character(_reference_word(name, word), lam)
     assert list(new.items()) == list(old.items())
     assert all(type(c) is Fraction for coords, delta in new for c in coords + (delta,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(characters())
+def test_demazure_dim_is_the_sum_of_the_character(case):
+    name, word, coords, delta = case
+    real = REALIZATIONS[name]
+    w, lam = W.WeylWord(real, word), real.weight(coords, delta)
+    assert W.demazure_dim(w, lam) == sum(W.demazure_character(w, lam).values())
 
 
 @st.composite

@@ -6,8 +6,12 @@ weights against the content of the Fraction weight difference and the
 search over its divisors, memoised chain gcds against the depth-first walk over every chain, the
 enumeration over down-sets against testing every coset, the pairwise
 standardness test against every order of the factors, the forward
-pass over sub-multisets against the backtracking over every arrangement,
-the multichain count against testing every multiset, and the integer
+pass over sub-multisets against the backtracking over every arrangement
+and against the list-based forward pass it replaced, the bitset down-sets
+of the fibre lifts against `bruhat_leq`, the comparability table read off
+the interval against one `bruhat_leq` per pair of cosets, the
+`two_basis_counts` reports against the earlier per-monomial code, the
+multichain count against testing every multiset, and the integer
 `act_letters` walk against the Fraction reflection loop.  Monomials of
 degree <= 3 come from the path pools of five symmetric pairs; words and
 weights are random on a finite, an affine, a restricted-tier (delta
@@ -16,10 +20,12 @@ coefficient 2) and an indefinite GCM.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import cartan_reference as CR
 import lspath_reference as R
+import smt_reference as SR
 from smt_kit import cartan as C, extend as X, involutions as I, lspath as L, smt as S
 from smt_kit import weyl as W
 
@@ -46,10 +52,14 @@ CASES = (("flip-sl2", 1), ("flip-sl3", 2), ("flip-sp4", 2), ("flip-so-odd5", 2),
 
 def _base_pools(case):
     """The base-path pools of `two_basis_counts`, its block index and one
-    set of fibre lifts shared by every example."""
+    owner of fibre lifts, and one of the list-based reference, shared by
+    every example: the memoised states then carry over between monomials
+    drawn in random order."""
     pools = {i: case.base_paths(i) for i in range(1, case.rank + 1)}
     shape_index = {case.eps_base_weight(i).coords: i for i in pools}
-    return pools, (lambda f: shape_index[f.shape.coords]), L.FibreLifts(case.base_realization())
+    real = case.base_realization()
+    return (pools, (lambda f: shape_index[f.shape.coords]), L.FibreLifts(real),
+            R.FibreLifts(real))
 
 
 GRADED = {(name, m): S.GradedCounts(I.AmbientCase(name), m) for name, m in CASES}
@@ -206,30 +216,94 @@ def test_standard_above_agrees(mono):
 @st.composite
 def below_monomials(draw):
     name, _ = draw(st.sampled_from(CASES))
-    pools, block_index, lifts = BASE_POOLS[name]
+    pools, block_index, lifts, reference_lifts = BASE_POOLS[name]
     factors = []
     for _ in range(draw(st.integers(1, 3))):
         pool = pools[draw(st.sampled_from(sorted(pools)))]
         factors.append(pool[draw(st.integers(0, len(pool) - 1))])
-    return L.PathMonomial(tuple(factors)), block_index, lifts
+    return L.PathMonomial(tuple(factors)), block_index, lifts, reference_lifts
 
 
 @settings(max_examples=300, deadline=None)
 @given(below_monomials())
 def test_standard_below_agrees(case):
-    mono, block_index, lifts = case
+    """Also with the blocks in reverse order and with all factors in one
+    block: the same kinds then place in other orders, and the shared owner
+    must keep the three apart."""
+    mono, block_index, lifts, reference_lifts = case
     want = R.is_standard_below(mono, block_index)
     keys = [block_index(f) for f in mono.factors]
+    assert R.forward_standard_below(mono, keys, reference_lifts) == want
     assert L.is_standard_below(mono, keys, lifts) == want
     assert L.is_standard_below(mono, keys) == want
+    assert (L.is_standard_below(mono, [-k for k in keys], lifts)
+            == R.is_standard_below(mono, lambda f: -block_index(f)))
+    assert (L.is_standard_below(mono, [0] * len(keys), lifts)
+            == R.is_standard_below(mono, lambda f: 0))
 
 
 def test_standard_below_agrees_with_default_blocks():
-    pools, _, _ = BASE_POOLS["flip-sp4"]
+    pools, _, _, _ = BASE_POOLS["flip-sp4"]
     mixed = [pools[1][0], pools[2][3], pools[1][5], pools[2][0]]
     for k in range(1, len(mixed) + 1):
         mono = L.PathMonomial(tuple(mixed[:k]))
         assert L.is_standard_below(mono) == R.is_standard_below(mono)
+        assert L.is_standard_below(mono) == R.forward_standard_below(mono)
+
+
+@st.composite
+def fibre_cosets(draw):
+    """Up to three cosets of one realization with one stabilizer J that
+    generates a finite parabolic subgroup."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    J = frozenset(draw(st.sets(st.integers(0, real.n - 1), max_size=real.n)))
+    try:
+        W.longest_parabolic(real, J, cap=64)
+    except ValueError:
+        assume(False)
+    words = draw(st.lists(st.lists(st.integers(0, real.n - 1), max_size=5),
+                          min_size=1, max_size=3))
+    return real, J, [W.CosetRep(W.WeylWord(real, w), J) for w in words]
+
+
+@settings(max_examples=80, deadline=None)
+@given(fibre_cosets())
+def test_fibre_lift_order_agrees(case):
+    """The lifts of every coset are c.word * u, u in W_J, the minimal
+    representative first, and on every pair of lifts numbered by one owner
+    the bitset order is `bruhat_leq`, also across cosets and with down-sets
+    built before later lifts were numbered."""
+    real, J, cosets = case
+    lifts = L.FibreLifts(real)
+    fibre = R._parabolic_elements(real, sorted(J))
+    words = {}
+    for c in cosets:
+        got = lifts(c, J)
+        for z in got:
+            lifts.below(z)
+        want = {lifts.number(c.word * u): c.word * u for u in fibre}
+        assert sorted(got) == sorted(want) and got[0] == lifts.number(c.word)
+        words.update(want)
+    for a, x in words.items():
+        for b, y in words.items():
+            assert (lifts.below(b) >> a & 1) == W.bruhat_leq(x, y), (x, y)
+
+
+def test_graded_counts_above_table_agrees():
+    for gc in GRADED.values():
+        assert [sorted(row) for row in gc.above] == [sorted(row) for row in R.above_table(gc)]
+
+
+TWO_BASIS_DEGREES = {"flip-sl2": (1, 2, 3, 4, 5), "flip-sl3": (1, 2, 3),
+                     "flip-sp4": (1, 2, 3), "flip-so-odd5": (2,), "sym-quadrics3": (2,)}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_BASIS_DEGREES))
+def test_two_basis_reports_agree(name):
+    case = I.AmbientCase(name)
+    for degree in TWO_BASIS_DEGREES[name]:
+        assert S.two_basis_counts(case, degree) == SR.two_basis_counts(case, degree), degree
 
 
 def test_graded_counts_agree():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -207,6 +208,14 @@ def test_proctor_agreement_small():
     reps = [W.coset_from_weight(case.amb.real, J, p.highest, w) for w in p.weights]
     for i, j in itertools.product(range(len(p)), repeat=2):
         assert p.leq(i, j) == W.bruhat_leq(reps[i], reps[j])
+
+
+def test_minuscule_poset_refuses_a_non_finite_realization_at_once():
+    real = I.AmbientCase("flip-sp4").amb.real           # affine
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^finite-type GCM required$"):
+        S.MinusculePoset(real, 0)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_finite_case_structure_rejects_non_a():
