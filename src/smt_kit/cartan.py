@@ -77,11 +77,6 @@ class GCM:
     def n(self) -> int:
         return len(self.entries)
 
-    def submatrix(self, nodes: tuple[int, ...]) -> "GCM":
-        ent = tuple(tuple(self.entries[i][j] for j in nodes) for i in nodes)
-        marked = frozenset(nodes.index(i) for i in self.nonreduced_nodes if i in nodes)
-        return GCM(ent, marked)
-
     def block_sum(self, other: "GCM") -> "GCM":
         n, m = self.n, other.n
         ent = [[0] * (n + m) for _ in range(n + m)]
@@ -128,6 +123,8 @@ class FinTypeLabel:
     @classmethod
     def parse(cls, text: str) -> "FinTypeLabel":
         text = text.strip().replace("_", "")
+        if not text:
+            raise ValueError("empty type label")
         fam = "BC" if text.startswith("BC") else text[0]
         return cls(fam, int(text[len(fam):]))
 
@@ -402,7 +399,6 @@ class Realization:
             tuple((j, x) for j, x in enumerate(gcm.entries[i]) if x)
             + (((n, dc),) if i == delta_node and dc else ())
             for i in range(n))
-        self._expand_cache: dict[tuple, tuple[Fraction, ...] | None] = {}
         self._inverse: tuple | None = None
 
     @classmethod
@@ -418,7 +414,10 @@ class Realization:
         return WeightVec(self.basis_id, (Q(0),) * self.n)
 
     def weight(self, coords, delta=0) -> WeightVec:
-        return WeightVec(self.basis_id, tuple(Q(c) for c in coords), Q(delta))
+        coords = tuple(Q(c) for c in coords)
+        if len(coords) != self.n:
+            raise ValueError(f"{len(coords)} coordinates given, {self.n} expected")
+        return WeightVec(self.basis_id, coords, Q(delta))
 
     def fundamental(self, i: int) -> WeightVec:
         return WeightVec(self.basis_id,
@@ -458,20 +457,15 @@ class Realization:
     def root_coords(self, v: WeightVec) -> tuple[Fraction, ...] | None:
         """Expansion of v over the simple roots (delta included); None if not in span.
 
-        A miss applies the integer left inverse (L, C, d) of the simple-root
-        matrix, built on the first miss: v is in the span iff C v = 0, and
-        its coordinates are L v / d, free ones zero if the matrix is singular.
+        Applies the integer left inverse (L, C, d) of the simple-root matrix,
+        built on the first call: v is in the span iff C v = 0, and its
+        coordinates are L v / d, free ones zero if the matrix is singular.
         """
-        key = (v.coords, v.delta)
-        if key not in self._expand_cache:
-            left, span, d = self._left_inverse()
-            b, den = _scaled(v)
-            if any(sum(a * y for a, y in zip(row, b)) for row in span):
-                self._expand_cache[key] = None
-            else:
-                self._expand_cache[key] = tuple(
-                    Q(sum(a * y for a, y in zip(row, b)), d * den) for row in left)
-        return self._expand_cache[key]
+        left, span, d = self._left_inverse()
+        b, den = _scaled(v)
+        if any(sum(a * y for a, y in zip(row, b)) for row in span):
+            return None
+        return tuple(Q(sum(a * y for a, y in zip(row, b)), d * den) for row in left)
 
     def _left_inverse(self) -> tuple:
         """The integer left inverse (L, C, d) of the simple-root matrix."""
@@ -642,6 +636,8 @@ def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
         m = build_cartan(m)
     if m.nonreduced_nodes:
         raise ValueError("nonreduced (BC) type has no Weyl dimension formula here")
+    if len(lam.coords) != m.n:
+        raise ValueError(f"{len(lam.coords)} coordinates given, {m.n} expected")
     if not (lam.is_dominant() and lam.is_integral()):
         raise ValueError("dominant integral weight required")
     shifted = [int(c) + 1 for c in lam.coords]

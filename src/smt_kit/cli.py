@@ -45,6 +45,18 @@ def _report(command, inputs, outputs, checks, t0):
     }
 
 
+def _rational(text: str) -> Fraction:
+    """A rational argument; a zero denominator is a ValueError."""
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r}: zero denominator") from None
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [_rational(c) for c in text.split(",")]
+
+
 def cmd_cartan(args, t0):
     label = cartan.FinTypeLabel.parse(args.type)
     gcm = cartan.build_cartan(label)
@@ -53,7 +65,7 @@ def cmd_cartan(args, t0):
     out["symmetrizer"] = [str(x) for x in d] if d else None
     if args.dim:
         real = cartan.Realization(gcm, str(label))
-        lam = real.weight([Q(c) for c in args.dim.split(",")])
+        lam = real.weight(_rationals(args.dim))
         out["weyl_dim"] = cartan.weyl_dim(gcm, lam)
     return _report("cartan", {"type": args.type, "dim": args.dim}, out, [], t0)
 
@@ -91,7 +103,11 @@ def cmd_weyl_demazure(args, t0):
         gcm = cartan.GCM.from_json(json.load(fh))
     real = cartan.Realization.standard(gcm, "cli")
     letters = [int(x) for x in args.word.split(",")] if args.word else []
-    lam = real.weight([Q(c) for c in args.weight.split(",")], Q(args.delta))
+    bad = [i for i in letters if not 0 <= i < real.n]
+    if bad:
+        raise ValueError(f"--word letter(s) {', '.join(map(str, bad))}"
+                         f" outside 0..{real.n - 1}")
+    lam = real.weight(_rationals(args.weight), _rational(args.delta))
     char = weyl.demazure_character(weyl.WeylWord(real, letters), lam)
     out = {"total": sum(char.values()),
            "weights": sorted([[str(c) for c in coords] + [str(d), m]

@@ -1,16 +1,18 @@
 """Extended Cartan data for a diagram plus a spherical weight.
 
 Attaching a node 0 to a Cartan matrix A by a dominant weight eps gives the
-extended matrix with row 0 equal to -<eps, alpha_j^vee> and column 0 in
-{0,-1}.  Done to a finite restricted system of type A/B/C/D/BC with eps the
-first quadratic-basis weight, the result is the finite or affine matrix of
-the classical table (A_l -> C_{l+1}, B_l/BC_l -> A_{2l}^(2), C_l ->
-C_l^(1), D_l -> A_{2l-1}^(2)).
+extended matrix with row 0 equal to -scale * <eps, alpha_j^vee> (scale 2 on
+a restricted tier, else 1) and column 0 in {0,-1} (`_attach`).  Done to a
+finite restricted system of type A/B/C/D/BC with eps the first
+quadratic-basis weight, the result is the finite or affine matrix of the
+classical table (A_l -> C_{l+1}, B_l/BC_l -> A_{2l}^(2), C_l -> C_l^(1),
+D_l -> A_{2l-1}^(2)).
 
 The restricted tier realization carries the node-0 root with a +2 delta
-correction (it is twice an ambient root); the split normal form of a tier
-weight over (e_eps_1..e_eps_l, gamma, delta) feeds the two gradings egr and
-gr.  gamma is half the node-0 fundamental weight.
+correction (it is twice an ambient root).  e_eps_i (i >= 1) is
+`eps_coefficient(i)` omega_i, so the split normal form of a tier weight over
+(e_eps_1..e_eps_l, gamma, delta) is read off its coordinates; gamma is half
+the node-0 fundamental weight.  The gradings are gr and egr = gr + <v, D>.
 """
 
 from __future__ import annotations
@@ -90,22 +92,25 @@ class ExtendedDatum:
         w = self.real.fundamental(0)
         return w.scale(Q(1, 2)) if self.kind == "restricted" else w
 
-    def e_eps(self, i: int) -> WeightVec:
-        """The split basis weight e_eps_i in tier coordinates (restricted only).
+    def eps_coefficient(self, i: int) -> int:
+        """The coordinate of e_eps_i at node i, 1 <= i <= l, its only nonzero one.
 
         Coordinates are pairings with the standard tier coroots, so the
         last basis weight of both B and BC reads 2*omega_l here (for BC the
         doubled value comes from the nonreduced coroot convention).
         """
+        if self.label is None or self.label.family not in ("A", "B", "C", "BC"):
+            raise ValueError("no quadratic basis for this label")
+        return 2 if self.label.family in ("B", "BC") and i == self.rank else 1
+
+    def e_eps(self, i: int) -> WeightVec:
+        """The split basis weight e_eps_i in tier coordinates (restricted only)."""
         if self.kind != "restricted":
             raise ValueError("e_eps lives on the restricted tier")
         if i == 0:
             return self.real.fundamental(0)
-        if self.label is None or self.label.family not in ("A", "B", "C", "BC"):
-            raise ValueError("no quadratic basis for this label")
-        l = self.rank
-        coords = [Q(0)] * (l + 1)
-        coords[i] = Q(2) if (self.label.family in ("B", "BC") and i == l) else Q(1)
+        coords = [0] * (self.rank + 1)
+        coords[i] = self.eps_coefficient(i)
         return self.real.weight(coords)
 
     def pairing_D(self, v: WeightVec) -> Fraction:
@@ -125,15 +130,19 @@ class ExtendedDatum:
         return scale * coords[0]
 
 
+def _attach(base: GCM, pairings, scale: int) -> GCM:
+    """`base` with node 0 attached: row 0 is -scale * pairing, column 0 is
+    -1 where the pairing is nonzero, else 0."""
+    ent = [(2, *(-scale * p for p in pairings))]
+    ent += [(-1 if p else 0, *row) for p, row in zip(pairings, base.entries)]
+    return GCM(tuple(ent))
+
+
 def extend_ambient(base: GCM, eps: WeightVec, basis_id: str | None = None) -> ExtendedDatum:
     """Attach node 0 to `base` by a dominant integral weight eps."""
     if not (eps.is_dominant() and eps.is_integral()):
         raise ValueError("dominant integral weight required")
-    n = base.n
-    ent = [[2] + [-int(eps.coords[j]) for j in range(n)]]
-    for i in range(n):
-        ent.append([-1 if eps.coords[i] != 0 else 0] + list(base.entries[i]))
-    ext = GCM(tuple(tuple(r) for r in ent))
+    ext = _attach(base, [int(c) for c in eps.coords], 1)
     return ExtendedDatum(base, eps, ext, kind="ambient", basis_id=basis_id)
 
 
@@ -159,11 +168,7 @@ def extend_restricted(label: FinTypeLabel | str, rank: int | None = None) -> Ext
         raise ValueError(f"unsupported restricted family {label.family}")
     base = build_cartan(label)
     pair = _restricted_pairings(label)
-    n = base.n
-    ent = [[2] + [-2 * p for p in pair]]
-    for i in range(n):
-        ent.append([-1 if pair[i] != 0 else 0] + list(base.entries[i]))
-    ext = GCM(tuple(tuple(r) for r in ent))
+    ext = _attach(base, pair, 2)
     eps = WeightVec(str(label), tuple(Q(p) for p in pair))
     return ExtendedDatum(base, eps, ext, kind="restricted", label=label,
                          basis_id=f"tier({label})")
@@ -173,39 +178,23 @@ def split_normal_form(datum: ExtendedDatum, v: WeightVec) -> SplitWeight:
     """Expand a tier weight as sum(a_i e_eps_i) + g*gamma + b*delta, a_0 = 0."""
     if datum.kind != "restricted":
         raise ValueError("split normal form lives on the restricted tier")
-    # e_eps(i) has one nonzero coordinate, at node i, so a_i is a quotient
-    a = [Q(0)] + [v.coords[i] / datum.e_eps(i).coords[i] for i in range(1, datum.rank + 1)]
+    a = [Q(0)] + [v.coords[i] / datum.eps_coefficient(i) for i in range(1, datum.rank + 1)]
     gamma = 2 * v.coords[0]             # gamma = half the node-0 fundamental weight
     return SplitWeight(tuple(a), gamma, v.delta)
 
 
-def egr(datum: ExtendedDatum, x: SplitWeight | WeightVec) -> Fraction:
-    """Grading sum(i * a_i) + <v, D> of a split weight.
+def gr(split: SplitWeight) -> Fraction:
+    """sum(i * a_i) over the eps coordinates (weights of the spherical lattice)."""
+    return sum((i * a for i, a in enumerate(split.eps_coords)), Q(0))
+
+
+def egr(datum: ExtendedDatum, v: WeightVec) -> Fraction:
+    """Grading gr + <v, D> of a tier weight.
 
     Anchors: egr(e_omega_0) = n_0, egr of the first l tier simple roots is
     0, egr of the last one is positive.
     """
-    if isinstance(x, WeightVec):
-        split = split_normal_form(datum, x)
-        vec = x
-    else:
-        split = x
-        vec = _split_to_vec(datum, x)
-    s = sum((Q(i) * split.eps_coords[i] for i in range(len(split.eps_coords))), Q(0))
-    return s + datum.pairing_D(vec)
-
-
-def gr(split: SplitWeight) -> Fraction:
-    """sum(i * a_i) over the eps coordinates (weights of the spherical lattice)."""
-    return sum((Q(i) * split.eps_coords[i] for i in range(len(split.eps_coords))), Q(0))
-
-
-def _split_to_vec(datum: ExtendedDatum, s: SplitWeight) -> WeightVec:
-    v = datum.e_omega0().scale(s.gamma) + datum.real.delta().scale(s.delta)
-    for i, a in enumerate(s.eps_coords):
-        if a:
-            v = v + datum.e_eps(i).scale(a)
-    return v
+    return gr(split_normal_form(datum, v)) + datum.pairing_D(v)
 
 
 def n0(datum: ExtendedDatum) -> Fraction:

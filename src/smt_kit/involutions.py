@@ -6,15 +6,17 @@ the isogeny type.  A row with ambient machinery also names the diagram
 automorphism P of its ambient base diagram, as a permutation of the equal
 summands of the ambient label: [1, 0] swaps the two factors of a flip pair
 g + g (g of type A, C or B), [0] is the identity (symmetric quadrics,
-special linear modulo orthogonal).  In Satake/Araki terms the involution
-is sigma = -1 composed with P, Delta_0 is empty, and the restricted nodes
-are the P-orbits.  Everything else follows from P, extended to fix the
-attached node 0:
+special linear modulo orthogonal); P must be an involution.  In
+Satake/Araki terms the involution is sigma = -1 composed with P, Delta_0 is
+empty, and the restricted nodes are the P-orbits.  Everything else follows
+from P, extended to fix the attached node 0:
 
 * sigma(v) puts -v_i at node P(i) and negates delta;
 * the ambient nodes over restricted node i are its P-orbit, from i;
-* the tier coordinate i of the split part (v - sigma v)/2 is |orbit(i)|/2
-  times the split part's common value on orbit(i);
+* the tier coordinate i of the split part (v - sigma v)/2 is half the sum
+  of v over orbit(i), and its delta is v's (`split_to_tier`);
+* the i-th tier reflection lifts to the longest element of the parabolic
+  on orbit(i) (`reflection_lift`);
 * eps_i -> sum over p in orbit(i) of (2/|orbit(i)|) c_i omega_p, c_i the
   i-th quadratic-basis coefficient (2 on the last node of B, else 1); so
   a flip doubles each node (eps_i -> omega_i + omega_i') and the quadrics
@@ -38,8 +40,7 @@ from . import lspath
 from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
                      quadratic_basis, weyl_dim)
 from .extend import ExtendedDatum, extend_ambient, extend_restricted
-from .weyl import (CosetRep, WeylWord, lift_restricted_reflection,
-                   longest_parabolic)
+from .weyl import CosetRep, WeylWord, longest_parabolic
 
 Q = Fraction
 
@@ -131,6 +132,8 @@ def _diagram_permutation(ambient: str, summand_perm: list[int]) -> tuple[int, ..
     """P on the base nodes: summand k goes node by node onto summand_perm[k]."""
     labels = _summands(ambient)
     assert sorted(summand_perm) == list(range(len(labels)))
+    if any(summand_perm[t] != k for k, t in enumerate(summand_perm)):
+        raise ValueError(f"{ambient}: summand permutation {summand_perm} is not an involution")
     assert all(labels[t] == labels[k] for k, t in enumerate(summand_perm))
     offsets = list(itertools.accumulate((h.rank for h in labels), initial=0))
     return tuple(offsets[t] + j for k, t in enumerate(summand_perm)
@@ -138,11 +141,8 @@ def _diagram_permutation(ambient: str, summand_perm: list[int]) -> tuple[int, ..
 
 
 def _orbit(perm: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """i, P(i), P(P(i)), ... up to the return to i."""
-    out = [i]
-    while perm[out[-1]] != i:
-        out.append(perm[out[-1]])
-    return tuple(out)
+    """The orbit of i under the involution P: i, then P(i) if it differs."""
+    return (i,) if perm[i] == i else (i, perm[i])
 
 
 def _weight_map(ambient: str, restricted: FinTypeLabel,
@@ -173,9 +173,7 @@ def quadratic_verdict(rec: InvolutionRecord, bound: int | None = None) -> bool:
     """Whether the (restricted type, isogeny) lattice is quadratic."""
     from . import quadlat
     label = rec.restricted
-    if label.family == "BC" or rec.isogeny == "SC=ADJ":
-        lat = quadlat.full_weight_lattice(label)
-    elif rec.isogeny == "ADJ":
+    if rec.isogeny == "ADJ" and label.family != "BC":
         lat = quadlat.root_lattice(label)
     else:
         lat = quadlat.full_weight_lattice(label)
@@ -222,18 +220,11 @@ class AmbientCase:
             new[self.perm[i]] = -c
         return WeightVec(v.basis_id, tuple(new), -v.delta)
 
-    def split_part(self, v: WeightVec) -> WeightVec:
-        return (v - self.sigma(v)).scale(Q(1, 2))
-
     def split_to_tier(self, v: WeightVec) -> WeightVec:
-        """Tier coordinates of the split part of an ambient weight."""
-        s = self.split_part(v)
-        coords = []
-        for fibre in self.fibres:
-            vals = {s.coords[p] for p in fibre}
-            assert len(vals) == 1, "split part not symmetric across the fiber"
-            coords.append(Q(len(fibre), 2) * vals.pop())
-        return self.tier.real.weight(coords, s.delta)
+        """Tier coordinates of the split part (v - sigma v)/2 of an ambient
+        weight: half the sum of v over each fibre, with v's delta."""
+        return self.tier.real.weight([sum(v.coords[p] for p in fibre) / 2
+                                      for fibre in self.fibres], v.delta)
 
     # -- weights and dimensions ----------------------------------------------
 
@@ -269,7 +260,18 @@ class AmbientCase:
     # -- lifted special elements ----------------------------------------------
 
     def reflection_lift(self, i: int) -> WeylWord:
-        return lift_restricted_reflection(i, self)
+        """Ambient word acting on split weights as the i-th tier reflection.
+
+        The word is the longest element of the parabolic on the fibre over
+        node i (no implemented pair has sigma-fixed nodes); the action
+        identity is asserted on every ambient fundamental weight.
+        """
+        w = longest_parabolic(self.amb.real, self.preimage_nodes(i))
+        for j in range(self.amb.real.n):
+            v = self.amb.real.fundamental(j)
+            if self.split_to_tier(w.act(v)) != self.tier.real.reflect(i, self.split_to_tier(v)):
+                raise AssertionError("lifted reflection does not restrict correctly")
+        return w
 
     def tau_hat_lift(self, m: int) -> WeylWord:
         """Ambient word restricting to tau_hat_m on the tier, 0 <= m <= rank."""

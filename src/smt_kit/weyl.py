@@ -373,25 +373,6 @@ def dominant_orbit_reps(datum) -> list[WeightVec]:
     return out
 
 
-def lift_restricted_reflection(i: int, case) -> WeylWord:
-    """Ambient word acting on split weights as the i-th tier reflection.
-
-    The word is the longest element of the parabolic on the nodes whose
-    restricted root is the i-th one (`case.preimage_nodes(i)`; no
-    implemented pair has sigma-fixed nodes); the action identity is
-    asserted against the tier.
-    """
-    w = longest_parabolic(case.amb.real, case.preimage_nodes(i))
-    tier = case.tier.real
-    for j in range(case.amb.real.n):
-        v = case.amb.real.fundamental(j)
-        lhs = case.split_to_tier(w.act(v))
-        rhs = tier.reflect(i, case.split_to_tier(v))
-        if lhs != rhs:
-            raise AssertionError("lifted reflection does not restrict correctly")
-    return w
-
-
 def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | None = None,
               cap: int = 200000) -> set:
     """Orbit of `start` under the listed simple reflections, as a set of

@@ -162,6 +162,12 @@ def test_weyl_dim():
         C.weyl_dim(lab("BC2"), C.WeightVec("BC2", (Q(1), Q(0))))
     with pytest.raises(ValueError):
         C.weyl_dim(C2, real.weight((-1, 0)))
+    # a coordinate count other than the rank is refused, not zipped short
+    for coords in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match="coordinates given, 2 expected"):
+            real.weight(coords)
+        with pytest.raises(ValueError, match="coordinates given, 2 expected"):
+            C.weyl_dim(C2, C.WeightVec("C2", coords))
 
 
 def test_finite_roots_are_integer_and_counted():
@@ -193,3 +199,6 @@ def test_labels():
     with pytest.raises(ValueError):
         C.FinTypeLabel("C", 1)
     assert str(C.FinTypeLabel.parse("BC3")) == "BC3"
+    for text in ("", "  ", "_"):
+        with pytest.raises(ValueError, match="empty type label"):
+            C.FinTypeLabel.parse(text)

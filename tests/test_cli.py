@@ -120,6 +120,31 @@ def test_missing_input_file_exit_1(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_cartan_cli_bad_inputs_exit_1():
+    """An empty type and a --dim whose length is not the rank print a JSON
+    error; they used to end in a traceback or a wrong weyl_dim."""
+    code, out, err = run_in_process("cartan", "")
+    assert (code, out, err) == (1, {"error": "empty type label"}, "")
+    for dim in ("1", "1,0,5"):
+        code, out, err = run_in_process("cartan", "A2", "--dim", dim)
+        assert code == 1 and "coordinates given, 2 expected" in out["error"]
+    code, out, _ = run_in_process("cartan", "A2", "--dim", "1,1/0")
+    assert code == 1 and "zero denominator" in out["error"]
+    assert run_in_process("cartan", "A2", "--dim", "1,1")[1]["outputs"]["weyl_dim"] == 8
+
+
+def test_demazure_cli_bad_inputs_exit_1(a2_gcm):
+    """Letters outside 0..n-1 and a weight of the wrong length are refused;
+    letter 5 used to raise IndexError and letter -1 reached the delta slot."""
+    for word in ("5", "-1", "0,2"):
+        code, out, err = run_in_process("weyl", "demazure", "--gcm", a2_gcm,
+                                        "--word", word, "--weight", "1,0")
+        assert code == 1 and "outside 0..1" in out["error"] and err == ""
+    code, out, _ = run_in_process("weyl", "demazure", "--gcm", a2_gcm,
+                                  "--word", "1,0", "--weight", "1,0,0")
+    assert code == 1 and "coordinates given, 2 expected" in out["error"]
+
+
 def test_lspath_cli():
     r = run("lspath", "enumerate", "--case", "flip-sl2", "--top", "tau1",
             "--degree", "1")
@@ -296,6 +321,49 @@ def test_lspath_cli_fuzz(case, top, degree):
     assert code in (0, 1)
     assert isinstance(out, dict)
     assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["A2", "B3", "C2", "G2", "E6", "BC2", "D4", "", " ", "_", "A", "A0",
+                        "C1", "X3", "BC", "a2", "A-1", "F4x"]),
+       st.one_of(st.none(), st.lists(st.sampled_from(["0", "1", "2", "-1", "1/2", "1/0",
+                                                     "x", ""]), min_size=0, max_size=7)
+                 .map(",".join)))
+def test_cartan_cli_fuzz(type_text, dim):
+    """Any type text and --dim gives one JSON object, exit 0 or 1, and a
+    weyl_dim only for a dim of exactly rank coordinates."""
+    argv = ["cartan", type_text] + ([] if dim is None else [f"--dim={dim}"])
+    code, out, err = run_in_process(*argv)
+    assert code in (0, 1)
+    assert isinstance(out, dict) and ("error" in out) == (code == 1)
+    assert "Traceback" not in err
+    if code == 0 and dim:
+        assert len(dim.split(",")) == out["outputs"]["gcm"]["rank"]
+
+
+@pytest.fixture(scope="module")
+def a2_gcm(tmp_path_factory):
+    from smt_kit import cartan
+    f = tmp_path_factory.mktemp("gcm") / "a2.json"
+    f.write_text(json.dumps(cartan.build_cartan(cartan.FinTypeLabel("A", 2)).to_json()))
+    return str(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["0", "1", "2", "5", "-1", "x", ""]), max_size=4).map(",".join),
+       st.lists(st.sampled_from(["0", "1", "2", "-1", "1/2", "1/0", "x"]), min_size=1,
+                max_size=4).map(",".join))
+def test_weyl_demazure_cli_fuzz(a2_gcm, word, weight):
+    """Any --word and --weight on A2 gives one JSON object and exit 0 or 1;
+    exit 0 only for letters in 0..1 and a weight of two coordinates."""
+    code, out, err = run_in_process("weyl", "demazure", "--gcm", a2_gcm,
+                                    f"--word={word}", f"--weight={weight}")
+    assert code in (0, 1)
+    assert isinstance(out, dict) and ("error" in out) == (code == 1)
+    assert "Traceback" not in err
+    if code == 0:
+        assert all(x in ("0", "1") for x in word.split(",") if word)
+        assert len(weight.split(",")) == 2
 
 
 CATALOG_KEYS = [row["key"] for row in involutions._catalog()]

@@ -70,9 +70,9 @@ def test_split_normal_form():
     nf = X.split_normal_form(datum, v)
     assert nf.eps_coords == (0, 1, 0) and nf.gamma == -1 and nf.delta == -1
     assert X.gr(nf) == 1
-    # egr is insensitive to moving weight between e_eps_0 and gamma
+    # gr gives e_eps_0 the weight 0, so moving weight from gamma to it is free
     shifted = X.SplitWeight((Q(1, 2), 0, 0), Q(0), Q(0))
-    assert X.egr(datum, shifted) == X.egr(datum, om)
+    assert X.gr(shifted) == X.gr(X.split_normal_form(datum, om))
 
 
 def _solve_split_normal_form(datum, v):
@@ -92,10 +92,30 @@ HALVES = st.integers(-7, 7).map(lambda k: Q(k, 2))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(TIERS), st.lists(HALVES, min_size=5, max_size=5), HALVES)
+@given(st.sampled_from(TIERS), st.lists(HALVES, min_size=5, max_size=5),
+       st.one_of(st.just(Q(0)), HALVES))
 def test_split_normal_form_agrees_with_solve(datum, coords, delta):
     v = datum.real.weight(coords[:datum.rank + 1], delta)
-    assert X.split_normal_form(datum, v) == _solve_split_normal_form(datum, v)
+    solved = _solve_split_normal_form(datum, v)
+    assert X.split_normal_form(datum, v) == solved
+    if delta and not datum.is_affine():     # a finite tier has no delta in its root span
+        with pytest.raises(ValueError, match="outside the root span"):
+            X.egr(datum, v)
+    else:
+        assert X.egr(datum, v) == X.gr(solved) + datum.pairing_D(v)
+
+
+def test_eps_coefficient():
+    for name, want in (("A3", [1, 1, 1]), ("C3", [1, 1, 1]), ("B3", [1, 1, 2]),
+                       ("BC3", [1, 1, 2]), ("B1", [2])):
+        datum = X.extend_restricted(lab(name))
+        got = [datum.eps_coefficient(i) for i in range(1, datum.rank + 1)]
+        assert got == want, name
+        assert [datum.e_eps(i).coords[i] for i in range(1, datum.rank + 1)] == want, name
+    d4 = X.extend_restricted(lab("D4"))
+    for call in (lambda: d4.eps_coefficient(1), lambda: X.split_normal_form(d4, d4.e_omega0())):
+        with pytest.raises(ValueError, match="no quadratic basis"):
+            call()
 
 
 def test_pairing_D_tau_hat():

@@ -137,3 +137,11 @@ def test_affine_cross_check_table():
         stored = C.build_affine_cartan(name)
         derived = X.extend_restricted(C.FinTypeLabel(fam, rk)).extended
         assert C.gcm_equiv(stored, derived), name
+
+
+def test_non_involutive_summand_permutation_refused():
+    # sigma = -P is an involution only if P is; a 3-cycle of summands is not
+    with pytest.raises(ValueError, match="not an involution"):
+        I._diagram_permutation("A1+A1+A1", [1, 2, 0])
+    assert I._diagram_permutation("A1+A1+A1", [1, 0, 2]) == (1, 0, 2)
+    assert I._diagram_permutation("C2+C2", [1, 0]) == (2, 3, 0, 1)
