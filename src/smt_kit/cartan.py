@@ -15,6 +15,9 @@ The conventions used throughout the package:
   weights of a declared GCM, plus one extra delta coordinate that pairs to
   zero with every simple coroot.  In an affine realization the simple root
   at the distinguished node carries a +delta (or +2 delta) correction.
+* Kernels act on integer vectors (delta last) with `Realization.image`
+  and read root coordinates through one integer inverse per realization
+  (`Realization.inverse`) and one per GCM (`root_inverse`).
 
 No floating point is used anywhere.
 """
@@ -153,6 +156,9 @@ class WeightVec:
     def _check(self, other: "WeightVec"):
         if self.basis_id != other.basis_id:
             raise ValueError(f"basis mismatch: {self.basis_id} vs {other.basis_id}")
+        if len(self.coords) != len(other.coords):
+            raise ValueError(f"coordinate count mismatch: {len(self.coords)} "
+                             f"vs {len(other.coords)}")
 
     def __add__(self, other: "WeightVec") -> "WeightVec":
         self._check(other)
@@ -347,6 +353,11 @@ def _scaled(v: WeightVec) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in b], den
 
 
+def _unscaled(basis_id: str, x: list[int], den: int) -> WeightVec:
+    """The weight x / den over `basis_id`, for an integer x with delta last."""
+    return WeightVec(basis_id, tuple(Q(y, den) for y in x[:-1]), Q(x[-1], den))
+
+
 def reflect_int(roots, v: list[int], i: int) -> None:
     """s_i applied in place to an integer weight v (delta last); `roots` is
     a Realization's `int_roots`."""
@@ -382,8 +393,9 @@ class Realization:
     whose node-0 root is twice an ambient root, None/0 for finite type).
     ``int_roots[i]`` lists the nonzero integer coordinates of the i-th
     simple root as (slot, value) pairs, slot n being delta; `reflect_int`
-    and `peel` act with them, for `reflect`, `act_letters`,
-    `dominant_conjugate`, `is_real_root` and the Weyl kernel in `weyl`.
+    and `peel` act with them, for `image` (the one word action on integer
+    weights), `dominant_conjugate` and `is_real_root`; `inverse` is their
+    integer left inverse.
     """
 
     def __init__(self, gcm: GCM, basis_id: str, delta_node: int | None = None,
@@ -399,7 +411,6 @@ class Realization:
             tuple((j, x) for j, x in enumerate(gcm.entries[i]) if x)
             + (((n, dc),) if i == delta_node and dc else ())
             for i in range(n))
-        self._inverse: tuple | None = None
 
     @classmethod
     def standard(cls, gcm: GCM, basis_id: str) -> "Realization":
@@ -442,40 +453,36 @@ class Realization:
         return self.act_letters((i,), v)
 
     def act_letters(self, letters, v: WeightVec) -> WeightVec:
-        # group element s_{l_1} ... s_{l_k} acts with s_{l_k} first; the walk
-        # runs on one integer vector (v times the lcm of its denominators,
-        # delta last) through int_roots, and the WeightVec is built on return
+        # the walk runs on one integer vector (v times the lcm of its
+        # denominators, delta last), and the WeightVec is built on return
         x, den = _scaled(v)
-        start = x[:]
-        for i in reversed(letters):
-            reflect_int(self.int_roots, x, i)
-        return v if x == start else self._unscaled(x, den)
+        y = self.image(letters, x)
+        return v if y == x else _unscaled(self.basis_id, y, den)
 
-    def _unscaled(self, x: list[int], den: int) -> WeightVec:
-        return WeightVec(self.basis_id, tuple(Q(y, den) for y in x[:-1]), Q(x[-1], den))
+    def image(self, letters, x) -> list[int]:
+        """s_{l_1} ... s_{l_k} applied to an integer weight x (delta last),
+        s_{l_k} first, as a new list."""
+        v = list(x)
+        roots = self.int_roots
+        for i in reversed(letters):
+            reflect_int(roots, v, i)
+        return v
 
     def root_coords(self, v: WeightVec) -> tuple[Fraction, ...] | None:
         """Expansion of v over the simple roots (delta included); None if not in span.
 
-        Applies the integer left inverse (L, C, d) of the simple-root matrix,
-        built on the first call: v is in the span iff C v = 0, and its
-        coordinates are L v / d, free ones zero if the matrix is singular.
+        `inverse` expands the scaled integer vector of v; coordinates for
+        free columns of a singular simple-root matrix are zero.
         """
-        left, span, d = self._left_inverse()
-        b, den = _scaled(v)
-        if any(sum(a * y for a, y in zip(row, b)) for row in span):
-            return None
-        return tuple(Q(sum(a * y for a, y in zip(row, b)), d * den) for row in left)
+        x, den = _scaled(v)
+        y = self.inverse.expand(x)
+        return None if y is None else tuple(Q(c, self.inverse.d * den) for c in y)
 
-    def _left_inverse(self) -> tuple:
-        """The integer left inverse (L, C, d) of the simple-root matrix."""
-        if self._inverse is None:
-            rows = [[0] * self.n for _ in range(self.n + 1)]
-            for i, root in enumerate(self.int_roots):
-                for j, a in root:
-                    rows[j][i] = a
-            self._inverse = linalg.left_inverse(rows)
-        return self._inverse
+    @functools.cached_property
+    def inverse(self) -> linalg.IntInverse:
+        """The integer left inverse of the simple roots, delta slot last."""
+        delta = [int(self.delta_coeff) * (i == self.delta_node) for i in range(self.n)]
+        return linalg.left_inverse([list(col) for col in zip(*self.gcm.entries)] + [delta])
 
     def dominant_conjugate(self, v: WeightVec) -> tuple[WeightVec, list[int]]:
         """(dom, letters): `peel` on the scaled integer vector of v, so that
@@ -489,36 +496,36 @@ class Realization:
         if any(t < 0 for t in x[:-1]):
             raise ValueError(f"dominant_conjugate cap exceeded: cap={_DOMINANT_CONJUGATE_CAP}, "
                              f"{len(letters)} reflections taken")
-        return (self._unscaled(x, den) if letters else v), letters
+        return (_unscaled(self.basis_id, x, den) if letters else v), letters
 
     def is_real_root(self, v: WeightVec) -> bool:
         """True iff v is a real root (W-conjugate of a simple root).
 
         Runs on the integer vector x = den * v (delta last), whose simple-root
-        coordinates are L x / (d den) for the integer left inverse (L, C, d).
-        A positive candidate (a negative one is negated first) descends in
-        height, by the first s_i with <v, alpha_i^vee> > 0, until it reaches
-        a simple root or a coordinate turns negative.
+        coordinates are `inverse`.expand(x) / (d den).  A positive candidate
+        (a negative one is negated first) descends in height, by the first
+        s_i with <v, alpha_i^vee> > 0, until it reaches a simple root or a
+        coordinate turns negative.
         """
-        left, span, d = self._left_inverse()
+        inv = self.inverse
         x, den = _scaled(v)
-        if any(sum(a * b for a, b in zip(row, x)) for row in span):
+        y = inv.expand(x)
+        if y is None:
             return False
-        y = [sum(a * b for a, b in zip(row, x)) for row in left]
         if all(t <= 0 for t in y):
             x, y = [-t for t in x], [-t for t in y]
         if not any(y):
             return False
-        for _ in range(sum(y) // (d * den) * 2 + 4):
+        for _ in range(sum(y) // (inv.d * den) * 2 + 4):
             if any(t < 0 for t in y):
                 return False
-            if [t for t in y if t] == [d * den]:        # a simple root
+            if [t for t in y if t] == [inv.d * den]:    # a simple root
                 return True
             i = next((j for j in range(self.n) if x[j] > 0), None)
             if i is None:
                 return False
             reflect_int(self.int_roots, x, i)
-            y = [sum(a * b for a, b in zip(row, x)) for row in left]
+            y = inv.expand(x)                           # x stays in the span
         return False
 
 
@@ -537,56 +544,38 @@ def root_rows(m: GCM) -> list[list[Fraction]]:
 
 
 @functools.lru_cache(maxsize=64)
-def root_inverse(m: GCM) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(L, d) with root coordinates L.v / d for a weight v; cached by GCM value.
-
-    The root rows are scaled to integers (a BC column is halved) before
-    `linalg.left_inverse`.  Raises ValueError when the simple roots are
-    linearly dependent (an affine matrix), so the inverse is exact.
+def root_inverse(m: GCM) -> linalg.IntInverse:
+    """The one integer left inverse of the simple roots per GCM, cached by
+    GCM value: its columns are the root rows (a BC column halved) scaled to
+    integers, with a delta slot last, +delta at node 0 on the affine types
+    as in `Realization.standard`; elsewhere the span row refuses a nonzero
+    delta.  Raises ValueError when the simple roots are linearly dependent.
     """
     rows = root_rows(m)
     n = m.n
     scale = math.lcm(*(x.denominator for row in rows for x in row))
-    left, cons, d = linalg.left_inverse([[scale * rows[i][j] for i in range(n)]
-                                         for j in range(n)])
-    if cons:
+    delta = [scale * (classify(m) == AFFINE)] + [0] * (n - 1)
+    inv = linalg.left_inverse([[scale * rows[i][j] for i in range(n)] for j in range(n)]
+                              + [delta])
+    if len(inv.span) != 1:
         raise ValueError("simple roots must be linearly independent")
-    return tuple(tuple(scale * x for x in row) for row in left), d
-
-
-@functools.lru_cache(maxsize=64)
-def _affine_inverse(m: GCM) -> tuple:
-    """The integer left inverse (L, C, d) of the simple roots of the standard
-    affine realization of m (delta at node 0), delta row included; cached
-    by GCM value."""
-    return Realization.standard(m, "affine")._left_inverse()
+    return inv._replace(left=tuple(tuple(scale * x for x in row) for row in inv.left))
 
 
 def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) -> bool:
     """True iff lam <= mu: mu - lam is a nonnegative-integer sum of simple roots.
 
-    The root coordinates are L x / (d den) for x = den * (mu - lam), delta
-    last, and a cached integer inverse (L, d) per GCM: on the affine types
-    `_affine_inverse`, whose delta row puts x outside the span when C x != 0;
-    elsewhere `root_inverse`, which raises ValueError on dependent roots and
-    whose rows stop before the delta slot.
+    The root coordinates of x = den * (mu - lam) (delta last) are
+    `root_inverse`(m).expand(x) / (d den).  On the affine types they need
+    the delta coordinate, so use_delta=False raises there.
     """
     lam._check(mu)
-    diff = mu - lam
-    if classify(m) == AFFINE:
-        if not use_delta:
-            raise ValueError("need delta coordinate")
-        left, span, d = _affine_inverse(m)
-        x, den = _scaled(diff)
-        if any(sum(a * y for a, y in zip(row, x)) for row in span):
-            return False
-    elif diff.delta != 0:
-        return False
-    else:
-        left, d = root_inverse(m)
-        x, den = _scaled(diff)
-    return all(c >= 0 and c % (d * den) == 0
-               for c in (sum(a * y for a, y in zip(row, x)) for row in left))
+    if not use_delta and classify(m) == AFFINE:
+        raise ValueError("need delta coordinate")
+    inv = root_inverse(m)
+    x, den = _scaled(mu - lam)
+    y = inv.expand(x)
+    return y is not None and all(c >= 0 and c % (inv.d * den) == 0 for c in y)
 
 
 # ---------------------------------------------------------------------------

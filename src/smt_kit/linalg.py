@@ -8,7 +8,9 @@ the package.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 Q = Fraction
 
@@ -50,14 +52,29 @@ def solve(a_rows: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     return x
 
 
-def left_inverse(a_rows) -> tuple[list[list[int]], list[list[int]], int]:
-    """(L, C, d) over the integers for an integer m x n matrix A.
+class IntInverse(NamedTuple):
+    """An integer left inverse of a matrix A: A x = b is solvable iff every
+    span row pairs to zero with b, and then x = left . b / d."""
 
-    A x = b has a solution iff C b = 0, and then x = L b / d is the one
-    `solve` returns: the pivot columns are found by the same rule (first
-    nonzero entry at or below the current row), and the rows of L for free
-    columns are zero.  Fraction-free Gauss-Jordan on [A | I]; each combined
-    row is divided by its content to keep the entries small.
+    left: tuple[tuple[int, ...], ...]
+    span: tuple[tuple[int, ...], ...]
+    d: int
+
+    def expand(self, b) -> list[int] | None:
+        """left . b (d times the solution), or None when a span row pairs
+        nonzero with b; the only reader of the rows."""
+        if any(sum(map(operator.mul, row, b)) for row in self.span):
+            return None
+        return [sum(map(operator.mul, row, b)) for row in self.left]
+
+
+def left_inverse(a_rows) -> IntInverse:
+    """The integer left inverse of an integer m x n matrix A, whose solution
+    is the one `solve` returns: the pivot columns are found by the same rule
+    (first nonzero entry at or below the current row), and the rows of
+    `left` for free columns are zero.  Fraction-free Gauss-Jordan on
+    [A | I]; each combined row is divided by its content to keep the
+    entries small.
     """
     if any(x != int(x) for row in a_rows for x in row):
         raise ValueError("left_inverse needs an integer matrix")
@@ -85,11 +102,11 @@ def left_inverse(a_rows) -> tuple[list[list[int]], list[list[int]], int]:
         if r == m:
             break
     d = math.lcm(*(aug[i][c] for i, c in pivots)) if pivots else 1
-    left = [[0] * m for _ in range(n)]
+    left = [(0,) * m] * n
     for i, c in pivots:
         scale = d // aug[i][c]
-        left[c] = [scale * x for x in aug[i][n:]]
-    return left, [aug[i][n:] for i in range(r, m)], d
+        left[c] = tuple(scale * x for x in aug[i][n:])
+    return IntInverse(tuple(left), tuple(tuple(aug[i][n:]) for i in range(r, m)), d)
 
 
 def char_poly(a: list[list[int]]) -> list[int]:

@@ -14,11 +14,12 @@ shape.  So a = t/q is admissible iff some saturated chain has every
 pairing divisible by q: the gcds of the pairings along the chains down to
 a lower coset are memoised per coset in one pass up the length-sorted
 interval, instead of walking every chain.  Path values (breakpoints,
-endpoint, node-0 degree) are sums of the same integer images weighted by
-the cut differences over one common denominator.  The number of paths of
-shape lambda whose top direction lies below a coset [w] equals the
-dimension of the corresponding Demazure module; both that and the full
-Weyl dimension are used as oracles in the tests.
+endpoint, node-0 degree) are sums of the same integer images
+(`Realization.image`) weighted by the cut differences over one common
+denominator.  The number of paths of shape lambda whose top direction lies
+below a coset [w] equals the dimension of the corresponding Demazure
+module; both that and the full Weyl dimension are used as oracles in the
+tests.
 
 Standardness of a product comes in two flavours.  From above: the factors
 form a chain for pi <= eta iff max dir(pi) <= min dir(eta); that relation is
@@ -29,8 +30,8 @@ stabilizer fibers, decided by a forward pass over sub-multisets that keeps
 the lifts some admissible prefix can end in.  `FibreLifts` numbers the
 lifts and keeps the Bruhat down-set of each as an int bitset, built by the
 lifting property, so "some end lies below this lift" is one AND; the same
-owner memoises the state of every sub-multiset it meets.  Lifting a path
-of shape eps_i by the i-th telescoping word turns the second into the
+owner memoises the state of every proper sub-multiset it meets.  Lifting a
+path of shape eps_i by the i-th telescoping word turns the second into the
 first.
 """
 
@@ -44,9 +45,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec, _scaled, reflect_int
-from .weyl import (CosetRep, WeylWord, _image, bruhat_leq, coset_interval,
-                   longest_parabolic)
+from .cartan import Realization, WeightVec, _scaled, _unscaled
+from .weyl import CosetRep, WeylWord, bruhat_leq, coset_interval, longest_parabolic
 
 Q = Fraction
 
@@ -97,22 +97,18 @@ class LSPath:
         out = [acc]
         for d, lo, hi in zip(self.dirs, steps, steps[1:]):
             t = hi - lo
-            acc = [a + t * y for a, y in zip(acc, _image(self.real, d.word.letters, x))]
+            acc = [a + t * y for a, y in zip(acc, self.real.image(d.word.letters, x))]
             out.append(acc)
         return out, den * q
-
-    def _weight(self, v: list[int], scale: int) -> WeightVec:
-        return WeightVec(self.shape.basis_id, tuple(Q(y, scale) for y in v[:-1]),
-                         Q(v[-1], scale))
 
     def breakpoints(self) -> list[WeightVec]:
         """Path values at the cut points, including both endpoints."""
         points, scale = self._scaled_breakpoints()
-        return [self._weight(v, scale) for v in points]
+        return [_unscaled(self.shape.basis_id, v, scale) for v in points]
 
     def endpoint(self) -> WeightVec:
         points, scale = self._scaled_breakpoints()
-        return self._weight(points[-1], scale)
+        return _unscaled(self.shape.basis_id, points[-1], scale)
 
     def degree(self) -> Fraction:
         return self.cuts[-1]
@@ -147,7 +143,7 @@ class ChainData:
         self.poset = coset_interval(top, cap if cap is not None else _enum_cap())
         self.index = self.poset.index
         x, self._den = _scaled(shape)
-        self._images = [_image(self.real, c.word.letters, x) for c in self.poset.elements]
+        self._images = [self.real.image(c.word.letters, x) for c in self.poset.elements]
         self._covers_below: dict[int, list[tuple[int, int]]] = {}
         self._gcds_down_to: dict[int, dict[int, frozenset[int]]] = {}
         self._cut_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
@@ -177,7 +173,7 @@ class ChainData:
         alpha = [0] * (real.n + 1)
         for j, a in real.int_roots[word[p]]:
             alpha[j] = a
-        beta = _image(real, word[:p], alpha)
+        beta = real.image(word[:p], alpha)
         diff = list(map(operator.sub, self._images[lower], self._images[upper]))
         k = next(k for k, b in enumerate(beta) if b)
         n = diff[k] // (den * beta[k])
@@ -276,19 +272,16 @@ def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
 
 
 def d_degree(path: LSPath, node: int = 0) -> int:
-    """Coefficient of the distinguished simple root in shape - endpoint.
-
-    On integers: with the integer left inverse (L, C, d) of the simple-root
-    matrix, a vector v lies in the span iff C v = 0, and its root
-    coordinates are then L v / d."""
+    """Coefficient of the distinguished simple root in shape - endpoint,
+    read on integers through `Realization.inverse`."""
     points, scale = path._scaled_breakpoints()
     x, den = _scaled(path.shape)
     diff = [a * (scale // den) - b for a, b in zip(x, points[-1])]
-    left, span, d = path.real._left_inverse()
-    k, r = divmod(sum(map(operator.mul, left[node], diff)), d * scale)
-    if r or any(sum(map(operator.mul, row, diff)) for row in span):
+    inv = path.real.inverse
+    y = inv.expand(diff)
+    if y is None or y[node] % (inv.d * scale):
         raise ValueError("endpoint does not expand integrally")
-    return k
+    return y[node] // (inv.d * scale)
 
 
 def is_G_dominant(path: LSPath, nodes=None) -> bool:
@@ -366,7 +359,7 @@ class FibreLifts:
     the down-set of element i as an int bitset over the numbers, built on
     first use by the lifting property: for a left descent s of w,
     [e, w] = [e, sw] | s [e, sw] (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, Prop. 2.2.7), where s acts on a key by `reflect_int`.  Building
+    Groups, Prop. 2.2.7), where s acts on a key by `Realization.image`.  Building
     a down-set numbers every element of the interval, so an element
     numbered later never lies below a finished one and the bitsets stay
     exact.
@@ -376,9 +369,10 @@ class FibreLifts:
     pairs of a monomial.  A state is the bitset of the lifts that can end
     an admissible prefix; only what lies above some end matters, so the
     ends are kept whole, not cut down to the Bruhat-minimal ones.  The
-    state of every sub-multiset met is memoised under its own sorted
-    pairs, so a monomial whose sub-multisets were decided before costs at
-    most one placement per kind of its last block.
+    state of every proper sub-multiset met is memoised under its own
+    sorted pairs, so a monomial whose sub-multisets were decided before
+    costs at most one placement per kind of its last block.  The state of
+    the monomial asked about is not kept.
     """
 
     def __init__(self, real: Realization):
@@ -410,9 +404,7 @@ class FibreLifts:
         """The number of s w_i."""
         j = self._left[i][s]
         if j is None:
-            v = list(self._keys[i])
-            reflect_int(self.real.int_roots, v, s)
-            j = self._left[i][s] = self._number(v)
+            j = self._left[i][s] = self._number(self.real.image((s,), self._keys[i]))
             self._left[j][s] = i
         return j
 
@@ -443,7 +435,7 @@ class FibreLifts:
                 self._fibres[J] = [u.key[0] + (u.key[1],)
                                    for u in _parabolic_elements(self.real, sorted(J))]
             letters = coset.word.letters
-            self._lifts[key] = [self._number(_image(self.real, letters, u))
+            self._lifts[key] = [self._number(self.real.image(letters, u))
                                 for u in self._fibres[J]]
         return self._lifts[key]
 
@@ -494,7 +486,10 @@ class FibreLifts:
     def standard(self, placed: tuple) -> bool:
         """Whether the monomial with the sorted (block, kind) pairs `placed`
         admits a defining sequence."""
-        return self._state(placed) != 0
+        found = self._state(placed) != 0
+        if placed:                          # () starts every pass
+            del self._states[placed]
+        return found
 
 
 def is_standard_below(mono: PathMonomial, block_keys=None,

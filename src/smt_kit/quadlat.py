@@ -23,11 +23,12 @@ Number Theory, Sec. 2.4) is upper triangular, so the dominant lattice points
 are read off it column by column, and membership by reduction against it is
 used only by `contains`.  The coin change runs in height order on one
 integer code per point, capped at 2 (a point nothing reaches is
-irreducible); heights are one integer row over the basis, from
-`linalg.left_inverse`; and root coordinates, for the dominance walk and for
+irreducible); heights are one integer row over the basis, a one-row
+`linalg.IntInverse`; and root coordinates, for the dominance walk and for
 the classes of P/Q (integer residues mod d), come from `cartan.root_inverse`,
-one integer left inverse of the root rows per GCM.  Fractions remain only
-in the `WeightVec`s handed in and out and in the height values.
+the one integer left inverse of the root rows per GCM, read through
+`IntInverse.expand`.  Fractions remain only in the `WeightVec`s handed in
+and out and in the height values.
 """
 
 from __future__ import annotations
@@ -153,27 +154,28 @@ def root_lattice(label: FinTypeLabel) -> SubLattice:
     return SubLattice(label, gens)
 
 
-def _height_form(basis: list[WeightVec], n: int):
-    """hgt over a fixed basis as one integer row: (scaled, d) with
-    hgt(lam) = scaled(coords) / d, scaled(coords) = s . coords for the
-    coordinates of lam (integers or Fractions), from one left inverse."""
+def _height_form(basis: list[WeightVec], n: int) -> linalg.IntInverse:
+    """hgt over a fixed basis as a one-row integer inverse, the column sums
+    of the left inverse of the basis: hgt(lam) = expand(coords)[0] / d for
+    the coordinates of lam (integers or Fractions)."""
     cols = [[b.coords[j] for b in basis] for j in range(n)]
     scale = math.lcm(*(x.denominator for row in cols for x in row))
-    left, cons, d = linalg.left_inverse([[scale * x for x in row] for row in cols])
-    s = [scale * sum(row[j] for row in left) for j in range(n)]
+    inv = linalg.left_inverse([[scale * x for x in row] for row in cols])
+    return inv._replace(left=(tuple(scale * sum(col) for col in zip(*inv.left)),))
 
-    def scaled(coords):
-        if any(sum(map(operator.mul, row, coords)) for row in cons):
-            raise ValueError("weight not in the span of the basis")
-        return sum(map(operator.mul, s, coords))
 
-    return scaled, d
+def _height(form: linalg.IntInverse, coords) -> int:
+    """d * hgt of the weight with the given coordinates."""
+    h = form.expand(coords)
+    if h is None:
+        raise ValueError("weight not in the span of the basis")
+    return h[0]
 
 
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
     """Sum of the expansion coefficients of lam over the given basis."""
-    scaled, d = _height_form(basis, len(lam.coords))
-    return Q(scaled(lam.coords), d)
+    form = _height_form(basis, len(lam.coords))
+    return Q(_height(form, lam.coords), form.d)
 
 
 def _dominant_points(lat: SubLattice, bound: int) -> list[tuple[int, ...]]:
@@ -280,10 +282,10 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
         report["certificate"] = "monoid basis size differs from rank"
         return False, report
 
-    scaled, d = _height_form(basis, n)
+    form = _height_form(basis, n)
     by_height = True
     for i, root in enumerate(root_rows(lat.gcm)):
-        h = Q(scaled(root), d)
+        h = Q(_height(form, root), form.d)
         if h < 0:
             by_height = False
             report["certificate"] = {"simple_root": i, "hgt": str(h)}
@@ -294,7 +296,7 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
     by_direct = True
     for e, f in itertools.combinations_with_replacement(basis, 2):
         for lam in _dominant_below(lat, e + f):
-            if scaled(lam) > 2 * d:
+            if _height(form, lam) > 2 * form.d:
                 by_direct = False
                 report.setdefault("certificate",
                                   {"below": [str(c) for c in (e + f).coords],
@@ -323,10 +325,10 @@ def _dominant_below(lat: SubLattice, top: WeightVec):
     d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
     coords = [int(d * c) for c in top.coords]
     rows_d = [[int(d * x) for x in row] for row in rows]
-    left, d_inv = root_inverse(gcm)
-    top_rc = [sum(a * c for a, c in zip(row, coords)) for row in left]
+    inv = root_inverse(gcm)
+    top_rc = inv.expand(coords + [0])
     assert all(c >= 0 for c in top_rc)
-    highs = [c // (d * d_inv) for c in top_rc]
+    highs = [c // (d * inv.d) for c in top_rc]
     final_at: list[list[int]] = [[] for _ in range(n)]
     for j in range(n):
         final_at[max((i for i in range(n) if rows_d[i][j]), default=0)].append(j)
@@ -358,12 +360,12 @@ def _intermediate_lattices(label: FinTypeLabel):
     gcm = build_cartan(label)
     n = gcm.n
     rows = root_rows(gcm)
-    left, d = root_inverse(gcm)
+    inv = root_inverse(gcm)
 
     # a class is its root coordinates mod 1, kept as integer residues mod d;
     # d is common to all classes, so they sort as the fractions r / d would
     def cls(coords):
-        return tuple(sum(a * c for a, c in zip(row, coords)) % d for row in left)
+        return tuple(c % inv.d for c in inv.expand(coords + (0,)))
 
     zero = (0,) * n
     reps = {zero: (0,) * n}

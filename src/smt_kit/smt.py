@@ -33,7 +33,7 @@ class MinusculePoset:
     The minimum is the highest weight (the order follows restriction of
     sections: the dual basis vector at the highest weight is the smallest).
     ``depth[i]`` holds the integer simple-root coordinates of
-    highest - weights[i], read with the cached integer inverse
+    highest - weights[i], read through the cached integer inverse
     `cartan.root_inverse`; the order and the node degrees are read off it.
     """
 
@@ -48,15 +48,15 @@ class MinusculePoset:
         dim = weyl_dim(real.gcm, self.highest)
         if len(orbit) != dim:
             raise ValueError("weight is not minuscule (orbit misses weights)")
-        left, d = root_inverse(real.gcm)
+        inv = root_inverse(real.gcm)
         depth = {}
         for coords in orbit:
-            # the orbit of a fundamental weight is integral
-            diff = [int(i == node) - int(c) for i, c in enumerate(coords)]
-            rc = [sum(a * x for a, x in zip(row, diff)) for row in left]
-            assert all(c % d == 0 for c in rc), \
+            # the orbit of a fundamental weight is integral, with delta 0
+            diff = [int(i == node) - int(c) for i, c in enumerate(coords)] + [0]
+            rc = inv.expand(diff)
+            assert all(c % inv.d == 0 for c in rc), \
                 "orbit weight is not the highest weight minus a root-lattice element"
-            depth[coords] = tuple(c // d for c in rc)
+            depth[coords] = tuple(c // inv.d for c in rc)
         self.weights = sorted(orbit.values(),
                               key=lambda w: (sum(depth[w.coords]), w.coords))
         self.index = {w.coords: i for i, w in enumerate(self.weights)}

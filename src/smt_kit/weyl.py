@@ -15,10 +15,10 @@ position of its dropped letter, without a Bruhat comparison.  The
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
 keys once, on return, and so does the orbit search `orbit_bfs`.  The
-integer reflection and the peel are `cartan.reflect_int` and `cartan.peel`,
-the only copies in the package.  Weights handed in and out stay exact
-Fraction `WeightVec`s: `WeylWord.act` goes through
-`Realization.act_letters` and `coset_from_weight` through
+integer reflection, the peel and the word action are `cartan.reflect_int`,
+`cartan.peel` and `Realization.image`, the only copies in the package.
+Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
+goes through `Realization.act_letters` and `coset_from_weight` through
 `Realization.dominant_conjugate`, each one walk on an integer vector.
 """
 
@@ -30,15 +30,6 @@ from fractions import Fraction
 from .cartan import Realization, WeightVec, _scaled, peel, reflect_int
 
 Q = Fraction
-
-
-def _image(real: Realization, letters, start: list[int]) -> list[int]:
-    """s_{l_1} ... s_{l_k} applied to an integer weight (delta last), s_{l_k} first."""
-    v = list(start)
-    roots = real.int_roots
-    for i in reversed(letters):
-        reflect_int(roots, v, i)
-    return v
 
 
 def _peel(real: Realization, v: list[int], bound: int, target: list[int],
@@ -79,7 +70,7 @@ class WeylWord:
     def key(self):
         """w(rho) as (integer coordinates, integer delta coordinate)."""
         if self._key is None:
-            v = _image(self.real, self.letters, _rho(self.real))
+            v = self.real.image(self.letters, _rho(self.real))
             self._key = (tuple(v[:-1]), v[-1])
         return self._key
 
@@ -141,7 +132,7 @@ def longest_parabolic(real: Realization, nodes, cap: int = 4096) -> WeylWord:
         if j is None:
             return WeylWord(real, WeylWord(real, letters).reduce())
         letters.append(j)
-        inv = _image(real, (j,), inv)
+        inv = real.image((j,), inv)
     raise ValueError("parabolic not finite within cap")
 
 
@@ -157,7 +148,7 @@ class CosetRep:
         self.parabolic = frozenset(parabolic)
         self.real = real = word.real
         rho_j = _rho_j(real, self.parabolic)
-        image = _image(real, word.letters, rho_j)
+        image = real.image(word.letters, rho_j)
         letters = _peel(real, image, len(word.letters), rho_j,
                         "coset peeling did not reach rho_J")
         self.word = WeylWord(real, letters)
@@ -263,7 +254,7 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
             covered = drops[c.key] = []
             for p in range(len(word)):
                 letters = word[:p] + word[p + 1:]
-                image = _image(real, letters, rho_j)
+                image = real.image(letters, rho_j)
                 key = ((tuple(image[:-1]), image[-1]), parabolic)
                 sub = seen.get(key)
                 if sub is None:
@@ -385,7 +376,6 @@ def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | N
     """
     x, den = _scaled(start)
     limit = None if delta_cap is None else math.floor(delta_cap * den)
-    roots = real.int_roots
     seen = {tuple(x)}
     frontier = [x]
     while frontier:
@@ -394,8 +384,7 @@ def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | N
             for i in gens:
                 if not v[i]:
                     continue
-                im = v[:]
-                reflect_int(roots, im, i)
+                im = real.image((i,), v)
                 if limit is not None and abs(im[-1]) > limit:
                     continue
                 k = tuple(im)

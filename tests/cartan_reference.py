@@ -12,10 +12,10 @@ integer left inverse, the integer product and the integer walks in
 `tests/test_cartan_differential.py` and `tests/test_lspath_differential.py`
 (and, through `weyl_reference.is_negative_root_vec` and `act_letters`, for
 the Weyl reference kernel).  `dominant_leq` expands the difference over the
-simple roots with one `linalg.solve` per call on a non-affine type, where
-`smt_kit.cartan` applies the cached integer inverse `root_inverse` (on an
-affine type, the reference `root_coords` of a standard realization, where
-`smt_kit.cartan` applies one cached integer inverse per GCM).
+simple roots with one `linalg.solve` per call on a non-affine type (on an
+affine type, with the reference `root_coords` of a standard realization),
+where `smt_kit.cartan` applies `root_inverse`, one cached integer inverse
+per GCM.
 `finite_roots` closes the simple (root, coroot) pairs under every s_i,
 negative roots included, and keeps the positive ones at the end, where
 `smt_kit.cartan` keeps only positive images as it goes; `weyl_dim` here

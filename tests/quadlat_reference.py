@@ -12,9 +12,8 @@ differential oracle for `tests/test_quadlat_differential.py`.
 `smt_kit.quadlat._dominant_below` replaced: it tests every point of the
 whole box of root coordinates, which is cheap enough to check the walk at
 rank 5, where the Fraction `dominant_below` takes seconds per lattice.  It
-shares the box bounds from `cartan.root_inverse` with the walk; the
-dominance test of `tests/test_cartan_differential.py` checks that inverse
-against the solve.
+reads its box bounds with its own `linalg.solve`, so it shares no kernel
+with the walk, which reads them through `cartan.root_inverse`.
 
 `hgt` solves for the expansion over the basis on every call, and
 `intermediate_lattices` finds the classes of P/Q with one `linalg.solve`
@@ -35,7 +34,7 @@ import math
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import WeightVec, build_cartan, root_inverse, root_rows
+from smt_kit.cartan import WeightVec, build_cartan, root_rows
 from smt_kit.quadlat import SubLattice, _hnf
 
 Q = Fraction
@@ -145,10 +144,10 @@ def dominant_below_box(lat, top: WeightVec):
     d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
     top_d = [int(d * c) for c in top.coords]
     rows_d = [[int(d * x) for x in row] for row in rows]
-    left, d_inv = root_inverse(gcm)
-    top_rc = [sum(a * c for a, c in zip(row, top_d)) for row in left]
+    top_rc = linalg.solve([[rows[i][j] for i in range(n)] for j in range(n)],
+                          list(top.coords))
     assert all(c >= 0 for c in top_rc)
-    for combo in itertools.product(*(range(c // (d * d_inv) + 1) for c in top_rc)):
+    for combo in itertools.product(*(range(math.floor(c) + 1) for c in top_rc)):
         coords = list(top_d)
         for k, row in zip(combo, rows_d):
             if k:

@@ -115,6 +115,11 @@ def test_dominant_leq():
         C.dominant_leq(C.WeightVec("t", (Q(0), Q(0), Q(0))),
                        C.WeightVec("t", (Q(1), Q(0), Q(0))),
                        C.build_affine_cartan("C2^(1)"), use_delta=False)
+    aff = C.build_affine_cartan("C2^(1)")
+    two = aff.block_sum(aff)                # indefinite, with dependent roots
+    zero = C.WeightVec("t", (Q(0),) * two.n)
+    with pytest.raises(ValueError, match="linearly independent"):
+        C.dominant_leq(zero, zero, two)
 
 
 def test_dominant_leq_partial_order():
@@ -184,6 +189,15 @@ def test_quadratic_basis():
     assert [w.coords for w in C.quadratic_basis(lab("B1"))] == [(2,)]
     with pytest.raises(ValueError):
         C.quadratic_basis(lab("D4"))
+
+
+def test_weightvec_coordinate_counts_must_match():
+    a, b = C.WeightVec("A2", (1, 0)), C.WeightVec("A2", (1,))
+    for op in (lambda: a + b, lambda: b - a):
+        with pytest.raises(ValueError, match="2 vs 1|1 vs 2"):
+            op()
+    with pytest.raises(ValueError, match="2 vs 1"):
+        C.dominant_leq(a, b, C.build_cartan(lab("A2")))
 
 
 def test_weightvec_json_roundtrip():

@@ -8,14 +8,18 @@ character loop, the integer left inverse, the integer reflection and peel,
 the integer height descent and the integer product must give exactly what
 the Fraction code they replaced gives, and the integer Demazure dimension
 must be the sum of the character's multiplicities.  The dominance order on
-A-BC, D4, G2, F4 and the non-singular indefinite type through the cached
-integer root inverse, and on three affine types through the cached integer inverse with
-its delta row, must agree with the per-call solve on random weight pairs.
+A-BC, D4, G2, F4, the non-singular indefinite type and three affine types,
+through the one cached integer root inverse per GCM (with its delta slot),
+must agree with the per-call solve on random weight pairs, and on the
+affine types that inverse must give the root coordinates of the standard
+realization.
 The positive-root closure must list the positive roots of the full closure
 on every finite type up to E8, F4 and G2, and the integer characteristic
 polynomial and sign classification must agree with the Fraction ones on
 random integer matrices and random GCMs (finite, affine, indefinite and
-non-symmetrizable).
+non-symmetrizable).  The integer left inverse must read the solution of
+`linalg.solve` on random square, rectangular and singular integer
+matrices, and refuse exactly the systems the solve finds inconsistent.
 """
 
 import itertools
@@ -275,6 +279,65 @@ def test_finite_roots_reject_non_finite_types():
         for kernel in (C.finite_roots.__wrapped__, CR.finite_roots):
             with pytest.raises(ValueError, match="finite-type GCM required"):
                 kernel(gcm)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): an integer m x n matrix, m and n in 1..5, and an integer
+    right side, half the time A times an integer vector; a third of the
+    matrices get a first row that is a multiple of another row."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.integers(-4, 4)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.integers(0, 2)) == 0:
+        k, j = draw(st.integers(-2, 2)), draw(st.integers(1, m - 1))
+        a[0] = [k * y for y in a[j]]
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=n, max_size=n))
+        b = [sum(r * t for r, t in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(entries, min_size=m, max_size=m))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_left_inverse_reads_the_solution(case):
+    a, b = case
+    inv = linalg.left_inverse(a)
+    want = linalg.solve(a, b)
+    got = inv.expand(b)
+    if want is None:
+        assert got is None
+    else:
+        assert [Q(c, inv.d) for c in got] == want
+    assert tuple(inv) == (inv.left, inv.span, inv.d)        # unpacks as (L, C, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(AFFINE_NAMES),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=5, max_size=5), st.booleans())
+def test_root_inverse_matches_the_standard_realization(name, ks, noise, in_span):
+    """On an affine type the one inverse per GCM reads the root coordinates
+    of the standard realization: on sums of simple roots, and None on both
+    off their span."""
+    gcm = DOMINANCE_GCMS[name]
+    n = gcm.n
+    real = C.Realization.standard(gcm, name)
+    x = [0] * (n + 1)
+    for i, k in enumerate(ks[:n]):
+        for j, a in real.int_roots[i]:
+            x[j] += k * a
+    if not in_span:
+        x = [t + e for t, e in zip(x, noise)]
+    by_gcm, by_real = C.root_inverse(gcm), real.inverse
+    got, want = by_gcm.expand(x), by_real.expand(x)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [Q(c, by_gcm.d) for c in got] == [Q(c, by_real.d) for c in want]
+    if in_span:
+        assert [Q(c, by_gcm.d) for c in got] == ks[:n]
 
 
 @settings(max_examples=200, deadline=None)

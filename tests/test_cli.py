@@ -145,6 +145,19 @@ def test_demazure_cli_bad_inputs_exit_1(a2_gcm):
     assert code == 1 and "coordinates given, 2 expected" in out["error"]
 
 
+def test_leading_minus_value_needs_equals(a2_gcm, capsys):
+    """argparse takes `-1,2` after a space for an option and exits 2; in the
+    `=` form it is the value and reaches the library."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cartan", "A2", "--dim", "-1,2"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    code, out, _ = run_in_process("cartan", "A2", "--dim=-1,2")
+    assert (code, out) == (1, {"error": "dominant integral weight required"})
+    code, out, _ = run_in_process("weyl", "demazure", "--gcm", a2_gcm, "--word", "1,0",
+                                  "--weight=-1,2")
+    assert code == 0 and out["inputs"]["weight"] == "-1,2"
+
+
 def test_lspath_cli():
     r = run("lspath", "enumerate", "--case", "flip-sl2", "--top", "tau1",
             "--degree", "1")
