@@ -186,48 +186,46 @@ def prop47() -> list[dict]:
     return checks
 
 
+# (family, degree, literal total or None, literal multidegrees or None or
+# "dims", which checks each against `AmbientCase.dim_eps_sum`), in row order
+_THM50_ROWS = (
+    ("flip-sl2", 2, None, None),
+    ("flip-sl2", 3, None, None),
+    ("flip-sp4", 2, None, {"1+1": 100, "1+2": 256, "2+2": 196}),
+    ("flip-sl2", 4, None, None),
+    ("flip-sp4", 3, 4125, {"1+1+1": 400, "1+1+2": 1225, "1+2+2": 1600, "2+2+2": 900}),
+    ("flip-sp4", 4, 21307, {"1+1+1+1": 1225, "1+1+1+2": 4096, "1+1+2+2": 6561,
+                            "1+2+2+2": 6400, "2+2+2+2": 3025}),
+    ("flip-sp6", 2, 40469, {"1+1": 441, "1+2": 4096, "1+3": 4900, "2+2": 8100,
+                            "2+3": 15876, "3+3": 7056}),
+    ("flip-so-odd5", 3, 25542, "dims"),
+    ("sym-quadrics3", 3, 176, "dims"),
+)
+
+
 def thm50() -> list[dict]:
     """Criterion 7 (Thm 5.0): standard monomials from below and from above
     agree, and the lift carries one basis to the other (flip-sl2 to degree
-    4, flip-sp4 to degree 4, flip-sp6 to degree 2)."""
+    4, flip-sp4 to degree 4, flip-sp6 to degree 2; the type B adjoint case
+    flip-so-odd5 and sym-quadrics3 at degree 3 against the Weyl dimension
+    formula).  One case per family, so each family's tables are built once."""
     checks = []
-    case = involutions.AmbientCase("flip-sl2")
-    for deg in (2, 3):
-        rep = smt.two_basis_counts(case, deg)
-        checks.append(_check(f"flip-sl2 deg {deg} totals",
-                             rep["below_total"], rep["above_total"]))
-        checks.append(_check(f"flip-sl2 deg {deg} lift", True,
-                             rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
-    rep = smt.two_basis_counts(involutions.AmbientCase("flip-sp4"), 2)
-    checks.append(_check("flip-sp4 deg 2 totals", rep["below_total"], rep["above_total"]))
-    checks.append(_check("flip-sp4 deg 2 multidegrees",
-                         {"1+1": 100, "1+2": 256, "2+2": 196},
-                         rep["below_by_multidegree"]))
-    checks.append(_check("flip-sp4 deg 2 lift", True,
-                         rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
-    rep = smt.two_basis_counts(case, 4)
-    checks.append(_check("flip-sl2 deg 4 totals", rep["below_total"], rep["above_total"]))
-    checks.append(_check("flip-sl2 deg 4 lift", True,
-                         rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
-    rep = smt.two_basis_counts(involutions.AmbientCase("flip-sp4"), 3)
-    checks.append(_check("flip-sp4 deg 3 totals", (4125, 4125),
-                         (rep["below_total"], rep["above_total"])))
-    checks.append(_check("flip-sp4 deg 3 multidegrees",
-                         {"1+1+1": 400, "1+1+2": 1225, "1+2+2": 1600, "2+2+2": 900},
-                         rep["below_by_multidegree"]))
-    checks.append(_check("flip-sp4 deg 3 lift", True,
-                         rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
-    for name, degree, total, multidegrees in (
-            ("flip-sp4", 4, 21307, {"1+1+1+1": 1225, "1+1+1+2": 4096, "1+1+2+2": 6561,
-                                    "1+2+2+2": 6400, "2+2+2+2": 3025}),
-            ("flip-sp6", 2, 40469, {"1+1": 441, "1+2": 4096, "1+3": 4900, "2+2": 8100,
-                                    "2+3": 15876, "3+3": 7056})):
-        rep = smt.two_basis_counts(involutions.AmbientCase(name), degree)
-        checks.append(_check(f"{name} deg {degree} totals", (total, total),
-                             (rep["below_total"], rep["above_total"])))
-        checks.append(_check(f"{name} deg {degree} multidegrees", multidegrees,
-                             rep["below_by_multidegree"]))
-        checks.append(_check(f"{name} deg {degree} lift", True,
+    cases = {name: involutions.AmbientCase(name)
+             for name in dict.fromkeys(row[0] for row in _THM50_ROWS)}
+    for name, degree, total, multidegrees in _THM50_ROWS:
+        case, row = cases[name], f"{name} deg {degree}"
+        rep = smt.two_basis_counts(case, degree)
+        totals = (rep["below_total"], rep["above_total"])
+        checks.append(_check(f"{row} totals", *totals) if total is None
+                      else _check(f"{row} totals", (total, total), totals))
+        if multidegrees == "dims":
+            multidegrees = {"+".join(map(str, idx)): case.dim_eps_sum(idx) for idx in
+                            itertools.combinations_with_replacement(range(1, case.rank + 1),
+                                                                    degree)}
+        if multidegrees:
+            checks.append(_check(f"{row} multidegrees", multidegrees,
+                                 rep["below_by_multidegree"]))
+        checks.append(_check(f"{row} lift", True,
                              rep["lift_preserves_standardness"] and rep["degree1_bijection"]))
     return checks
 

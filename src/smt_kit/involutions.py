@@ -298,6 +298,12 @@ class AmbientCase:
 
     # -- base-level path models -------------------------------------------------
 
+    @functools.cached_property
+    def two_bases(self):
+        """The tables of `smt.two_basis_counts`, built on first use."""
+        from .smt import TwoBases
+        return TwoBases(self)
+
     def base_realization(self) -> Realization:
         if not hasattr(self, "_base_real"):
             self._base_real = Realization(self.base, f"base({self.record.name})")

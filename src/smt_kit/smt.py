@@ -14,7 +14,7 @@ weight spaces are lines, so edges mu -> mu - alpha determine the labels).
 
 from __future__ import annotations
 
-import collections
+import functools
 import itertools
 from fractions import Fraction
 
@@ -334,103 +334,99 @@ def expected(case, m: int, n: int, locus: str = "S") -> int:
 
 
 # ---------------------------------------------------------------------------
-# The finite (restricted type A) structure
+# The two standard bases
 
 
-def _comparability(paths: list) -> list[int]:
-    """comparable[a]: the bitset of the b with paths[a] <= paths[b] or
-    paths[b] <= paths[a] (`lspath.path_leq`), from at most one Bruhat
-    comparison per pair of a top and a bottom direction (none where the
-    top is the longer: Bruhat order never decreases length)."""
-    if len({p.shape for p in paths}) > 1:
-        raise ValueError("factors must share one shape")
+class TwoBases:
+    """The degree-independent tables of `two_basis_counts`, built once per
+    case and kept by it (`AmbientCase.two_bases`).
 
-    def group(end: int) -> dict[tuple, list]:
-        """direction key -> [direction, bitset of the paths it ends]"""
-        out: dict[tuple, list] = {}
-        for a, p in enumerate(paths):
-            out.setdefault(p.dirs[end].key, [p.dirs[end], 0])[1] |= 1 << a
-        return out
+    The pool is the base paths of shapes eps_1 .. eps_l, a path's block
+    being its index i, ordered by (block, size of the Bruhat down-set of
+    the first lift of its `lspath.FibreLifts` kind, kind number).  `leq[a]`
+    is the bitset of the positions b with lift(a) <= lift(b) for
+    `lspath.path_leq`, from at most one Bruhat comparison per pair of a top
+    and a bottom direction (none where the top is the longer: Bruhat order
+    never decreases length).  The lift is checked once: injective, of
+    node-0 degree i, and in degree 1 a bijection onto the paths of the
+    Richardson locus.
+    """
 
-    tops, bottoms = group(0), group(-1)
-    up = dict.fromkeys(tops, 0)         # up[top]: the paths whose bottom is >= top
-    down = dict.fromkeys(bottoms, 0)    # down[bottom]: the paths whose top is <= bottom
-    for tkey, (top, top_paths) in tops.items():
-        for bkey, (bottom, bottom_paths) in bottoms.items():
-            if top.length() <= bottom.length() and bruhat_leq(top, bottom):
-                up[tkey] |= bottom_paths
-                down[bkey] |= top_paths
-    return [up[p.dirs[0].key] | down[p.dirs[-1].key] for p in paths]
+    def __init__(self, case):
+        self.lifts = lspath.FibreLifts(case.base_realization())
+        pool = [(i, self.lifts.kind(p), case.lift_to_grassmannian(p, i))
+                for i in range(1, case.rank + 1) for p in case.base_paths(i)]
+        pool.sort(key=lambda e: (e[0], self.lifts._steps[e[1]][0][0][1].bit_count(), e[1]))
+        self.blocks, self.kinds, lifted = zip(*pool)
+        assert all(lspath.d_degree(q) == i for i, q in zip(self.blocks, lifted))
+        assert len(set(lifted)) == len(lifted), "lift is not injective"
+        self.graded = GradedCounts(case, case.rank)
+        self.degree1_bijection = set(lifted) == set(self.graded.pool("R"))
+        bottoms: dict[tuple, list] = {}     # direction key -> [direction, the b it ends]
+        for b, q in enumerate(lifted):
+            bottoms.setdefault(q.dirs[-1].key, [q.dirs[-1], 0])[1] |= 1 << b
+        up = {top.key: sum(ended for bottom, ended in bottoms.values()
+                           if top.length() <= bottom.length() and bruhat_leq(top, bottom))
+              for top in {q.dirs[0] for q in lifted}}
+        self.leq = [up[q.dirs[0].key] for q in lifted]
+
+    def counts(self, degree: int) -> dict[tuple, list[int]]:
+        """(last position, state, block tuple) -> [monomials of `degree`
+        that admit a defining sequence, those of them whose lifts form a
+        chain in pool order].  A monomial is a nondecreasing sequence of
+        pool positions and its state the fold of `FibreLifts._place` along
+        it, which on blocks of equal shape gives the union over all orders
+        inside a block that `FibreLifts._state` takes (measured, not
+        proved; `tests/test_smt.py` checks it).  So both counts are one
+        dynamic program, one placement per step; the second takes only the
+        steps a -> b with leq[a] >> b & 1."""
+        place = functools.lru_cache(maxsize=None)(self.lifts._place)
+        layer = {(0, None, ()): [1, 1]}
+        for _ in range(degree):
+            nxt: dict[tuple, list[int]] = {}
+            for (pos, ends, idx), (below, chain) in layer.items():
+                up = self.leq[pos] if idx else ~0       # the first factor follows nothing
+                for b in range(pos, len(self.kinds)):
+                    state = place(ends, self.kinds[b])
+                    if state:
+                        entry = nxt.setdefault((b, state, idx + (self.blocks[b],)), [0, 0])
+                        entry[0] += below
+                        entry[1] += chain if up >> b & 1 else 0
+            layer = nxt
+        return layer
 
 
 def two_basis_counts(case, degree: int) -> dict:
     """Standard monomials from below vs from above at the given degree.
 
     Below: multisets of base paths of quadratic-basis shapes admitting a
-    defining sequence (blocks in increasing basis index), decided by one
-    `lspath.FibreLifts` that keeps the states of every sub-multiset.
-    Above: standard multisets of lifted paths on the Richardson locus,
-    counted on the `GradedCounts` table; a lifted monomial is standard iff
-    its factors are pairwise comparable.  The lift is checked to be
-    injective and to carry below-standard to above-standard.
+    defining sequence (blocks in increasing basis index), counted per
+    multidegree by `TwoBases.counts` on the case's tables, so that later
+    degrees rebuild nothing.  Above: standard multisets of lifted paths on
+    the Richardson locus, counted on the `GradedCounts` table.  The lift
+    carries below-standard to above-standard when, in every multidegree,
+    each below-standard monomial lifts to a chain in pool order.
     """
-    l = case.rank
-    pools = {i: case.base_paths(i) for i in range(1, l + 1)}
-
-    lifted = {i: [case.lift_to_grassmannian(p, i) for p in pools[i]]
-              for i in pools}
-    for i, lst in lifted.items():
-        assert len({(tuple(d.key for d in p.dirs), p.cuts) for p in lst}) == len(lst), \
-            "lift is not injective"
-        assert all(lspath.d_degree(p) == i for p in lst)
-
-    gc = GradedCounts(case, l)
-    pool_R = gc.pool("R")
-    lifted_keys = {key for lst in lifted.values()
-                   for key in ((tuple(d.key for d in p.dirs), p.cuts) for p in lst)}
-    pool_keys = {(tuple(d.key for d in p.dirs), p.cuts) for p in pool_R}
-    report: dict = {"degree": degree,
-                    "degree1_bijection": lifted_keys == pool_keys}
-
-    # per pool path, once: its (block, kind) pair for the forward pass (a
-    # factor's block is its pool index i), and its number first[i] + t
-    # among the lifted paths
-    fibre_lifts = lspath.FibreLifts(case.base_realization())
-    pairs = {i: [(i, fibre_lifts.kind(p)) for p in pools[i]] for i in pools}
-    first, flat = {}, []
-    for i in pools:
-        first[i] = len(flat)
-        flat += lifted[i]
-    comparable = _comparability(flat)
-
-    below_total = 0
-    above_total = gc.count(degree, "R")
-    per_multidegree = {}
-    lift_preserves = True
-    for idx in itertools.combinations_with_replacement(range(1, l + 1), degree):
-        groups = sorted(collections.Counter(idx).items())
-        count = 0
-        choices = [itertools.combinations_with_replacement(range(len(pools[i])), k)
-                   for i, k in groups]
-        for pick in itertools.product(*choices):
-            picked = [(i, t) for (i, _), chosen in zip(groups, pick) for t in chosen]
-            if fibre_lifts.standard(tuple(sorted(pairs[i][t] for i, t in picked))):
-                count += 1
-                lifted_mono = [first[i] + t for i, t in picked]
-                if not all(comparable[a] >> b & 1
-                           for a, b in itertools.combinations(lifted_mono, 2)):
-                    lift_preserves = False
-        per_multidegree[idx] = count
-        below_total += count
-    report["below_by_multidegree"] = {"+".join(map(str, k)): v
-                                      for k, v in per_multidegree.items()}
-    report["below_total"] = below_total
-    report["above_total"] = above_total
-    report["totals_agree"] = below_total == above_total
-    report["lift_preserves_standardness"] = lift_preserves
-    report["ok"] = report["totals_agree"] and report["degree1_bijection"] \
-        and lift_preserves
+    table = case.two_bases
+    above_total = table.graded.count(degree, "R")
+    below = dict.fromkeys(itertools.combinations_with_replacement(range(1, case.rank + 1),
+                                                                  degree), 0)
+    chains = dict(below)
+    for (_, _, idx), (n, chain) in table.counts(degree).items():
+        below[idx] += n
+        chains[idx] += chain
+    below_total = sum(below.values())
+    report = {"degree": degree, "degree1_bijection": table.degree1_bijection,
+              "below_by_multidegree": {"+".join(map(str, k)): v for k, v in below.items()},
+              "below_total": below_total, "above_total": above_total,
+              "totals_agree": below_total == above_total,
+              "lift_preserves_standardness": chains == below}
+    report["ok"] = report["totals_agree"] and table.degree1_bijection and chains == below
     return report
+
+
+# ---------------------------------------------------------------------------
+# The finite (restricted type A) structure
 
 
 def finite_case_structure(case) -> dict:

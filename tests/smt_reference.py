@@ -5,9 +5,10 @@ Every monomial is built as a `PathMonomial`; below-standardness is the
 list-based forward pass `lspath_reference.forward_standard_below` with one
 `lspath_reference.FibreLifts` per call, and above-standardness of the
 lifted monomial is `lspath.is_standard_above`, one `path_leq` per pair of
-factors.  The library reads the kinds, the lifts and the comparabilities
-off tables built once per call, so the two share no per-monomial work;
-`tests/test_lspath_differential.py` compares their reports.
+factors.  The library walks no monomial: it counts them by a dynamic
+program over a table built once per case, so the two share no
+per-monomial work; `tests/test_lspath_differential.py` compares their
+reports.
 """
 
 from __future__ import annotations

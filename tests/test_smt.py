@@ -199,6 +199,61 @@ def test_two_basis_counts_quadrics():
         assert rep["ok"] and rep["below_total"] == want
 
 
+def test_fixed_order_fold_is_the_union_over_orders():
+    """The order claim behind `TwoBases.counts`: on every flip-sp4 monomial
+    of degree 3 (12,341 of them), with blocks following shape, folding
+    `FibreLifts._place` along the pool order gives the state that
+    `FibreLifts._state` takes as the union over all orders inside each
+    block, so also the verdict of `FibreLifts.standard`.
+
+    The claim needs the blocks.  With every block key 0, so that paths of
+    shapes eps_1 and eps_2 share one block ordered by (down-set size,
+    kind number), the fold gives another state on 1,595 monomials and
+    another verdict on 288 of them."""
+    table = I.AmbientCase("flip-sp4").two_bases
+    lifts = table.lifts
+    size = {k: lifts._steps[k][0][0][1].bit_count() for k in table.kinds}
+
+    def fold(kinds):
+        state = None
+        for k in kinds:
+            state = lifts._place(state, k)
+        return state
+
+    monomials = list(itertools.combinations_with_replacement(range(len(table.kinds)), 3))
+    assert len(monomials) == 12341
+    states = verdicts = 0
+    for mono in monomials:
+        kinds = [table.kinds[b] for b in mono]
+        state = fold(kinds)
+        placed = tuple(sorted((table.blocks[b], table.kinds[b]) for b in mono))
+        assert lifts._state(placed) == state, mono
+        assert lifts.standard(placed) == (state != 0)
+        one_block = fold(sorted(kinds, key=lambda k: (size[k], k)))
+        union = lifts._state(tuple((0, k) for k in sorted(kinds)))
+        states += one_block != union
+        verdicts += (one_block != 0) != (union != 0)
+    assert (states, verdicts) == (1595, 288)
+
+
+def test_two_basis_tables_are_built_once_per_case(monkeypatch):
+    """Degrees asked in any order on one case give the reports of fresh
+    cases, and the case lifts each of its 4 pool paths once in all."""
+    lifted = []
+    lift = I.AmbientCase.lift_to_grassmannian
+
+    def counted(self, path, i):
+        lifted.append(self)
+        return lift(self, path, i)
+
+    monkeypatch.setattr(I.AmbientCase, "lift_to_grassmannian", counted)
+    case = I.AmbientCase("flip-sl2")
+    for degree in (5, 2, 4, 3):
+        assert S.two_basis_counts(case, degree) == \
+            S.two_basis_counts(I.AmbientCase("flip-sl2"), degree), degree
+    assert sum(owner is case for owner in lifted) == 4
+
+
 def test_proctor_agreement_small():
     # weight-side order equals word-side Bruhat order on a minuscule quotient
     from smt_kit import weyl as W
