@@ -24,8 +24,6 @@ from fractions import Fraction
 
 from . import cartan, criteria, extend, involutions, quadlat, smt, weyl
 
-Q = Fraction
-
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -51,13 +49,40 @@ def _report(command, inputs, outputs, checks, t0):
 def _rational(text: str) -> Fraction:
     """A rational argument; a zero denominator is a ValueError."""
     try:
-        return Q(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r}: zero denominator") from None
 
 
 def _rationals(text: str) -> list[Fraction]:
     return [_rational(c) for c in text.split(",")]
+
+
+def _json_file(path: str, shape: dict) -> dict:
+    """The JSON object in a file.  `shape` is a type or a tuple of types,
+    [the shape of every item] or {field: its shape}, a missing field being
+    left to the reader; a ValueError names the first field that departs."""
+    def misshapen(value, want, where):
+        if not isinstance(want, (list, dict)):
+            return None if isinstance(value, want) else where
+        if not isinstance(value, type(want)):
+            return where
+        inner = (((f"[{i}]", v, want[0]) for i, v in enumerate(value)) if isinstance(want, list)
+                 else ((f".{f}", value[f], w) for f, w in want.items() if f in value))
+        return next(filter(None, (misshapen(v, w, where + at) for at, v, w in inner)), None)
+
+    with open(path) as fh:
+        data = json.load(fh)
+    where = misshapen(data, shape, "")
+    if where is not None:
+        raise ValueError(f"{path}: field {where[1:]!r} has the wrong shape" if where
+                         else f"{path}: expected a JSON object")
+    return data
+
+
+_GCM_FILE = {"entries": [[int]], "nonreduced": [int]}
+_SYSTEM_FILE = {"generators": [{"id": str, "grade": int}], "order": [[str]],
+                "relations": [{"pair": [str], "rhs": [{"coef": (int, str), "mono": [str]}]}]}
 
 
 def cmd_cartan(args, t0):
@@ -102,8 +127,7 @@ def cmd_weyl_tauhat(args, t0):
 
 
 def cmd_weyl_demazure(args, t0):
-    with open(args.gcm) as fh:
-        gcm = cartan.GCM.from_json(json.load(fh))
+    gcm = cartan.GCM.from_json(_json_file(args.gcm, _GCM_FILE))
     real = cartan.Realization.standard(gcm, "cli")
     letters = [int(x) for x in args.word.split(",")] if args.word else []
     bad = [i for i in letters if not 0 <= i < real.n]
@@ -152,13 +176,12 @@ def cmd_smt_straighten(args, t0):
                 "mono": [rev.get(g, f"g{g}") for g in m]} for m, c in sorted(nf.items())]
         return _report("smt straighten", {"system": "e7", "monomial": args.monomial},
                        out, [], t0)
-    with open(args.system) as fh:
-        data = json.load(fh)
+    data = _json_file(args.system, _SYSTEM_FILE)
     ids = [g["id"] for g in data["generators"]]
     grade = {g["id"]: g.get("grade", 1) for g in data["generators"]}
-    closure = _order_closure(ids, {(a, b) for a, b in data["order"]})
+    closure = _order_closure({(a, b) for a, b in data["order"]})
     leq = lambda a, b: a == b or (a, b) in closure
-    relations = {tuple(r["pair"]): [(Q(t["coef"]), tuple(t["mono"]))
+    relations = {tuple(r["pair"]): [(_rational(t["coef"]), tuple(t["mono"]))
                                     for t in r["rhs"]] for r in data["relations"]}
     terms = args.monomial.split(",")
     unknown = [t for t in terms if t not in grade]
@@ -172,16 +195,11 @@ def cmd_smt_straighten(args, t0):
                                       "monomial": args.monomial}, out, [], t0)
 
 
-def _order_closure(ids, pairs):
+def _order_closure(pairs):
+    """The transitive closure of a relation, through one element at a time."""
     closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for c, d in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
+    for k in {x for pair in pairs for x in pair}:
+        closure |= {(a, d) for a, b in closure if b == k for c, d in closure if c == k}
     return closure
 
 

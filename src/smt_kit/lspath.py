@@ -323,22 +323,6 @@ def is_standard_above(mono: PathMonomial) -> bool:
                for a, b in itertools.combinations(factors, 2))
 
 
-def _parabolic_elements(real: Realization, nodes) -> list[WeylWord]:
-    """The elements of W_J as reduced words, the identity first."""
-    out = {WeylWord(real, ()).key: WeylWord(real, ())}
-    frontier = list(out.values())
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j in nodes:
-                cand = WeylWord(real, w.reduce() + (j,))
-                if cand.key not in out:
-                    out[cand.key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return list(out.values())
-
-
 def _bits(mask: int):
     """The positions of the set bits of a nonnegative int, increasing."""
     digits = bin(mask)[:1:-1]
@@ -354,8 +338,9 @@ class FibreLifts:
     realization.
 
     Every Weyl element it meets is numbered once, keyed by w(rho).  The
-    lifts of a direction coset are the elements coset.word * u, u in the
-    stabilizer fibre W_J, the minimal representative first.  `below(i)` is
+    lifts of a direction coset are coset.word * u for u in the stabilizer
+    fibre W_J, built breadth first from the identity on those numbers, so
+    the minimal representative comes first.  `below(i)` is
     the down-set of element i as an int bitset over the numbers, built on
     first use by the lifting property: for a left descent s of w,
     [e, w] = [e, sw] | s [e, sw] (Bjorner-Brenti, Combinatorics of Coxeter
@@ -365,19 +350,17 @@ class FibreLifts:
     exact.
 
     A factor's kind is its stabilizer and direction cosets; factors of one
-    kind place alike.  `standard(placed)` takes the sorted (block, kind)
-    pairs of a monomial.  A state is the bitset of the lifts that can end
-    an admissible prefix; only what lies above some end matters, so the
-    ends are kept whole, not cut down to the Bruhat-minimal ones.  The
-    state of every proper sub-multiset met is memoised under its own
-    sorted pairs, so a monomial whose sub-multisets were decided before
-    costs at most one placement per kind of its last block.  The state of
-    the monomial asked about is not kept.
+    kind place alike.  A state is the bitset of the lifts that can end an
+    admissible prefix; only what lies above some end matters, so the ends
+    are kept whole, not cut down to the Bruhat-minimal ones.  `state`
+    memoises the state of every sub-multiset it meets under its sorted
+    (block, kind) pairs, so a monomial whose sub-multisets were decided
+    before costs at most one placement per kind of its last block.
     """
 
     def __init__(self, real: Realization):
         self.real = real
-        self._fibres: dict[frozenset[int], list[list[int]]] = {}
+        self._fibres: dict[frozenset[int], list[int]] = {}
         self._numbers: dict[tuple, int] = {}
         self._keys: list[tuple[int, ...]] = []      # w(rho), delta last
         self._left: list[list[int | None]] = []     # the number of s w, per s
@@ -432,10 +415,14 @@ class FibreLifts:
         key = (coset.key, J)
         if key not in self._lifts:
             if J not in self._fibres:
-                self._fibres[J] = [u.key[0] + (u.key[1],)
-                                   for u in _parabolic_elements(self.real, sorted(J))]
+                fibre = self._fibres[J] = [self.number(WeylWord(self.real, ()))]
+                for u in fibre:             # breadth first, the identity first
+                    for j in J:
+                        v = self._times(j, u)
+                        if v not in fibre:
+                            fibre.append(v)
             letters = coset.word.letters
-            self._lifts[key] = [self._number(self.real.image(letters, u))
+            self._lifts[key] = [self._number(self.real.image(letters, self._keys[u]))
                                 for u in self._fibres[J]]
         return self._lifts[key]
 
@@ -452,7 +439,14 @@ class FibreLifts:
                                 for d in reversed(path.dirs)])
         return k
 
-    def _place(self, ends: int | None, kind: int) -> int:
+    def order_key(self, kind: int) -> int:
+        """The size of the down-set of the first lift of the kind's lowest
+        direction: kinds of one block placed in increasing order of it (ties
+        by kind number) fold to the union over all orders that `state`
+        takes (measured, not proved; `tests/test_smt.py` checks it)."""
+        return self._steps[kind][0][0][1].bit_count()
+
+    def place(self, ends: int | None, kind: int) -> int:
         """The lifts that can end a sequence placing one factor of `kind`
         behind a prefix that can end in any of `ends` (None: nothing placed
         yet), as a bitset: a lift is reached iff some end lies below it."""
@@ -465,10 +459,10 @@ class FibreLifts:
                 break
         return ends
 
-    def _state(self, placed: tuple) -> int | None:
+    def state(self, placed: tuple) -> int | None:
         """The lifts that can end an admissible prefix placing exactly the
         factors of `placed`: the factors of the last block go last, and
-        any of its kinds can be the last factor."""
+        any of its kinds can be the last factor.  0 when there is none."""
         if placed not in self._states:
             block = placed[-1][0]
             found = 0
@@ -477,22 +471,14 @@ class FibreLifts:
                     break
                 if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
                     continue                # the same pair, already tried
-                ends = self._state(placed[:pos] + placed[pos + 1:])
+                ends = self.state(placed[:pos] + placed[pos + 1:])
                 if ends != 0:
-                    found |= self._place(ends, placed[pos][1])
+                    found |= self.place(ends, placed[pos][1])
             self._states[placed] = found
         return self._states[placed]
 
-    def standard(self, placed: tuple) -> bool:
-        """Whether the monomial with the sorted (block, kind) pairs `placed`
-        admits a defining sequence."""
-        found = self._state(placed) != 0
-        if placed:                          # () starts every pass
-            del self._states[placed]
-        return found
 
-
-def is_standard_below(mono: PathMonomial, block_keys=None,
+def is_standard_below(mono: PathMonomial, block_keys,
                       lifts: FibreLifts | None = None) -> bool:
     """Defining-sequence standardness for factors of quadratic-basis shapes.
 
@@ -509,18 +495,16 @@ def is_standard_below(mono: PathMonomial, block_keys=None,
     a lift of the next direction is reached iff one of them lies below it.
     Factors with the same directions and stabilizer place alike, so they
     count as one kind.  `block_keys` gives the block of each factor, in
-    factor order (by default the coordinate sum of its shape); `lifts`
-    holds the fibre lifts, their order and the memoised states, and
-    without one the call builds its own.
+    factor order: the basis index of its shape, which only the caller
+    knows; `lifts` holds the fibre lifts, their order and the memoised
+    states, and without one the call builds its own.
     """
     if not mono.factors:
         return True
-    if block_keys is None:
-        block_keys = [sum(f.shape.coords) for f in mono.factors]
     if lifts is None:
         lifts = FibreLifts(mono.factors[0].real)
-    return lifts.standard(tuple(sorted(zip(block_keys, map(lifts.kind, mono.factors),
-                                           strict=True))))
+    placed = tuple(sorted(zip(block_keys, map(lifts.kind, mono.factors), strict=True)))
+    return lifts.state(placed) != 0
 
 
 def lift_path(path: LSPath, tau_word: WeylWord, parabolic, shape: WeightVec,

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
                      classify, root_inverse, weyl_dim)
-from .weyl import (CosetRep, bruhat_leq, coset_interval, longest_parabolic, orbit_bfs,
-                   tau_full)
+from .weyl import CosetRep, coset_interval, longest_parabolic, orbit_bfs, tau_full
 from . import lspath
 
 Q = Fraction
@@ -320,10 +319,6 @@ class GradedCounts:
         return out
 
 
-def graded_count(case, m: int, n: int, locus: str = "S") -> int:
-    return GradedCounts(case, m).count(n, locus)
-
-
 def expected(case, m: int, n: int, locus: str = "S") -> int:
     """Dimension sums over weakly increasing index tuples (0 allowed on S)."""
     lo = 1 if locus == "R" else 0
@@ -342,45 +337,43 @@ class TwoBases:
     case and kept by it (`AmbientCase.two_bases`).
 
     The pool is the base paths of shapes eps_1 .. eps_l, a path's block
-    being its index i, ordered by (block, size of the Bruhat down-set of
-    the first lift of its `lspath.FibreLifts` kind, kind number).  `leq[a]`
-    is the bitset of the positions b with lift(a) <= lift(b) for
-    `lspath.path_leq`, from at most one Bruhat comparison per pair of a top
-    and a bottom direction (none where the top is the longer: Bruhat order
-    never decreases length).  The lift is checked once: injective, of
+    being its index i, ordered by (block, `lspath.FibreLifts.order_key` of
+    its kind, kind number).  The lift is checked once: injective, of
     node-0 degree i, and in degree 1 a bijection onto the paths of the
-    Richardson locus.
+    Richardson locus, which `graded` enumerates below tau_l.  `leq[a]` is
+    the bitset of the positions b with lift(a) <= lift(b) for
+    `lspath.path_leq`, read off the comparability table of `graded`; a
+    lifted path outside that table (only when the lift is no bijection)
+    gets an empty row.
     """
 
     def __init__(self, case):
         self.lifts = lspath.FibreLifts(case.base_realization())
         pool = [(i, self.lifts.kind(p), case.lift_to_grassmannian(p, i))
                 for i in range(1, case.rank + 1) for p in case.base_paths(i)]
-        pool.sort(key=lambda e: (e[0], self.lifts._steps[e[1]][0][0][1].bit_count(), e[1]))
+        pool.sort(key=lambda e: (e[0], self.lifts.order_key(e[1]), e[1]))
         self.blocks, self.kinds, lifted = zip(*pool)
         assert all(lspath.d_degree(q) == i for i, q in zip(self.blocks, lifted))
         assert len(set(lifted)) == len(lifted), "lift is not injective"
         self.graded = GradedCounts(case, case.rank)
         self.degree1_bijection = set(lifted) == set(self.graded.pool("R"))
-        bottoms: dict[tuple, list] = {}     # direction key -> [direction, the b it ends]
-        for b, q in enumerate(lifted):
-            bottoms.setdefault(q.dirs[-1].key, [q.dirs[-1], 0])[1] |= 1 << b
-        up = {top.key: sum(ended for bottom, ended in bottoms.values()
-                           if top.length() <= bottom.length() and bruhat_leq(top, bottom))
-              for top in {q.dirs[0] for q in lifted}}
-        self.leq = [up[q.dirs[0].key] for q in lifted]
+        position = {q: b for b, q in enumerate(lifted)}
+        bit = [1 << position[p] if p in position else 0 for p in self.graded.paths]
+        row = {p: sum(bit[b] for b in above)
+               for p, above in zip(self.graded.paths, self.graded.above)}
+        self.leq = [row.get(q, 0) for q in lifted]
 
     def counts(self, degree: int) -> dict[tuple, list[int]]:
         """(last position, state, block tuple) -> [monomials of `degree`
         that admit a defining sequence, those of them whose lifts form a
         chain in pool order].  A monomial is a nondecreasing sequence of
-        pool positions and its state the fold of `FibreLifts._place` along
+        pool positions and its state the fold of `FibreLifts.place` along
         it, which on blocks of equal shape gives the union over all orders
-        inside a block that `FibreLifts._state` takes (measured, not
+        inside a block that `FibreLifts.state` takes (measured, not
         proved; `tests/test_smt.py` checks it).  So both counts are one
         dynamic program, one placement per step; the second takes only the
         steps a -> b with leq[a] >> b & 1."""
-        place = functools.lru_cache(maxsize=None)(self.lifts._place)
+        place = functools.lru_cache(maxsize=None)(self.lifts.place)
         layer = {(0, None, ()): [1, 1]}
         for _ in range(degree):
             nxt: dict[tuple, list[int]] = {}

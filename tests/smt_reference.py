@@ -9,6 +9,10 @@ factors.  The library walks no monomial: it counts them by a dynamic
 program over a table built once per case, so the two share no
 per-monomial work; `tests/test_lspath_differential.py` compares their
 reports.
+
+`lift_order` is `TwoBases.leq` as it was before the library read it off
+the comparability table of `GradedCounts`: one `bruhat_leq` per pair of a
+top and a bottom direction of the lifted paths.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 import lspath_reference as R
 from smt_kit import lspath
 from smt_kit.smt import GradedCounts
+from smt_kit.weyl import bruhat_leq
 
 
 def two_basis_counts(case, degree: int) -> dict:
@@ -73,3 +78,21 @@ def two_basis_counts(case, degree: int) -> dict:
     report["ok"] = report["totals_agree"] and report["degree1_bijection"] \
         and lift_preserves
     return report
+
+
+def lift_order(case) -> list[int]:
+    """leq[a]: the bitset of the pool positions b with lift(a) <= lift(b),
+    the pool built and ordered as `TwoBases` does; no comparison where the
+    top is the longer, since Bruhat order never decreases length."""
+    lifts = lspath.FibreLifts(case.base_realization())
+    pool = [(i, lifts.kind(p), case.lift_to_grassmannian(p, i))
+            for i in range(1, case.rank + 1) for p in case.base_paths(i)]
+    pool.sort(key=lambda e: (e[0], lifts.order_key(e[1]), e[1]))
+    lifted = [q for _, _, q in pool]
+    bottoms: dict[tuple, list] = {}     # direction key -> [direction, the b it ends]
+    for b, q in enumerate(lifted):
+        bottoms.setdefault(q.dirs[-1].key, [q.dirs[-1], 0])[1] |= 1 << b
+    up = {top.key: sum(ended for bottom, ended in bottoms.values()
+                       if top.length() <= bottom.length() and bruhat_leq(top, bottom))
+          for top in {q.dirs[0] for q in lifted}}
+    return [up[q.dirs[0].key] for q in lifted]

@@ -145,6 +145,19 @@ def test_demazure_cli_bad_inputs_exit_1(a2_gcm):
     assert code == 1 and "coordinates given, 2 expected" in out["error"]
 
 
+@pytest.mark.parametrize("data, field", [({"entries": 5}, "entries"),
+                                         ({"entries": [[2, None], [None, 2]]}, "entries[0][1]"),
+                                         ([1], "expected a JSON object"),
+                                         ({"entries": [[2]], "nonreduced": "ab"}, "nonreduced")])
+def test_demazure_cli_gcm_file_of_the_wrong_shape_exit_1(tmp_path, data, field):
+    """A GCM file of the wrong shape is refused with a JSON error naming the
+    field; these used to end in a TypeError traceback with empty stdout."""
+    f = tmp_path / "gcm.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run_in_process("weyl", "demazure", "--gcm", str(f), "--weight", "1")
+    assert code == 1 and field in out["error"] and err == ""
+
+
 def test_leading_minus_value_needs_equals(a2_gcm, capsys):
     """argparse takes `-1,2` after a space for an option and exits 2; in the
     `=` form it is the value and reaches the library."""
@@ -271,6 +284,28 @@ def test_straighten_cli_unknown_generator_in_file(tmp_path):
     r = run("smt", "straighten", "--system", str(f), "--monomial", "a,z,y")
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == "unknown generator(s) z, y; valid: a, b"
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"generators": 5}, "generators"),
+    ([1, 2], "expected a JSON object"),
+    ({"generators": [{"id": "a", "grade": "1"}], "order": [], "relations": []},
+     "generators[0].grade"),
+    ({"generators": [{"id": "a"}], "order": [["a", 1]], "relations": []}, "order[0][1]"),
+    ({"generators": [{"id": "a"}], "order": [],
+      "relations": [{"pair": ["a", "a"], "rhs": [{"coef": [1], "mono": []}]}]},
+     "relations[0].rhs[0].coef"),
+    ({"generators": [{"id": "a"}], "order": [],
+      "relations": [{"pair": ["a", "a"], "rhs": [{"coef": "1/0", "mono": []}]}]},
+     "zero denominator"),
+])
+def test_straighten_cli_system_file_of_the_wrong_shape_exit_1(tmp_path, data, field):
+    """A system file of the wrong shape is refused with a JSON error naming
+    the field; these used to end in a traceback with empty stdout."""
+    f = tmp_path / "system.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run_in_process("smt", "straighten", "--system", str(f), "--monomial", "a")
+    assert code == 1 and field in out["error"] and err == ""
 
 
 def test_demazure_cli_cap_exceeded(tmp_path):

@@ -101,7 +101,7 @@ def test_standard_below_single_factor():
     case = I.AmbientCase("flip-sp4")
     for i in (1, 2):
         for p in case.base_paths(i):
-            assert L.is_standard_below(L.PathMonomial((p,)))
+            assert L.is_standard_below(L.PathMonomial((p,)), [i])
 
 
 def test_lift_straight_paths():
@@ -257,14 +257,3 @@ def test_chain_data_reads_covers_off_the_letter_drops(monkeypatch):
     g2_top.real.root_coords(rho)
     g2_top.real.is_real_root(rho)
     assert calls == {"bruhat_leq": 1, "root_coords": 1, "is_real_root": 1}
-
-
-def test_fibre_lifts_drop_the_state_asked_about():
-    case = I.AmbientCase("flip-sp4")
-    lifts = L.FibreLifts(case.base_realization())
-    pairs = [(i, lifts.kind(p)) for i in (1, 2) for p in case.base_paths(i)]
-    for mono in itertools.combinations_with_replacement(pairs, 3):
-        answer = lifts.standard(mono)
-        assert lifts.standard(mono) == answer
-        assert all(len(placed) < len(mono) for placed in lifts._states)
-    assert lifts.standard(())

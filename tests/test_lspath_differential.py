@@ -9,7 +9,8 @@ standardness test against every order of the factors, the forward
 pass over sub-multisets against the backtracking over every arrangement
 and against the list-based forward pass it replaced, the bitset down-sets
 of the fibre lifts against `bruhat_leq`, the comparability table read off
-the interval against one `bruhat_leq` per pair of cosets, the
+the interval against one `bruhat_leq` per pair of cosets, the lift order
+of `TwoBases` against one `bruhat_leq` per pair of lifted directions, the
 `two_basis_counts` reports against the earlier per-monomial code, the
 multichain count against testing every multiset, and the integer
 `act_letters` walk against the Fraction reflection loop.  Monomials of
@@ -243,12 +244,21 @@ def test_standard_below_agrees(case):
 
 
 def test_standard_below_agrees_with_default_blocks():
-    pools, _, _, _ = BASE_POOLS["flip-sp4"]
+    """Blocks by basis index, and blocks by the coordinate sum of the shape
+    (the reference's default), each against the reference.  Every eps_i of
+    flip-sp4 has coordinate sum 2, so the sums put all factors in one
+    block; the last monomial is standard in one block but not by index."""
+    pools, block_index, _, _ = BASE_POOLS["flip-sp4"]
     mixed = [pools[1][0], pools[2][3], pools[1][5], pools[2][0]]
-    for k in range(1, len(mixed) + 1):
-        mono = L.PathMonomial(tuple(mixed[:k]))
-        assert L.is_standard_below(mono) == R.is_standard_below(mono)
-        assert L.is_standard_below(mono) == R.forward_standard_below(mono)
+    verdicts = []
+    for factors in [mixed[:k] for k in range(1, len(mixed) + 1)] + [[pools[1][4], pools[2][0]]]:
+        mono = L.PathMonomial(tuple(factors))
+        by_index = L.is_standard_below(mono, [block_index(f) for f in factors])
+        by_sum = L.is_standard_below(mono, [sum(f.shape.coords) for f in factors])
+        assert by_index == R.is_standard_below(mono, block_index)
+        assert by_sum == R.is_standard_below(mono) == R.forward_standard_below(mono)
+        verdicts.append((by_index, by_sum))
+    assert verdicts[-1] == (False, True)
 
 
 @st.composite
@@ -293,6 +303,13 @@ def test_fibre_lift_order_agrees(case):
 def test_graded_counts_above_table_agrees():
     for gc in GRADED.values():
         assert [sorted(row) for row in gc.above] == [sorted(row) for row in R.above_table(gc)]
+
+
+def test_lift_order_agrees():
+    """`TwoBases.leq`, read off the comparability table of `GradedCounts`,
+    against one `bruhat_leq` per pair of a top and a bottom direction."""
+    for gc in GRADED.values():
+        assert gc.case.two_bases.leq == SR.lift_order(gc.case), gc.case.record.name
 
 
 TWO_BASIS_DEGREES = {"flip-sl2": (1, 2, 3, 4, 5), "flip-sl3": (1, 2, 3),

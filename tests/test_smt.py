@@ -1,5 +1,6 @@
 """Straightening systems, minuscule posets, graded counts."""
 
+import functools
 import itertools
 import random
 import time
@@ -199,41 +200,74 @@ def test_two_basis_counts_quadrics():
         assert rep["ok"] and rep["below_total"] == want
 
 
-def test_fixed_order_fold_is_the_union_over_orders():
-    """The order claim behind `TwoBases.counts`: on every flip-sp4 monomial
-    of degree 3 (12,341 of them), with blocks following shape, folding
-    `FibreLifts._place` along the pool order gives the state that
-    `FibreLifts._state` takes as the union over all orders inside each
-    block, so also the verdict of `FibreLifts.standard`.
+# (case, degree, monomials): the criterion-7 rows above degree 2, and flip-sp6 at 2
+FOLD_ROWS = (("flip-sp4", 3, 12341), ("flip-sp4", 4, 135751), ("flip-sp6", 2, 91806),
+             ("flip-so-odd5", 3, 333375), ("sym-quadrics3", 3, 364))
+
+
+@pytest.mark.parametrize("name, degree, monomials", FOLD_ROWS,
+                         ids=[f"{n}-{d}" for n, d, _ in FOLD_ROWS])
+def test_fixed_order_fold_is_the_union_over_orders(name, degree, monomials):
+    """The order claim behind `TwoBases.counts`, on every monomial: with
+    blocks following shape, folding `FibreLifts.place` along the pool
+    order gives the state that `FibreLifts.state` takes as the union over
+    all orders inside each block.
 
     The claim needs the blocks.  With every block key 0, so that paths of
-    shapes eps_1 and eps_2 share one block ordered by (down-set size,
-    kind number), the fold gives another state on 1,595 monomials and
-    another verdict on 288 of them."""
-    table = I.AmbientCase("flip-sp4").two_bases
+    shapes eps_1 and eps_2 of flip-sp4 share one block ordered by
+    `FibreLifts.order_key` and kind number, the fold at degree 3 gives
+    another state on 1,595 monomials and another verdict on 288 of them."""
+    table = I.AmbientCase(name).two_bases
     lifts = table.lifts
-    size = {k: lifts._steps[k][0][0][1].bit_count() for k in table.kinds}
+    place = functools.lru_cache(maxsize=None)(lifts.place)
 
     def fold(kinds):
         state = None
         for k in kinds:
-            state = lifts._place(state, k)
+            state = place(state, k)
         return state
 
-    monomials = list(itertools.combinations_with_replacement(range(len(table.kinds)), 3))
-    assert len(monomials) == 12341
-    states = verdicts = 0
-    for mono in monomials:
+    one_block = (name, degree) == ("flip-sp4", 3)
+    seen = states = verdicts = 0
+    for mono in itertools.combinations_with_replacement(range(len(table.kinds)), degree):
         kinds = [table.kinds[b] for b in mono]
-        state = fold(kinds)
         placed = tuple(sorted((table.blocks[b], table.kinds[b]) for b in mono))
-        assert lifts._state(placed) == state, mono
-        assert lifts.standard(placed) == (state != 0)
-        one_block = fold(sorted(kinds, key=lambda k: (size[k], k)))
-        union = lifts._state(tuple((0, k) for k in sorted(kinds)))
-        states += one_block != union
-        verdicts += (one_block != 0) != (union != 0)
-    assert (states, verdicts) == (1595, 288)
+        assert lifts.state(placed) == fold(kinds), mono
+        seen += 1
+        if one_block:
+            state = fold(sorted(kinds, key=lambda k: (lifts.order_key(k), k)))
+            union = lifts.state(tuple((0, k) for k in sorted(kinds)))
+            states += state != union
+            verdicts += (state != 0) != (union != 0)
+    assert seen == monomials
+    if one_block:
+        assert (states, verdicts) == (1595, 288)
+
+
+def test_two_basis_tables_make_no_bruhat_comparison(monkeypatch):
+    """The lift order is read off the `GradedCounts` table, so building the
+    tables of flip-sl2, flip-sp4 and flip-sp6 calls `bruhat_leq` (in lspath
+    and weyl) not once; one comparison per pair of a top and a bottom
+    direction took 11, 576 and 31,886 calls."""
+    from smt_kit import lspath as L, weyl as W
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    assert not hasattr(S, "bruhat_leq")
+    for module in (L, W):
+        monkeypatch.setattr(module, "bruhat_leq", counted(module.bruhat_leq))
+    for name in ("flip-sl2", "flip-sp4", "flip-sp6"):
+        case = I.AmbientCase(name)
+        S.TwoBases(case)
+    assert calls == []
+    e = W.WeylWord(case.amb.real, ())
+    L.bruhat_leq(e, e)
+    assert len(calls) == 1                  # the counter is live
 
 
 def test_two_basis_tables_are_built_once_per_case(monkeypatch):
