@@ -179,6 +179,7 @@ def cmd_smt_straighten(args, t0):
     data = _json_file(args.system, _SYSTEM_FILE)
     ids = [g["id"] for g in data["generators"]]
     grade = {g["id"]: g.get("grade", 1) for g in data["generators"]}
+    _check_system_ids(args.system, data, grade)
     closure = _order_closure({(a, b) for a, b in data["order"]})
     leq = lambda a, b: a == b or (a, b) in closure
     relations = {tuple(r["pair"]): [(_rational(t["coef"]), tuple(t["mono"]))
@@ -193,6 +194,21 @@ def cmd_smt_straighten(args, t0):
     out = [{"coef": str(c), "mono": list(m)} for m, c in sorted(nf.items())]
     return _report("smt straighten", {"system": args.system,
                                       "monomial": args.monomial}, out, [], t0)
+
+
+def _check_system_ids(path: str, data: dict, declared) -> None:
+    """Refuse an `order` entry or relation `pair` that is not two ids, and
+    an undeclared id in `order`, `pair` or `mono`, naming the field."""
+    fields = [(f"order[{i}]", ids) for i, ids in enumerate(data["order"])]
+    for i, rel in enumerate(data["relations"]):
+        fields += [(f"relations[{i}].pair", rel["pair"])] + [
+            (f"relations[{i}].rhs[{k}].mono", t["mono"]) for k, t in enumerate(rel["rhs"])]
+    for where, ids in fields:
+        if len(ids) != 2 and not where.endswith("mono"):
+            raise ValueError(f"{path}: field {where!r} must hold two generator ids, not {len(ids)}")
+        unknown = ", ".join(g for g in ids if g not in declared)
+        if unknown:
+            raise ValueError(f"{path}: field {where!r} names undeclared generator(s) {unknown}")
 
 
 def _order_closure(pairs):

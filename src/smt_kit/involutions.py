@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import lspath
+from . import lspath, quadlat
 from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
                      quadratic_basis, weyl_dim)
 from .extend import ExtendedDatum, extend_ambient, extend_restricted
+from .smt import TwoBases
 from .weyl import CosetRep, WeylWord, longest_parabolic
 
 Q = Fraction
@@ -171,7 +172,6 @@ def restricted_to_ambient(rec: InvolutionRecord, coeffs) -> WeightVec:
 
 def quadratic_verdict(rec: InvolutionRecord, bound: int | None = None) -> bool:
     """Whether the (restricted type, isogeny) lattice is quadratic."""
-    from . import quadlat
     label = rec.restricted
     if rec.isogeny == "ADJ" and label.family != "BC":
         lat = quadlat.root_lattice(label)
@@ -301,7 +301,6 @@ class AmbientCase:
     @functools.cached_property
     def two_bases(self):
         """The tables of `smt.two_basis_counts`, built on first use."""
-        from .smt import TwoBases
         return TwoBases(self)
 
     def base_realization(self) -> Realization:

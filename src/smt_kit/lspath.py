@@ -13,8 +13,10 @@ mu_lower - mu_upper = n beta, read off the integer images of the scaled
 shape.  So a = t/q is admissible iff some saturated chain has every
 pairing divisible by q: the gcds of the pairings along the chains down to
 a lower coset are memoised per coset in one pass up the length-sorted
-interval, instead of walking every chain.  Path values (breakpoints,
-endpoint, node-0 degree) are sums of the same integer images
+interval, instead of walking every chain.  Next directions come off the
+interval's down-sets; cut values exist only along chains of covers, so the
+cut check alone makes the directions strictly decreasing.  Path values
+(breakpoints, endpoint, node-0 degree) are sums of the same integer images
 (`Realization.image`) weighted by the cut differences over one common
 denominator.  The number of paths of shape lambda whose top direction lies
 below a coset [w] equals the dimension of the corresponding Demazure
@@ -29,10 +31,10 @@ increasing global defining sequence of Weyl group elements through the
 stabilizer fibers, decided by a forward pass over sub-multisets that keeps
 the lifts some admissible prefix can end in.  `FibreLifts` numbers the
 lifts and keeps the Bruhat down-set of each as an int bitset, built by the
-lifting property, so "some end lies below this lift" is one AND; the same
-owner memoises the state of every proper sub-multiset it meets.  Lifting a
-path of shape eps_i by the i-th telescoping word turns the second into the
-first.
+lifting property, so "some end lies below this lift" is one AND; the
+states of the sub-multisets live for one `is_standard_below` call.
+Lifting a path of shape eps_i by the i-th telescoping word turns the
+second into the first.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec, _scaled, _unscaled
+from .cartan import FINITE, Realization, WeightVec, _scaled, _unscaled, classify
 from .weyl import CosetRep, WeylWord, bruhat_leq, coset_interval, longest_parabolic
 
 Q = Fraction
@@ -64,6 +66,15 @@ def _enum_cap(default: int = 10 ** 6) -> int:
 
 def stabilizer_nodes(shape: WeightVec) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(shape.coords) if c == 0)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of a nonnegative int, increasing."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -110,9 +121,6 @@ class LSPath:
         points, scale = self._scaled_breakpoints()
         return _unscaled(self.shape.basis_id, points[-1], scale)
 
-    def degree(self) -> Fraction:
-        return self.cuts[-1]
-
     def to_json(self) -> dict:
         return {"shape": self.shape.to_json(),
                 "dirs": [list(d.word.letters) for d in self.dirs],
@@ -127,7 +135,8 @@ class ChainData:
     """Cover relations, reflection pairings and admissible cut values for
     the coset interval below a top coset.
 
-    The covers are the ones `coset_interval` records.  Each coset's weight
+    The covers and the order are the ones `coset_interval` records in its
+    `weyl.CosetPoset`.  Each coset's weight
     is kept as the integer image of den * shape (delta last, den the lcm of
     the shape's denominators), and a cover's pairing is read off the
     difference of two images along the covering root of the cover.
@@ -144,22 +153,12 @@ class ChainData:
         self.index = self.poset.index
         x, self._den = _scaled(shape)
         self._images = [self.real.image(c.word.letters, x) for c in self.poset.elements]
-        self._covers_below: dict[int, list[tuple[int, int]]] = {}
+        self._covers_below = {i: [(j, self._cover_pairing(i, j, p)) for j, p in covered]
+                              for i, covered in enumerate(self.poset.lower_covers)}
+        # below[i]: the indices strictly below i, increasing, off its down-set
+        self.below = [list(_bits(down ^ (1 << i))) for i, down in enumerate(self.poset.down)]
         self._gcds_down_to: dict[int, dict[int, frozenset[int]]] = {}
-        self._cut_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
-        self._build_covers()
-
-    def _build_covers(self):
-        """Covers with their pairings, and below[i], the indices strictly
-        below i in increasing order: the union of the covers of i and what
-        lies below them (every relation in the interval is a chain of
-        covers, and the covers of i come before i in length order)."""
-        down: list[set[int]] = []
-        for i, covered in enumerate(self.poset.lower_covers):
-            lst = [(j, self._cover_pairing(i, j, p)) for j, p in covered]
-            self._covers_below[i] = lst
-            down.append({j for j, _ in lst}.union(*(down[j] for j, _ in lst)))
-        self.below = [sorted(d) for d in down]
+        self._cut_sets: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
     def _cover_pairing(self, upper: int, lower: int, p: int) -> int:
         """n > 0 with mu_lower - mu_upper = n * beta, beta the covering root
@@ -200,8 +199,9 @@ class ChainData:
             self._gcds_down_to[lower] = reach
         return self._gcds_down_to[lower]
 
-    def cut_values(self, upper: int, lower: int) -> frozenset[Fraction]:
-        """All a in (0,1) admitting an a-chain from `upper` down to `lower`."""
+    def cut_values(self, upper: int, lower: int) -> tuple[Fraction, ...]:
+        """All a in (0,1) admitting an a-chain from `upper` down to `lower`,
+        increasing; none unless `lower` lies strictly below `upper`."""
         key = (upper, lower)
         if key not in self._cut_sets:
             values: set[Fraction] = set()
@@ -210,7 +210,7 @@ class ChainData:
                     raise ValueError(
                         f"cut denominator {g} exceeds the cap {self.denom_cap}")
                 values.update(Q(t, g) for t in range(1, g))
-            self._cut_sets[key] = frozenset(values)
+            self._cut_sets[key] = tuple(sorted(values))
         return self._cut_sets[key]
 
 
@@ -225,7 +225,6 @@ def chain_paths(data: ChainData) -> list[LSPath]:
     shape = data.shape
     paths: list[LSPath] = []
     one, zero = Q(1), Q(0)
-    ordered: dict[tuple[int, int], list[Fraction]] = {}     # sorted cut values
 
     def extend(dirs: list[int], cuts: list[Fraction]):
         paths.append(LSPath(shape,
@@ -233,10 +232,7 @@ def chain_paths(data: ChainData) -> list[LSPath]:
                             tuple(cuts) + (one,)))
         last = dirs[-1]
         for nxt in data.below[last]:
-            key = (last, nxt)
-            if key not in ordered:
-                ordered[key] = sorted(data.cut_values(last, nxt))
-            values = ordered[key]
+            values = data.cut_values(last, nxt)
             for a in values[bisect.bisect_right(values, cuts[-1]):]:
                 extend(dirs + [nxt], cuts + [a])
 
@@ -256,17 +252,12 @@ def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
     J = stabilizer_nodes(candidate.shape)
     if any(d.parabolic != J for d in candidate.dirs):
         return False
-    for k in range(r - 1):
-        upper, lower = candidate.dirs[k], candidate.dirs[k + 1]
-        if not (bruhat_leq(lower, upper) and lower != upper):
-            return False
-    if r > 1:
+    if r > 1:       # cut values exist only from a coset down to a lower one
         data = ChainData(candidate.shape, candidate.dirs[0], denom_cap=denom_cap)
-        for k in range(r - 1):
-            iu = data.index[candidate.dirs[k].key]
-            il = data.index[candidate.dirs[k + 1].key]
-            if cuts[k + 1] not in data.cut_values(iu, il):
-                return False
+        at = [data.index.get(d.key) for d in candidate.dirs]
+        if None in at or any(cuts[k + 1] not in data.cut_values(at[k], at[k + 1])
+                             for k in range(r - 1)):
+            return False
     points, scale = candidate._scaled_breakpoints()
     return all(y % scale == 0 for y in points[-1])
 
@@ -323,19 +314,9 @@ def is_standard_above(mono: PathMonomial) -> bool:
                for a, b in itertools.combinations(factors, 2))
 
 
-def _bits(mask: int):
-    """The positions of the set bits of a nonnegative int, increasing."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
-
-
 class FibreLifts:
-    """Fibre lifts with their Bruhat order, and the forward-pass states of
-    `is_standard_below`, kept by one owner for every call that shares the
-    realization.
+    """Fibre lifts with their Bruhat order, kept by one owner for every call
+    that shares the realization.
 
     Every Weyl element it meets is numbered once, keyed by w(rho).  The
     lifts of a direction coset are coset.word * u for u in the stabilizer
@@ -352,10 +333,8 @@ class FibreLifts:
     A factor's kind is its stabilizer and direction cosets; factors of one
     kind place alike.  A state is the bitset of the lifts that can end an
     admissible prefix; only what lies above some end matters, so the ends
-    are kept whole, not cut down to the Bruhat-minimal ones.  `state`
-    memoises the state of every sub-multiset it meets under its sorted
-    (block, kind) pairs, so a monomial whose sub-multisets were decided
-    before costs at most one placement per kind of its last block.
+    are kept whole, not cut down to the Bruhat-minimal ones.  The owner
+    keeps Weyl-element tables only: the states belong to the caller.
     """
 
     def __init__(self, real: Realization):
@@ -368,7 +347,6 @@ class FibreLifts:
         self._lifts: dict[tuple, list[int]] = {}
         self._kinds: dict[tuple, int] = {}
         self._steps: list[list[list[tuple[int, int]]]] = []
-        self._states: dict[tuple, int | None] = {(): None}
 
     def _number(self, key) -> int:
         key = tuple(key)
@@ -442,8 +420,9 @@ class FibreLifts:
     def order_key(self, kind: int) -> int:
         """The size of the down-set of the first lift of the kind's lowest
         direction: kinds of one block placed in increasing order of it (ties
-        by kind number) fold to the union over all orders that `state`
-        takes (measured, not proved; `tests/test_smt.py` checks it)."""
+        by kind number) fold to the union over all orders that
+        `is_standard_below` takes (measured, not proved; `tests/test_smt.py`
+        checks it)."""
         return self._steps[kind][0][0][1].bit_count()
 
     def place(self, ends: int | None, kind: int) -> int:
@@ -458,24 +437,6 @@ class FibreLifts:
             if not ends:
                 break
         return ends
-
-    def state(self, placed: tuple) -> int | None:
-        """The lifts that can end an admissible prefix placing exactly the
-        factors of `placed`: the factors of the last block go last, and
-        any of its kinds can be the last factor.  0 when there is none."""
-        if placed not in self._states:
-            block = placed[-1][0]
-            found = 0
-            for pos in range(len(placed) - 1, -1, -1):
-                if placed[pos][0] != block:
-                    break
-                if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
-                    continue                # the same pair, already tried
-                ends = self.state(placed[:pos] + placed[pos + 1:])
-                if ends != 0:
-                    found |= self.place(ends, placed[pos][1])
-            self._states[placed] = found
-        return self._states[placed]
 
 
 def is_standard_below(mono: PathMonomial, block_keys,
@@ -496,15 +457,33 @@ def is_standard_below(mono: PathMonomial, block_keys,
     Factors with the same directions and stabilizer place alike, so they
     count as one kind.  `block_keys` gives the block of each factor, in
     factor order: the basis index of its shape, which only the caller
-    knows; `lifts` holds the fibre lifts, their order and the memoised
-    states, and without one the call builds its own.
+    knows; `lifts` holds the fibre lifts and their order, and without one
+    the call builds its own.  The states (0 where no prefix is admissible)
+    are memoised for this call only, under the sorted (block, kind) pairs.
     """
     if not mono.factors:
         return True
     if lifts is None:
         lifts = FibreLifts(mono.factors[0].real)
-    placed = tuple(sorted(zip(block_keys, map(lifts.kind, mono.factors), strict=True)))
-    return lifts.state(placed) != 0
+    states: dict[tuple, int | None] = {(): None}
+
+    def state(placed: tuple) -> int | None:     # any kind of the last block goes last
+        if placed not in states:
+            block = placed[-1][0]
+            found = 0
+            for pos in range(len(placed) - 1, -1, -1):
+                if placed[pos][0] != block:
+                    break
+                if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
+                    continue                # the same pair, already tried
+                ends = state(placed[:pos] + placed[pos + 1:])
+                if ends != 0:
+                    found |= lifts.place(ends, placed[pos][1])
+            states[placed] = found
+        return states[placed]
+
+    return state(tuple(sorted(zip(block_keys, map(lifts.kind, mono.factors),
+                                  strict=True)))) != 0
 
 
 def lift_path(path: LSPath, tau_word: WeylWord, parabolic, shape: WeightVec,
@@ -530,7 +509,6 @@ def tensor_multiplicity(lam: WeightVec, mu: WeightVec, nu: WeightVec,
     Counts paths in the model of V_lam ending at nu - mu whose translate
     by mu stays dominant throughout (straight mu-segment first).
     """
-    from .cartan import classify, FINITE
     if classify(gcm) != FINITE:
         raise ValueError("finite type required")
     real = Realization(gcm, lam.basis_id)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
                      classify, root_inverse, weyl_dim)
+from .extend import extend_restricted
 from .weyl import CosetRep, coset_interval, longest_parabolic, orbit_bfs, tau_full
 from . import lspath
 
@@ -255,8 +256,8 @@ class GradedCounts:
     for `lspath.path_leq`, which is transitive, antisymmetric on distinct
     paths and reflexive on straight ones; so the standard monomials of
     degree n are the multichains of length n, counted by a dynamic program
-    over one comparability table, read off the down-sets of the
-    `lspath.ChainData` that the paths are enumerated from.
+    over one comparability table, read off the down-sets of the interval
+    (`weyl.CosetPoset.down`) that the paths are enumerated from.
     """
 
     def __init__(self, case, m: int):
@@ -269,18 +270,14 @@ class GradedCounts:
         # above[a]: the b with paths[a] <= paths[b], i.e. top direction of a
         # <= bottom direction of b, read off the interval's down-sets; paths
         # with the same top direction share their row
-        index = data.index
-        up = [{i} for i in range(len(data.below))]       # up[i]: the cosets >= coset i
-        for i, lower in enumerate(data.below):
-            for j in lower:
-                up[j].add(i)
+        index, down = data.index, data.poset.down
         bottoms = [index[eta.dirs[-1].key] for eta in self.paths]
         rows: dict[int, list[int]] = {}
         self.above = []
         for a in self.paths:
             top = index[a.dirs[0].key]
             if top not in rows:
-                rows[top] = [b for b, bottom in enumerate(bottoms) if bottom in up[top]]
+                rows[top] = [b for b, bottom in enumerate(bottoms) if down[bottom] >> top & 1]
             self.above.append(rows[top])
 
     def _members(self, locus: str) -> list[int]:
@@ -369,7 +366,7 @@ class TwoBases:
         chain in pool order].  A monomial is a nondecreasing sequence of
         pool positions and its state the fold of `FibreLifts.place` along
         it, which on blocks of equal shape gives the union over all orders
-        inside a block that `FibreLifts.state` takes (measured, not
+        inside a block that `lspath.is_standard_below` takes (measured, not
         proved; `tests/test_smt.py` checks it).  So both counts are one
         dynamic program, one placement per step; the second takes only the
         steps a -> b with leq[a] >> b & 1."""
@@ -488,7 +485,6 @@ def remark48_report(label: FinTypeLabel) -> dict:
     Agreement is only checked modulo delta; the delta discrepancy is
     reported, not asserted.
     """
-    from .extend import extend_restricted
     tier = extend_restricted(label)
     l = tier.rank
     tau = tau_full(l, tier)

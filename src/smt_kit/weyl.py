@@ -11,7 +11,8 @@ Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
 min(u, s u) <= s v.  A coset interval is closed under letter drops, and by
 the strong exchange property the drops one shorter than a coset are
 exactly its covers, so `coset_interval` records the covers, each with the
-position of its dropped letter, without a Bruhat comparison.  The
+position of its dropped letter, without a Bruhat comparison; its
+`CosetPoset` keeps the order as one down-set bitset per coset.  The
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
 keys once, on return, and so does the orbit search `orbit_bfs`.  The
@@ -202,24 +203,33 @@ def bruhat_leq(u, v) -> bool:
 
 class CosetPoset:
     """The interval {eta <= top} in W/W_J, sorted by length and word, with
-    its covering relations.
+    its covering relations and its order.
 
     `lower_covers[i]` lists (j, p), in increasing j, for each coset j that
     element i covers: p is the index in i's reduced word l_0 l_1 ... of the
     letter whose drop gives j, so that j = s_beta i for the covering root
-    beta = s_{l_0} ... s_{l_{p-1}}(alpha_{l_p}).
+    beta = s_{l_0} ... s_{l_{p-1}}(alpha_{l_p}).  `down[i]`, the down-set of
+    i as an int bitset over the indices, is 1 << i ORed with the down-sets
+    of the covers of i, which come before it: every relation in the
+    interval is a chain of covers (Bjorner-Brenti, op. cit., Sec. 2.5).
     """
 
-    def __init__(self, elements: list[CosetRep], top: CosetRep,
+    def __init__(self, elements: list[CosetRep],
                  drops: dict[tuple, list[tuple[int, tuple]]]):
-        self.top = top
         self.elements = sorted(elements, key=lambda c: (c.length(), c.word.letters))
         self.index = {c.key: i for i, c in enumerate(self.elements)}
         self.lower_covers = [sorted((self.index[key], p) for p, key in drops[c.key])
                              for c in self.elements]
+        self.down: list[int] = []
+        for i, covered in enumerate(self.lower_covers):
+            mask = 1 << i
+            for j, _ in covered:
+                mask |= self.down[j]
+            self.down.append(mask)
 
     def leq(self, a: CosetRep, b: CosetRep) -> bool:
-        return bruhat_leq(a, b)
+        """Bruhat order off b's down-set; both cosets must lie in the interval."""
+        return bool(self.down[self.index[b.key]] >> self.index[a.key] & 1)
 
     def covers(self) -> list[tuple[CosetRep, CosetRep]]:
         """(lower, upper) pairs, by upper then lower."""
@@ -266,7 +276,7 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
                 raise ValueError(f"coset interval cap exceeded: cap={cap}, "
                                  f"{len(seen)} cosets reached")
         frontier = nxt
-    return CosetPoset(list(seen.values()), v, drops)
+    return CosetPoset(list(seen.values()), drops)
 
 
 _DEMAZURE_WEIGHT_CAP = 100000

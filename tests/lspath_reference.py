@@ -10,7 +10,9 @@ down to `lower` by depth-first search; `enumerate_paths` extends a path by
 testing every coset of the interval against its last direction;
 `is_standard_above` tries every order of the factors; `is_standard_below`
 backtracks over every arrangement of every block and every fibre lift;
-`graded_count` tests every multiset of the pool.  They are exponential, but
+`graded_count` tests every multiset of the pool.  The walks that need the
+order of the interval ask `bruhat_leq`, not the down-sets of
+`weyl.CosetPoset`.  They are exponential, but
 share no search with the covers read off the letter drops, the pairings
 read off the covering roots on integer weights, the memoised chain gcds
 and down-sets, the pairwise comparison, the forward pass over
@@ -22,7 +24,9 @@ before the library numbered its lifts: lists of reduced lifts sorted by
 length, one `bruhat_leq` per pair in the filter and in `_minimal`, and
 the sub-multiset states of one call only.  `above_table` is the
 comparability table of `GradedCounts` from one `bruhat_leq` per pair of a
-top and a bottom coset.
+top and a bottom coset.  `union_state` is the union over all orders inside
+the last block that `smt_kit.lspath.is_standard_below` takes, on a memo the
+caller keeps, so that one memo can serve every monomial of a test.
 
 The code is the earlier library code with one change that alters no
 answer: each kernel is a function of the object it used to be a method of
@@ -93,7 +97,7 @@ def cut_values(data, upper: int, lower: int) -> frozenset[Fraction]:
             gcds.add(g)
             return
         for nxt, pairing in data._covers_below[node]:
-            if data.poset.leq(data.poset.elements[lower], data.poset.elements[nxt]):
+            if bruhat_leq(data.poset.elements[lower], data.poset.elements[nxt]):
                 dfs(nxt, math.gcd(g, pairing))
 
     dfs(upper, 0)
@@ -120,8 +124,7 @@ def enumerate_paths(shape, top, denom_cap: int = DEFAULT_DENOM_CAP) -> list[LSPa
         for nxt in order:
             if nxt == last:
                 continue
-            if not data.poset.leq(data.poset.elements[nxt],
-                                  data.poset.elements[last]):
+            if not bruhat_leq(data.poset.elements[nxt], data.poset.elements[last]):
                 continue
             for a in sorted(cut_values(data, last, nxt)):
                 if a > cuts[-1]:
@@ -309,3 +312,25 @@ def above_table(gc) -> list[list[int]]:
             rows[top.key] = [b for bottom, bs in by_bottom.values()
                              if bruhat_leq(top, bottom) for b in bs]
     return [rows[a.dirs[0].key] for a in gc.paths]
+
+
+def union_state(lifts, placed: tuple, memo: dict) -> int | None:
+    """The lifts of the `smt_kit.lspath.FibreLifts` owner `lifts` that can
+    end an admissible prefix placing exactly the sorted (block, kind) pairs
+    of `placed`: any kind of the last block can be the last factor.  0 when
+    there is none; `memo` maps sub-multisets to their states."""
+    if not placed:
+        return None
+    if placed not in memo:
+        block = placed[-1][0]
+        found = 0
+        for pos in range(len(placed) - 1, -1, -1):
+            if placed[pos][0] != block:
+                break
+            if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
+                continue                # the same pair, already tried
+            ends = union_state(lifts, placed[:pos] + placed[pos + 1:], memo)
+            if ends != 0:
+                found |= lifts.place(ends, placed[pos][1])
+        memo[placed] = found
+    return memo[placed]

@@ -298,10 +298,26 @@ def test_straighten_cli_unknown_generator_in_file(tmp_path):
     ({"generators": [{"id": "a"}], "order": [],
       "relations": [{"pair": ["a", "a"], "rhs": [{"coef": "1/0", "mono": []}]}]},
      "zero denominator"),
+    ({"generators": [{"id": "a"}, {"id": "b"}], "order": [["a"]], "relations": []},
+     "field 'order[0]' must hold two generator ids, not 1"),
+    ({"generators": [{"id": "a"}, {"id": "b"}], "order": [["a", "b"], ["a", "b", "a"]],
+      "relations": []}, "field 'order[1]' must hold two generator ids, not 3"),
+    ({"generators": [{"id": "a"}], "order": [["a", "zz"]], "relations": []},
+     "field 'order[0]' names undeclared generator(s) zz"),
+    ({"generators": [{"id": "a"}], "order": [], "relations": [{"pair": ["a"], "rhs": []}]},
+     "field 'relations[0].pair' must hold two generator ids, not 1"),
+    ({"generators": [{"id": "a"}], "order": [],
+      "relations": [{"pair": ["a", "zz"], "rhs": []}]},
+     "field 'relations[0].pair' names undeclared generator(s) zz"),
+    ({"generators": [{"id": "a"}, {"id": "b"}], "order": [],
+      "relations": [{"pair": ["a", "b"], "rhs": [{"coef": "1", "mono": ["a", "zz", "yy"]}]}]},
+     "field 'relations[0].rhs[0].mono' names undeclared generator(s) zz, yy"),
 ])
 def test_straighten_cli_system_file_of_the_wrong_shape_exit_1(tmp_path, data, field):
     """A system file of the wrong shape is refused with a JSON error naming
-    the field; these used to end in a traceback with empty stdout."""
+    the field; these used to end in a traceback with empty stdout, and a
+    pair of the wrong length or an undeclared id in Python's unpacking
+    message, the bare id, or (in `order`) no error at all."""
     f = tmp_path / "system.json"
     f.write_text(json.dumps(data))
     code, out, err = run_in_process("smt", "straighten", "--system", str(f), "--monomial", "a")

@@ -50,6 +50,24 @@ def test_is_lspath_brute_force_count():
     assert count == C.weyl_dim(gcm, lam) == 8
 
 
+def test_is_lspath_refuses_a_repeated_or_rising_direction():
+    """A cut value exists only from a coset down to a strictly lower one, so
+    the cut check alone refuses a repeated direction; a direction that does
+    not lie below the first gives False, not a KeyError."""
+    gcm, real, lam, top = model("B2", (1, 1))
+    paths = [p for p in L.enumerate_paths(lam, top) if len(p.dirs) == 2]
+    assert paths
+    for p in paths:
+        assert L.is_lspath(p)
+        upper, lower = p.dirs
+        for dirs in ((upper, upper), (lower, lower), (lower, upper)):
+            assert not L.is_lspath(L.LSPath(lam, dirs, p.cuts)), dirs
+        # a third direction repeating the last, with a valid cut pattern
+        cuts = (Q(0), p.cuts[1] / 2, p.cuts[1], Q(1))
+        assert not L.is_lspath(L.LSPath(lam, (upper, upper, lower), cuts))
+        assert not L.is_lspath(L.LSPath(lam, (upper, lower, lower), cuts))
+
+
 def test_enumerate_bottom_coset():
     gcm, real, lam, _ = model("C2", (1, 1))
     bottom = W.CosetRep(W.WeylWord(real, ()), L.stabilizer_nodes(lam))
@@ -226,6 +244,35 @@ def test_smt_kit_cap_positive_integer(monkeypatch):
     monkeypatch.setenv("SMT_KIT_CAP", "5")
     with pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=5, "):
         L.enumerate_paths(lam, top)
+
+
+def test_interval_order_questions_make_no_bruhat_walk(monkeypatch):
+    """The interval's down-set table answers every order question on it:
+    `CosetPoset.leq` on every pair, a `GradedCounts` with its comparability
+    table, `is_lspath` on every path of B2 at rho and the whole `prop47`
+    suite call `bruhat_leq` (in lspath and weyl) not once; the suite made
+    28 calls when `CosetPoset.leq` walked a reduced word."""
+    from smt_kit import criteria, smt as S
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    for module in (L, W):
+        monkeypatch.setattr(module, "bruhat_leq", counted(module.bruhat_leq))
+    _, _, lam, top = model("B2", (1, 1))
+    poset = W.coset_interval(top)
+    # dihedral of order 8: u <= v iff u = v or l(u) < l(v)
+    assert sum(poset.leq(a, b) for a in poset for b in poset) == 33
+    assert all(L.is_lspath(p) for p in L.enumerate_paths(lam, top))
+    S.GradedCounts(I.AmbientCase("flip-sp4"), 2)
+    assert all(row["pass"] for row in criteria.prop47())
+    assert calls == []
+    L.bruhat_leq(top, top)
+    assert len(calls) == 1                  # the counter is live
 
 
 def test_chain_data_reads_covers_off_the_letter_drops(monkeypatch):

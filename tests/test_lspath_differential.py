@@ -1,6 +1,7 @@
 """The polynomial LS-path kernels against the brute-force reference kernels.
 
-Covers read off the letter drops against the pairwise Bruhat search at
+The order of a coset interval read off its down-set table against
+`bruhat_leq` on every pair, covers read off the letter drops against the pairwise Bruhat search at
 adjacent lengths, cover pairings read off the covering roots on integer
 weights against the content of the Fraction weight difference and the
 search over its divisors, memoised chain gcds against the depth-first walk over every chain, the
@@ -54,8 +55,8 @@ CASES = (("flip-sl2", 1), ("flip-sl3", 2), ("flip-sp4", 2), ("flip-so-odd5", 2),
 def _base_pools(case):
     """The base-path pools of `two_basis_counts`, its block index and one
     owner of fibre lifts, and one of the list-based reference, shared by
-    every example: the memoised states then carry over between monomials
-    drawn in random order."""
+    every example: the numbered lifts and their down-sets then carry over
+    between monomials drawn in random order."""
     pools = {i: case.base_paths(i) for i in range(1, case.rank + 1)}
     shape_index = {case.eps_base_weight(i).coords: i for i in pools}
     real = case.base_realization()
@@ -89,6 +90,31 @@ def test_act_letters_agrees(case):
     real, word, v = case
     assert real.act_letters(word, v) == CR.act_letters(real, word, v)
     assert W.WeylWord(real, word).act(v) == CR.act_letters(real, word, v)
+
+
+# ---------------------------------------------------------------------------
+# the order of a coset interval
+
+
+@st.composite
+def coset_tops(draw):
+    """A top coset modulo a random parabolic, on any of the realizations."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    J = draw(st.sets(st.integers(0, real.n - 1), max_size=real.n))
+    word = draw(st.lists(st.integers(0, real.n - 1), max_size=7))
+    return W.CosetRep(W.WeylWord(real, word), J)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coset_tops())
+def test_coset_poset_order_agrees(top):
+    """`CosetPoset.leq`, read off the down-set table, against `bruhat_leq`
+    on every ordered pair of the interval."""
+    poset = W.coset_interval(top)
+    for a in poset:
+        for b in poset:
+            assert poset.leq(a, b) == W.bruhat_leq(a, b), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +170,13 @@ def _cut_values_or_cap(kernel, data, upper, lower):
 
 
 def _all_cut_values_agree(data):
+    """The library's increasing tuple against the reference set, sorted."""
     n = len(data.poset.elements)
+    reference = lambda *args: tuple(sorted(R.cut_values(*args)))
     for upper in range(n):
         for lower in range(n):
             assert (_cut_values_or_cap(L.ChainData.cut_values, data, upper, lower)
-                    == _cut_values_or_cap(R.cut_values, data, upper, lower)), (upper, lower)
+                    == _cut_values_or_cap(reference, data, upper, lower)), (upper, lower)
 
 
 def test_cut_values_agree_below_tau():
@@ -229,8 +257,8 @@ def below_monomials(draw):
 @given(below_monomials())
 def test_standard_below_agrees(case):
     """Also with the blocks in reverse order and with all factors in one
-    block: the same kinds then place in other orders, and the shared owner
-    must keep the three apart."""
+    block: the same kinds then place in other orders on the shared owner's
+    lifts."""
     mono, block_index, lifts, reference_lifts = case
     want = R.is_standard_below(mono, block_index)
     keys = [block_index(f) for f in mono.factors]

@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lspath_reference as LR
 from smt_kit import cartan as C, involutions as I, quadlat as QL, smt as S
 
 
@@ -210,8 +211,9 @@ FOLD_ROWS = (("flip-sp4", 3, 12341), ("flip-sp4", 4, 135751), ("flip-sp6", 2, 91
 def test_fixed_order_fold_is_the_union_over_orders(name, degree, monomials):
     """The order claim behind `TwoBases.counts`, on every monomial: with
     blocks following shape, folding `FibreLifts.place` along the pool
-    order gives the state that `FibreLifts.state` takes as the union over
-    all orders inside each block.
+    order gives the state that `lspath.is_standard_below` takes as the
+    union over all orders inside each block (`lspath_reference.union_state`,
+    on one memo for every monomial).
 
     The claim needs the blocks.  With every block key 0, so that paths of
     shapes eps_1 and eps_2 of flip-sp4 share one block ordered by
@@ -228,15 +230,16 @@ def test_fixed_order_fold_is_the_union_over_orders(name, degree, monomials):
         return state
 
     one_block = (name, degree) == ("flip-sp4", 3)
+    memo: dict = {}
     seen = states = verdicts = 0
     for mono in itertools.combinations_with_replacement(range(len(table.kinds)), degree):
         kinds = [table.kinds[b] for b in mono]
         placed = tuple(sorted((table.blocks[b], table.kinds[b]) for b in mono))
-        assert lifts.state(placed) == fold(kinds), mono
+        assert LR.union_state(lifts, placed, memo) == fold(kinds), mono
         seen += 1
         if one_block:
             state = fold(sorted(kinds, key=lambda k: (lifts.order_key(k), k)))
-            union = lifts.state(tuple((0, k) for k in sorted(kinds)))
+            union = LR.union_state(lifts, tuple((0, k) for k in sorted(kinds)), memo)
             states += state != union
             verdicts += (state != 0) != (union != 0)
     assert seen == monomials
