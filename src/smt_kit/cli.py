@@ -60,29 +60,37 @@ def _rationals(text: str) -> list[Fraction]:
 
 def _json_file(path: str, shape: dict) -> dict:
     """The JSON object in a file.  `shape` is a type or a tuple of types,
-    [the shape of every item] or {field: its shape}, a missing field being
-    left to the reader; a ValueError names the first field that departs."""
+    [the shape of every item] or {field: its shape}, every field required
+    but those in _OPTIONAL_FIELDS; a ValueError names the first field that
+    is missing or departs."""
     def misshapen(value, want, where):
-        if not isinstance(want, (list, dict)):
-            return None if isinstance(value, want) else where
-        if not isinstance(value, type(want)):
-            return where
-        inner = (((f"[{i}]", v, want[0]) for i, v in enumerate(value)) if isinstance(want, list)
-                 else ((f".{f}", value[f], w) for f, w in want.items() if f in value))
-        return next(filter(None, (misshapen(v, w, where + at) for at, v, w in inner)), None)
+        if not isinstance(value, type(want) if isinstance(want, (list, dict)) else want):
+            return f"field {where[1:]!r} has the wrong shape" if where else "expected a JSON object"
+        if isinstance(want, list):
+            return next(filter(None, (misshapen(v, want[0], f"{where}[{i}]")
+                                      for i, v in enumerate(value))), None)
+        if isinstance(want, dict):
+            for f, w in want.items():
+                if f in value:
+                    problem = misshapen(value[f], w, f"{where}.{f}")
+                    if problem:
+                        return problem
+                elif f not in _OPTIONAL_FIELDS:
+                    return f"missing field {(where + '.' + f)[1:]!r}"
+        return None
 
     with open(path) as fh:
         data = json.load(fh)
-    where = misshapen(data, shape, "")
-    if where is not None:
-        raise ValueError(f"{path}: field {where[1:]!r} has the wrong shape" if where
-                         else f"{path}: expected a JSON object")
+    problem = misshapen(data, shape, "")
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     return data
 
 
 _GCM_FILE = {"entries": [[int]], "nonreduced": [int]}
 _SYSTEM_FILE = {"generators": [{"id": str, "grade": int}], "order": [[str]],
                 "relations": [{"pair": [str], "rhs": [{"coef": (int, str), "mono": [str]}]}]}
+_OPTIONAL_FIELDS = {"grade", "nonreduced"}
 
 
 def cmd_cartan(args, t0):

@@ -15,7 +15,13 @@ Hermite normal form (HNF) of L is diagonal.  On a diagonal HNF
 verdict holds without the bound.  Any other lattice keeps a bounded test: a
 coin-change count over the dominant points up to the height bound (recorded
 in the reports), whose outcome, None or more than n irreducibles, is the
-certificate.
+certificate.  The count runs at bounds 1, 2, 4, ... first and stops at the
+first double factorization, which every non-diagonal HNF between Q and P of
+A1-A6, B1-B6, C2-C6, BC1-BC6, D4-D6, E6 and E7 shows at height 4 or 6.  The
+dominant weights below e + f come from a root descent through dominant
+weights, one positive root at a time (Stembridge 1998, see `_dominant_below`),
+whose work is their number times |Phi+|, not the box of their root
+coordinates.
 
 Every kernel is integer arithmetic on data built once per lattice, basis or
 GCM.  The HNF of the generators (Cohen, A Course in Computational Algebraic
@@ -24,16 +30,18 @@ are read off it column by column, and membership by reduction against it is
 used only by `contains`.  The coin change runs in height order on one
 integer code per point, capped at 2 (a point nothing reaches is
 irreducible); heights are one integer row over the basis, a one-row
-`linalg.IntInverse`; and root coordinates, for the dominance walk and for
-the classes of P/Q (integer residues mod d), come from `cartan.root_inverse`,
-the one integer left inverse of the root rows per GCM, read through
-`IntInverse.expand`.  Fractions remain only in the `WeightVec`s handed in
-and out and in the height values.
+`linalg.IntInverse`; the descent steps are the positive roots
+(`cartan.finite_roots`) in fundamental-weight coordinates, one table per
+GCM; and the classes of P/Q (integer residues mod d) come from
+`cartan.root_inverse`, the one integer left inverse of the root rows per
+GCM, read through `IntInverse.expand`.  Fractions remain only in the
+`WeightVec`s handed in and out and in the height values.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -41,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cartan import (FinTypeLabel, WeightVec, build_cartan, dominant_leq, quadratic_basis,
-                     root_inverse, root_rows)
+from .cartan import (GCM, FinTypeLabel, WeightVec, build_cartan, dominant_leq, finite_roots,
+                     quadratic_basis, root_inverse, root_rows)
 
 Q = Fraction
 
@@ -212,11 +220,13 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     irreducibles of height up to the bound are returned without a search.
     Otherwise the verdict is certified only for elements of coordinate
     height up to the bound; None means the bounded test found non-freeness.
-    One pass over the points by height counts factorizations, capped at 2,
-    coin-change style: a point nothing has reached yet is irreducible and
-    becomes a coin.  Every partial sum of a factorization is itself a point
-    of smaller height, so the count never leaves the points.  A box of more
-    than _MONOID_POINT_CAP coordinate vectors raises ValueError first.
+    The search (`_coin_change`) runs at bounds 1, 2, 4, ... below the
+    height bound and stops at the first double factorization: the count of
+    a point depends only on the points of lower height, so a point counted
+    twice under a smaller bound is counted twice under the height bound.  A
+    list comes only from the run at the height bound.  A box of more than
+    _MONOID_POINT_CAP coordinate vectors at the height bound raises
+    ValueError first.
     """
     n = lat.gcm.n
     box = math.comb(max(height_bound, 0) + n, n)
@@ -227,6 +237,26 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
         # a diagonal HNF: L+ is free on the m_i omega_i, in decreasing order
         return [WeightVec(lat.basis_id, tuple(row)) for i, row in enumerate(lat._hnf)
                 if row[i] <= height_bound]
+    bound = 1
+    while bound < height_bound:
+        if _coin_change(lat, bound) is None:
+            return None
+        bound *= 2
+    irred = _coin_change(lat, height_bound)
+    return None if irred is None else [WeightVec(lat.basis_id, v)
+                                       for v in sorted(irred, reverse=True)]
+
+
+def _coin_change(lat: SubLattice, height_bound: int) -> list[tuple[int, ...]] | None:
+    """The irreducible dominant points of height up to the bound, or None
+    when a point has two factorizations.
+
+    One pass over the points by height counts factorizations, capped at 2,
+    coin-change style: a point nothing has reached yet is irreducible and
+    becomes a coin.  Every partial sum of a factorization is itself a point
+    of smaller height, so the count never leaves the points.
+    """
+    n = lat.gcm.n
     # one int per point, its coordinates as digits in base bound + 1: a sum
     # u + v of height <= bound has every coordinate <= bound, so no digit
     # carries and the code of u + v is the sum of the codes.  Codes order as
@@ -252,7 +282,7 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
             if k:
                 s = cu + cv
                 count[s] = min(2, count[s] + k)
-    return [WeightVec(lat.basis_id, v) for v in sorted(irred, reverse=True)]
+    return irred
 
 
 class MonoidNotFree(ValueError):
@@ -309,45 +339,59 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
     return by_height, report
 
 
-def _dominant_below(lat: SubLattice, top: WeightVec):
+@functools.lru_cache(maxsize=64)
+def _root_steps(gcm: GCM) -> tuple[int, tuple]:
+    """The positive roots as descent steps, cached by GCM value: (d, steps),
+    each step (simple-root coordinates, d times the fundamental-weight
+    coordinates w, the pairs (j, w_j) with w_j > 0), d the common
+    denominator of the root rows."""
+    rows = root_rows(gcm)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    cols = [[int(d * row[j]) for row in rows] for j in range(gcm.n)]
+    steps = []
+    for root, _ in finite_roots(gcm):
+        w = tuple(sum(map(operator.mul, root, col)) for col in cols)
+        steps.append((root, w, tuple((j, x) for j, x in enumerate(w) if x > 0)))
+    return d, tuple(steps)
+
+
+def _dominant_below(lat: SubLattice, top: WeightVec) -> list[tuple[int, ...]]:
     """Dominant integral weights <= top in the dominance order, as int tuples.
 
-    A depth-first walk over the root coordinates k_0 ... k_{n-1} of top - lam,
-    in lexicographic order.  Coordinate j of top - sum k_i alpha_i is final
-    once the last root with a nonzero entry in column j is fixed; it is
-    checked there, and a subtree that fails is skipped.
+    A root descent: every dominant mu <= top is reached from top through
+    dominant weights, one positive root at a time (Stembridge, The partial
+    order of dominant weights, Adv. Math. 136, 1998), so a depth-first walk
+    from top that subtracts positive roots and keeps only dominant vectors
+    visits each of them once.  Subtracting a root lowers only the coordinates
+    where the root is positive, so only those are tested.  The walk runs on
+    d * top, d the common denominator of top and the roots, and keeps the
+    points that divide back by d; they are listed in ascending lexicographic
+    order of the root coordinates of top - mu, the key of the walk.
     """
-    gcm = lat.gcm
-    rows = root_rows(gcm)
-    n = gcm.n
-    # scale by a common denominator (root_rows halves a BC column) so the walk
-    # runs in integers; a point is kept only if it divides back to integers
-    d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
-    coords = [int(d * c) for c in top.coords]
-    rows_d = [[int(d * x) for x in row] for row in rows]
-    inv = root_inverse(gcm)
-    top_rc = inv.expand(coords + [0])
-    assert all(c >= 0 for c in top_rc)
-    highs = [c // (d * inv.d) for c in top_rc]
-    final_at: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        final_at[max((i for i in range(n) if rows_d[i][j]), default=0)].append(j)
-
-    def rec(i):
-        row, checks = rows_d[i], final_at[i]
-        for k in range(highs[i] + 1):
-            if k:
-                for j in range(n):
-                    coords[j] -= row[j]
-            if all(coords[j] >= 0 and coords[j] % d == 0 for j in checks):
-                if i == n - 1:
-                    yield tuple(c // d for c in coords)
-                else:
-                    yield from rec(i + 1)
-        for j in range(n):
-            coords[j] += highs[i] * row[j]
-
-    yield from rec(0)
+    if any(c < 0 for c in top.coords):
+        raise ValueError(f"top {[str(c) for c in top.coords]} is not dominant")
+    d_root, steps = _root_steps(lat.gcm)
+    d = math.lcm(d_root, *(c.denominator for c in top.coords))
+    if d != d_root:
+        s = d // d_root
+        steps = [(root, tuple(s * x for x in w), tuple((j, s * x) for j, x in lows))
+                 for root, w, lows in steps]
+    start = ((0,) * lat.gcm.n, tuple(int(d * c) for c in top.coords))
+    seen = dict([start])
+    stack = [start]
+    while stack:
+        rc, v = stack.pop()
+        for root, w, lows in steps:
+            for j, x in lows:
+                if v[j] < x:
+                    break
+            else:
+                key = tuple(map(operator.add, rc, root))
+                if key not in seen:
+                    seen[key] = u = tuple(map(operator.sub, v, w))
+                    stack.append((key, u))
+    return [tuple(c // d for c in v) for _, v in sorted(seen.items())
+            if all(c % d == 0 for c in v)]
 
 
 def _intermediate_lattices(label: FinTypeLabel):

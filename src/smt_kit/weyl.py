@@ -134,7 +134,8 @@ def longest_parabolic(real: Realization, nodes, cap: int = 4096) -> WeylWord:
             return WeylWord(real, WeylWord(real, letters).reduce())
         letters.append(j)
         inv = real.image((j,), inv)
-    raise ValueError("parabolic not finite within cap")
+    raise ValueError(f"longest_parabolic cap exceeded: cap={cap}, "
+                     f"{len(letters)} letters reached on nodes {nodes}")
 
 
 class CosetRep:

@@ -8,23 +8,33 @@ simple roots.  None of it shares arithmetic with the integer kernels (HNF
 reduction, integer tuples, root-coordinate depths), which makes it a
 differential oracle for `tests/test_quadlat_differential.py`.
 
-`dominant_below_box` is the integer kernel the pruned walk of
-`smt_kit.quadlat._dominant_below` replaced: it tests every point of the
-whole box of root coordinates, which is cheap enough to check the walk at
-rank 5, where the Fraction `dominant_below` takes seconds per lattice.  It
-reads its box bounds with its own `linalg.solve`, so it shares no kernel
-with the walk, which reads them through `cartan.root_inverse`.
+`smt_kit.quadlat._dominant_below` is a root descent from the top weight,
+one positive root at a time, through dominant weights only.  Two integer
+walks over the box of root coordinates of top - lam stand behind it.
+`dominant_below_box` tests every point of the whole box, which is cheap
+enough to check the descent at rank 5 and on D5 and E6, where the Fraction
+`dominant_below` takes seconds per lattice.  It reads its box bounds with
+its own `linalg.solve`.  `dominant_below_walk` is the pruned walk the
+descent replaced: it tests each coordinate as soon as it is final and
+skips the subtree that fails, reading its box bounds through
+`cartan.root_inverse`.  Neither subtracts a positive root other than a
+simple one, and neither relies on Stembridge's theorem, which the descent
+does.
 
 `hgt` solves for the expansion over the basis on every call, and
 `intermediate_lattices` finds the classes of P/Q with one `linalg.solve`
 per lookup, where `smt_kit.quadlat` applies one integer left inverse per
 basis or per GCM.  `monoid_basis` searches every lattice, also those with
-a diagonal HNF, whose free monoid `smt_kit.quadlat` reads off directly.
+a diagonal HNF, whose free monoid `smt_kit.quadlat` reads off directly, and
+it searches every point up to the height bound, where `smt_kit.quadlat`
+stops at the first smaller bound 1, 2, 4, ... that shows a double
+factorization.
 `minuscule_depths` reads the depths of a minuscule poset with
 `Realization.root_coords`, where `smt_kit.smt` applies `cartan.root_inverse`.
 
 The code is the earlier `smt_kit.quadlat` / `smt_kit.smt` code unchanged
-apart from methods becoming functions of the lattice or poset.
+apart from methods becoming functions of the lattice or poset, and the
+walk's docstring.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import math
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import WeightVec, build_cartan, root_rows
+from smt_kit.cartan import WeightVec, build_cartan, root_inverse, root_rows
 from smt_kit.quadlat import SubLattice, _hnf
 
 Q = Fraction
@@ -155,6 +165,48 @@ def dominant_below_box(lat, top: WeightVec):
                     coords[j] -= k * row[j]
         if all(c >= 0 and c % d == 0 for c in coords):
             yield WeightVec(lat.basis_id, tuple(c // d for c in coords))
+
+
+def dominant_below_walk(lat, top: WeightVec):
+    """Dominant integral weights <= top in the dominance order, as int tuples.
+
+    The pruned walk that `smt_kit.quadlat._dominant_below` ran before the
+    root descent: a depth-first walk over the root coordinates k_0 ... k_{n-1}
+    of top - lam, in lexicographic order.  Coordinate j of top - sum k_i
+    alpha_i is final once the last root with a nonzero entry in column j is
+    fixed; it is checked there, and a subtree that fails is skipped.
+    """
+    gcm = lat.gcm
+    rows = root_rows(gcm)
+    n = gcm.n
+    # scale by a common denominator (root_rows halves a BC column) so the walk
+    # runs in integers; a point is kept only if it divides back to integers
+    d = math.lcm(*(x.denominator for x in itertools.chain(top.coords, *rows)))
+    coords = [int(d * c) for c in top.coords]
+    rows_d = [[int(d * x) for x in row] for row in rows]
+    inv = root_inverse(gcm)
+    top_rc = inv.expand(coords + [0])
+    assert all(c >= 0 for c in top_rc)
+    highs = [c // (d * inv.d) for c in top_rc]
+    final_at: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        final_at[max((i for i in range(n) if rows_d[i][j]), default=0)].append(j)
+
+    def rec(i):
+        row, checks = rows_d[i], final_at[i]
+        for k in range(highs[i] + 1):
+            if k:
+                for j in range(n):
+                    coords[j] -= row[j]
+            if all(coords[j] >= 0 and coords[j] % d == 0 for j in checks):
+                if i == n - 1:
+                    yield tuple(c // d for c in coords)
+                else:
+                    yield from rec(i + 1)
+        for j in range(n):
+            coords[j] += highs[i] * row[j]
+
+    yield from rec(0)
 
 
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:

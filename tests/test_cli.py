@@ -324,6 +324,43 @@ def test_straighten_cli_system_file_of_the_wrong_shape_exit_1(tmp_path, data, fi
     assert code == 1 and field in out["error"] and err == ""
 
 
+_GEN = [{"id": "a"}]
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"gcm": {}}, "entries"),
+    ({"gcm": {"nonreduced": [0]}}, "entries"),
+    ({"system": {"order": [], "relations": []}}, "generators"),
+    ({"system": {"generators": _GEN, "relations": []}}, "order"),
+    ({"system": {"generators": _GEN, "order": []}}, "relations"),
+    ({"system": {"generators": [{"grade": 1}], "order": [], "relations": []}},
+     "generators[0].id"),
+    ({"system": {"generators": _GEN, "order": [], "relations": [{"rhs": []}]}},
+     "relations[0].pair"),
+    ({"system": {"generators": _GEN, "order": [], "relations": [{"pair": ["a", "a"]}]}},
+     "relations[0].rhs"),
+    ({"system": {"generators": _GEN, "order": [],
+                 "relations": [{"pair": ["a", "a"], "rhs": [{"coef": "1", "mono": []}]},
+                               {"pair": ["a", "a"], "rhs": [{"mono": []}]}]}},
+     "relations[1].rhs[0].coef"),
+    ({"system": {"generators": _GEN, "order": [],
+                 "relations": [{"pair": ["a", "a"], "rhs": [{"coef": "1"}]}]}},
+     "relations[0].rhs[0].mono"),
+])
+def test_cli_file_missing_a_required_field_exit_1(tmp_path, data, field):
+    """A GCM or system file without a required field is refused with a JSON
+    error naming the field; this used to print the bare field name (the
+    message of the reader's KeyError).  Files without the optional `grade`
+    or `nonreduced` are read in `test_straighten_cli_unknown_generator_in_file`
+    and `test_demazure_cli_cap_exceeded`."""
+    (kind, content), = data.items()
+    f = tmp_path / f"{kind}.json"
+    f.write_text(json.dumps(content))
+    argv = (["weyl", "demazure", "--gcm", str(f), "--weight", "1"] if kind == "gcm"
+            else ["smt", "straighten", "--system", str(f), "--monomial", "a"])
+    assert run_in_process(*argv) == (1, {"error": f"{f}: missing field {field!r}"}, "")
+
+
 def test_demazure_cli_cap_exceeded(tmp_path):
     f = tmp_path / "hyp55.json"
     f.write_text(json.dumps({"entries": [[2, -5], [-5, 2]]}))

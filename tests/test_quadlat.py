@@ -1,6 +1,8 @@
 """Quadratic lattice machinery: heights, monoid bases, classification."""
 
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,32 @@ def test_classify_quadratic_table():
     for name, want in expected.items():
         got = {n: v for n, v, _ in QL.classify_quadratic(lab(name), 10)}
         assert got == want, name
+
+
+# every label of criterion 2 (`criteria.prop5` at its default rank 6) and D5, D6, E6
+GOLDEN_LABELS = ([f"{fam}{r}" for fam in ("A", "B", "C", "BC")
+                  for r in range(2 if fam == "C" else 1, 7)]
+                 + ["D4", "G2", "F4", "D5", "D6", "E6"])
+
+
+def test_classify_quadratic_reports_match_the_golden_file():
+    """The full reports at bound 12 (verdicts, bases and certificates, which
+    name the first weight found) against a file written by the pruned-walk,
+    full-bound-search code that the root descent and the early stop
+    replaced, so neither may change which certificate is chosen."""
+    golden = json.loads((Path(__file__).parent / "golden" /
+                         "classify_quadratic_bound12.json").read_text())
+    assert sorted(golden) == sorted(GOLDEN_LABELS)
+    for name in GOLDEN_LABELS:
+        rows = QL.classify_quadratic(lab(name), 12)
+        assert json.loads(json.dumps(rows)) == golden[name], name
+
+
+def test_dominant_below_refuses_a_non_dominant_top():
+    lat = QL.full_weight_lattice(lab("A2"))
+    with pytest.raises(ValueError, match=r"^top \['2', '-1'\] is not dominant$"):
+        QL._dominant_below(lat, C.WeightVec("A2", (Q(2), Q(-1))))
+    assert QL._dominant_below(lat, C.WeightVec("A2", (Q(2), Q(0)))) == [(2, 0), (0, 1)]
 
 
 def test_d4_has_five_lattices():

@@ -5,18 +5,25 @@ root rows come from a halved column), D4, G2 and F4: HNF membership against
 the coefficient solve on random points, the dominant points read off the HNF
 against the box points that pass the coefficient solve, the coin-change
 monoid count against the pairwise test and memoised expansion count at small
-bounds and at the classification bounds, and the pruned dominance walk below
-every sum of two basis elements and below half of it.  At rank 5 (A5, B5, C5,
-BC5) the walk is compared with the whole-box integer walk it replaced.  The
-integer height form is compared with the per-call solve on random weights
-over full and partial bases, and the integer class map of P/Q with the
-solve-based one through the generators of every intermediate lattice.  The
-integer-depth order of the E7 minuscule poset is compared with the
-root-coordinate order on every pair, and the depths that `root_inverse`
-gives with the `root_coords` reading on E7, A_n, C3 and the flip ambients.
-The free monoid read off a diagonal HNF is compared with the search on
-every diagonal lattice between Q and P of A1-A4, B1-B5, C2-C4, BC1-BC3, D4,
-G2 and F4, at bounds 0-5, below and above its generators.
+bounds and at the classification bounds, and the root descent of
+`_dominant_below` below every sum of two basis elements and below half of
+it.  At rank 5 (A5, B5, C5, BC5) the descent is compared with the whole-box
+integer walk.  The integer height form is compared with the per-call solve
+on random weights over full and partial bases, and the integer class map of
+P/Q with the solve-based one through the generators of every intermediate
+lattice.  The integer-depth order of the E7 minuscule poset is compared
+with the root-coordinate order on every pair, and the depths that
+`root_inverse` gives with the `root_coords` reading on E7, A_n, C3 and the
+flip ambients.  The free monoid read off a diagonal HNF is compared with the
+search on every diagonal lattice between Q and P of A1-A4, B1-B5, C2-C4,
+BC1-BC3, D4, G2 and F4, at bounds 0-5, below and above its generators.
+
+The descent is also compared, in order, with the whole-box walk and with
+the pruned walk it replaced, below every omega_i + omega_j of the full
+weight lattices of D5 and E6 and below half of it.  The monoid search that
+stops at its first double factorization is compared with the full reference
+search on every non-diagonal lattice above at every bound from 1 to 12, and
+the D4 index-2 searches are shown to list no point above height 4.
 """
 
 import itertools
@@ -157,7 +164,7 @@ RANK5 = [(f"{name} |L/Q|={order}", lat) for name in ("A5", "B5", "C5", "BC5")
 
 
 def test_dominant_below_agrees_at_rank_5():
-    """The pruned walk against the whole-box walk below every sum of two
+    """The root descent against the whole-box walk below every sum of two
     bound-8 basis elements (and half of it) of every rank-5 lattice with a
     free monoid, in order; on A5 also against the Fraction box."""
     compared = 0
@@ -173,6 +180,25 @@ def test_dominant_below_agrees_at_rank_5():
                     assert got == _ints(R.dominant_below(lat, top)), (name, top)
             compared += 1
     assert compared == 5 * 15
+
+
+def test_dominant_below_agrees_on_d5_and_e6():
+    """The root descent against the whole-box walk and the pruned walk below
+    every omega_i + omega_j of the full weight lattices of D5 and E6 and
+    below half of it, in order."""
+    listed = {}
+    for name in ("D5", "E6"):
+        lat = QL.full_weight_lattice(C.FinTypeLabel.parse(name))
+        n = lat.gcm.n
+        omega = [C.WeightVec(name, tuple(Q(int(i == j)) for j in range(n))) for i in range(n)]
+        listed[name] = 0
+        for e, f in itertools.combinations_with_replacement(omega, 2):
+            for top in (e + f, (e + f).scale(Q(1, 2))):
+                got = QL._dominant_below(lat, top)
+                assert got == _ints(R.dominant_below_box(lat, top)), (name, top)
+                assert got == list(R.dominant_below_walk(lat, top)), (name, top)
+                listed[name] += len(got)
+    assert listed == {"D5": 68, "E6": 169}
 
 
 def test_minuscule_leq_agrees_on_every_e7_pair():
@@ -230,3 +256,36 @@ def test_monoid_basis_on_diagonal_lattices_agrees():
             assert QL.monoid_basis(lat, bound) == R.monoid_basis(lat, bound), (name, bound)
             seen.add(max(ms) > bound)
     assert seen == {True, False}
+
+
+NON_DIAGONAL = [(name, lat) for name, lat in LATTICES
+                if any(x for i, row in enumerate(lat._hnf) for x in row[i + 1:])]
+
+
+def test_monoid_basis_agrees_on_non_diagonal_lattices_at_every_bound():
+    """The search that stops at its first double factorization against the
+    full reference search, at every bound from 1 to 12."""
+    assert len(NON_DIAGONAL) == 10
+    for name, lat in NON_DIAGONAL:
+        for bound in range(1, 13):
+            assert QL.monoid_basis(lat, bound) == R.monoid_basis(lat, bound), (name, bound)
+
+
+def test_d4_index_2_searches_list_no_point_above_height_4(monkeypatch):
+    """Each D4 index-2 lattice shows a double factorization at height 4, so
+    its search at bound 12 lists the points up to heights 1, 2 and 4 only."""
+    bounds = []
+
+    def points(lat, bound):
+        bounds.append(bound)
+        return dominant_points(lat, bound)
+
+    dominant_points = QL._dominant_points
+    monkeypatch.setattr(QL, "_dominant_points", points)
+    lattices = [lat for order, lat in QL._intermediate_lattices(C.FinTypeLabel("D", 4))
+                if order == 2]
+    assert len(lattices) == 3
+    for lat in lattices:
+        bounds.clear()
+        assert QL.monoid_basis(lat, 12) is None
+        assert bounds == [1, 2, 4]

@@ -69,6 +69,20 @@ def test_affine_reduce():
     assert red == w and len(red.letters) <= 8
 
 
+def test_longest_parabolic_cap_names_value_and_size():
+    """The affine Weyl group of C2^(1) is infinite, so the word never runs
+    out of ascents; the finite parabolic C2 inside it, four letters long,
+    is found within a cap of 8."""
+    real = C.Realization.standard(C.build_affine_cartan("C2^(1)"), "C2aff")
+    with pytest.raises(ValueError, match=r"^longest_parabolic cap exceeded: cap=4096, "
+                                         r"4096 letters reached on nodes \[0, 1, 2\]$"):
+        W.longest_parabolic(real, {2, 0, 1})
+    with pytest.raises(ValueError, match=r"^longest_parabolic cap exceeded: cap=7, "
+                                         r"7 letters reached on nodes \[0, 1, 2\]$"):
+        W.longest_parabolic(real, range(3), cap=7)
+    assert len(W.longest_parabolic(real, {1, 2}, cap=8).letters) == 4
+
+
 def test_coset_rep_minimality():
     real = real_of("A3")
     w = W.longest_parabolic(real, range(3))
