@@ -43,21 +43,9 @@ INDEFINITE = "indefinite"
 def is_gcm(entries) -> bool:
     """True iff the integer matrix satisfies the GCM axioms."""
     n = len(entries)
-    if any(len(row) != n for row in entries):
-        return False
-    for i in range(n):
-        for j in range(n):
-            x = entries[i][j]
-            if x != int(x):
-                return False
-            if i == j and x != 2:
-                return False
-            if i != j:
-                if x > 0:
-                    return False
-                if (x == 0) != (entries[j][i] == 0):
-                    return False
-    return True
+    return all(len(row) == n for row in entries) and all(
+        x == int(x) and (x == 2 if i == j else x <= 0 and (x == 0) == (entries[j][i] == 0))
+        for i, row in enumerate(entries) for j, x in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -82,15 +70,8 @@ class GCM:
 
     def block_sum(self, other: "GCM") -> "GCM":
         n, m = self.n, other.n
-        ent = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                ent[i][j] = self.entries[i][j]
-        for i in range(m):
-            for j in range(m):
-                ent[n + i][n + j] = other.entries[i][j]
-        marked = self.nonreduced_nodes | {n + i for i in other.nonreduced_nodes}
-        return GCM(tuple(tuple(r) for r in ent), frozenset(marked))
+        ent = [row + (0,) * m for row in self.entries] + [(0,) * n + row for row in other.entries]
+        return GCM(tuple(ent), self.nonreduced_nodes | {n + i for i in other.nonreduced_nodes})
 
     def to_json(self) -> dict:
         return {
@@ -590,28 +571,32 @@ def finite_roots(m: GCM) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     coordinates.  s_i permutes the positive roots other than alpha_i
     (Bourbaki, Lie Groups, Ch. VI Sec. 1.6), and every positive root is
     reached from a simple one by such steps, so the closure of the simple
-    pairs under the s_i keeps only the positive images.  Cached by the value
+    pairs under the s_i keeps only the positive images.  Each pair in the
+    search carries its pairings <root, alpha_i^vee> (a row of the matrix for
+    a simple root) and <alpha_i, coroot> (a column), and s_i updates them by
+    subtracting pr times row i and pc times column i.  Cached by the value
     of the (frozen) matrix.
     """
     if classify(m) != FINITE:
         raise ValueError("finite-type GCM required")
-    n = m.n
-    a = m.entries
-    frontier = [(tuple(int(j == i) for j in range(n)),) * 2 for i in range(n)]
-    seen = set(frontier)
+    n, rows, cols = m.n, m.entries, tuple(zip(*m.entries))
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    frontier = [(unit[i], unit[i], rows[i], cols[i]) for i in range(n)]
+    seen = {(u, u) for u in unit}
     while frontier:
         nxt = []
-        for root, co in frontier:
+        for root, co, root_pair, co_pair in frontier:
             for i in range(n):
-                pr = sum(root[j] * a[j][i] for j in range(n))       # <root, alpha_i^vee>
+                pr = root_pair[i]                                   # <root, alpha_i^vee>
                 if pr == 0 or root[i] < pr:
                     continue        # s_i fixes root, or root = alpha_i
-                pc = sum(co[j] * a[i][j] for j in range(n))         # <alpha_i, coroot>
+                pc = co_pair[i]                                     # <alpha_i, coroot>
                 img = (root[:i] + (root[i] - pr,) + root[i + 1:],
                        co[:i] + (co[i] - pc,) + co[i + 1:])
                 if img not in seen:
                     seen.add(img)
-                    nxt.append(img)
+                    nxt.append(img + (tuple(x - pr * y for x, y in zip(root_pair, rows[i])),
+                                      tuple(x - pc * y for x, y in zip(co_pair, cols[i]))))
         frontier = nxt
     return tuple(seen)
 

@@ -7,9 +7,12 @@ of monomials strictly below it in a monomial order that refines the grading
 fixed linear extension).  Rewriting terminates by strict descent and is
 confluence-checked on the test systems.
 
-The 56-dimensional minuscule poset carries the one seeded relation, with
-the factor labels produced by lowering operators on weights (minuscule
-weight spaces are lines, so edges mu -> mu - alpha determine the labels).
+A minuscule poset lives on the integer keys of its orbit: a lowering table
+(edges mu -> mu - alpha_a = s_a mu), one up-set bitset per weight, so an
+order query reads one bit and the standard pairs are popcounts.  The
+56-dimensional one, built once per process, carries the one seeded
+relation, with the factor labels produced by the lowering table (minuscule
+weight spaces are lines, so the edges determine the labels).
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import itertools
 from fractions import Fraction
 
 from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
-                     classify, root_inverse, weyl_dim)
+                     classify, weyl_dim)
 from .extend import extend_restricted
-from .weyl import CosetRep, coset_interval, longest_parabolic, orbit_bfs, tau_full
+from .weyl import CosetRep, coset_interval, longest_parabolic, orbit_keys, tau_full
 from . import lspath
 
 Q = Fraction
@@ -32,48 +35,58 @@ class MinusculePoset:
 
     The minimum is the highest weight (the order follows restriction of
     sections: the dual basis vector at the highest weight is the smallest).
-    ``depth[i]`` holds the integer simple-root coordinates of
-    highest - weights[i], read through the cached integer inverse
-    `cartan.root_inverse`; the order and the node degrees are read off it.
+    The orbit is one `weyl.orbit_keys` search, minuscule when it has
+    `weyl_dim` weights.  Then every pairing is 0 or +-1, mu - alpha_a is a
+    weight iff <mu, alpha_a^vee> = 1, where it is s_a mu, and these steps
+    are the covers of the order, a distributive lattice (Proctor, Bruhat
+    lattices, plane partition generating functions, and minuscule
+    representations, 1984).  ``depth[i]`` (the root coordinates of highest
+    - weights[i]) is counted along them; ``_lower[i][a]`` is the index of
+    s_a weights[i] (None if a does not lower it); ``_up[i]`` is the bitset
+    of the j >= i: bit i ORed with the up-sets of its lowerings.
     """
 
     def __init__(self, real: Realization, node: int):
         self.real = real
-        self.node = node
         self.highest = real.fundamental(node)
         if classify(real.gcm) != FINITE:        # before the orbit search, which need not end
             raise ValueError("finite-type GCM required")
-        orbit = {coords: WeightVec(real.basis_id, coords, delta)
-                 for coords, delta in orbit_bfs(real, range(real.n), self.highest)}
-        dim = weyl_dim(real.gcm, self.highest)
-        if len(orbit) != dim:
+        n, rows = real.n, real.gcm.entries
+        top = tuple(int(i == node) for i in range(n)) + (0,)
+        keys = orbit_keys(real, range(n), list(top))
+        if len(keys) != weyl_dim(real.gcm, self.highest):
             raise ValueError("weight is not minuscule (orbit misses weights)")
-        inv = root_inverse(real.gcm)
-        depth = {}
-        for coords in orbit:
-            # the orbit of a fundamental weight is integral, with delta 0
-            diff = [int(i == node) - int(c) for i, c in enumerate(coords)] + [0]
-            rc = inv.expand(diff)
-            assert all(c % inv.d == 0 for c in rc), \
-                "orbit weight is not the highest weight minus a root-lattice element"
-            depth[coords] = tuple(c // inv.d for c in rc)
-        self.weights = sorted(orbit.values(),
-                              key=lambda w: (sum(depth[w.coords]), w.coords))
+        lowered = lambda k, a: tuple(x - y for x, y in zip(k, rows[a])) + (0,)    # k - alpha_a
+        depth = {top: (0,) * n}
+        queue = [top]
+        for k in queue:                             # grows as the walk goes down
+            for a in range(n):
+                if k[a] > 0 and (im := lowered(k, a)) not in depth:
+                    depth[im] = depth[k][:a] + (depth[k][a] + 1,) + depth[k][a + 1:]
+                    queue.append(im)
+        assert depth.keys() == keys, "lowering steps leave the orbit"
+        order = sorted(keys, key=lambda k: (sum(depth[k]), k))
+        position = {k: i for i, k in enumerate(order)}
+        self.depth = [depth[k] for k in order]
+        self._lower = [[position[lowered(k, a)] if k[a] > 0 else None for a in range(n)]
+                       for k in order]
+        self._up = [0] * len(order)
+        for i in reversed(range(len(order))):       # a lowering has a larger index
+            self._up[i] = functools.reduce(
+                int.__or__, (self._up[j] for j in self._lower[i] if j is not None), 1 << i)
+        self.weights = [WeightVec(real.basis_id, tuple(Q(c) for c in k[:-1])) for k in order]
         self.index = {w.coords: i for i, w in enumerate(self.weights)}
-        self.depth = [depth[w.coords] for w in self.weights]
 
     def __len__(self):
         return len(self.weights)
 
     def leq(self, i: int, j: int) -> bool:
-        """i <= j iff weight_i - weight_j = depth_j - depth_i is a nonnegative root sum."""
-        return all(a <= b for a, b in zip(self.depth[i], self.depth[j]))
+        """i <= j iff weight_i - weight_j is a nonnegative root sum."""
+        return self._up[i] >> j & 1 == 1
 
     def lower(self, i: int, node: int) -> int | None:
         """Index of weight_i - alpha_node if that is again a weight."""
-        im = self.weights[i] - self.real.simple_root(node)
-        j = self.index.get(im.coords)
-        return j
+        return self._lower[i][node]
 
     def d_degree(self, i: int, node: int = 0) -> int:
         return self.depth[i][node]
@@ -88,11 +101,11 @@ def minuscule_poset(m: GCM | FinTypeLabel, node: int, basis_id: str | None = Non
 
 
 def count_standard_pairs(p: MinusculePoset) -> tuple[int, int]:
-    """(comparable unordered pairs with repeats, incomparable pairs)."""
+    """(comparable unordered pairs with repeats, incomparable pairs): the
+    pairs i <= j are the bits of the up-sets."""
     n = len(p)
-    incomparable = sum(1 for i in range(n) for j in range(i + 1, n)
-                       if not (p.leq(i, j) or p.leq(j, i)))
-    return n * (n + 1) // 2 - incomparable, incomparable
+    comparable = sum(up.bit_count() for up in p._up)
+    return comparable, n * (n + 1) // 2 - comparable
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +127,9 @@ class StraighteningSystem:
         self.relations = {frozenset(k): list(v) for k, v in relations.items()}
         self.lin = self._linear_extension()
         for pair, rhs in self.relations.items():
-            a, b = tuple(pair)
-            if self.comparable(a, b):
+            if len(pair) != 2 or self.comparable(*pair):     # {a, a} is one generator
                 raise ValueError("relation keyed on a comparable pair")
-            top = self.monomial_key((a, b))
+            top = self.monomial_key(tuple(pair))
             for coef, mono in rhs:
                 if not self.monomial_key(mono) < top:
                     raise ValueError("relation is not strictly decreasing")
@@ -149,15 +161,11 @@ class StraighteningSystem:
                 tuple(self.lin[g] for g in m))
 
     def is_standard(self, mono) -> bool:
-        m = self.sort_mono(mono)
-        return all(self.comparable(a, b) for a, b in itertools.combinations(m, 2))
+        return self.first_incomparable(mono) is None
 
     def first_incomparable(self, mono) -> tuple | None:
-        m = self.sort_mono(mono)
-        for a, b in itertools.combinations(m, 2):
-            if not self.comparable(a, b):
-                return (a, b)
-        return None
+        return next(((a, b) for a, b in itertools.combinations(self.sort_mono(mono), 2)
+                     if not self.comparable(a, b)), None)
 
 
 def straighten(mono, sys: StraighteningSystem, max_steps: int = 10 ** 6) -> dict:
@@ -165,12 +173,16 @@ def straighten(mono, sys: StraighteningSystem, max_steps: int = 10 ** 6) -> dict
 
     Repeatedly replaces an incomparable pair inside the currently largest
     non-standard monomial; terminates by strict monomial-order descent.
+    More than `max_steps` rewrites raise ValueError.
     """
     work: dict[tuple, Fraction] = {sys.sort_mono(mono): Q(1)}
-    for _ in range(max_steps):
+    for step in itertools.count():
         bad = [m for m in work if not sys.is_standard(m)]
         if not bad:
             return {m: c for m, c in work.items() if c}
+        if step == max_steps:
+            raise ValueError(f"straighten cap exceeded: max_steps={max_steps}, "
+                             f"{len(bad)} non-standard monomials left after {step} rewrites")
         target = max(bad, key=sys.monomial_key)
         coef = work.pop(target)
         a, b = sys.first_incomparable(target)
@@ -185,7 +197,6 @@ def straighten(mono, sys: StraighteningSystem, max_steps: int = 10 ** 6) -> dict
             work[key] = work.get(key, Q(0)) + coef * c
             if not work[key]:
                 del work[key]
-    raise RuntimeError("straightening did not terminate within max_steps")
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +216,22 @@ def e7_gcm() -> GCM:
     return GCM(ent)
 
 
+@functools.lru_cache(maxsize=1)
 def e7_minuscule() -> MinusculePoset:
+    """The E7 poset, built once per process; no caller mutates it."""
     return minuscule_poset(e7_gcm(), 0, basis_id="E7@0")
 
 
 def e7_relation_labels(p: MinusculePoset) -> tuple[list[int], list[int]]:
     """Indices of x_0..x_5 and y_0..y_5 via lowering chains from the top."""
-    xs = [p.index[p.highest.coords]]
-    for node in _X_CHAIN:
-        nxt = p.lower(xs[-1], node)
-        assert nxt is not None, "lowering chain leaves the orbit"
-        xs.append(nxt)
-    ys_rev = [p.lower(xs[4], _Y_CHAIN[0])]       # y_5 branches off x_4
-    assert ys_rev[0] is not None
-    for node in _Y_CHAIN[1:]:
-        nxt = p.lower(ys_rev[-1], node)
-        assert nxt is not None
-        ys_rev.append(nxt)
-    ys = list(reversed(ys_rev))                  # y_0 .. y_5
+    def chain(i, nodes):
+        out = [i]
+        for node in nodes:
+            out.append(p.lower(out[-1], node))
+            assert out[-1] is not None, "lowering chain leaves the orbit"
+        return out
+    xs = chain(p.index[p.highest.coords], _X_CHAIN)
+    ys = chain(xs[4], _Y_CHAIN)[:0:-1]          # y_5 branches off x_4; y_0 .. y_5
     return xs, ys
 
 
@@ -456,11 +465,8 @@ def finite_case_structure(case) -> dict:
     amb = case.amb
     p = MinusculePoset(amb.real, 0)
     report["ambient_poset_size"] = len(p)
-    grades: dict[int, int] = {}
-    for i in range(len(p)):
-        d = p.d_degree(i)
-        grades[d] = grades.get(d, 0) + 1
-    report["ambient_grading"] = [grades[d] for d in sorted(grades)]
+    degrees = [p.d_degree(i) for i in range(len(p))]
+    report["ambient_grading"] = [degrees.count(d) for d in sorted(set(degrees))]
     dims = [1] + [case.dim_eps_sum([i]) for i in range(1, l + 1)] + [1]
     report["ambient_grading_ok"] = report["ambient_grading"] == dims
     # On a minuscule orbit the coset order is the weight-dominance test,

@@ -15,7 +15,8 @@ position of its dropped letter, without a Bruhat comparison; its
 `CosetPoset` keeps the order as one down-set bitset per coset.  The
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
-keys once, on return, and so does the orbit search `orbit_bfs`.  The
+keys once, on return, and so does the orbit search `orbit_bfs` around its
+integer core `orbit_keys`, which `smt` reads directly.  The
 integer reflection, the peel and the word action are `cartan.reflect_int`,
 `cartan.peel` and `Realization.image`, the only copies in the package.
 Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
@@ -375,18 +376,15 @@ def dominant_orbit_reps(datum) -> list[WeightVec]:
     return out
 
 
-def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | None = None,
-              cap: int = 200000) -> set:
-    """Orbit of `start` under the listed simple reflections, as a set of
-    (coords, delta) Fraction tuples.
+def orbit_keys(real: Realization, gens, x: list[int], limit: int | None = None,
+               cap: int = 200000) -> set[tuple[int, ...]]:
+    """Orbit of the integer weight x (delta last) under the listed simple
+    reflections, as a set of integer tuples.
 
-    The search runs on integer vectors, den * v with delta last for den
-    the lcm of start's denominators, and skips a letter whose coordinate is
-    zero (it fixes the weight).  delta_cap bounds |delta coordinate| to keep
-    affine orbits finite; more than `cap` weights raise ValueError.
+    A letter whose coordinate is zero fixes the weight and is skipped;
+    limit, when given, bounds |delta coordinate|; more than `cap` weights
+    raise ValueError.
     """
-    x, den = _scaled(start)
-    limit = None if delta_cap is None else math.floor(delta_cap * den)
     seen = {tuple(x)}
     frontier = [x]
     while frontier:
@@ -406,4 +404,14 @@ def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | N
                     seen.add(k)
                     nxt.append(im)
         frontier = nxt
-    return {(tuple(Q(y, den) for y in k[:-1]), Q(k[-1], den)) for k in seen}
+    return seen
+
+
+def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | None = None,
+              cap: int = 200000) -> set:
+    """`orbit_keys` of den * start, den the lcm of its denominators, as
+    (coords, delta) Fraction tuples; delta_cap bounds |delta| (affine orbits)."""
+    x, den = _scaled(start)
+    limit = None if delta_cap is None else math.floor(delta_cap * den)
+    return {(tuple(Q(y, den) for y in k[:-1]), Q(k[-1], den))
+            for k in orbit_keys(real, gens, x, limit, cap)}

@@ -30,7 +30,12 @@ it searches every point up to the height bound, where `smt_kit.quadlat`
 stops at the first smaller bound 1, 2, 4, ... that shows a double
 factorization.
 `minuscule_depths` reads the depths of a minuscule poset with
-`Realization.root_coords`, where `smt_kit.smt` applies `cartan.root_inverse`.
+`Realization.root_coords`, and `minuscule_leq` expands each difference of
+weights the same way, where `smt_kit.smt` counts the depths along the
+lowering steps and reads the order off up-set bitsets.  `minuscule_lower`
+subtracts a simple root from a Fraction weight and looks the result up,
+where `smt_kit.smt` reads a lowering table, and `count_standard_pairs`
+tests every pair, where `smt_kit.smt` counts the bits of the up-sets.
 
 The code is the earlier `smt_kit.quadlat` / `smt_kit.smt` code unchanged
 apart from methods becoming functions of the lattice or poset, and the
@@ -288,3 +293,19 @@ def minuscule_leq(p, i: int, j: int) -> bool:
     """i <= j iff weight_i - weight_j is a nonnegative integer root sum."""
     coords = p.real.root_coords(p.weights[i] - p.weights[j])
     return coords is not None and all(c >= 0 and c.denominator == 1 for c in coords)
+
+
+def minuscule_lower(p, i: int, node: int) -> int | None:
+    """Index of weight_i - alpha_node if that is again a weight, looked up
+    by its Fraction coordinates."""
+    im = p.weights[i] - p.real.simple_root(node)
+    return p.index.get(im.coords)
+
+
+def count_standard_pairs(leq) -> tuple[int, int]:
+    """(comparable unordered pairs with repeats, incomparable pairs) of the
+    order given as a matrix of booleans, one pair at a time."""
+    n = len(leq)
+    incomparable = sum(1 for i in range(n) for j in range(i + 1, n)
+                       if not (leq[i][j] or leq[j][i]))
+    return n * (n + 1) // 2 - incomparable, incomparable

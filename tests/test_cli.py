@@ -269,6 +269,19 @@ def test_straighten_cli_builtin_and_file(tmp_path):
     assert json.loads(r.stdout)["outputs"] == [{"coef": "1", "mono": ["a", "d"]}]
 
 
+def test_straighten_cli_relation_keyed_on_one_generator_twice(tmp_path):
+    """A relation whose pair names one generator twice is refused as keyed
+    on a comparable pair; it used to print Python's unpacking message."""
+    data = {"generators": [{"id": "a"}, {"id": "b"}], "order": [],
+            "relations": [{"pair": ["a", "a"], "rhs": []}]}
+    f = tmp_path / "twice.json"
+    f.write_text(json.dumps(data))
+    r = run("smt", "straighten", "--system", str(f), "--monomial", "a,b")
+    assert r.returncode == 1
+    assert json.loads(r.stdout) == {"error": "relation keyed on a comparable pair"}
+    assert "Traceback" not in r.stderr
+
+
 def test_straighten_cli_unknown_generator():
     r = run("smt", "straighten", "--system", "e7", "--monomial", "x9,y5")
     assert r.returncode == 1

@@ -11,12 +11,14 @@ it.  At rank 5 (A5, B5, C5, BC5) the descent is compared with the whole-box
 integer walk.  The integer height form is compared with the per-call solve
 on random weights over full and partial bases, and the integer class map of
 P/Q with the solve-based one through the generators of every intermediate
-lattice.  The integer-depth order of the E7 minuscule poset is compared
-with the root-coordinate order on every pair, and the depths that
-`root_inverse` gives with the `root_coords` reading on E7, A_n, C3 and the
-flip ambients.  The free monoid read off a diagonal HNF is compared with the
-search on every diagonal lattice between Q and P of A1-A4, B1-B5, C2-C4,
-BC1-BC3, D4, G2 and F4, at bounds 0-5, below and above its generators.
+lattice.  On the minuscule posets of A_n, C3, D4, D5, E6, E7 and the flip
+ambients, the up-set order is compared with the root-coordinate order on
+every pair, the lowering table with the Fraction subtraction, the
+popcount pair counts with a count over every pair, and the depths counted
+along the lowering steps with the `root_coords` reading.  The free monoid
+read off a diagonal HNF is compared with the search on every diagonal
+lattice between Q and P of A1-A4, B1-B5, C2-C4, BC1-BC3, D4, G2 and F4, at
+bounds 0-5, below and above its generators.
 
 The descent is also compared, in order, with the whole-box walk and with
 the pruned walk it replaced, below every omega_i + omega_j of the full
@@ -27,8 +29,10 @@ the D4 index-2 searches are shown to list no point above height 4.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -201,24 +205,25 @@ def test_dominant_below_agrees_on_d5_and_e6():
     assert listed == {"D5": 68, "E6": 169}
 
 
-def test_minuscule_leq_agrees_on_every_e7_pair():
-    p = S.e7_minuscule()
-    assert len(p) == 56
-    for i, j in itertools.product(range(len(p)), repeat=2):
-        assert p.leq(i, j) == R.minuscule_leq(p, i, j), (i, j)
-    for i, w in enumerate(p.weights):
-        assert [p.d_degree(i, node) for node in range(7)] == \
-            [int(c) for c in p.real.root_coords(p.highest - w)], i
-
-
 def _minuscule_cases():
-    for name, nodes in (("A1", [0]), ("A3", [0, 1, 2]), ("A4", [0, 1, 2, 3]), ("C3", [0])):
+    for name, nodes in (("A1", [0]), ("A3", [0, 1, 2]), ("A4", [0, 1, 2, 3]), ("C3", [0]),
+                        ("D4", [0, 2, 3]), ("D5", [0, 3, 4]), ("E6", [0, 5])):
         label = C.FinTypeLabel.parse(name)
         for node in nodes:
             yield f"{name}@{node}", S.minuscule_poset(label, node)
     yield "E7", S.e7_minuscule()
     for name in ("flip-sl2", "flip-sl3", "flip-sl4"):
         yield name, S.MinusculePoset(I.AmbientCase(name).amb.real, 0)
+
+
+def test_minuscule_order_lowering_and_pair_counts_agree():
+    for name, p in _minuscule_cases():
+        n = len(p)
+        leq = [[R.minuscule_leq(p, i, j) for j in range(n)] for i in range(n)]
+        assert [[p.leq(i, j) for j in range(n)] for i in range(n)] == leq, name
+        for i, node in itertools.product(range(n), range(p.real.n)):
+            assert p.lower(i, node) == R.minuscule_lower(p, i, node), (name, i, node)
+        assert S.count_standard_pairs(p) == R.count_standard_pairs(leq), name
 
 
 def test_minuscule_depths_agree():
@@ -229,7 +234,8 @@ def test_minuscule_depths_agree():
         orbit = WR.orbit_bfs(p.real, range(p.real.n), p.highest)
         assert {(w.coords, w.delta) for w in p.weights} == orbit, name
         compared += len(p)
-    assert compared == 2 + (4 + 6 + 4) + (5 + 10 + 10 + 5) + 6 + 56 + (6 + 20 + 70)
+    assert compared == (2 + (4 + 6 + 4) + (5 + 10 + 10 + 5) + 6 + 3 * 8 + (10 + 16 + 16)
+                        + 2 * 27 + 56 + (6 + 20 + 70))
 
 
 def _diagonal_lattices():
@@ -289,3 +295,20 @@ def test_d4_index_2_searches_list_no_point_above_height_4(monkeypatch):
         bounds.clear()
         assert QL.monoid_basis(lat, 12) is None
         assert bounds == [1, 2, 4]
+
+
+def test_minuscule_posets_and_e7_straightening_match_the_golden_file():
+    """The standard-pair counts of every poset above, the linear extension of
+    the E7 system and the normal form of every x_k y_k on it, as recorded
+    from the Fraction-weight poset with a componentwise depth order."""
+    golden = json.loads((Path(__file__).parent / "golden" /
+                         "minuscule_straighten.json").read_text())
+    assert {name: list(S.count_standard_pairs(p)) for name, p in _minuscule_cases()} == \
+        golden["standard_pairs"]
+    sys_, xs, ys = S.e7_system()
+    assert (xs, ys) == (golden["e7_x"], golden["e7_y"])
+    assert sorted(sys_.lin, key=sys_.lin.get) == golden["e7_lin"]
+    for k in range(6):
+        nf = S.straighten((xs[k], ys[k]), sys_)
+        assert [[list(m), str(c)] for m, c in sorted(nf.items())] == \
+            golden["e7_straighten"][f"x{k},y{k}"], k

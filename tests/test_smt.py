@@ -26,7 +26,7 @@ def test_straighten_diamond():
     sys_ = diamond_system()
     assert S.straighten(("a", "d"), sys_) == {("a", "d"): Q(1)}
     assert S.straighten(("b", "c"), sys_) == {("a", "d"): Q(1)}
-    # degree three, two rewrites needed
+    # degree three, one rewrite (bc -> ad) needed
     nf = S.straighten(("b", "c", "b"), sys_)
     assert nf == {("a", "b", "d"): Q(1)}
     # brute-force check in the quotient space: monomials of degree 2 modulo
@@ -42,6 +42,23 @@ def test_straighten_missing_relation():
     sys_ = S.StraighteningSystem("abc", leq, {"a": 0, "b": 1, "c": 1}, {})
     with pytest.raises(ValueError):
         S.straighten(("b", "c"), sys_)
+
+
+def test_system_refuses_a_relation_keyed_on_one_generator_twice():
+    leq = lambda x, y: x == y
+    with pytest.raises(ValueError, match=r"^relation keyed on a comparable pair$"):
+        S.StraighteningSystem("ab", leq, {"a": 1, "b": 1}, {("a", "a"): []})
+
+
+def test_straighten_allows_max_steps_rewrites_and_names_the_cap():
+    sys_, xs, ys = S.e7_system()
+    standard = sys_.sort_mono((xs[0], ys[0]))
+    assert S.straighten(standard, sys_, max_steps=0) == {standard: Q(1)}
+    want = {sys_.sort_mono((xs[k], ys[k])): Q((-1) ** k) for k in range(5)}
+    assert S.straighten((xs[5], ys[5]), sys_, max_steps=1) == want
+    with pytest.raises(ValueError, match=r"^straighten cap exceeded: max_steps=0, "
+                                         r"1 non-standard monomials left after 0 rewrites$"):
+        S.straighten((xs[5], ys[5]), sys_, max_steps=0)
 
 
 def test_system_rejects_nondecreasing_relation():
@@ -130,7 +147,7 @@ def test_e7_poset_and_free_monoids_skip_the_fraction_kernels(monkeypatch):
     monkeypatch.setattr(C.Realization, "reflect", counting("reflect", C.Realization.reflect))
     monkeypatch.setattr(QL, "_dominant_points", counting("_dominant_points",
                                                          QL._dominant_points))
-    assert len(S.e7_minuscule()) == 56
+    assert len(S.e7_minuscule.__wrapped__()) == 56     # a fresh build, not the cached poset
     for name in ("D4", "F4"):
         P = QL.full_weight_lattice(C.FinTypeLabel.parse(name))
         assert [w.coords for w in QL.monoid_basis(P, 12)] == \
@@ -146,6 +163,7 @@ def test_three_chain_pairs():
 def test_e7_counts():
     p = S.e7_minuscule()
     assert len(p) == 56
+    assert S.e7_minuscule() is p and S.e7_system()[0]._leq == p.leq
     assert S.count_standard_pairs(p) == (1463, 133)
 
 
