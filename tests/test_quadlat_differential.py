@@ -205,6 +205,16 @@ def test_dominant_below_agrees_on_d5_and_e6():
     assert listed == {"D5": 68, "E6": 169}
 
 
+def test_minuscule_leq_agrees_on_every_e7_pair():
+    p = S.e7_minuscule()
+    assert len(p) == 56
+    for i, j in itertools.product(range(len(p)), repeat=2):
+        assert p.leq(i, j) == R.minuscule_leq(p, i, j), (i, j)
+    for i, w in enumerate(p.weights):
+        assert [p.d_degree(i, node) for node in range(7)] == \
+            [int(c) for c in p.real.root_coords(p.highest - w)], i
+
+
 def _minuscule_cases():
     for name, nodes in (("A1", [0]), ("A3", [0, 1, 2]), ("A4", [0, 1, 2, 3]), ("C3", [0]),
                         ("D4", [0, 2, 3]), ("D5", [0, 3, 4]), ("E6", [0, 5])):
