@@ -17,7 +17,9 @@ The conventions used throughout the package:
   at the distinguished node carries a +delta (or +2 delta) correction.
 * Kernels act on integer vectors (delta last) with `Realization.image`
   and read root coordinates through one integer inverse per realization
-  (`Realization.inverse`) and one per GCM (`root_inverse`).
+  (`Realization.inverse`) and one per GCM (`root_inverse`).  The Weyl
+  dimension formula is one integer product (`weyl_dim_int`) behind the
+  checks of `weyl_dim`.
 
 No floating point is used anywhere.
 """
@@ -614,7 +616,13 @@ def weyl_dim(m: GCM | FinTypeLabel, lam: WeightVec) -> int:
         raise ValueError(f"{len(lam.coords)} coordinates given, {m.n} expected")
     if not (lam.is_dominant() and lam.is_integral()):
         raise ValueError("dominant integral weight required")
-    shifted = [int(c) + 1 for c in lam.coords]
+    return weyl_dim_int(m, [int(c) for c in lam.coords])
+
+
+def weyl_dim_int(m: GCM, coords) -> int:
+    """The product of `weyl_dim` on the integer coordinates of a dominant
+    weight of the reduced finite type m, which the caller vouches for."""
+    shifted = [c + 1 for c in coords]
     num = den = 1
     for _, co in finite_roots(m):
         num *= sum(x * c for x, c in zip(shifted, co))

@@ -12,11 +12,14 @@ The restricted tier realization carries the node-0 root with a +2 delta
 correction (it is twice an ambient root).  e_eps_i (i >= 1) is
 `eps_coefficient(i)` omega_i, so the split normal form of a tier weight over
 (e_eps_1..e_eps_l, gamma, delta) is read off its coordinates; gamma is half
-the node-0 fundamental weight.  The gradings are gr and egr = gr + <v, D>.
+the node-0 fundamental weight.  The gradings are gr and egr = gr + <v, D>;
+gr sums on integers over the lcm of the denominators, and the normal form
+keeps the Fractions of its input instead of building them again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,9 +43,11 @@ class SplitWeight:
     delta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_coords", tuple(Q(c) for c in self.eps_coords))
-        object.__setattr__(self, "gamma", Q(self.gamma))
-        object.__setattr__(self, "delta", Q(self.delta))
+        object.__setattr__(self, "eps_coords", tuple(
+            c if type(c) is Fraction else Q(c) for c in self.eps_coords))
+        for name in ("gamma", "delta"):
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Q(getattr(self, name)))
 
 
 class ExtendedDatum:
@@ -178,14 +183,20 @@ def split_normal_form(datum: ExtendedDatum, v: WeightVec) -> SplitWeight:
     """Expand a tier weight as sum(a_i e_eps_i) + g*gamma + b*delta, a_0 = 0."""
     if datum.kind != "restricted":
         raise ValueError("split normal form lives on the restricted tier")
-    a = [Q(0)] + [v.coords[i] / datum.eps_coefficient(i) for i in range(1, datum.rank + 1)]
+    a = [Q(0)]
+    for i in range(1, datum.rank + 1):
+        c, k = v.coords[i], datum.eps_coefficient(i)
+        a.append(c if k == 1 else c / k)
     gamma = 2 * v.coords[0]             # gamma = half the node-0 fundamental weight
     return SplitWeight(tuple(a), gamma, v.delta)
 
 
 def gr(split: SplitWeight) -> Fraction:
-    """sum(i * a_i) over the eps coordinates (weights of the spherical lattice)."""
-    return sum((i * a for i, a in enumerate(split.eps_coords)), Q(0))
+    """sum(i * a_i) over the eps coordinates (weights of the spherical lattice),
+    summed on integers over the lcm of their denominators."""
+    den = math.lcm(*(a.denominator for a in split.eps_coords))
+    return Q(sum(i * a.numerator * (den // a.denominator)
+                 for i, a in enumerate(split.eps_coords)), den)
 
 
 def egr(datum: ExtendedDatum, v: WeightVec) -> Fraction:

@@ -24,7 +24,10 @@ from P, extended to fix the attached node 0:
 
 An AmbientCase bundles: the ambient extended datum, the restricted tier,
 the split projection between them, the lifted telescoping words, and the
-dictionary eps_i -> ambient dominant weight.
+dictionary eps_i -> ambient dominant weight.  The split map, the
+reflection-lift check and `dim_eps_sum` run on integer vectors (the scaled
+weight, the integer images of the fundamental weights, the integer rows of
+the weight map), and each tau_hat and tau lift is reduced once per m.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import lspath, quadlat
-from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
-                     quadratic_basis, weyl_dim)
+from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, _scaled, build_cartan,
+                     quadratic_basis, reflect_int, weyl_dim_int)
 from .extend import ExtendedDatum, extend_ambient, extend_restricted
 from .smt import TwoBases
 from .weyl import CosetRep, WeylWord, longest_parabolic
@@ -205,7 +208,11 @@ class AmbientCase:
         eps1 = restricted_to_ambient(rec, [1] + [0] * (self.rank - 1))
         self.amb: ExtendedDatum = extend_ambient(self.base, eps1, basis_id=f"ext({rec.name})")
         self.tier: ExtendedDatum = extend_restricted(rec.restricted)
-        self._tau_lift_cache: dict[int, WeylWord] = {}
+        # eps_i -> its ambient base weight, as integer rows
+        assert all(c.denominator == 1 for w in rec.weight_map for c in w.coords)
+        self._eps_rows = [tuple(map(int, w.coords)) for w in rec.weight_map]
+        self._tau_hat_lifts: dict[int, WeylWord] = {}
+        self._tau_lifts: dict[int, WeylWord] = {}
 
     # -- node bookkeeping ---------------------------------------------------
 
@@ -222,9 +229,17 @@ class AmbientCase:
 
     def split_to_tier(self, v: WeightVec) -> WeightVec:
         """Tier coordinates of the split part (v - sigma v)/2 of an ambient
-        weight: half the sum of v over each fibre, with v's delta."""
-        return self.tier.real.weight([sum(v.coords[p] for p in fibre) / 2
-                                      for fibre in self.fibres], v.delta)
+        weight: half the sum of v over each fibre, with v's delta.
+
+        The fibre sums run on the integer vector den * v, and each tier
+        coordinate is one Fraction of its sum over 2 den."""
+        x, den = _scaled(v)
+        return WeightVec(self.tier.real.basis_id, tuple(
+            Q(s, 2 * den) for s in self._fibre_sums(x)), Q(x[-1], den))
+
+    def _fibre_sums(self, x: list[int]) -> list[int]:
+        """The sums of an integer ambient vector over each fibre."""
+        return [sum(x[p] for p in fibre) for fibre in self.fibres]
 
     # -- weights and dimensions ----------------------------------------------
 
@@ -251,11 +266,14 @@ class AmbientCase:
         return self.amb.real.weight([c] + list(w.coords))
 
     def dim_eps_sum(self, indices) -> int:
-        """dim V of the ambient image of sum of the listed eps_i."""
+        """dim V of the ambient image of sum of the listed eps_i, summed on
+        the integer rows of the weight map."""
         coeffs = [0] * self.rank
         for i in indices:
             coeffs[i - 1] += 1
-        return weyl_dim(self.base, restricted_to_ambient(self.record, coeffs))
+        coords = [sum(a * row[j] for a, row in zip(coeffs, self._eps_rows))
+                  for j in range(self.base.n)]
+        return weyl_dim_int(self.base, coords)
 
     # -- lifted special elements ----------------------------------------------
 
@@ -264,12 +282,18 @@ class AmbientCase:
 
         The word is the longest element of the parabolic on the fibre over
         node i (no implemented pair has sigma-fixed nodes); the action
-        identity is asserted on every ambient fundamental weight.
+        identity is asserted on every ambient fundamental weight, on
+        integers: twice the split image of w omega_j (fibre sums, doubled
+        delta) against the tier reflection of the fibre sums of omega_j.
         """
-        w = longest_parabolic(self.amb.real, self.preimage_nodes(i))
-        for j in range(self.amb.real.n):
-            v = self.amb.real.fundamental(j)
-            if self.split_to_tier(w.act(v)) != self.tier.real.reflect(i, self.split_to_tier(v)):
+        real = self.amb.real
+        w = longest_parabolic(real, self.preimage_nodes(i))
+        for j in range(real.n):
+            x = [int(k == j) for k in range(real.n + 1)]
+            image = real.image(w.letters, x)
+            want = self._fibre_sums(x) + [2 * x[-1]]
+            reflect_int(self.tier.real.int_roots, want, i)
+            if self._fibre_sums(image) + [2 * image[-1]] != want:
                 raise AssertionError("lifted reflection does not restrict correctly")
         return w
 
@@ -277,7 +301,7 @@ class AmbientCase:
         """Ambient word restricting to tau_hat_m on the tier, 0 <= m <= rank."""
         if not 0 <= m <= self.rank:
             raise ValueError(f"m out of range: {m} not in 0..{self.rank}")
-        if m not in self._tau_lift_cache:
+        if m not in self._tau_hat_lifts:
             if m == 0:
                 w = WeylWord(self.amb.real, ())
             else:
@@ -285,13 +309,17 @@ class AmbientCase:
                 for k in range(m):
                     prefix = prefix * self.reflection_lift(k)
                 w = prefix * self.tau_hat_lift(m - 1)
-            self._tau_lift_cache[m] = WeylWord(self.amb.real, w.reduce())
-        return self._tau_lift_cache[m]
+            self._tau_hat_lifts[m] = WeylWord(self.amb.real, w.reduce())
+        return self._tau_hat_lifts[m]
 
     def tau_lift(self, m: int) -> WeylWord:
-        w_delta = longest_parabolic(self.amb.real, range(1, self.amb.real.n))
-        w = w_delta * self.tau_hat_lift(m)
-        return WeylWord(self.amb.real, w.reduce())
+        """w_Delta tau_hat_lift(m), reduced; built once per m, like
+        `tau_hat_lift`, after the same range check."""
+        tau_hat = self.tau_hat_lift(m)
+        if m not in self._tau_lifts:
+            w_delta = longest_parabolic(self.amb.real, range(1, self.amb.real.n))
+            self._tau_lifts[m] = WeylWord(self.amb.real, (w_delta * tau_hat).reduce())
+        return self._tau_lifts[m]
 
     def grassmann_parabolic(self) -> frozenset[int]:
         return frozenset(range(1, self.amb.real.n))

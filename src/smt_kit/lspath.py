@@ -207,8 +207,8 @@ class ChainData:
             values: set[Fraction] = set()
             for g in sorted(self._chain_gcds(lower).get(upper, ())):
                 if g > self.denom_cap:
-                    raise ValueError(
-                        f"cut denominator {g} exceeds the cap {self.denom_cap}")
+                    raise ValueError(f"cut denominator cap exceeded: cap={self.denom_cap}, "
+                                     f"denominator {g} reached")
                 values.update(Q(t, g) for t in range(1, g))
             self._cut_sets[key] = tuple(sorted(values))
         return self._cut_sets[key]

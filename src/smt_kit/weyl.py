@@ -16,7 +16,11 @@ position of its dropped letter, without a Bruhat comparison; its
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
 keys once, on return, and so does the orbit search `orbit_bfs` around its
-integer core `orbit_keys`, which `smt` reads directly.  The
+integer core `orbit_keys`, which `smt` reads directly.  A Demazure module
+depends only on the coset w W_lam, W_lam generated by the s_j with
+<lam, alpha_j^vee> = 0, so `demazure_dim` runs along the minimal
+representative; `demazure_character` keeps the reduced word of w, whose
+key order its callers see.  The
 integer reflection, the peel and the word action are `cartan.reflect_int`,
 `cartan.peel` and `Realization.image`, the only copies in the package.
 Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
@@ -284,10 +288,11 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
 _DEMAZURE_WEIGHT_CAP = 100000
 
 
-def _demazure_int(w: WeylWord, lam: WeightVec) -> tuple[dict[tuple, int], int]:
-    """(char, q): the Demazure character on integer tuples (coords...,
-    delta * q), q the denominator of lam's delta; see `demazure_character`."""
-    real = w.real
+def _demazure_int(real: Realization, word: tuple[int, ...],
+                  lam: WeightVec) -> tuple[dict[tuple, int], int]:
+    """(char, q): the Demazure character along the reduced `word` on integer
+    tuples (coords..., delta * q), q the denominator of lam's delta; see
+    `demazure_character`."""
     if not all(c.denominator == 1 for c in lam.coords):
         raise ValueError("integral weight required for divided differences")
     n, q = real.n, lam.delta.denominator
@@ -295,7 +300,6 @@ def _demazure_int(w: WeylWord, lam: WeightVec) -> tuple[dict[tuple, int], int]:
     up = [tuple((j, -a) for j, a in row) for row in down]
     cap = _DEMAZURE_WEIGHT_CAP
     char: dict[tuple, int] = {tuple(int(c) for c in lam.coords) + (lam.delta.numerator,): 1}
-    word = w.reduce()
     for step, i in enumerate(reversed(word), 1):
         nxt: dict[tuple, int] = {}
         for mu, mult in char.items():
@@ -333,15 +337,21 @@ def demazure_character(w: WeylWord, lam: WeightVec) -> dict[tuple, int]:
     lam's delta; a step with more than _DEMAZURE_WEIGHT_CAP weights raises
     ValueError.
     """
-    char, q = _demazure_int(w, lam)
+    char, q = _demazure_int(w.real, w.reduce(), lam)
     return {(tuple(Q(c) for c in key[:-1]), Q(key[-1], q)): mult
             for key, mult in char.items()}
 
 
 def demazure_dim(w: WeylWord, lam: WeightVec) -> int:
     """The dimension of the Demazure module: the sum of the integer
-    multiplicities, without the Fraction keys."""
-    return sum(_demazure_int(w, lam)[0].values())
+    multiplicities, without the Fraction keys.
+
+    D_j e^lam = e^lam when <lam, alpha_j^vee> = 0, so the module depends
+    only on the coset w W_lam (Demazure 1974; Kumar, Kac-Moody Groups,
+    Ch. VIII), and the divided differences run along the reduced word of
+    its minimal representative, which is no longer than w's."""
+    stabilizer = [j for j, c in enumerate(lam.coords) if c == 0]
+    return sum(_demazure_int(w.real, CosetRep(w, stabilizer).word.letters, lam)[0].values())
 
 
 def tau_hat(m: int, datum) -> WeylWord:

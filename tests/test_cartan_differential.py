@@ -7,7 +7,10 @@ realization (an affine matrix without a delta node): the integer-tuple
 character loop, the integer left inverse, the integer reflection and peel,
 the integer height descent and the integer product must give exactly what
 the Fraction code they replaced gives, and the integer Demazure dimension
-must be the sum of the character's multiplicities.  The dominance order on
+must be the sum of the character's multiplicities.  On weights with a zero
+coordinate `demazure_dim` runs along the minimal coset representative, and
+must still give the sum of the reference character, which runs along w;
+so it must below tau_2 of flip-sp4 (degrees 1-3) and tau_3 of flip-sp6.  The dominance order on
 A-BC, D4, G2, F4, the non-singular indefinite type and three affine types,
 through the one cached integer root inverse per GCM (with its delta slot),
 must agree with the per-call solve on random weight pairs, and on the
@@ -30,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 import cartan_reference as CR
 import weyl_reference as WR
-from smt_kit import cartan as C, extend as X, linalg, weyl as W
+from smt_kit import cartan as C, extend as X, involutions as I, linalg, smt as S, weyl as W
 
 Q = Fraction
 
@@ -95,6 +98,42 @@ def test_demazure_dim_is_the_sum_of_the_character(case):
     real = REALIZATIONS[name]
     w, lam = W.WeylWord(real, word), real.weight(coords, delta)
     assert W.demazure_dim(w, lam) == sum(W.demazure_character(w, lam).values())
+
+
+@st.composite
+def stabilized_characters(draw):
+    """A `characters` case whose weight has at least one zero coordinate, so
+    that its stabilizer is a nonempty parabolic."""
+    name, word, coords, delta = draw(characters())
+    coords[draw(st.integers(0, len(coords) - 1))] = 0
+    return name, word, coords, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(stabilized_characters())
+def test_demazure_dim_on_the_coset_is_the_reference_sum(case):
+    """`demazure_dim` runs along the minimal representative of w W_lam; the
+    reference character runs along a reduced word of w itself."""
+    name, word, coords, delta = case
+    real = REALIZATIONS[name]
+    lam = real.weight(coords, delta)
+    want = sum(WR.demazure_character(_reference_word(name, word), lam).values())
+    assert W.demazure_dim(W.WeylWord(real, word), lam) == want
+
+
+@pytest.mark.parametrize("name, m, degrees", [("flip-sp4", 2, (1, 2, 3)),
+                                              ("flip-sp6", 3, (1,))])
+def test_demazure_dim_below_tau_is_the_reference_sum(name, m, degrees):
+    """n e_omega_0 is fixed by the base nodes that pair to zero with it, so
+    the coset word of tau_m is strictly shorter than its reduced word."""
+    case = I.AmbientCase(name)
+    w, om = case.tau_lift(m), case.amb.e_omega0()
+    stabilizer = [j for j, c in enumerate(om.coords) if c == 0]
+    assert len(W.CosetRep(w, stabilizer).word.letters) < len(w.reduce())
+    for n in degrees:
+        lam = om.scale(n)
+        want = sum(WR.demazure_character(WR.WeylWord(w.real, w.letters), lam).values())
+        assert W.demazure_dim(w, lam) == want == S.expected(case, m, n, "S")
 
 
 @st.composite

@@ -1,17 +1,26 @@
-"""The automorphism rule of `AmbientCase` against the per-family branches.
+"""The automorphism rule of `AmbientCase` against the per-family branches,
+and its integer kernels against the `WeightVec` code they replaced.
 
 `involutions_reference` keeps the code that branched on flip versus
-symmetric quadrics; here both are run on the same cases and weights.
+symmetric quadrics; here both are run on the same cases and weights.  The
+split map and the reflection-lift check run on integer vectors and
+`dim_eps_sum` on the integer rows of the weight map: they are compared with
+the reference split, with the Fraction Weyl dimension of the summed
+`restricted_to_ambient` weight, and, for the lift check, shown to refuse a
+wrong lift.  The memoised `tau_lift` is compared with a freshly reduced
+w_Delta tau_hat_lift.
 """
 
 import functools
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smt_kit import extend as X, involutions as I
+from smt_kit import extend as X, involutions as I, weyl as W
 
+import cartan_reference as CR
 import involutions_reference as R
 
 CASES = ("flip-sl2", "flip-sl3", "flip-sl4", "flip-sp4", "flip-sp6",
@@ -25,6 +34,7 @@ def _case(name):
 
 # integral or half-integral coordinates, delta in 1/2 Z
 halves = st.integers(-8, 8).map(lambda k: Q(k, 2))
+nonzero_halves = halves.filter(bool)
 integers = st.integers(-4, 4).map(Q)
 
 
@@ -67,3 +77,51 @@ def test_sigma_and_split_match_reference(name, data):
     assert case.sigma(v) == R.sigma(case, v)
     assert case.sigma(case.sigma(v)) == v
     assert case.split_to_tier(v) == R.split_to_tier(case, v)
+    # the integer split keeps a nonzero delta as it is
+    w = case.amb.real.weight(v.coords, data.draw(nonzero_halves))
+    assert case.split_to_tier(w) == R.split_to_tier(case, w)
+    assert case.split_to_tier(w).delta == w.delta
+
+
+# one case of each implemented row: flip-sl, flip-sp, flip-so-odd, sym-quadrics
+ROWS = ("flip-sl3", "flip-sp4", "flip-so-odd5", "sym-quadrics3")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_dim_eps_sum_matches_the_fraction_weyl_dim(name):
+    """Every multiset of eps indices up to degree 3."""
+    case = _case(name)
+    for degree in range(4):
+        for indices in itertools.combinations_with_replacement(range(1, case.rank + 1), degree):
+            coeffs = [indices.count(i) for i in range(1, case.rank + 1)]
+            want = CR.weyl_dim(case.base, I.restricted_to_ambient(case.record, coeffs))
+            assert case.dim_eps_sum(indices) == want, indices
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_reflection_lift_check_refuses_a_wrong_lift(name, monkeypatch):
+    """The identity, and on a flip the longest element on one node of the
+    fibre only, must fail the integer check of `reflection_lift`."""
+    case = I.AmbientCase(name)
+    assert all(case.reflection_lift(i) for i in range(case.rank + 1))
+    monkeypatch.setattr(I, "longest_parabolic", lambda real, nodes: W.WeylWord(real, ()))
+    for i in range(case.rank + 1):
+        with pytest.raises(AssertionError, match="lifted reflection does not restrict"):
+            case.reflection_lift(i)
+    if name.startswith("flip"):
+        monkeypatch.setattr(I, "longest_parabolic",
+                            lambda real, nodes: W.longest_parabolic(real, tuple(nodes)[:1]))
+        for i in range(1, case.rank + 1):
+            with pytest.raises(AssertionError, match="lifted reflection does not restrict"):
+                case.reflection_lift(i)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_tau_lift_is_the_reduced_product(name):
+    case = I.AmbientCase(name)
+    real = case.amb.real
+    w_delta = W.longest_parabolic(real, range(1, real.n))
+    for m in range(case.rank + 1):
+        fresh = (w_delta * case.tau_hat_lift(m)).reduce()
+        assert case.tau_lift(m).letters == fresh
+        assert case.tau_lift(m) is case.tau_lift(m)

@@ -204,6 +204,13 @@ def test_cut_denominator_cap_diagnostic():
         L.enumerate_paths(lam, top, denom_cap=2)
 
 
+def test_cut_denominator_cap_names_cap_and_denominator():
+    gcm, real, lam, top = model("A1", (3,))
+    with pytest.raises(ValueError, match=r"^cut denominator cap exceeded: cap=2, "
+                                         r"denominator 3 reached$"):
+        L.enumerate_paths(lam, top, denom_cap=2)
+
+
 def test_tensor_requires_finite():
     aff = C.build_affine_cartan("C2^(1)")
     v = C.WeightVec("x", (Q(1), Q(0), Q(0)))
