@@ -19,8 +19,9 @@ keys once, on return, and so does the orbit search `orbit_bfs` around its
 integer core `orbit_keys`, which `smt` reads directly.  A Demazure module
 depends only on the coset w W_lam, W_lam generated by the s_j with
 <lam, alpha_j^vee> = 0, so `demazure_dim` runs along the minimal
-representative; `demazure_character` keeps the reduced word of w, whose
-key order its callers see.  The
+representative, a subword of w's reduced word (`coset_subword`);
+`demazure_character` keeps the reduced word of w, whose key order its
+callers see.  The
 integer reflection, the peel and the word action are `cartan.reflect_int`,
 `cartan.peel` and `Realization.image`, the only copies in the package.
 Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
@@ -351,7 +352,25 @@ def demazure_dim(w: WeylWord, lam: WeightVec) -> int:
     Ch. VIII), and the divided differences run along the reduced word of
     its minimal representative, which is no longer than w's."""
     stabilizer = [j for j, c in enumerate(lam.coords) if c == 0]
-    return sum(_demazure_int(w.real, CosetRep(w, stabilizer).word.letters, lam)[0].values())
+    word = coset_subword(w, stabilizer) if stabilizer else w.reduce()
+    return sum(_demazure_int(w.real, word, lam)[0].values())
+
+
+def coset_subword(w: WeylWord, parabolic) -> tuple[int, ...]:
+    """A reduced word of the minimal representative of w W_J: the letters
+    of w.reduce() that move u(rho_J), u the representative built so far
+    from the right.  Along a reduced word s u is either longer and minimal
+    or in u W_J (Deodhar's lemma), and s u(rho_J) = u(rho_J) tells the
+    second case; one pass of integer reflections, no peel."""
+    real = w.real
+    roots = real.int_roots
+    v = _rho_j(real, frozenset(parabolic))
+    kept = []
+    for i in reversed(w.reduce()):
+        if v[i]:
+            reflect_int(roots, v, i)
+            kept.append(i)
+    return tuple(reversed(kept))
 
 
 def tau_hat(m: int, datum) -> WeylWord:

@@ -121,6 +121,21 @@ def test_demazure_dim_on_the_coset_is_the_reference_sum(case):
     assert W.demazure_dim(W.WeylWord(real, word), lam) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(stabilized_characters())
+def test_coset_subword_is_the_minimal_representative(case):
+    """The subword of w's reduced word that `demazure_dim` runs along is a
+    reduced word of the minimal representative that `CosetRep` peels."""
+    name, word, coords, _ = case
+    real = REALIZATIONS[name]
+    w = W.WeylWord(real, word)
+    J = [j for j, c in enumerate(coords) if c == 0]
+    rep = W.CosetRep(w, J)
+    sub = W.WeylWord(real, W.coset_subword(w, J))
+    assert sub.length() == len(sub.letters) == rep.length()
+    assert W.CosetRep(sub, J) == rep
+
+
 @pytest.mark.parametrize("name, m, degrees", [("flip-sp4", 2, (1, 2, 3)),
                                               ("flip-sp6", 3, (1,))])
 def test_demazure_dim_below_tau_is_the_reference_sum(name, m, degrees):
