@@ -163,9 +163,6 @@ class WeightVec:
         """Pairing with the i-th simple coroot."""
         return self.coords[i]
 
-    def is_zero(self) -> bool:
-        return self.delta == 0 and all(c == 0 for c in self.coords)
-
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 

@@ -23,11 +23,16 @@ from P, extended to fix the attached node 0:
   send eps_i -> 2 omega_i.
 
 An AmbientCase bundles: the ambient extended datum, the restricted tier,
-the split projection between them, the lifted telescoping words, and the
-dictionary eps_i -> ambient dominant weight.  The split map, the
-reflection-lift check and `dim_eps_sum` run on integer vectors (the scaled
-weight, the integer images of the fundamental weights, the integer rows of
-the weight map), and each tau_hat and tau lift is reduced once per m.
+the split projection between them, the lift of tier words, and the
+dictionary eps_i -> ambient dominant weight.  With Delta_0 empty the lift
+of the restricted Weyl group into W^sigma is a homomorphism (Araki 1962;
+Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces, Ch. X),
+so `lift` takes a tier word letter by letter to the reduced product of the
+reflection lifts, each built and checked once per case; the lifted
+telescoping words are the lifts of `weyl.tau_hat` and `weyl.tau_full`,
+each built once per m.  The split map, the reflection-lift check and
+`dim_eps_sum` run on integer vectors (the scaled weight, the integer images
+of the fundamental weights, the integer rows of the weight map).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .cartan import (GCM, FinTypeLabel, Realization, WeightVec, _scaled, build_c
                      quadratic_basis, reflect_int, weyl_dim_int)
 from .extend import ExtendedDatum, extend_ambient, extend_restricted
 from .smt import TwoBases
-from .weyl import CosetRep, WeylWord, longest_parabolic
+from .weyl import CosetRep, WeylWord, longest_parabolic, tau_full, tau_hat
 
 Q = Fraction
 
@@ -205,12 +210,14 @@ class AmbientCase:
         # P on the extension's nodes: node 0 fixed, base node j at j + 1
         self.perm = (0,) + tuple(p + 1 for p in rec.automorphism)
         self.fibres = tuple(_orbit(self.perm, i) for i in range(self.rank + 1))
-        eps1 = restricted_to_ambient(rec, [1] + [0] * (self.rank - 1))
-        self.amb: ExtendedDatum = extend_ambient(self.base, eps1, basis_id=f"ext({rec.name})")
+        self.amb: ExtendedDatum = extend_ambient(self.base, rec.weight_map[0],
+                                                 basis_id=f"ext({rec.name})")
         self.tier: ExtendedDatum = extend_restricted(rec.restricted)
         # eps_i -> its ambient base weight, as integer rows
         assert all(c.denominator == 1 for w in rec.weight_map for c in w.coords)
         self._eps_rows = [tuple(map(int, w.coords)) for w in rec.weight_map]
+        # reflection_lift(i), built and checked once, on first use of node i
+        self._reflection_lifts: list[WeylWord | None] = [None] * (self.rank + 1)
         self._tau_hat_lifts: dict[int, WeylWord] = {}
         self._tau_lifts: dict[int, WeylWord] = {}
 
@@ -242,28 +249,6 @@ class AmbientCase:
         return [sum(x[p] for p in fibre) for fibre in self.fibres]
 
     # -- weights and dimensions ----------------------------------------------
-
-    def eps_ambient_base(self, i: int) -> WeightVec:
-        """eps_i as a dominant weight of the base (non-extended) diagram."""
-        coeffs = [0] * self.rank
-        coeffs[i - 1] = 1
-        return restricted_to_ambient(self.record, coeffs)
-
-    def eps_ambient_ext(self, i: int) -> WeightVec:
-        """eps_i embedded in the extended weight coordinates.
-
-        The node-0 coordinate is the pairing with the node-0 coroot, which
-        equals minus the sum of the root-expansion coefficients of eps_i
-        over the nodes attached to node 0 (the coroot is the central
-        element minus the attached fundamental coweights).
-        """
-        base_real = self.base_realization()
-        w = self.eps_ambient_base(i)
-        expansion = base_real.root_coords(base_real.weight(w.coords))
-        support = [j for j in range(self.base.n)
-                   if self.amb.epsilon.coords[j] != 0]
-        c = -sum(expansion[j] for j in support)
-        return self.amb.real.weight([c] + list(w.coords))
 
     def dim_eps_sum(self, indices) -> int:
         """dim V of the ambient image of sum of the listed eps_i, summed on
@@ -297,28 +282,29 @@ class AmbientCase:
                 raise AssertionError("lifted reflection does not restrict correctly")
         return w
 
+    def lift(self, word: WeylWord) -> WeylWord:
+        """The reduced product of the reflection lifts of a tier word's
+        letters; a word over another realization raises ValueError."""
+        if word.real is not self.tier.real:
+            raise ValueError(f"lift takes a word of the tier {self.tier.real.basis_id}, "
+                             f"not of {word.real.basis_id}")
+        lifts = self._reflection_lifts
+        for i in set(word.letters):
+            if lifts[i] is None:
+                lifts[i] = self.reflection_lift(i)
+        letters = tuple(j for i in word.letters for j in lifts[i].letters)
+        return WeylWord(self.amb.real, WeylWord(self.amb.real, letters).reduce())
+
     def tau_hat_lift(self, m: int) -> WeylWord:
-        """Ambient word restricting to tau_hat_m on the tier, 0 <= m <= rank."""
-        if not 0 <= m <= self.rank:
-            raise ValueError(f"m out of range: {m} not in 0..{self.rank}")
+        """The lift of `weyl.tau_hat(m)`, built once per m, 0 <= m <= rank."""
         if m not in self._tau_hat_lifts:
-            if m == 0:
-                w = WeylWord(self.amb.real, ())
-            else:
-                prefix = WeylWord(self.amb.real, ())
-                for k in range(m):
-                    prefix = prefix * self.reflection_lift(k)
-                w = prefix * self.tau_hat_lift(m - 1)
-            self._tau_hat_lifts[m] = WeylWord(self.amb.real, w.reduce())
+            self._tau_hat_lifts[m] = self.lift(tau_hat(m, self.tier))
         return self._tau_hat_lifts[m]
 
     def tau_lift(self, m: int) -> WeylWord:
-        """w_Delta tau_hat_lift(m), reduced; built once per m, like
-        `tau_hat_lift`, after the same range check."""
-        tau_hat = self.tau_hat_lift(m)
+        """The lift of `weyl.tau_full(m)` = w_Delta tau_hat_m, built once per m."""
         if m not in self._tau_lifts:
-            w_delta = longest_parabolic(self.amb.real, range(1, self.amb.real.n))
-            self._tau_lifts[m] = WeylWord(self.amb.real, (w_delta * tau_hat).reduce())
+            self._tau_lifts[m] = self.lift(tau_full(m, self.tier))
         return self._tau_lifts[m]
 
     def grassmann_parabolic(self) -> frozenset[int]:
@@ -337,8 +323,7 @@ class AmbientCase:
         return self._base_real
 
     def eps_base_weight(self, i: int) -> WeightVec:
-        w = self.eps_ambient_base(i)
-        return self.base_realization().weight(w.coords)
+        return self.base_realization().weight(self.record.weight_map[i - 1].coords)
 
     def base_paths(self, i: int):
         """Full path model of the ambient image of eps_i over the base group."""
@@ -352,9 +337,6 @@ class AmbientCase:
         """Image of a base path of shape eps_i on the extended coset space."""
         return lspath.lift_path(path, self.tau_hat_lift(i), self.grassmann_parabolic(),
                                 self.amb.e_omega0(), letter_shift=1)
-
-    def tau_hat_coset(self, m: int) -> CosetRep:
-        return CosetRep(self.tau_hat_lift(m), self.grassmann_parabolic())
 
     def tau_coset(self, m: int) -> CosetRep:
         return CosetRep(self.tau_lift(m), self.grassmann_parabolic())

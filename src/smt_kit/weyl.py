@@ -21,8 +21,10 @@ depends only on the coset w W_lam, W_lam generated by the s_j with
 <lam, alpha_j^vee> = 0, so `demazure_dim` runs along the minimal
 representative, a subword of w's reduced word (`coset_subword`);
 `demazure_character` keeps the reduced word of w, whose key order its
-callers see.  The
-integer reflection, the peel and the word action are `cartan.reflect_int`,
+callers see.  The telescoping words tau_hat_m and tau_m = w_Delta tau_hat_m
+of a restricted tier live here only, with the one range check of m;
+`involutions.AmbientCase` lifts them letter by letter.  The integer
+reflection, the peel and the word action are `cartan.reflect_int`,
 `cartan.peel` and `Realization.image`, the only copies in the package.
 Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
 goes through `Realization.act_letters` and `coset_from_weight` through
@@ -101,17 +103,9 @@ class WeylWord:
             raise ValueError("mixed realizations")
         return WeylWord(self.real, self.letters + other.letters)
 
-    def is_identity(self) -> bool:
-        coords, delta = self.key
-        return delta == 0 and all(c == 1 for c in coords)
-
     def left_descent(self) -> int | None:
         """Smallest i with length(s_i w) < length(w); None for the identity."""
         return next((i for i, c in enumerate(self.key[0]) if c < 0), None)
-
-    def right_descent_in(self, nodes) -> int | None:
-        coords = self.inverse().key[0]
-        return next((j for j in sorted(nodes) if coords[j] < 0), None)
 
     def reduce(self) -> tuple[int, ...]:
         """A reduced word for the same element (deterministic, idempotent)."""
@@ -380,7 +374,7 @@ def tau_hat(m: int, datum) -> WeylWord:
     number of node-0 letters is m.
     """
     if not 0 <= m <= datum.rank:
-        raise ValueError("m out of range")
+        raise ValueError(f"m out of range: {m} not in 0..{datum.rank}")
     letters: tuple[int, ...] = ()
     for k in range(m):
         letters = tuple(range(k + 1)) + letters
@@ -392,17 +386,6 @@ def tau_full(m: int, datum) -> WeylWord:
     finite parabolic on the non-distinguished nodes."""
     w_delta = longest_parabolic(datum.real, range(1, datum.rank + 1))
     return w_delta * tau_hat(m, datum)
-
-
-def dominant_orbit_reps(datum) -> list[WeightVec]:
-    """The l+1 weights tau_hat_m(e_omega_0), each dominant for the base nodes."""
-    omega = datum.e_omega0()
-    out = []
-    for m in range(datum.rank + 1):
-        v = tau_hat(m, datum).act(omega)
-        assert all(v.coords[j] >= 0 for j in range(1, datum.rank + 1))
-        out.append(v)
-    return out
 
 
 def orbit_keys(real: Realization, gens, x: list[int], limit: int | None = None,

@@ -1,10 +1,14 @@
-"""Reference oracle: the per-family branches the automorphism rule replaced.
+"""Reference oracle: the per-family branches the automorphism rule replaced,
+and the telescoping recursion the lift rule replaced.
 
 `involutions.AmbientCase` derives sigma, the fibres over the restricted
 nodes, the split map and the weight map from one diagram permutation.
 This module keeps the earlier code, which branched on whether the pair is
 a flip (g + g with the factor swap) or the symmetric quadrics, so that
-`tests/test_involutions_differential.py` can compare the two.
+`tests/test_involutions_differential.py` can compare the two.  It also
+keeps the recursion tau_hat_lift(m) = r_0 ... r_{m-1} tau_hat_lift(m - 1)
+over `AmbientCase.reflection_lift`, which `AmbientCase.lift` replaced, and
+eps_i embedded in the extended weight coordinates.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from fractions import Fraction
 
 from smt_kit.cartan import (FinTypeLabel, GCM, WeightVec, build_cartan,
                             quadratic_basis)
+from smt_kit.weyl import WeylWord
 
 Q = Fraction
 
@@ -69,3 +74,31 @@ def split_to_tier(case, v: WeightVec) -> WeightVec:
         assert len(vals) == 1, "split part not symmetric across the fiber"
         coords.append(scale * vals.pop())
     return case.tier.real.weight(coords, s.delta)
+
+
+def tau_hat_lift(case, m: int) -> WeylWord:
+    """r_0 r_1 ... r_{m-1} tau_hat_lift(m - 1), reduced, r_k the k-th
+    reflection lift; the identity at m = 0."""
+    real = case.amb.real
+    if m == 0:
+        return WeylWord(real, ())
+    prefix = WeylWord(real, ())
+    for k in range(m):
+        prefix = prefix * case.reflection_lift(k)
+    return WeylWord(real, (prefix * tau_hat_lift(case, m - 1)).reduce())
+
+
+def eps_ambient_ext(case, i: int) -> WeightVec:
+    """eps_i embedded in the extended weight coordinates.
+
+    The node-0 coordinate is the pairing with the node-0 coroot, which
+    equals minus the sum of the root-expansion coefficients of eps_i over
+    the nodes attached to node 0 (the coroot is the central element minus
+    the attached fundamental coweights).
+    """
+    base_real = case.base_realization()
+    w = case.record.weight_map[i - 1]
+    expansion = base_real.root_coords(base_real.weight(w.coords))
+    support = [j for j in range(case.base.n) if case.amb.epsilon.coords[j] != 0]
+    c = -sum(expansion[j] for j in support)
+    return case.amb.real.weight([c] + list(w.coords))

@@ -188,6 +188,14 @@ def test_lspath_cli_rejects_m_outside_0_to_rank():
         assert "Traceback" not in r.stderr
 
 
+def test_weyl_tau_hat_cli_names_the_range():
+    for args, m in ((("--m", "3"), 3), (("--m=-1",), -1)):
+        r = run("weyl", "tau-hat", "--restricted", "C", "--rank", "2", *args)
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"] == f"m out of range: {m} not in 0..2"
+        assert "Traceback" not in r.stderr
+
+
 def test_lspath_cli_top_forms():
     for top in ("tau1", "TAU1", "tau_1", "Tau_1", "1"):
         code, out, _ = run_in_process("lspath", "enumerate", "--case", "flip-sl2",

@@ -29,7 +29,7 @@ def test_restricted_to_ambient():
     rec = I.lookup("flip-sp4")
     v = I.restricted_to_ambient(rec, [1, 0])
     assert v.coords == (1, 0, 1, 0)
-    assert I.restricted_to_ambient(rec, [0, 0]).is_zero()
+    assert I.restricted_to_ambient(rec, [0, 0]) == C.WeightVec("C2+C2", (0, 0, 0, 0))
     with pytest.raises(ValueError):
         I.restricted_to_ambient(I.lookup("sp-gl3"), [1, 0, 0])
 

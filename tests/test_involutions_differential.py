@@ -8,7 +8,9 @@ split map and the reflection-lift check run on integer vectors and
 the reference split, with the Fraction Weyl dimension of the summed
 `restricted_to_ambient` weight, and, for the lift check, shown to refuse a
 wrong lift.  The memoised `tau_lift` is compared with a freshly reduced
-w_Delta tau_hat_lift.
+w_Delta tau_hat_lift.  The lift rule (a tier word lifts letter by letter,
+each reflection lift built once per case) is compared with the telescoping
+recursion it replaced, and checked to intertwine the split map.
 """
 
 import functools
@@ -61,7 +63,7 @@ def test_weight_map_splits_to_the_tier_basis(name):
     # comparison on the whole weight goes through the split normal form
     case = _case(name)
     for i in range(1, case.rank + 1):
-        s = case.split_to_tier(case.eps_ambient_ext(i))
+        s = case.split_to_tier(R.eps_ambient_ext(case, i))
         assert s.coords[1:] == case.tier.e_eps(i).coords[1:]
         nf = X.split_normal_form(case.tier, s)
         assert nf.eps_coords == tuple(Q(int(j == i)) for j in range(case.rank + 1))
@@ -125,3 +127,49 @@ def test_tau_lift_is_the_reduced_product(name):
         fresh = (w_delta * case.tau_hat_lift(m)).reduce()
         assert case.tau_lift(m).letters == fresh
         assert case.tau_lift(m) is case.tau_lift(m)
+
+
+@pytest.mark.parametrize("name", ("flip-sp4", "flip-sp6", "flip-so-odd7"))
+def test_each_reflection_lift_is_built_once(name, monkeypatch):
+    calls = {}
+    build = I.AmbientCase.reflection_lift
+
+    def counted(self, i):
+        calls[i] = calls.get(i, 0) + 1
+        return build(self, i)
+
+    monkeypatch.setattr(I.AmbientCase, "reflection_lift", counted)
+    case = I.AmbientCase(name)
+    for m in range(case.rank + 1):
+        case.tau_hat_lift(m)
+        case.tau_lift(m)
+    assert calls and max(calls.values()) == 1, calls
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_tau_lifts_match_the_reference_recursion(name):
+    case = I.AmbientCase(name)
+    w_delta = W.longest_parabolic(case.amb.real, range(1, case.amb.real.n))
+    for m in range(case.rank + 1):
+        want = R.tau_hat_lift(case, m)
+        assert case.tau_hat_lift(m).letters == want.letters
+        assert case.tau_lift(m).letters == (w_delta * want).reduce()
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lift_intertwines_the_split_map(name, data):
+    """split(lift(w) v) = w split(v) for a tier word w of length 0-8."""
+    case = _case(name)
+    letters = data.draw(st.lists(st.integers(0, case.rank), max_size=8))
+    w = W.WeylWord(case.tier.real, letters)
+    v = data.draw(ambient_weights(case))
+    assert case.split_to_tier(case.lift(w).act(v)) == w.act(case.split_to_tier(v))
+
+
+def test_lift_refuses_a_word_of_another_realization():
+    case = _case("flip-sp4")
+    assert case.lift(W.WeylWord(case.tier.real, (0,))).letters == (0,)
+    with pytest.raises(ValueError, match="lift takes a word of the tier"):
+        case.lift(W.WeylWord(case.amb.real, (0,)))

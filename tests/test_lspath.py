@@ -17,6 +17,10 @@ def model(name, coords):
     return gcm, real, lam, top
 
 
+def tau_hat_coset(case, m):
+    return W.CosetRep(case.tau_hat_lift(m), case.grassmann_parabolic())
+
+
 def test_straight_path_is_ls():
     gcm, real, lam, top = model("A2", (1, 1))
     for c in W.coset_interval(top):
@@ -82,11 +86,11 @@ def test_d_degree():
                                               case.grassmann_parabolic()))
     assert L.d_degree(straight) == 0
     for i in range(3):
-        p = L.straight_path(om, case.tau_hat_coset(i))
+        p = L.straight_path(om, tau_hat_coset(case, i))
         assert L.d_degree(p) == i
     # additivity over concatenation = additivity of the root coefficient
-    p1 = L.straight_path(om, case.tau_hat_coset(1))
-    p2 = L.straight_path(om, case.tau_hat_coset(2))
+    p1 = L.straight_path(om, tau_hat_coset(case, 1))
+    p2 = L.straight_path(om, tau_hat_coset(case, 2))
     total = (om.scale(2) - p1.endpoint() - p2.endpoint())
     coords = case.amb.real.root_coords(total)
     assert coords[0] == L.d_degree(p1) + L.d_degree(p2)
@@ -132,7 +136,7 @@ def test_lift_straight_paths():
                                               L.stabilizer_nodes(shape)))
         lifted = case.lift_to_grassmannian(straight, i)
         assert L.is_lspath(lifted)
-        assert lifted.dirs == (case.tau_hat_coset(i),)
+        assert lifted.dirs == (tau_hat_coset(case, i),)
         assert L.d_degree(lifted) == i
 
 
