@@ -347,15 +347,27 @@ def reflect_int(roots, v: list[int], i: int) -> None:
             v[j] -= c * a
 
 
+def reflected_int(roots, x: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i x for an integer tuple x (delta last), by `reflect_int`; x itself
+    when s_i fixes it."""
+    if not x[i]:
+        return x
+    y = list(x)
+    reflect_int(roots, y, i)
+    return tuple(y)
+
+
 def peel(roots, v: list[int], cap: int) -> list[int]:
     """Letters i_1, i_2, ..., each the smallest negative coordinate of v at
     its step, applying s_{i_1}, s_{i_2}, ... to v in place until v is
     dominant or `cap` letters are taken; the caller checks which."""
     n = len(roots)
     out: list[int] = []
-    for _ in range(cap):
-        i = next((j for j in range(n) if v[j] < 0), None)
-        if i is None:
+    while len(out) < cap:
+        for i in range(n):
+            if v[i] < 0:
+                break
+        else:
             break
         out.append(i)
         reflect_int(roots, v, i)

@@ -167,17 +167,6 @@ def _weight_map(ambient: str, restricted: FinTypeLabel,
     return out
 
 
-def restricted_to_ambient(rec: InvolutionRecord, coeffs) -> WeightVec:
-    """sum a_i * weight_map(eps_i) for a restricted weight given by its
-    quadratic-basis coefficients."""
-    if not rec.implemented or rec.weight_map is None:
-        raise ValueError(f"{rec.name} has no implemented ambient machinery")
-    out = rec.weight_map[0].scale(0)
-    for a, w in zip(coeffs, rec.weight_map):
-        out = out + w.scale(a)
-    return out
-
-
 def quadratic_verdict(rec: InvolutionRecord, bound: int | None = None) -> bool:
     """Whether the (restricted type, isogeny) lattice is quadratic."""
     label = rec.restricted

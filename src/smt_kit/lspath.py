@@ -10,12 +10,15 @@ Littelmann, Invent. Math. 116, 1994).  The covers come with the interval:
 drops letter p from the word l_0 l_1 ... has the covering root
 beta = s_{l_0} ... s_{l_{p-1}}(alpha_{l_p}), and its pairing is the n with
 mu_lower - mu_upper = n beta, read off the integer images of the scaled
-shape.  So a = t/q is admissible iff some saturated chain has every
-pairing divisible by q: the gcds of the pairings along the chains down to
-a lower coset are memoised per coset in one pass up the length-sorted
-interval, instead of walking every chain.  Next directions come off the
-interval's down-sets; cut values exist only along chains of covers, so the
-cut check alone makes the directions strictly decreasing.  Path values
+shape.  Images and covering roots come up the length-sorted interval one
+reflection each: the drop of l_0 is the cover c' = s_{l_0} c, whose word
+is l_1 l_2 ..., so c(x) = s_{l_0} c'(x) and beta_p(c) = s_{l_0}
+beta_{p-1}(c').  So a = t/g is admissible iff some saturated chain has
+every pairing divisible by g: for each divisor g >= 2 of some pairing, one
+pass up the interval keeps, as a bitset per coset, the cosets such a chain
+reaches, instead of walking every chain.  A path extends only to the
+cosets these bitsets hold; cut values exist only along chains of covers,
+so the cut check alone makes the directions strictly decreasing.  Path values
 (breakpoints, endpoint, node-0 degree) are sums of the same integer images
 (`Realization.image`) weighted by the cut differences over one common
 denominator.  The number of paths of shape lambda whose top direction lies
@@ -40,6 +43,7 @@ second into the first.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -47,7 +51,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import FINITE, Realization, WeightVec, _scaled, _unscaled, classify
+from .cartan import (FINITE, Realization, WeightVec, _scaled, _unscaled, classify,
+                     reflected_int)
 from .weyl import CosetRep, WeylWord, bruhat_leq, coset_interval, longest_parabolic
 
 Q = Fraction
@@ -136,10 +141,22 @@ class ChainData:
     the coset interval below a top coset.
 
     The covers and the order are the ones `coset_interval` records in its
-    `weyl.CosetPoset`.  Each coset's weight
-    is kept as the integer image of den * shape (delta last, den the lcm of
-    the shape's denominators), and a cover's pairing is read off the
-    difference of two images along the covering root of the cover.
+    `weyl.CosetPoset`.  Each coset's weight is kept as the integer image of
+    den * shape (delta last, den the lcm of the shape's denominators), and
+    a cover's pairing is read off the difference of two images along the
+    covering root of the cover.  Both come up the length-sorted interval
+    one reflection at a time: the drop of letter 0 from a coset c with
+    reduced word l_0 l_1 ... is always a cover, the coset c' = s_{l_0} c
+    with word l_1 l_2 ..., so c(x) = s_{l_0} c'(x) and the covering roots
+    are beta_0(c) = alpha_{l_0} and beta_p(c) = s_{l_0} beta_{p-1}(c').
+
+    Cut values come off one bitset per divisor g >= 2 of some pairing:
+    bit j of `reach_g[i]` is set iff some saturated chain from i down to j
+    has every pairing divisible by g, the OR of 1 << j | reach_g[j] over
+    the covers (j, n) of i with g | n.  A chain counts in reach_g exactly
+    for the g that divide the gcd of its pairings, so the t/g over the g
+    whose bit is set are the a admitting an a-chain, and some such g
+    exceeds `denom_cap` iff some chain's gcd does.
     """
 
     def __init__(self, shape: WeightVec, top: CosetRep, cap: int | None = None,
@@ -148,68 +165,78 @@ class ChainData:
             raise ValueError("dominant integral shape required")
         self.shape = shape
         self.denom_cap = denom_cap
-        self.real = top.real
+        self.real = real = top.real
         self.poset = coset_interval(top, cap if cap is not None else _enum_cap())
         self.index = self.poset.index
         x, self._den = _scaled(shape)
-        self._images = [self.real.image(c.word.letters, x) for c in self.poset.elements]
-        self._covers_below = {i: [(j, self._cover_pairing(i, j, p)) for j, p in covered]
-                              for i, covered in enumerate(self.poset.lower_covers)}
-        # below[i]: the indices strictly below i, increasing, off its down-set
-        self.below = [list(_bits(down ^ (1 << i))) for i, down in enumerate(self.poset.down)]
-        self._gcds_down_to: dict[int, dict[int, frozenset[int]]] = {}
+        roots = real.int_roots
+        alphas: dict[int, tuple[int, ...]] = {}     # the simple roots met as a first letter
+        self._images: list[tuple[int, ...]] = []
+        betas: list[list[tuple[int, ...]]] = []
+        self._covers_below: dict[int, list[tuple[int, int]]] = {}
+        for i, (c, covered) in enumerate(zip(self.poset.elements, self.poset.lower_covers)):
+            word = c.word.letters
+            if word:
+                l0 = word[0]
+                rest = next(j for j, p in covered if p == 0)
+                image = reflected_int(roots, self._images[rest], l0)
+                if l0 not in alphas:
+                    row = dict(roots[l0])
+                    alphas[l0] = tuple(row.get(j, 0) for j in range(real.n + 1))
+                roots_of = [alphas[l0]] + [reflected_int(roots, b, l0) for b in betas[rest]]
+            else:
+                image, roots_of = tuple(x), []
+            self._images.append(image)
+            betas.append(roots_of)
+            self._covers_below[i] = [(j, self._cover_pairing(i, j, roots_of[p]))
+                                     for j, p in covered]
+        self._reach = self._divisor_reach()
         self._cut_sets: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
-    def _cover_pairing(self, upper: int, lower: int, p: int) -> int:
+    def _cover_pairing(self, upper: int, lower: int, beta: tuple[int, ...]) -> int:
         """n > 0 with mu_lower - mu_upper = n * beta, beta the covering root
-        of the drop of letter p from the word of `upper`.
+        of the cover.
 
         lower = s_beta upper gives mu_lower - mu_upper = -<mu_upper, beta^vee>
         beta; n is read off one coordinate of the integer images and the
         equality is asserted on every coordinate, which names the root."""
-        real, den = self.real, self._den
-        word = self.poset.elements[upper].word.letters
-        alpha = [0] * (real.n + 1)
-        for j, a in real.int_roots[word[p]]:
-            alpha[j] = a
-        beta = real.image(word[:p], alpha)
+        den = self._den
         diff = list(map(operator.sub, self._images[lower], self._images[upper]))
         k = next(k for k, b in enumerate(beta) if b)
         n = diff[k] // (den * beta[k])
-        assert n > 0 and all(d == n * den * b for d, b in zip(diff, beta)), \
+        assert n > 0 and diff == [n * den * b for b in beta], \
             "cover is not along its covering root"
         return n
 
-    def _chain_gcds(self, lower: int) -> dict[int, frozenset[int]]:
-        """node -> the gcds of the pairings along the saturated chains from
-        node down to `lower`, for every node above `lower` (0 at `lower`).
-
-        The elements are sorted by length and every cover drops the length
-        by one, so one pass upward from `lower` sees each node after all of
-        its covers: a node's set is the union over its covers inside the
-        interval of gcd(pairing, g), g in the cover's set."""
-        if lower not in self._gcds_down_to:
-            reach = {lower: frozenset((0,))}
-            for node in range(lower + 1, len(self.poset.elements)):
-                gcds = {math.gcd(pairing, g)
-                        for nxt, pairing in self._covers_below[node] if nxt in reach
-                        for g in reach[nxt]}
-                if gcds:
-                    reach[node] = frozenset(gcds)
-            self._gcds_down_to[lower] = reach
-        return self._gcds_down_to[lower]
+    def _divisor_reach(self) -> dict[int, list[int]]:
+        """g -> reach_g, for every divisor g >= 2 of some pairing, increasing."""
+        pairings = {n for covered in self._covers_below.values() for _, n in covered}
+        reach = {}
+        for g in sorted({g for n in pairings for g in range(2, n + 1) if n % g == 0}):
+            reach_g: list[int] = []
+            for covered in self._covers_below.values():
+                mask = 0
+                for j, n in covered:
+                    if n % g == 0:
+                        mask |= 1 << j | reach_g[j]
+                reach_g.append(mask)
+            reach[g] = reach_g
+        return reach
 
     def cut_values(self, upper: int, lower: int) -> tuple[Fraction, ...]:
         """All a in (0,1) admitting an a-chain from `upper` down to `lower`,
-        increasing; none unless `lower` lies strictly below `upper`."""
+        increasing; none unless `lower` lies strictly below `upper`.  A
+        divisor above `denom_cap` that reaches raises ValueError naming the
+        smallest such divisor."""
         key = (upper, lower)
         if key not in self._cut_sets:
             values: set[Fraction] = set()
-            for g in sorted(self._chain_gcds(lower).get(upper, ())):
-                if g > self.denom_cap:
-                    raise ValueError(f"cut denominator cap exceeded: cap={self.denom_cap}, "
-                                     f"denominator {g} reached")
-                values.update(Q(t, g) for t in range(1, g))
+            for g, reach_g in self._reach.items():
+                if reach_g[upper] >> lower & 1:
+                    if g > self.denom_cap:
+                        raise ValueError(f"cut denominator cap exceeded: cap={self.denom_cap}, "
+                                         f"denominator {g} reached")
+                    values.update(Q(t, g) for t in range(1, g))
             self._cut_sets[key] = tuple(sorted(values))
         return self._cut_sets[key]
 
@@ -221,22 +248,27 @@ def enumerate_paths(shape: WeightVec, top: CosetRep, cap: int | None = None,
 
 
 def chain_paths(data: ChainData) -> list[LSPath]:
-    """All LS paths of the data's shape with directions in its interval."""
+    """All LS paths of the data's shape with directions in its interval.
+
+    A path extends from its last direction only to the cosets some reach_g
+    of it holds, in increasing index: the others have no cut value."""
     shape = data.shape
+    elements = data.poset.elements
     paths: list[LSPath] = []
     one, zero = Q(1), Q(0)
+    reach = data._reach
+    targets = ([list(_bits(functools.reduce(operator.or_, masks)))
+                for masks in zip(*reach.values())] if reach else [()] * len(elements))
 
     def extend(dirs: list[int], cuts: list[Fraction]):
-        paths.append(LSPath(shape,
-                            tuple(data.poset.elements[i] for i in dirs),
-                            tuple(cuts) + (one,)))
+        paths.append(LSPath(shape, tuple(elements[i] for i in dirs), tuple(cuts) + (one,)))
         last = dirs[-1]
-        for nxt in data.below[last]:
+        for nxt in targets[last]:
             values = data.cut_values(last, nxt)
             for a in values[bisect.bisect_right(values, cuts[-1]):]:
                 extend(dirs + [nxt], cuts + [a])
 
-    for start in range(len(data.poset.elements)):
+    for start in range(len(elements)):
         extend([start], [zero])
     return paths
 

@@ -11,7 +11,8 @@ Combinatorics of Coxeter Groups, Prop. 2.2.7): if s v < v, then u <= v iff
 min(u, s u) <= s v.  A coset interval is closed under letter drops, and by
 the strong exchange property the drops one shorter than a coset are
 exactly its covers, so `coset_interval` records the covers, each with the
-position of its dropped letter, without a Bruhat comparison; its
+position of its dropped letter, without a Bruhat comparison, and images
+each drop with one reflection off the drops of s_{l_0} c; its
 `CosetPoset` keeps the order as one down-set bitset per coset.  The
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
@@ -24,8 +25,9 @@ representative, a subword of w's reduced word (`coset_subword`);
 callers see.  The telescoping words tau_hat_m and tau_m = w_Delta tau_hat_m
 of a restricted tier live here only, with the one range check of m;
 `involutions.AmbientCase` lifts them letter by letter.  The integer
-reflection, the peel and the word action are `cartan.reflect_int`,
-`cartan.peel` and `Realization.image`, the only copies in the package.
+reflection, the peel and the word action are `cartan.reflect_int` (with
+its tuple form `reflected_int`), `cartan.peel` and `Realization.image`,
+the only copies in the package.
 Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
 goes through `Realization.act_letters` and `coset_from_weight` through
 `Realization.dominant_conjugate`, each one walk on an integer vector.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec, _scaled, peel, reflect_int
+from .cartan import Realization, WeightVec, _scaled, peel, reflect_int, reflected_int
 
 Q = Fraction
 
@@ -66,12 +68,16 @@ class WeylWord:
     """A word in simple reflections of one realization.
 
     Two words are equal iff they send rho to the same weight; reduce()
-    peels left descents, the negative coordinates of that weight.
+    peels left descents, the negative coordinates of that weight.  A letter
+    outside 0..n-1 raises ValueError.
     """
 
     def __init__(self, real: Realization, letters):
         self.real = real
-        self.letters = tuple(int(i) for i in letters)
+        self.letters = letters = tuple(map(int, letters))
+        if letters and (min(letters) < 0 or max(letters) >= len(real.int_roots)):
+            bad = next(i for i in letters if not 0 <= i < real.n)
+            raise ValueError(f"letter {bad} out of range 0..{real.n - 1}")
         self._key = None
         self._reduced: tuple[int, ...] | None = None
 
@@ -215,12 +221,13 @@ class CosetPoset:
     interval is a chain of covers (Bjorner-Brenti, op. cit., Sec. 2.5).
     """
 
-    def __init__(self, elements: list[CosetRep],
+    def __init__(self, seen: dict[tuple, CosetRep],
                  drops: dict[tuple, list[tuple[int, tuple]]]):
-        self.elements = sorted(elements, key=lambda c: (c.length(), c.word.letters))
+        order = sorted(seen, key=lambda k: (seen[k].length(), seen[k].word.letters))
+        at = {k: i for i, k in enumerate(order)}
+        self.elements = [seen[k] for k in order]
         self.index = {c.key: i for i, c in enumerate(self.elements)}
-        self.lower_covers = [sorted((self.index[key], p) for p, key in drops[c.key])
-                             for c in self.elements]
+        self.lower_covers = [sorted((at[sub], p) for p, sub in drops[k]) for k in order]
         self.down: list[int] = []
         for i, covered in enumerate(self.lower_covers):
             mask = 1 << i
@@ -244,6 +251,25 @@ class CosetPoset:
         return iter(self.elements)
 
 
+def _drop_images(memo: dict[tuple, list], roots, image: tuple, word: tuple[int, ...]) -> list:
+    """The images of rho_J under `word` with letter p dropped, p = 0, 1, ...,
+    for the coset with image `image` and reduced word `word`: walks down the
+    suffixes of the word to a memoised one, then back up, one reflection
+    per drop."""
+    suffixes = []                       # (image, first letter) down to a memoised suffix
+    while image not in memo:
+        if not word:
+            memo[image] = []
+            break
+        suffixes.append((image, word[0]))
+        image, word = reflected_int(roots, image, word[0]), word[1:]
+    below, drops = image, memo[image]
+    for image, letter in reversed(suffixes):
+        drops = memo[image] = [below] + [reflected_int(roots, x, letter) for x in drops]
+        below = image
+    return drops
+
+
 def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     """All cosets <= v, by closing minimal representatives under letter drops.
 
@@ -251,33 +277,40 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     exactly the drops from its reduced word that have length l(c) - 1 (W^J
     is graded; Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 1.4.3
     and Sec. 2.5), so the walk records them as it goes.  A drop is keyed by
-    its image of rho_J first, and only an unseen coset is peeled into a
-    `CosetRep`.  More than `cap` cosets (v itself counts) raise ValueError."""
+    its image of rho_J, and only an unseen coset is peeled into a
+    `CosetRep`.  The peel of c(rho_J) takes l_0 first and goes on from
+    s_{l_0} c(rho_J), so the reduced word of s_{l_0} c is c's word without
+    l_0, and the image for c's word with letter p >= 1 dropped is s_{l_0}
+    applied to the image for that word with letter p - 1 dropped (the
+    subword property, op. cit. Sec. 2.2).  The drop images are memoised per
+    coset for the call, which makes each drop one reflection instead of
+    l(c).  More than `cap` cosets (v itself counts) raise ValueError."""
     real, parabolic = v.real, v.parabolic
-    rho_j = _rho_j(real, parabolic)
-    seen = {v.key: v}
+    roots = real.int_roots
+    memo: dict[tuple, list] = {}        # image of rho_J -> its drop images, p = 0, 1, ...
+    coords, delta = v._rho_j_key
+    top = coords + (delta,)
+    seen = {top: v}
     drops: dict[tuple, list[tuple[int, tuple]]] = {}
-    frontier = [v]
+    frontier = [top]
     while frontier:
         nxt = []
-        for c in frontier:
-            word = c.word.letters
-            covered = drops[c.key] = []
-            for p in range(len(word)):
-                letters = word[:p] + word[p + 1:]
-                image = real.image(letters, rho_j)
-                key = ((tuple(image[:-1]), image[-1]), parabolic)
-                sub = seen.get(key)
+        for image in frontier:
+            word = seen[image].word.letters
+            covered = drops[image] = []
+            for p, sub_image in enumerate(_drop_images(memo, roots, image, word)):
+                sub = seen.get(sub_image)
                 if sub is None:
-                    sub = seen[key] = CosetRep(WeylWord(real, letters), parabolic)
-                    nxt.append(sub)
+                    sub = seen[sub_image] = CosetRep(WeylWord(real, word[:p] + word[p + 1:]),
+                                                     parabolic)
+                    nxt.append(sub_image)
                 if sub.length() == len(word) - 1:
-                    covered.append((p, key))
+                    covered.append((p, sub_image))
             if len(seen) > cap:
                 raise ValueError(f"coset interval cap exceeded: cap={cap}, "
                                  f"{len(seen)} cosets reached")
         frontier = nxt
-    return CosetPoset(list(seen.values()), drops)
+    return CosetPoset(seen, drops)
 
 
 _DEMAZURE_WEIGHT_CAP = 100000

@@ -7,8 +7,10 @@ This module keeps the earlier code, which branched on whether the pair is
 a flip (g + g with the factor swap) or the symmetric quadrics, so that
 `tests/test_involutions_differential.py` can compare the two.  It also
 keeps the recursion tau_hat_lift(m) = r_0 ... r_{m-1} tau_hat_lift(m - 1)
-over `AmbientCase.reflection_lift`, which `AmbientCase.lift` replaced, and
-eps_i embedded in the extended weight coordinates.
+over `AmbientCase.reflection_lift`, which `AmbientCase.lift` replaced,
+eps_i embedded in the extended weight coordinates, and
+`restricted_to_ambient`, the Fraction sum of the weight map that
+`AmbientCase.dim_eps_sum` replaced with its integer rows.
 """
 
 from __future__ import annotations
@@ -102,3 +104,14 @@ def eps_ambient_ext(case, i: int) -> WeightVec:
     support = [j for j in range(case.base.n) if case.amb.epsilon.coords[j] != 0]
     c = -sum(expansion[j] for j in support)
     return case.amb.real.weight([c] + list(w.coords))
+
+
+def restricted_to_ambient(rec, coeffs) -> WeightVec:
+    """sum a_i * weight_map(eps_i) for a restricted weight given by its
+    quadratic-basis coefficients."""
+    if not rec.implemented or rec.weight_map is None:
+        raise ValueError(f"{rec.name} has no implemented ambient machinery")
+    out = rec.weight_map[0].scale(0)
+    for a, w in zip(coeffs, rec.weight_map):
+        out = out + w.scale(a)
+    return out

@@ -19,6 +19,14 @@ and down-sets, the pairwise comparison, the forward pass over
 sub-multisets and the multichain count of the library, which makes them
 differential oracles for `tests/test_lspath_differential.py`.
 
+`images`, `prefix_pairings`, `chain_gcds`, `gcd_cut_values` and
+`chain_paths` are the quadratic `ChainData` kernels that the recursion up
+the interval and the divisor bitsets replaced: one `Realization.image`
+of the whole word per coset, each covering root imaged through the prefix
+word, one pass up the interval per lower coset for the gcds of the
+pairings along its chains, and every coset below the last direction
+asked for its cut values.
+
 `FibreLifts` and `forward_standard_below` are the forward pass as it was
 before the library numbered its lifts: lists of reduced lifts sorted by
 length, one `bruhat_leq` per pair in the filter and in `_minimal`, and
@@ -40,8 +48,9 @@ import math
 from fractions import Fraction
 
 import cartan_reference
-from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, PathMonomial, path_leq,
-                           stabilizer_nodes)
+from smt_kit.cartan import _scaled
+from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, PathMonomial, _bits,
+                           path_leq, stabilizer_nodes)
 from smt_kit.weyl import WeylWord, bruhat_leq
 
 Q = Fraction
@@ -131,6 +140,88 @@ def enumerate_paths(shape, top, denom_cap: int = DEFAULT_DENOM_CAP) -> list[LSPa
                     extend(dirs + [nxt], cuts + [a])
 
     for start in order:
+        extend([start], [Q(0)])
+    return paths
+
+
+def images(data) -> list[list[int]]:
+    """The integer image of den * shape under each coset's whole word."""
+    x, _ = _scaled(data.shape)
+    return [data.real.image(c.word.letters, x) for c in data.poset.elements]
+
+
+def prefix_pairings(data) -> dict[int, list[tuple[int, int]]]:
+    """upper -> [(lower, n)] over the interval's covers: the covering root
+    s_{l_0} ... s_{l_{p-1}}(alpha_{l_p}) imaged through the prefix of the
+    word, n read off one coordinate of the image difference and asserted
+    on all of them."""
+    real = data.real
+    _, den = _scaled(data.shape)
+    ims = images(data)
+    out = {}
+    for upper, covered in enumerate(data.poset.lower_covers):
+        word = data.poset.elements[upper].word.letters
+        out[upper] = []
+        for lower, p in covered:
+            alpha = [0] * (real.n + 1)
+            for j, a in real.int_roots[word[p]]:
+                alpha[j] = a
+            beta = real.image(word[:p], alpha)
+            diff = [a - b for a, b in zip(ims[lower], ims[upper])]
+            k = next(k for k, b in enumerate(beta) if b)
+            n = diff[k] // (den * beta[k])
+            assert n > 0 and all(d == n * den * b for d, b in zip(diff, beta)), \
+                "cover is not along its covering root"
+            out[upper].append((lower, n))
+    return out
+
+
+def chain_gcds(data, lower: int) -> dict[int, frozenset[int]]:
+    """node -> the gcds of the pairings along the saturated chains from
+    node down to `lower`, for every node above `lower` (0 at `lower`): one
+    pass up the length-sorted interval, each node after its covers."""
+    reach = {lower: frozenset((0,))}
+    for node in range(lower + 1, len(data.poset.elements)):
+        gcds = {math.gcd(pairing, g)
+                for nxt, pairing in data._covers_below[node] if nxt in reach
+                for g in reach[nxt]}
+        if gcds:
+            reach[node] = frozenset(gcds)
+    return reach
+
+
+def gcd_cut_values(data, upper: int, lower: int, memo=None) -> tuple[Fraction, ...]:
+    """The cut values off the chain gcds, increasing; the smallest gcd above
+    `denom_cap` raises the cap error.  `memo` keeps the gcds per lower."""
+    memo = {} if memo is None else memo
+    if lower not in memo:
+        memo[lower] = chain_gcds(data, lower)
+    values: set[Fraction] = set()
+    for g in sorted(memo[lower].get(upper, ())):
+        if g > data.denom_cap:
+            raise ValueError(f"cut denominator cap exceeded: cap={data.denom_cap}, "
+                             f"denominator {g} reached")
+        values.update(Q(t, g) for t in range(1, g))
+    return tuple(sorted(values))
+
+
+def chain_paths(data) -> list[LSPath]:
+    """All LS paths of the data's shape: each path extended to every coset
+    strictly below its last direction, off the down-sets, in increasing
+    index, with the cut values off the chain gcds."""
+    below = [list(_bits(down ^ (1 << i))) for i, down in enumerate(data.poset.down)]
+    memo: dict = {}
+    paths: list[LSPath] = []
+
+    def extend(dirs: list[int], cuts: list[Fraction]):
+        paths.append(LSPath(data.shape, tuple(data.poset.elements[i] for i in dirs),
+                            tuple(cuts) + (Q(1),)))
+        for nxt in below[dirs[-1]]:
+            for a in gcd_cut_values(data, dirs[-1], nxt, memo):
+                if a > cuts[-1]:
+                    extend(dirs + [nxt], cuts + [a])
+
+    for start in range(len(data.poset.elements)):
         extend([start], [Q(0)])
     return paths
 

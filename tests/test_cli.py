@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +179,17 @@ def test_lspath_cli():
     assert r.returncode == 0
     out = json.loads(r.stdout)["outputs"]
     assert out["count"] == 5 and out["degree_split"] == {"0": 1, "1": 4}
+
+
+def test_lspath_cli_paths_match_the_golden_file():
+    """The paths below tau_2 of flip-sp4, in order, as the stdout bytes with
+    the elapsed_ms value removed (as the installed-package CI step strips it)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["lspath", "enumerate", "--case", "flip-sp4", "--top", "tau2",
+                         "--paths"]) == 0
+    golden = Path(__file__).parent / "golden" / "lspath_enumerate_flip_sp4_tau2_paths.json"
+    assert re.sub(r'"elapsed_ms":[0-9]*', "", out.getvalue()) == golden.read_text()
 
 
 def test_lspath_cli_rejects_m_outside_0_to_rank():

@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from smt_kit import cartan as C, extend as X, involutions as I
+from smt_kit import cartan as C, extend as X, involutions as I, weyl as W
+
+import involutions_reference as IR
 
 
 def test_lookup_rows():
@@ -26,12 +28,14 @@ def test_lookup_rows():
 
 
 def test_restricted_to_ambient():
+    """The reference sum of the weight map, which the tests compare
+    `AmbientCase.dim_eps_sum` with."""
     rec = I.lookup("flip-sp4")
-    v = I.restricted_to_ambient(rec, [1, 0])
+    v = IR.restricted_to_ambient(rec, [1, 0])
     assert v.coords == (1, 0, 1, 0)
-    assert I.restricted_to_ambient(rec, [0, 0]) == C.WeightVec("C2+C2", (0, 0, 0, 0))
+    assert IR.restricted_to_ambient(rec, [0, 0]) == C.WeightVec("C2+C2", (0, 0, 0, 0))
     with pytest.raises(ValueError):
-        I.restricted_to_ambient(I.lookup("sp-gl3"), [1, 0, 0])
+        IR.restricted_to_ambient(I.lookup("sp-gl3"), [1, 0, 0])
 
 
 def test_quadratic_verdicts():
@@ -86,6 +90,19 @@ def test_tau_lifts_reject_m_outside_0_to_rank():
         for lift in (case.tau_hat_lift, case.tau_lift, case.tau_coset):
             with pytest.raises(ValueError, match=f"m out of range: {m} not in 0..1"):
                 lift(m)
+
+
+def test_lift_of_a_word_with_a_letter_out_of_range_names_it():
+    """A tier word with a letter outside 0..n-1 is refused with a ValueError
+    that names the letter and the range, before its key can alias the
+    identity; n is the tier's rank plus one."""
+    case = I.AmbientCase("flip-sl2")
+    tier = case.tier.real
+    for letters in ((-1,), (tier.n,), (0, 1, -1), (tier.n + 5, -2)):
+        bad = next(i for i in letters if not 0 <= i < tier.n)
+        with pytest.raises(ValueError, match=rf"^letter {bad} out of range 0\.\.{tier.n - 1}$"):
+            case.lift(W.WeylWord(tier, letters))
+    assert case.lift(W.WeylWord(tier, (0, 1))).length() > 0
 
 
 def test_ambient_reduction_matches_tier():

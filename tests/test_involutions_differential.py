@@ -5,7 +5,7 @@ and its integer kernels against the `WeightVec` code they replaced.
 symmetric quadrics; here both are run on the same cases and weights.  The
 split map and the reflection-lift check run on integer vectors and
 `dim_eps_sum` on the integer rows of the weight map: they are compared with
-the reference split, with the Fraction Weyl dimension of the summed
+the reference split, with the Fraction Weyl dimension of the reference
 `restricted_to_ambient` weight, and, for the lift check, shown to refuse a
 wrong lift.  The memoised `tau_lift` is compared with a freshly reduced
 w_Delta tau_hat_lift.  The lift rule (a tier word lifts letter by letter,
@@ -96,7 +96,7 @@ def test_dim_eps_sum_matches_the_fraction_weyl_dim(name):
     for degree in range(4):
         for indices in itertools.combinations_with_replacement(range(1, case.rank + 1), degree):
             coeffs = [indices.count(i) for i in range(1, case.rank + 1)]
-            want = CR.weyl_dim(case.base, I.restricted_to_ambient(case.record, coeffs))
+            want = CR.weyl_dim(case.base, R.restricted_to_ambient(case.record, coeffs))
             assert case.dim_eps_sum(indices) == want, indices
 
 

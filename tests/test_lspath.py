@@ -1,6 +1,7 @@
 """LS paths: validation, enumeration, standardness, lifting, tensor rule."""
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -315,3 +316,23 @@ def test_chain_data_reads_covers_off_the_letter_drops(monkeypatch):
     g2_top.real.root_coords(rho)
     g2_top.real.is_real_root(rho)
     assert calls == {"bruhat_leq": 1, "root_coords": 1, "is_real_root": 1}
+
+
+# (type, shape coordinates, Weyl dimension): the path models at scale
+SCALE_MODELS = [("E6", (0, 1, 0, 0, 0, 0), 78), ("F4", (0, 0, 0, 1), 26),
+                ("D5", (0, 1, 0, 0, 0), 45), ("A4", (1, 1, 1, 1), 1024),
+                ("B3", (1, 1, 1), 512)]
+
+
+@pytest.mark.parametrize("name,coords,dim", SCALE_MODELS)
+def test_path_counts_at_scale_are_weyl_and_demazure_dimensions(name, coords, dim):
+    """Below the longest coset the paths number dim V(lam); below three
+    random Schubert cosets they number the Demazure dimension."""
+    gcm, real, lam, top = model(name, coords)
+    assert C.weyl_dim(gcm, lam) == dim
+    assert len(L.enumerate_paths(lam, top)) == dim
+    rng = random.Random(f"{name}{coords}")
+    for _ in range(3):
+        word = W.WeylWord(real, [rng.randrange(real.n) for _ in range(rng.randint(3, 12))])
+        coset = W.CosetRep(word, L.stabilizer_nodes(lam))
+        assert len(L.enumerate_paths(lam, coset)) == W.demazure_dim(word, lam), word

@@ -28,6 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cartan_reference as CR
 import lspath_reference as R
 import smt_reference as SR
+import weyl_reference as WR
 from smt_kit import cartan as C, extend as X, involutions as I, lspath as L, smt as S
 from smt_kit import weyl as W
 
@@ -223,6 +224,73 @@ def test_enumeration_agrees_on_random_intervals(case):
 def test_enumeration_agrees_below_tau():
     for (name, m), gc in GRADED.items():
         assert gc.paths == R.enumerate_paths(gc.case.amb.e_omega0(), gc.case.tau_coset(m))
+
+
+# ---------------------------------------------------------------------------
+# the path layer against its quadratic kernels
+
+
+@st.composite
+def layer_intervals(draw):
+    """A shape, a top word and a denominator cap on any of the realizations."""
+    name = draw(st.sampled_from(sorted(REALIZATIONS)))
+    real = REALIZATIONS[name]
+    coords = draw(st.lists(st.integers(0, 3), min_size=real.n, max_size=real.n))
+    word = draw(st.lists(st.integers(0, real.n - 1), max_size=7))
+    return real.weight(coords), W.WeylWord(real, word), draw(st.integers(1, 4))
+
+
+def _chain_paths_or_cap(kernel, data):
+    try:
+        return kernel(data)
+    except ValueError as exc:
+        assert str(exc).startswith("cut denominator cap exceeded: ")
+        return "cap"
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer_intervals())
+def test_path_layer_agrees_with_the_quadratic_kernels(case):
+    """The memoised drop images against the drop walk that images every
+    drop from scratch (elements, covers with their letter positions,
+    down-sets); the images and pairings taken up the interval against one
+    whole-word image per coset and the prefix-word covering roots; the cut
+    values of every pair, or the cap error, off the divisor bitsets against
+    the chain gcds; and the paths, in order, against extending to every
+    coset below the last direction."""
+    shape, word, denom_cap = case
+    top = W.CosetRep(word, L.stabilizer_nodes(shape))
+    data = L.ChainData(shape, top, denom_cap=denom_cap)
+    poset, walk = data.poset, WR.drop_walk(top)
+    assert ([c.word.letters for c in poset.elements]
+            == [c.word.letters for c in walk.elements])
+    assert poset.elements == walk.elements
+    assert poset.lower_covers == walk.lower_covers
+    assert poset.down == walk.down
+    assert list(map(list, data._images)) == R.images(data)
+    assert data._covers_below == R.prefix_pairings(data)
+    n, memo = len(poset.elements), {}
+    for upper in range(n):
+        for lower in range(n):
+            assert (_cut_values_or_cap(L.ChainData.cut_values, data, upper, lower)
+                    == _cut_values_or_cap(lambda *args: R.gcd_cut_values(*args, memo),
+                                          data, upper, lower)), (upper, lower)
+    fresh = L.ChainData(shape, top, denom_cap=denom_cap)
+    assert (_chain_paths_or_cap(L.chain_paths, fresh)
+            == _chain_paths_or_cap(R.chain_paths, fresh))
+
+
+def test_path_layer_agrees_below_tau():
+    """The same comparisons below tau_m of the five symmetric pairs."""
+    for (name, m), gc in GRADED.items():
+        top = gc.case.tau_coset(m)
+        data = L.ChainData(gc.case.amb.e_omega0(), top)
+        walk = WR.drop_walk(top)
+        assert [c.word.letters for c in data.poset] == [c.word.letters for c in walk]
+        assert (data.poset.lower_covers, data.poset.down) == (walk.lower_covers, walk.down)
+        assert list(map(list, data._images)) == R.images(data)
+        assert data._covers_below == R.prefix_pairings(data)
+        assert L.chain_paths(data) == R.chain_paths(data) == gc.paths
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Random words on a finite, an affine, a restricted-tier (delta coefficient 2)
 and an indefinite GCM: both kernels must give the same reduced words,
 equalities, left descents, minimal coset words, Bruhat comparisons,
 cosets found from a weight, and the covers of a coset interval (read off
-its letter drops against the pairwise search).  The integer orbit search
+its letter drops against the pairwise search, and its memoised drop images
+against imaging every drop from scratch).  The integer orbit search
 must give the Fraction one's orbit, under the delta cap on the affine and
 the tier realization, and the same cap error on the indefinite one.
 The second half guards against reductions leaking between Realizations.
@@ -71,6 +72,20 @@ def test_interval_covers_agree(case):
     top = W.CosetRep(W.WeylWord(REALIZATIONS[name], v_letters), parabolic)
     poset = W.coset_interval(top)
     assert poset.covers() == R.covers(poset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_interval_agrees_with_the_drop_walk(case):
+    """The memoised drop images against imaging every drop from rho_J:
+    the same cosets in the same order, the same covers with the same
+    letter positions, the same down-sets."""
+    name, u_letters, v_letters, parabolic = case
+    top = W.CosetRep(W.WeylWord(REALIZATIONS[name], u_letters + v_letters), parabolic)
+    poset, walk = W.coset_interval(top), R.drop_walk(top)
+    assert [c.word.letters for c in poset] == [c.word.letters for c in walk]
+    assert poset.elements == walk.elements
+    assert (poset.lower_covers, poset.down) == (walk.lower_covers, walk.down)
 
 
 @st.composite

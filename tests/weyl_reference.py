@@ -22,6 +22,9 @@ the kernel does not lean on the integer walk of `Realization.act_letters`.
 search that `CosetPoset.covers` made before `coset_interval` recorded the
 covers among its letter drops.  `orbit_bfs` is the orbit search on
 Fraction `WeightVec`s that the integer search of `smt_kit.weyl` replaced.
+`drop_walk` is the letter-drop walk of `coset_interval` before it
+memoised the drop images: every drop is imaged from rho_J through the
+whole shortened word, O(l^2) reflections per coset.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import weakref
 
 import cartan_reference
+from smt_kit import weyl
 from smt_kit.cartan import Realization, WeightVec
 
 
@@ -225,6 +229,38 @@ def covers(poset) -> list[tuple]:
 
     return [(a, b) for b in poset.elements for a in poset.elements
             if a.length() == b.length() - 1 and bruhat_leq(ref(a), ref(b))]
+
+
+def drop_walk(v, cap: int = 10 ** 6):
+    """The library `CosetPoset` of the cosets <= the library coset v, found
+    by the breadth-first walk that images every letter drop of every coset
+    from scratch and keys it by `CosetRep.key`; more than `cap` cosets raise
+    the library's ValueError."""
+    real, parabolic = v.real, v.parabolic
+    rho_j = weyl._rho_j(real, parabolic)
+    seen = {v.key: v}
+    drops: dict[tuple, list[tuple[int, tuple]]] = {}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            word = c.word.letters
+            covered = drops[c.key] = []
+            for p in range(len(word)):
+                letters = word[:p] + word[p + 1:]
+                image = real.image(letters, rho_j)
+                key = ((tuple(image[:-1]), image[-1]), parabolic)
+                sub = seen.get(key)
+                if sub is None:
+                    sub = seen[key] = weyl.CosetRep(weyl.WeylWord(real, letters), parabolic)
+                    nxt.append(sub)
+                if sub.length() == len(word) - 1:
+                    covered.append((p, key))
+            if len(seen) > cap:
+                raise ValueError(f"coset interval cap exceeded: cap={cap}, "
+                                 f"{len(seen)} cosets reached")
+        frontier = nxt
+    return weyl.CosetPoset(seen, drops)
 
 
 def demazure_character(w, lam: WeightVec) -> dict[tuple, int]:
