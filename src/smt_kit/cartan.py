@@ -183,8 +183,11 @@ class WeightVec:
 # Cartan matrix tables
 
 
+@functools.lru_cache(maxsize=64)
 def build_cartan(label: FinTypeLabel) -> GCM:
-    """Bourbaki-numbered Cartan matrix of a finite family (BC: B-shaped + marker)."""
+    """Bourbaki-numbered Cartan matrix of a finite family (BC: B-shaped + marker).
+
+    Cached by the value of the (frozen) label; the matrix is frozen too."""
     fam, n = label.family, label.rank
     ent = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -533,6 +536,17 @@ def root_rows(m: GCM) -> list[list[Fraction]]:
     """
     return [[Q(m.entries[i][j], 2 if j in m.nonreduced_nodes else 1)
              for j in range(m.n)] for i in range(m.n)]
+
+
+@functools.lru_cache(maxsize=64)
+def int_root_rows(m: GCM) -> tuple[tuple[int, ...], ...]:
+    """`root_rows` as integer tuples, cached by GCM value.  Raises
+    ValueError when a halved (BC) column leaves a half-integer, which no
+    finite label's matrix does."""
+    rows = root_rows(m)
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ValueError("root coordinates must be integral")
+    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 @functools.lru_cache(maxsize=64)

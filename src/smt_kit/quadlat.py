@@ -19,23 +19,31 @@ certificate.  The count runs at bounds 1, 2, 4, ... first and stops at the
 first double factorization, which every non-diagonal HNF between Q and P of
 A1-A6, B1-B6, C2-C6, BC1-BC6, D4-D6, E6 and E7 shows at height 4 or 6.  The
 dominant weights below e + f come from a root descent through dominant
-weights, one positive root at a time (Stembridge 1998, see `_dominant_below`),
+weights, one positive root at a time (Stembridge 1998, see `_descend`),
 whose work is their number times |Phi+|, not the box of their root
-coordinates.
+coordinates.  `is_quadratic` runs one descent per lattice: the walk is keyed
+by the weight it reaches, and its seen set passes from pair to pair, so each
+pair walks and checks only the weights below it that no earlier pair
+reached.
 
 Every kernel is integer arithmetic on data built once per lattice, basis or
 GCM.  The HNF of the generators (Cohen, A Course in Computational Algebraic
 Number Theory, Sec. 2.4) is upper triangular, so the dominant lattice points
 are read off it column by column, and membership by reduction against it is
-used only by `contains`.  The coin change runs in height order on one
-integer code per point, capped at 2 (a point nothing reaches is
-irreducible); heights are one integer row over the basis, a one-row
-`linalg.IntInverse`; the descent steps are the positive roots
-(`cartan.finite_roots`) in fundamental-weight coordinates, one table per
-GCM; and the classes of P/Q (integer residues mod d) come from
-`cartan.root_inverse`, the one integer left inverse of the root rows per
-GCM, read through `IntInverse.expand`.  Fractions remain only in the
-`WeightVec`s handed in and out and in the height values.
+used by `contains` and, on the integer root rows, by the check that L
+contains Q.  The coin change runs in height order on one integer code per
+point, capped at 2 (a point nothing reaches is irreducible).
+`is_quadratic` reads its monoid basis as integer tuples once: heights are
+one integer row over that basis, a one-row `linalg.IntInverse`; the tops
+e + f are integer tuples.  The root rows are `cartan.int_root_rows`, one
+integer table per GCM, read by the simple-root heights, by the descent
+steps (the positive roots of `cartan.finite_roots` in fundamental-weight
+coordinates, one table per GCM) and by the intermediate lattices, whose
+classes of P/Q (integer residues mod d) come from `cartan.root_inverse`,
+the one integer left inverse of the root rows per GCM, read through
+`IntInverse.expand`.  Fractions remain only in the `WeightVec`s handed in
+and out, in `hgt` and in the height of a simple root named by a
+certificate.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cartan import (GCM, FinTypeLabel, WeightVec, build_cartan, dominant_leq, finite_roots,
-                     quadratic_basis, root_inverse, root_rows)
+                     int_root_rows, quadratic_basis, root_inverse)
 
 Q = Fraction
 
@@ -110,14 +118,18 @@ class SubLattice:
         n = self.gcm.n
         if len(self.generators) != n:
             raise ValueError("generators must form a Z-basis (rank many)")
+        for g in self.generators[1:]:
+            self.generators[0]._check(g)
+        if len(self.generators[0].coords) != n:
+            raise ValueError(f"coordinate count mismatch: {len(self.generators[0].coords)} "
+                             f"vs rank {n} of {self.ambient}")
         if any(c.denominator != 1 for g in self.generators for c in g.coords):
             raise ValueError("generators must be integral weights")
         self._hnf = _hnf([[int(c) for c in g.coords] for g in self.generators])
         if len(self._hnf) != n:
             raise ValueError("generators are not Z-linearly independent")
-        for root in root_rows(self.gcm):
-            if not self.contains(WeightVec(self.basis_id, tuple(root))):
-                raise ValueError("sublattice does not contain the root lattice")
+        if not all(map(self.contains_int, int_root_rows(self.gcm))):
+            raise ValueError("sublattice does not contain the root lattice")
 
     @property
     def basis_id(self) -> str:
@@ -139,37 +151,30 @@ class SubLattice:
         return True
 
     def contains(self, lam: WeightVec) -> bool:
+        """Membership of a weight of the lattice's basis and rank; ValueError
+        on another basis or coordinate count."""
+        self.generators[0]._check(lam)
         return lam.is_integral() and self.contains_int(int(c) for c in lam.coords)
 
 
 def full_weight_lattice(label: FinTypeLabel) -> SubLattice:
-    gcm = build_cartan(label)
-    bid = str(label)
-    gens = [WeightVec(bid, tuple(Q(1) if j == i else Q(0) for j in range(gcm.n)))
-            for i in range(gcm.n)]
-    return SubLattice(label, gens)
+    n = build_cartan(label).n
+    return SubLattice(label, [WeightVec(str(label), tuple(int(j == i) for j in range(n)))
+                              for i in range(n)])
 
 
 def root_lattice(label: FinTypeLabel) -> SubLattice:
-    gcm = build_cartan(label)
-    bid = str(label)
-    rows = root_rows(gcm)
-    ints = [[int(x) for x in row] for row in rows]
-    if any(Q(x) != y for row, qrow in zip(ints, rows) for x, y in zip(row, qrow)):
-        raise AssertionError("root coordinates must be integral")
-    basis = _hnf(ints)
-    gens = [WeightVec(bid, tuple(Q(x) for x in row)) for row in basis]
-    return SubLattice(label, gens)
+    return SubLattice(label, [WeightVec(str(label), tuple(row))
+                              for row in _hnf(int_root_rows(build_cartan(label)))])
 
 
-def _height_form(basis: list[WeightVec], n: int) -> linalg.IntInverse:
-    """hgt over a fixed basis as a one-row integer inverse, the column sums
-    of the left inverse of the basis: hgt(lam) = expand(coords)[0] / d for
-    the coordinates of lam (integers or Fractions)."""
-    cols = [[b.coords[j] for b in basis] for j in range(n)]
-    scale = math.lcm(*(x.denominator for row in cols for x in row))
-    inv = linalg.left_inverse([[scale * x for x in row] for row in cols])
-    return inv._replace(left=(tuple(scale * sum(col) for col in zip(*inv.left)),))
+def _height_form(basis, n: int) -> linalg.IntInverse:
+    """hgt over a basis of integer tuples as a one-row integer inverse, the
+    column sums of the left inverse of the basis: hgt(lam) =
+    expand(coords)[0] / d for the n coordinates of lam (integers or
+    Fractions)."""
+    inv = linalg.left_inverse([[b[j] for b in basis] for j in range(n)])
+    return inv._replace(left=(tuple(map(sum, zip(*inv.left))),))
 
 
 def _height(form: linalg.IntInverse, coords) -> int:
@@ -181,9 +186,13 @@ def _height(form: linalg.IntInverse, coords) -> int:
 
 
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:
-    """Sum of the expansion coefficients of lam over the given basis."""
-    form = _height_form(basis, len(lam.coords))
-    return Q(_height(form, lam.coords), form.d)
+    """Sum of the expansion coefficients of lam over the given basis.
+
+    A basis with denominators is scaled to integers by their lcm s first;
+    over s times the basis every coefficient is divided by s."""
+    scale = math.lcm(*(c.denominator for b in basis for c in b.coords))
+    form = _height_form([[int(scale * c) for c in b.coords] for b in basis], len(lam.coords))
+    return Q(scale * _height(form, lam.coords), form.d)
 
 
 def _dominant_points(lat: SubLattice, bound: int) -> list[tuple[int, ...]]:
@@ -224,12 +233,14 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     height bound and stops at the first double factorization: the count of
     a point depends only on the points of lower height, so a point counted
     twice under a smaller bound is counted twice under the height bound.  A
-    list comes only from the run at the height bound.  A box of more than
-    _MONOID_POINT_CAP coordinate vectors at the height bound raises
-    ValueError first.
+    list comes only from the run at the height bound.  A negative height
+    bound, or a box of more than _MONOID_POINT_CAP coordinate vectors at the
+    height bound, raises ValueError first.
     """
+    if height_bound < 0:
+        raise ValueError(f"height bound must be nonnegative, got {height_bound}")
     n = lat.gcm.n
-    box = math.comb(max(height_bound, 0) + n, n)
+    box = math.comb(height_bound + n, n)
     if box > _MONOID_POINT_CAP:
         raise ValueError(f"monoid_basis cap exceeded: cap={_MONOID_POINT_CAP}, "
                          f"box of {box} points at bound {height_bound}")
@@ -261,7 +272,7 @@ def _coin_change(lat: SubLattice, height_bound: int) -> list[tuple[int, ...]] | 
     # u + v of height <= bound has every coordinate <= bound, so no digit
     # carries and the code of u + v is the sum of the codes.  Codes order as
     # the coordinate tuples, so the points are sorted by (height, code).
-    base = max(height_bound, 0) + 1
+    base = height_bound + 1
     powers = [base ** (n - 1 - j) for j in range(n)]
     points = sorted((sum(v), sum(map(operator.mul, v, powers)), v)
                     for v in _dominant_points(lat, height_bound))
@@ -307,30 +318,38 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
         # L+ spans the whole space, so it has at least n irreducibles
         raise ValueError(f"height bound {bound} too small: {len(basis)} irreducible(s) "
                          f"below it, fewer than the rank {n}")
-    report: dict = {"bound": bound, "basis": [list(map(str, b.coords)) for b in basis]}
+    # the basis as integer tuples, read once; str of an int is str of the
+    # equal Fraction, so the report reads as the WeightVec coordinates would
+    basis = [tuple(map(int, b.coords)) for b in basis]
+    report: dict = {"bound": bound, "basis": [list(map(str, b)) for b in basis]}
     if len(basis) > n:
         report["certificate"] = "monoid basis size differs from rank"
         return False, report
 
     form = _height_form(basis, n)
     by_height = True
-    for i, root in enumerate(root_rows(lat.gcm)):
-        h = Q(_height(form, root), form.d)
+    for i, root in enumerate(int_root_rows(lat.gcm)):
+        h = _height(form, root)
         if h < 0:
             by_height = False
-            report["certificate"] = {"simple_root": i, "hgt": str(h)}
+            report["certificate"] = {"simple_root": i, "hgt": str(Q(h, form.d))}
             break
 
     # each weight below e + f differs from it by root-lattice elements, so it
-    # lies in L: a SubLattice contains the root lattice
+    # lies in L: a SubLattice contains the root lattice.  One walk serves
+    # every pair: a weight an earlier pair reached was checked then, with
+    # everything below it, so each pair checks only the weights new to it, in
+    # the order of its own full down-set, and the first weight to fail is the
+    # one a walk of that pair alone would find first
     by_direct = True
+    steps, seen = _root_steps(lat.gcm), set()
     for e, f in itertools.combinations_with_replacement(basis, 2):
-        for lam in _dominant_below(lat, e + f):
+        top = tuple(map(operator.add, e, f))
+        for lam in _descend(steps, top, seen):
             if _height(form, lam) > 2 * form.d:
                 by_direct = False
-                report.setdefault("certificate",
-                                  {"below": [str(c) for c in (e + f).coords],
-                                   "weight": [str(c) for c in lam]})
+                report.setdefault("certificate", {"below": list(map(str, top)),
+                                                  "weight": list(map(str, lam))})
                 break
         if not by_direct:
             break
@@ -340,57 +359,66 @@ def is_quadratic(lat: SubLattice, bound: int | None = None) -> tuple[bool, dict]
 
 
 @functools.lru_cache(maxsize=64)
-def _root_steps(gcm: GCM) -> tuple[int, tuple]:
-    """The positive roots as descent steps, cached by GCM value: (d, steps),
-    each step (simple-root coordinates, d times the fundamental-weight
-    coordinates w, the pairs (j, w_j) with w_j > 0), d the common
-    denominator of the root rows."""
-    rows = root_rows(gcm)
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    cols = [[int(d * row[j]) for row in rows] for j in range(gcm.n)]
+def _root_steps(gcm: GCM) -> tuple:
+    """The positive roots as descent steps, cached by GCM value: each step
+    (simple-root coordinates, fundamental-weight coordinates w, the pairs
+    (j, w_j) with w_j > 0), w read off the integer root rows."""
+    cols = list(zip(*int_root_rows(gcm)))
     steps = []
     for root, _ in finite_roots(gcm):
         w = tuple(sum(map(operator.mul, root, col)) for col in cols)
         steps.append((root, w, tuple((j, x) for j, x in enumerate(w) if x > 0)))
-    return d, tuple(steps)
+    return tuple(steps)
 
 
-def _dominant_below(lat: SubLattice, top: WeightVec) -> list[tuple[int, ...]]:
-    """Dominant integral weights <= top in the dominance order, as int tuples.
+def _descend(steps, top: tuple[int, ...], seen: set) -> list[tuple[int, ...]]:
+    """The dominant vectors top - (a sum of steps) that are not in seen, in
+    ascending lexicographic order of their root coordinates from top; every
+    vector reached is added to seen.
 
     A root descent: every dominant mu <= top is reached from top through
     dominant weights, one positive root at a time (Stembridge, The partial
-    order of dominant weights, Adv. Math. 136, 1998), so a depth-first walk
-    from top that subtracts positive roots and keeps only dominant vectors
-    visits each of them once.  Subtracting a root lowers only the coordinates
-    where the root is positive, so only those are tested.  The walk runs on
-    d * top, d the common denominator of top and the roots, and keeps the
-    points that divide back by d; they are listed in ascending lexicographic
-    order of the root coordinates of top - mu, the key of the walk.
+    order of dominant weights, Adv. Math. 136, 1998), so a walk from top
+    that subtracts positive roots and keeps only dominant vectors reaches
+    each of them once.  Subtracting a root lowers only the coordinates where
+    the root is positive, so only those are tested.  The walk is keyed by
+    the vector itself, so a caller that passes the seen set of earlier walks
+    along gets back only the vectors new to this one: a vector in seen was
+    walked then, with everything below it.  The root coordinates of each new
+    vector are carried along for the order.
     """
-    if any(c < 0 for c in top.coords):
-        raise ValueError(f"top {[str(c) for c in top.coords]} is not dominant")
-    d_root, steps = _root_steps(lat.gcm)
-    d = math.lcm(d_root, *(c.denominator for c in top.coords))
-    if d != d_root:
-        s = d // d_root
-        steps = [(root, tuple(s * x for x in w), tuple((j, s * x) for j, x in lows))
-                 for root, w, lows in steps]
-    start = ((0,) * lat.gcm.n, tuple(int(d * c) for c in top.coords))
-    seen = dict([start])
-    stack = [start]
-    while stack:
-        rc, v = stack.pop()
+    if top in seen:
+        return []
+    seen.add(top)
+    found = [((0,) * len(top), top)]
+    for rc, v in found:         # walks the vectors appended below as well
         for root, w, lows in steps:
             for j, x in lows:
                 if v[j] < x:
                     break
             else:
-                key = tuple(map(operator.add, rc, root))
-                if key not in seen:
-                    seen[key] = u = tuple(map(operator.sub, v, w))
-                    stack.append((key, u))
-    return [tuple(c // d for c in v) for _, v in sorted(seen.items())
+                u = tuple(map(operator.sub, v, w))
+                if u not in seen:
+                    seen.add(u)
+                    found.append((tuple(map(operator.add, rc, root)), u))
+    found.sort()
+    return [v for _, v in found]
+
+
+def _dominant_below(lat: SubLattice, top: WeightVec) -> list[tuple[int, ...]]:
+    """Dominant integral weights <= top in the dominance order, as int tuples,
+    in ascending lexicographic order of the root coordinates of top - mu:
+    `_descend` from top with nothing seen.  It runs on d * top, d the common
+    denominator of top, and keeps the points that divide back by d."""
+    if any(c < 0 for c in top.coords):
+        raise ValueError(f"top {[str(c) for c in top.coords]} is not dominant")
+    steps = _root_steps(lat.gcm)
+    d = math.lcm(*(c.denominator for c in top.coords))
+    if d > 1:
+        steps = [(root, tuple(d * x for x in w), tuple((j, d * x) for j, x in lows))
+                 for root, w, lows in steps]
+    return [tuple(c // d for c in v)
+            for v in _descend(steps, tuple(int(d * c) for c in top.coords), set())
             if all(c % d == 0 for c in v)]
 
 
@@ -403,7 +431,6 @@ def _intermediate_lattices(label: FinTypeLabel):
     """
     gcm = build_cartan(label)
     n = gcm.n
-    rows = root_rows(gcm)
     inv = root_inverse(gcm)
 
     # a class is its root coordinates mod 1, kept as integer residues mod d;
@@ -435,13 +462,10 @@ def _intermediate_lattices(label: FinTypeLabel):
             group = {zero, *subset}
             if all(add[(a, b)] in group for a in group for b in group):
                 out.append(sorted(group))
-    assert all(x.denominator == 1 for row in rows for x in row)
     lattices = []
     for group in out:
-        gen_rows = [[int(x) for x in row] for row in rows]
-        gen_rows += [list(reps[c]) for c in group if c != zero]
-        basis = _hnf(gen_rows)
-        gens = [WeightVec(str(label), tuple(Q(x) for x in row)) for row in basis]
+        basis = _hnf([*int_root_rows(gcm), *(reps[c] for c in group if c != zero)])
+        gens = [WeightVec(str(label), tuple(row)) for row in basis]
         lattices.append((len(group), SubLattice(label, gens)))
     return lattices
 

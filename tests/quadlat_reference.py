@@ -9,8 +9,14 @@ reduction, integer tuples, root-coordinate depths), which makes it a
 differential oracle for `tests/test_quadlat_differential.py`.
 
 `smt_kit.quadlat._dominant_below` is a root descent from the top weight,
-one positive root at a time, through dominant weights only.  Two integer
-walks over the box of root coordinates of top - lam stand behind it.
+one positive root at a time, through dominant weights only, keyed by the
+weight it reaches; `smt_kit.quadlat.is_quadratic` runs it once per
+lattice, every pair of basis elements walking only the weights the earlier
+pairs did not reach.  `dominant_below_descent` is the descent as it ran
+before: one walk per top, keyed by the root coordinates of its offset from
+the top, on positive roots and fundamental-weight steps it builds itself
+from `cartan.root_rows` and `cartan.finite_roots`.  Two integer walks over
+the box of root coordinates of top - lam stand behind it.
 `dominant_below_box` tests every point of the whole box, which is cheap
 enough to check the descent at rank 5 and on D5 and E6, where the Fraction
 `dominant_below` takes seconds per lattice.  It reads its box bounds with
@@ -39,17 +45,18 @@ tests every pair, where `smt_kit.smt` counts the bits of the up-sets.
 
 The code is the earlier `smt_kit.quadlat` / `smt_kit.smt` code unchanged
 apart from methods becoming functions of the lattice or poset, and the
-walk's docstring.
+docstrings of the walks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from smt_kit import linalg
-from smt_kit.cartan import WeightVec, build_cartan, root_inverse, root_rows
+from smt_kit.cartan import WeightVec, build_cartan, finite_roots, root_inverse, root_rows
 from smt_kit.quadlat import SubLattice, _hnf
 
 Q = Fraction
@@ -212,6 +219,56 @@ def dominant_below_walk(lat, top: WeightVec):
             coords[j] += highs[i] * row[j]
 
     yield from rec(0)
+
+
+def root_steps(gcm) -> tuple[int, tuple]:
+    """The positive roots as descent steps: (d, steps), each step
+    (simple-root coordinates, d times the fundamental-weight coordinates w,
+    the pairs (j, w_j) with w_j > 0), d the common denominator of the root
+    rows."""
+    rows = root_rows(gcm)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    cols = [[int(d * row[j]) for row in rows] for j in range(gcm.n)]
+    steps = []
+    for root, _ in finite_roots(gcm):
+        w = tuple(sum(map(operator.mul, root, col)) for col in cols)
+        steps.append((root, w, tuple((j, x) for j, x in enumerate(w) if x > 0)))
+    return d, tuple(steps)
+
+
+def dominant_below_descent(lat, top: WeightVec) -> list[tuple[int, ...]]:
+    """Dominant integral weights <= top in the dominance order, as int tuples.
+
+    The root descent as one walk per top: a depth-first walk from top that
+    subtracts positive roots and keeps only dominant vectors, keyed by the
+    root coordinates of top - mu.  The walk runs on d * top, d the common
+    denominator of top and the roots, and keeps the points that divide back
+    by d; they are listed in ascending lexicographic order of the key.
+    """
+    if any(c < 0 for c in top.coords):
+        raise ValueError(f"top {[str(c) for c in top.coords]} is not dominant")
+    d_root, steps = root_steps(lat.gcm)
+    d = math.lcm(d_root, *(c.denominator for c in top.coords))
+    if d != d_root:
+        s = d // d_root
+        steps = [(root, tuple(s * x for x in w), tuple((j, s * x) for j, x in lows))
+                 for root, w, lows in steps]
+    start = ((0,) * lat.gcm.n, tuple(int(d * c) for c in top.coords))
+    seen = dict([start])
+    stack = [start]
+    while stack:
+        rc, v = stack.pop()
+        for root, w, lows in steps:
+            for j, x in lows:
+                if v[j] < x:
+                    break
+            else:
+                key = tuple(map(operator.add, rc, root))
+                if key not in seen:
+                    seen[key] = u = tuple(map(operator.sub, v, w))
+                    stack.append((key, u))
+    return [tuple(c // d for c in v) for _, v in sorted(seen.items())
+            if all(c % d == 0 for c in v)]
 
 
 def hgt(lam: WeightVec, basis: list[WeightVec]) -> Fraction:

@@ -82,10 +82,11 @@ def test_quadlat_cli():
 
 
 def test_quadlat_cli_rejects_bound_below_one():
-    r = run("quadlat", "classify", "--type", "A", "--rank", "2", "--bound", "-1")
-    assert r.returncode == 1
-    assert "-1" in json.loads(r.stdout)["error"]
-    assert "Traceback" not in r.stderr
+    for bound in ("-1", "-3"):
+        r = run("quadlat", "classify", "--type", "A", "--rank", "2", "--bound", bound)
+        assert r.returncode == 1
+        assert json.loads(r.stdout) == {"error": f"height bound must be at least 1, got {bound}"}
+        assert "Traceback" not in r.stderr
 
 
 def test_quadlat_cli_rejects_bound_below_a_basis_height():

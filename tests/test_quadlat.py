@@ -129,6 +129,23 @@ def test_classify_quadratic_reports_match_the_golden_file():
         assert json.loads(json.dumps(rows)) == golden[name], name
 
 
+DEFAULT_BOUND_LABELS = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "C2", "C3", "C4",
+                        "BC1", "BC2", "BC3", "BC4", "G2", "D4", "F4"]
+
+
+def test_classify_quadratic_reports_at_the_default_bound_match_the_golden_file():
+    """The full reports at the command line's default bound, 6 times the
+    rank, against a file written by the per-top descent with Fraction
+    heights that one walk per lattice replaced."""
+    golden = json.loads((Path(__file__).parent / "golden" /
+                         "classify_quadratic_default_bound.json").read_text())
+    assert list(golden) == DEFAULT_BOUND_LABELS
+    for name in DEFAULT_BOUND_LABELS:
+        rows = QL.classify_quadratic(lab(name))
+        assert {r["bound"] for _, _, r in rows} == {6 * lab(name).rank}, name
+        assert json.loads(json.dumps(rows)) == golden[name], name
+
+
 def test_dominant_below_refuses_a_non_dominant_top():
     lat = QL.full_weight_lattice(lab("A2"))
     with pytest.raises(ValueError, match=r"^top \['2', '-1'\] is not dominant$"):
@@ -152,6 +169,35 @@ def test_check_lemma7():
     c = QL.check_lemma7(lab("C3"))
     assert c["downsets"][3] == [(0, 0, 1), (1, 0, 0)]
     assert c["downsets"][2] == [(0, 0, 0), (0, 1, 0)]
+
+
+def test_sublattice_refuses_generators_of_another_rank_or_basis():
+    a2 = lab("A2")
+    with pytest.raises(ValueError, match=r"^coordinate count mismatch: 3 vs rank 2 of A2$"):
+        QL.SubLattice(a2, [C.WeightVec("A2", (1, 0, 0)), C.WeightVec("A2", (0, 1, 0))])
+    with pytest.raises(ValueError, match=r"^coordinate count mismatch: 2 vs 3$"):
+        QL.SubLattice(a2, [C.WeightVec("A2", (1, 0)), C.WeightVec("A2", (0, 1, 5))])
+    with pytest.raises(ValueError, match=r"^basis mismatch: A2 vs X$"):
+        QL.SubLattice(a2, [C.WeightVec("A2", (1, 0)), C.WeightVec("X", (0, 1))])
+    assert QL.SubLattice(a2, [C.WeightVec("A2", (1, 0)), C.WeightVec("A2", (0, 1))]).basis_id \
+        == "A2"
+
+
+def test_contains_refuses_a_weight_of_another_rank_or_basis():
+    lat = QL.full_weight_lattice(lab("A2"))
+    with pytest.raises(ValueError, match=r"^coordinate count mismatch: 2 vs 3$"):
+        lat.contains(C.WeightVec("A2", (1, 0, 0)))
+    with pytest.raises(ValueError, match=r"^basis mismatch: A2 vs B2$"):
+        lat.contains(C.WeightVec("B2", (1, 0)))
+    assert lat.contains(C.WeightVec("A2", (1, 0)))
+    assert not lat.contains(C.WeightVec("A2", (Q(1, 2), 0)))
+
+
+def test_monoid_basis_refuses_a_negative_bound():
+    P = QL.full_weight_lattice(lab("A2"))
+    with pytest.raises(ValueError, match=r"^height bound must be nonnegative, got -3$"):
+        QL.monoid_basis(P, -3)
+    assert QL.monoid_basis(P, 0) == []
 
 
 def test_sublattice_validation():

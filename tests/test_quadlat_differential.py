@@ -9,7 +9,8 @@ bounds and at the classification bounds, and the root descent of
 `_dominant_below` below every sum of two basis elements and below half of
 it.  At rank 5 (A5, B5, C5, BC5) the descent is compared with the whole-box
 integer walk.  The integer height form is compared with the per-call solve
-on random weights over full and partial bases, and the integer class map of
+on random weights over full and partial bases, through `hgt` and, on an
+integral basis, as `is_quadratic` builds it; and the integer class map of
 P/Q with the solve-based one through the generators of every intermediate
 lattice.  On the minuscule posets of A_n, C3, D4, D5, E6, E7 and the flip
 ambients, the up-set order is compared with the root-coordinate order on
@@ -22,7 +23,12 @@ bounds 0-5, below and above its generators.
 
 The descent is also compared, in order, with the whole-box walk and with
 the pruned walk it replaced, below every omega_i + omega_j of the full
-weight lattices of D5 and E6 and below half of it.  The monoid search that
+weight lattices of D5 and E6 and below half of it.  The one walk per
+lattice that `is_quadratic` runs, its seen set passed from pair to pair,
+is compared pair by pair with the per-top descent it replaced, on every
+lattice above with a monoid basis and on the full weight lattices of D5
+and E6: each pair lists the reference down-set less the union of the
+earlier ones, in the reference order.  The monoid search that
 stops at its first double factorization is compared with the full reference
 search on every non-diagonal lattice above at every bound from 1 to 12, and
 the D4 index-2 searches are shown to list no point above height 4.
@@ -125,14 +131,23 @@ def heights(draw):
 @settings(max_examples=400, deadline=None)
 @given(heights())
 def test_hgt_agrees(case):
+    """`hgt`, and on an integral basis also the integer height form over the
+    basis as integer tuples that `is_quadratic` builds, against the solve."""
     name, basis, lam = case
+    integral = all(c.denominator == 1 for b in basis for c in b.coords)
+    form = QL._height_form([tuple(map(int, b.coords)) for b in basis], len(lam.coords))
     try:
         want = R.hgt(lam, basis)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
             QL.hgt(lam, basis)
+        if integral:
+            with pytest.raises(ValueError, match=str(exc)):
+                QL._height(form, lam.coords)
     else:
         assert QL.hgt(lam, basis) == want, name
+        if integral:
+            assert Q(QL._height(form, lam.coords), form.d) == want, name
 
 
 def test_intermediate_lattices_agree():
@@ -203,6 +218,41 @@ def test_dominant_below_agrees_on_d5_and_e6():
                 assert got == list(R.dominant_below_walk(lat, top)), (name, top)
                 listed[name] += len(got)
     assert listed == {"D5": 68, "E6": 169}
+
+
+def _shared_walk_cases():
+    """(name, lattice, basis) for every lattice of LATTICES with a monoid basis
+    at bound 12, and the full weight lattices of D5 and E6 with the omega_i."""
+    for name, lat in LATTICES:
+        basis = QL.monoid_basis(lat, 12)
+        if basis is not None:
+            yield name, lat, basis
+    for name in ("D5", "E6"):
+        lat = QL.full_weight_lattice(C.FinTypeLabel.parse(name))
+        yield name, lat, QL.monoid_basis(lat, 1)
+
+
+def test_one_walk_per_lattice_agrees_with_the_per_top_descent():
+    """Each pair of basis elements, in `is_quadratic`'s order and with the
+    seen set of the pairs before it, lists the per-top reference down-set
+    of e + f less the union of the earlier down-sets, in the reference
+    order; so its first weight of height above 2 is the reference's."""
+    lattices = pairs = listed = walked = 0
+    for name, lat, basis in _shared_walk_cases():
+        steps, seen, union = QL._root_steps(lat.gcm), set(), set()
+        for e, f in itertools.combinations_with_replacement(basis, 2):
+            want = R.dominant_below_descent(lat, e + f)
+            top = tuple(int(c) for c in (e + f).coords)
+            got = QL._descend(steps, top, seen)
+            assert got == [v for v in want if v not in union], (name, top)
+            union.update(want)
+            assert seen == union, (name, top)
+            pairs += 1
+            listed += len(got)
+            walked += len(want)
+        lattices += 1
+    # 22 of the 32 lattices have a monoid basis at bound 12
+    assert (lattices, pairs, listed, walked) == (22 + 2, 124 + 15 + 21, 301, 969)
 
 
 def test_minuscule_leq_agrees_on_every_e7_pair():
