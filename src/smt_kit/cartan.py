@@ -159,10 +159,6 @@ class WeightVec:
         c = Q(c)
         return WeightVec(self.basis_id, tuple(c * x for x in self.coords), c * self.delta)
 
-    def pairing(self, i: int) -> Fraction:
-        """Pairing with the i-th simple coroot."""
-        return self.coords[i]
-
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
@@ -173,10 +169,6 @@ class WeightVec:
         return {"basis": self.basis_id,
                 "coords": [str(c) for c in self.coords],
                 "delta": str(self.delta)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WeightVec":
-        return cls(data["basis"], tuple(Q(c) for c in data["coords"]), Q(data.get("delta", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +369,6 @@ def peel(roots, v: list[int], cap: int) -> list[int]:
     return out
 
 
-_DOMINANT_CONJUGATE_CAP = 10000
-
-
 class Realization:
     """Weight coordinates of a GCM: fundamental weights plus a delta slot.
 
@@ -389,7 +378,7 @@ class Realization:
     ``int_roots[i]`` lists the nonzero integer coordinates of the i-th
     simple root as (slot, value) pairs, slot n being delta; `reflect_int`
     and `peel` act with them, for `image` (the one word action on integer
-    weights), `dominant_conjugate` and `is_real_root`; `inverse` is their
+    weights), `is_real_root` and the peels of `weyl`; `inverse` is their
     integer left inverse.
     """
 
@@ -416,9 +405,6 @@ class Realization:
     def n(self) -> int:
         return self.gcm.n
 
-    def zero(self) -> WeightVec:
-        return WeightVec(self.basis_id, (Q(0),) * self.n)
-
     def weight(self, coords, delta=0) -> WeightVec:
         coords = tuple(Q(c) for c in coords)
         if len(coords) != self.n:
@@ -434,15 +420,6 @@ class Realization:
 
     def rho(self) -> WeightVec:
         return WeightVec(self.basis_id, (Q(1),) * self.n)
-
-    @functools.cached_property
-    def _roots(self) -> tuple[WeightVec, ...]:
-        return tuple(WeightVec(self.basis_id, tuple(Q(x) for x in self.gcm.entries[i]),
-                               self.delta_coeff if i == self.delta_node else Q(0))
-                     for i in range(self.n))
-
-    def simple_root(self, i: int) -> WeightVec:
-        return self._roots[i]
 
     def reflect(self, i: int, v: WeightVec) -> WeightVec:
         return self.act_letters((i,), v)
@@ -478,20 +455,6 @@ class Realization:
         """The integer left inverse of the simple roots, delta slot last."""
         delta = [int(self.delta_coeff) * (i == self.delta_node) for i in range(self.n)]
         return linalg.left_inverse([list(col) for col in zip(*self.gcm.entries)] + [delta])
-
-    def dominant_conjugate(self, v: WeightVec) -> tuple[WeightVec, list[int]]:
-        """(dom, letters): `peel` on the scaled integer vector of v, so that
-        dom is dominant and WeylWord(self, letters).act(dom) == v.
-
-        The peel ends for weights in the Tits cone; more than
-        _DOMINANT_CONJUGATE_CAP reflections raise ValueError.
-        """
-        x, den = _scaled(v)
-        letters = peel(self.int_roots, x, _DOMINANT_CONJUGATE_CAP)
-        if any(t < 0 for t in x[:-1]):
-            raise ValueError(f"dominant_conjugate cap exceeded: cap={_DOMINANT_CONJUGATE_CAP}, "
-                             f"{len(letters)} reflections taken")
-        return (_unscaled(self.basis_id, x, den) if letters else v), letters
 
     def is_real_root(self, v: WeightVec) -> bool:
         """True iff v is a real root (W-conjugate of a simple root).
@@ -568,16 +531,13 @@ def root_inverse(m: GCM) -> linalg.IntInverse:
     return inv._replace(left=tuple(tuple(scale * x for x in row) for row in inv.left))
 
 
-def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM, use_delta: bool = True) -> bool:
+def dominant_leq(lam: WeightVec, mu: WeightVec, m: GCM) -> bool:
     """True iff lam <= mu: mu - lam is a nonnegative-integer sum of simple roots.
 
     The root coordinates of x = den * (mu - lam) (delta last) are
-    `root_inverse`(m).expand(x) / (d den).  On the affine types they need
-    the delta coordinate, so use_delta=False raises there.
+    `root_inverse`(m).expand(x) / (d den).
     """
     lam._check(mu)
-    if not use_delta and classify(m) == AFFINE:
-        raise ValueError("need delta coordinate")
     inv = root_inverse(m)
     x, den = _scaled(mu - lam)
     y = inv.expand(x)
@@ -673,7 +633,7 @@ def quadratic_basis(label: FinTypeLabel) -> list[WeightVec]:
 # Label identification up to simultaneous permutation
 
 
-def _perm_match(a: GCM, b: GCM) -> bool:
+def gcm_equiv(a: GCM, b: GCM) -> bool:
     """True iff b equals a after a simultaneous row/column permutation."""
     if a.n != b.n:
         return False
@@ -743,7 +703,7 @@ def identify_label(m: GCM) -> str:
     kind = classify(m)
     if kind == FINITE:
         for label in _finite_candidates(m.n):
-            if _perm_match(build_cartan(label), m):
+            if gcm_equiv(build_cartan(label), m):
                 return str(label)
         return "finite (unrecognized)"
     if kind == AFFINE:
@@ -755,12 +715,7 @@ def identify_label(m: GCM) -> str:
         if k >= 2:
             names.append(f"A{2 * k - 1}^(2)")
         for name in names:
-            if _perm_match(build_affine_cartan(name), m):
+            if gcm_equiv(build_affine_cartan(name), m):
                 return name
         return "affine (unrecognized)"
     return INDEFINITE
-
-
-def gcm_equiv(a: GCM, b: GCM) -> bool:
-    """Equality up to a simultaneous row/column permutation."""
-    return _perm_match(a, b)

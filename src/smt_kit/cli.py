@@ -230,7 +230,7 @@ def _order_closure(pairs):
 def cmd_inv(args, t0):
     rec = involutions.lookup(args.name)
     out = rec.to_json()
-    out["quadratic"] = involutions.quadratic_verdict(rec, bound=8)
+    out["quadratic"] = involutions.quadratic_verdict(rec)
     return _report("inv lookup", {"name": args.name}, out, [], t0)
 
 

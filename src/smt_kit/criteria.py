@@ -150,11 +150,10 @@ def e7_pairs() -> list[dict]:
     straightening of x5 y5."""
     p = smt.e7_minuscule()
     comp, inc = smt.count_standard_pairs(p)
-    e7 = cartan.build_cartan(cartan.FinTypeLabel("E", 7))
-    re7 = cartan.Realization(e7, "E7")
-    dim_g = cartan.weyl_dim(e7, re7.fundamental(0))
-    r0 = cartan.Realization(smt.e7_gcm(), "E7@0")
-    dim2 = cartan.weyl_dim(smt.e7_gcm(), r0.fundamental(0).scale(2))
+    e7 = smt.e7_gcm()
+    r0 = cartan.Realization(e7, "E7@0")
+    dim_g = cartan.weyl_dim(e7, r0.fundamental(6))     # the adjoint node in this numbering
+    dim2 = cartan.weyl_dim(e7, r0.fundamental(0).scale(2))
     checks = [
         _check("poset size", 56, len(p)),
         _check("comparable pairs", dim2, comp),
@@ -286,7 +285,10 @@ def lemma39() -> list[dict]:
 def oracles(seed: int = 0, trials: int = 20) -> list[dict]:
     """Criterion 10: path counts against Demazure characters on random words,
     rho-path counts against the Weyl dimension formula, and the flip-sp6
-    paths below tau_3 against the dimension sum and the Demazure character."""
+    paths below tau_3 against the dimension sum and the Demazure character.
+    A negative `trials` raises ValueError."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     pool = [("A", 1), ("A", 2), ("C", 2), ("A", 3), ("B", 3), ("G", 2)]
     checks = []

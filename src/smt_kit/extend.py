@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import (AFFINE, FINITE, GCM, FinTypeLabel, Realization, WeightVec,
-                     build_cartan, classify, identify_label)
+                     build_cartan, classify)
 
 Q = Fraction
 
 __all__ = [
     "ExtendedDatum", "SplitWeight", "extend_ambient", "extend_restricted",
-    "identify_label", "egr", "gr", "n0", "split_normal_form",
+    "egr", "gr", "n0", "split_normal_form",
 ]
 
 
@@ -161,14 +161,12 @@ def _restricted_pairings(label: FinTypeLabel) -> list[int]:
     return [1] + [0] * (n - 1)          # eps = omega_1
 
 
-def extend_restricted(label: FinTypeLabel | str, rank: int | None = None) -> ExtendedDatum:
+def extend_restricted(label: FinTypeLabel) -> ExtendedDatum:
     """Extended matrix of a restricted system of type A/B/C/D/BC.
 
     Row 0 is -2<eps, alpha_i^vee>, column 0 is 0/-1; eps is the first
     quadratic-basis weight (2*omega_1 for B_1).
     """
-    if isinstance(label, str):
-        label = FinTypeLabel(label, rank) if rank is not None else FinTypeLabel.parse(label)
     if label.family not in ("A", "B", "C", "D", "BC"):
         raise ValueError(f"unsupported restricted family {label.family}")
     base = build_cartan(label)

@@ -85,7 +85,8 @@ def lookup(name: str) -> InvolutionRecord:
 
     Implemented families read the number as the defining group size
     (flip-sp4, flip-sl3, sym-quadrics3); data-only rows read it as the
-    restricted rank (sp-gl3, sl-grassmannian2).
+    restricted rank (sp-gl3, sl-grassmannian2).  A family without a
+    parameter (e6-so10) refuses a number with a KeyError.
     """
     text = name.strip().lower().replace("(", "").replace(")", "")
     for row in _catalog():
@@ -98,6 +99,8 @@ def lookup(name: str) -> InvolutionRecord:
             continue
         if n is None and row["param"]:
             raise KeyError(f"{name}: family needs a parameter ({row['param']})")
+        if n is not None and not row["param"]:
+            raise KeyError(f"{key} takes no parameter")
         rank, ambient = _instantiate(row, n)
         restricted = FinTypeLabel(row["restricted"], rank)
         perm = wmap = None
@@ -167,15 +170,16 @@ def _weight_map(ambient: str, restricted: FinTypeLabel,
     return out
 
 
-def quadratic_verdict(rec: InvolutionRecord, bound: int | None = None) -> bool:
-    """Whether the (restricted type, isogeny) lattice is quadratic."""
+def quadratic_verdict(rec: InvolutionRecord) -> bool:
+    """Whether the (restricted type, isogeny) lattice is quadratic, by
+    `quadlat.is_quadratic` at height bound 8."""
     label = rec.restricted
     if rec.isogeny == "ADJ" and label.family != "BC":
         lat = quadlat.root_lattice(label)
     else:
         lat = quadlat.full_weight_lattice(label)
     try:
-        verdict, _ = quadlat.is_quadratic(lat, bound)
+        verdict, _ = quadlat.is_quadratic(lat, 8)
     except quadlat.MonoidNotFree:
         return False
     return verdict
@@ -210,18 +214,7 @@ class AmbientCase:
         self._tau_hat_lifts: dict[int, WeylWord] = {}
         self._tau_lifts: dict[int, WeylWord] = {}
 
-    # -- node bookkeeping ---------------------------------------------------
-
-    def preimage_nodes(self, i: int) -> tuple[int, ...]:
-        """Ambient-extension node indices lying over tier node i: its P-orbit."""
-        return self.fibres[i]
-
-    def sigma(self, v: WeightVec) -> WeightVec:
-        """The involution on ambient-extension coordinates: -1 composed with P."""
-        new = [Q(0)] * len(v.coords)
-        for i, c in enumerate(v.coords):
-            new[self.perm[i]] = -c
-        return WeightVec(v.basis_id, tuple(new), -v.delta)
+    # -- the split map ------------------------------------------------------
 
     def split_to_tier(self, v: WeightVec) -> WeightVec:
         """Tier coordinates of the split part (v - sigma v)/2 of an ambient
@@ -261,7 +254,7 @@ class AmbientCase:
         delta) against the tier reflection of the fibre sums of omega_j.
         """
         real = self.amb.real
-        w = longest_parabolic(real, self.preimage_nodes(i))
+        w = longest_parabolic(real, self.fibres[i])
         for j in range(real.n):
             x = [int(k == j) for k in range(real.n + 1)]
             image = real.image(w.letters, x)

@@ -132,10 +132,6 @@ class LSPath:
                 "cuts": [str(c) for c in self.cuts]}
 
 
-def straight_path(shape: WeightVec, coset: CosetRep) -> LSPath:
-    return LSPath(shape, (coset,), (Q(0), Q(1)))
-
-
 class ChainData:
     """Cover relations, reflection pairings and admissible cut values for
     the coset interval below a top coset.
@@ -273,28 +269,7 @@ def chain_paths(data: ChainData) -> list[LSPath]:
     return paths
 
 
-def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
-    """Full verification of the chain conditions and endpoint integrality."""
-    r = len(candidate.dirs)
-    cuts = candidate.cuts
-    if len(cuts) != r + 1 or cuts[0] != 0 or cuts[-1] != 1:
-        return False
-    if any(not cuts[k] < cuts[k + 1] for k in range(r)):
-        return False
-    J = stabilizer_nodes(candidate.shape)
-    if any(d.parabolic != J for d in candidate.dirs):
-        return False
-    if r > 1:       # cut values exist only from a coset down to a lower one
-        data = ChainData(candidate.shape, candidate.dirs[0], denom_cap=denom_cap)
-        at = [data.index.get(d.key) for d in candidate.dirs]
-        if None in at or any(cuts[k + 1] not in data.cut_values(at[k], at[k + 1])
-                             for k in range(r - 1)):
-            return False
-    points, scale = candidate._scaled_breakpoints()
-    return all(y % scale == 0 for y in points[-1])
-
-
-def d_degree(path: LSPath, node: int = 0) -> int:
+def d_degree(path: LSPath) -> int:
     """Coefficient of the distinguished simple root in shape - endpoint,
     read on integers through `Realization.inverse`."""
     points, scale = path._scaled_breakpoints()
@@ -302,21 +277,18 @@ def d_degree(path: LSPath, node: int = 0) -> int:
     diff = [a * (scale // den) - b for a, b in zip(x, points[-1])]
     inv = path.real.inverse
     y = inv.expand(diff)
-    if y is None or y[node] % (inv.d * scale):
+    if y is None or y[0] % (inv.d * scale):
         raise ValueError("endpoint does not expand integrally")
-    return y[node] // (inv.d * scale)
+    return y[0] // (inv.d * scale)
 
 
-def is_G_dominant(path: LSPath, nodes=None) -> bool:
-    """True iff every breakpoint pairs nonnegatively with the listed coroots.
-
-    Default: all nodes except the distinguished node 0.  Per-segment
-    linearity makes the breakpoint check sufficient.
+def is_G_dominant(path: LSPath) -> bool:
+    """True iff every breakpoint pairs nonnegatively with every simple
+    coroot but the distinguished node 0's.  Per-segment linearity makes the
+    breakpoint check sufficient.
     """
-    if nodes is None:
-        nodes = range(1, path.real.n)
     points, _ = path._scaled_breakpoints()
-    return all(v[j] >= 0 for v in points for j in nodes)
+    return all(v[j] >= 0 for v in points for j in range(1, path.real.n))
 
 
 def path_leq(pi: LSPath, eta: LSPath) -> bool:
@@ -326,12 +298,7 @@ def path_leq(pi: LSPath, eta: LSPath) -> bool:
     return bruhat_leq(pi.dirs[0], eta.dirs[-1])
 
 
-@dataclass(frozen=True)
-class PathMonomial:
-    factors: tuple[LSPath, ...]
-
-
-def is_standard_above(mono: PathMonomial) -> bool:
+def is_standard_above(factors: tuple[LSPath, ...]) -> bool:
     """Some arrangement of the factors is a chain pi_1 <= ... <= pi_s.
 
     On LS paths `path_leq` is transitive, antisymmetric on distinct paths
@@ -339,7 +306,6 @@ def is_standard_above(mono: PathMonomial) -> bool:
     factors are comparable (a repeated factor with itself, which makes it
     straight): s(s-1)/2 pairs instead of s! orders.
     """
-    factors = mono.factors
     if len({f.shape for f in factors}) > 1:
         raise ValueError("factors must share one shape")
     return all(path_leq(a, b) or path_leq(b, a)
@@ -471,7 +437,7 @@ class FibreLifts:
         return ends
 
 
-def is_standard_below(mono: PathMonomial, block_keys,
+def is_standard_below(factors: tuple[LSPath, ...], block_keys,
                       lifts: FibreLifts | None = None) -> bool:
     """Defining-sequence standardness for factors of quadratic-basis shapes.
 
@@ -493,10 +459,10 @@ def is_standard_below(mono: PathMonomial, block_keys,
     the call builds its own.  The states (0 where no prefix is admissible)
     are memoised for this call only, under the sorted (block, kind) pairs.
     """
-    if not mono.factors:
+    if not factors:
         return True
     if lifts is None:
-        lifts = FibreLifts(mono.factors[0].real)
+        lifts = FibreLifts(factors[0].real)
     states: dict[tuple, int | None] = {(): None}
 
     def state(placed: tuple) -> int | None:     # any kind of the last block goes last
@@ -514,7 +480,7 @@ def is_standard_below(mono: PathMonomial, block_keys,
             states[placed] = found
         return states[placed]
 
-    return state(tuple(sorted(zip(block_keys, map(lifts.kind, mono.factors),
+    return state(tuple(sorted(zip(block_keys, map(lifts.kind, factors),
                                   strict=True)))) != 0
 
 

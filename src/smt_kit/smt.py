@@ -88,8 +88,8 @@ class MinusculePoset:
         """Index of weight_i - alpha_node if that is again a weight."""
         return self._lower[i][node]
 
-    def d_degree(self, i: int, node: int = 0) -> int:
-        return self.depth[i][node]
+    def d_degree(self, i: int) -> int:
+        return self.depth[i][0]
 
 
 def minuscule_poset(m: GCM | FinTypeLabel, node: int, basis_id: str | None = None) -> MinusculePoset:

@@ -29,8 +29,7 @@ reflection, the peel and the word action are `cartan.reflect_int` (with
 its tuple form `reflected_int`), `cartan.peel` and `Realization.image`,
 the only copies in the package.
 Weights handed in and out stay exact Fraction `WeightVec`s: `WeylWord.act`
-goes through `Realization.act_letters` and `coset_from_weight` through
-`Realization.dominant_conjugate`, each one walk on an integer vector.
+goes through `Realization.act_letters`, one walk on an integer vector.
 """
 
 from __future__ import annotations
@@ -179,15 +178,6 @@ class CosetRep:
         return len(self.word.letters)
 
 
-def coset_from_weight(real: Realization, parabolic, dominant: WeightVec,
-                      target: WeightVec) -> CosetRep:
-    """The coset whose minimal representative sends `dominant` to `target`."""
-    dom, letters = real.dominant_conjugate(target)
-    if dom != dominant:
-        raise ValueError("target not in the orbit of the dominant weight")
-    return CosetRep(WeylWord(real, letters), parabolic)
-
-
 def bruhat_leq(u, v) -> bool:
     """Bruhat order; on CosetReps compares minimal representatives.
 
@@ -238,11 +228,6 @@ class CosetPoset:
     def leq(self, a: CosetRep, b: CosetRep) -> bool:
         """Bruhat order off b's down-set; both cosets must lie in the interval."""
         return bool(self.down[self.index[b.key]] >> self.index[a.key] & 1)
-
-    def covers(self) -> list[tuple[CosetRep, CosetRep]]:
-        """(lower, upper) pairs, by upper then lower."""
-        els = self.elements
-        return [(els[j], b) for b, below in zip(els, self.lower_covers) for j, _ in below]
 
     def __len__(self):
         return len(self.elements)

@@ -1,5 +1,7 @@
 """The Fraction kernels that `smt_kit.cartan` replaced, kept as test oracles.
 
+`simple_root` is the i-th simple root of a realization as a Fraction
+weight, the row of the matrix plus the delta coefficient at the delta node.
 `root_coords` expands a weight over the simple roots with one exact
 `linalg.solve` per weight, `weyl_dim` multiplies the Weyl dimension
 formula out as a product of Fractions over an uncached root enumeration,
@@ -11,7 +13,9 @@ integer left inverse, the integer product and the integer walks in
 `smt_kit.cartan`, which makes them differential oracles for
 `tests/test_cartan_differential.py` and `tests/test_lspath_differential.py`
 (and, through `weyl_reference.is_negative_root_vec` and `act_letters`, for
-the Weyl reference kernel).  `dominant_leq` expands the difference over the
+the Weyl reference kernel).  `dominant_conjugate` is also the oracle of
+the tests that need a dominant conjugate and a word to it, since the
+library keeps no such function.  `dominant_leq` expands the difference over the
 simple roots with one `linalg.solve` per call on a non-affine type (on an
 affine type, with the reference `root_coords` of a standard realization),
 where `smt_kit.cartan` applies `root_inverse`, one cached integer inverse
@@ -46,12 +50,19 @@ Q = Fraction
 _expand_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def simple_root(real: Realization, i: int) -> WeightVec:
+    """The i-th simple root: row i of the matrix, plus the delta coefficient
+    at the delta node."""
+    return WeightVec(real.basis_id, tuple(Q(x) for x in real.gcm.entries[i]),
+                     real.delta_coeff if i == real.delta_node else Q(0))
+
+
 def root_coords(real: Realization, v: WeightVec) -> tuple[Fraction, ...] | None:
     """Expansion of v over the simple roots (delta included); None if not in span."""
     cache = _expand_cache.setdefault(real, {})
     key = (v.coords, v.delta)
     if key not in cache:
-        roots = [real.simple_root(i) for i in range(real.n)]
+        roots = [simple_root(real, i) for i in range(real.n)]
         rows = [[roots[i].coords[j] for i in range(real.n)] for j in range(real.n)]
         rows.append([roots[i].delta for i in range(real.n)])
         rhs = list(v.coords) + [v.delta]
@@ -63,7 +74,7 @@ def root_coords(real: Realization, v: WeightVec) -> tuple[Fraction, ...] | None:
 def reflect(real: Realization, i: int, v: WeightVec) -> WeightVec:
     """s_i v = v - <v, alpha_i^vee> alpha_i on Fraction weights."""
     c = v.coords[i]
-    return v if c == 0 else v - real.simple_root(i).scale(c)
+    return v if c == 0 else v - simple_root(real, i).scale(c)
 
 
 def act_letters(real: Realization, letters, v: WeightVec) -> WeightVec:

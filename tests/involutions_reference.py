@@ -1,12 +1,15 @@
 """Reference oracle: the per-family branches the automorphism rule replaced,
 and the telescoping recursion the lift rule replaced.
 
-`involutions.AmbientCase` derives sigma, the fibres over the restricted
-nodes, the split map and the weight map from one diagram permutation.
-This module keeps the earlier code, which branched on whether the pair is
-a flip (g + g with the factor swap) or the symmetric quadrics, so that
-`tests/test_involutions_differential.py` can compare the two.  It also
-keeps the recursion tau_hat_lift(m) = r_0 ... r_{m-1} tau_hat_lift(m - 1)
+`involutions.AmbientCase` derives the fibres over the restricted nodes,
+the split map and the weight map from one diagram permutation P.  This
+module keeps the earlier code, which branched on whether the pair is a
+flip (g + g with the factor swap) or the symmetric quadrics, so that
+`tests/test_involutions_differential.py` can compare the two.  The library
+needs only the fibres of P, so sigma read off P (-v_i put at node P(i)),
+which `AmbientCase.sigma` used to give, is `automorphism_sigma` here, where
+it checks `AmbientCase.perm` against the branch `sigma`.  It also keeps
+the recursion tau_hat_lift(m) = r_0 ... r_{m-1} tau_hat_lift(m - 1)
 over `AmbientCase.reflection_lift`, which `AmbientCase.lift` replaced,
 eps_i embedded in the extended weight coordinates, and
 `restricted_to_ambient`, the Fraction sum of the weight map that
@@ -64,6 +67,14 @@ def sigma(case, v: WeightVec) -> WeightVec:
     for i in range(1, r + 1):
         new[i] = -coords[r + i]
         new[r + i] = -coords[i]
+    return WeightVec(v.basis_id, tuple(new), -v.delta)
+
+
+def automorphism_sigma(case, v: WeightVec) -> WeightVec:
+    """-1 composed with `case.perm` on ambient-extension coordinates."""
+    new = [Q(0)] * len(v.coords)
+    for i, c in enumerate(v.coords):
+        new[case.perm[i]] = -c
     return WeightVec(v.basis_id, tuple(new), -v.delta)
 
 

@@ -27,6 +27,14 @@ word, one pass up the interval per lower coset for the gcds of the
 pairings along its chains, and every coset below the last direction
 asked for its cut values.
 
+`straight_path` (one direction from 0 to 1) and `is_lspath` (the full
+check of the chain conditions and of endpoint integrality) have no caller
+in the library.  `is_lspath` asks the library `ChainData` of the first
+direction for the cut values, so it shares that search with enumeration:
+`tests/test_lspath.py` uses it to refuse bad candidates, to count the
+paths of a brute-force candidate set and to accept lifted paths, and the
+differential oracles above stay the judge of the search itself.
+
 `FibreLifts` and `forward_standard_below` are the forward pass as it was
 before the library numbered its lifts: lists of reduced lifts sorted by
 length, one `bruhat_leq` per pair in the filter and in `_minimal`, and
@@ -49,8 +57,8 @@ from fractions import Fraction
 
 import cartan_reference
 from smt_kit.cartan import _scaled
-from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, PathMonomial, _bits,
-                           path_leq, stabilizer_nodes)
+from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, _bits, path_leq,
+                           stabilizer_nodes)
 from smt_kit.weyl import WeylWord, bruhat_leq
 
 Q = Fraction
@@ -226,9 +234,34 @@ def chain_paths(data) -> list[LSPath]:
     return paths
 
 
-def is_standard_above(mono: PathMonomial) -> bool:
+def straight_path(shape, coset) -> LSPath:
+    """The path of one direction: `coset` from 0 to 1."""
+    return LSPath(shape, (coset,), (Q(0), Q(1)))
+
+
+def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
+    """Full verification of the chain conditions and endpoint integrality."""
+    r = len(candidate.dirs)
+    cuts = candidate.cuts
+    if len(cuts) != r + 1 or cuts[0] != 0 or cuts[-1] != 1:
+        return False
+    if any(not cuts[k] < cuts[k + 1] for k in range(r)):
+        return False
+    J = stabilizer_nodes(candidate.shape)
+    if any(d.parabolic != J for d in candidate.dirs):
+        return False
+    if r > 1:       # cut values exist only from a coset down to a lower one
+        data = ChainData(candidate.shape, candidate.dirs[0], denom_cap=denom_cap)
+        at = [data.index.get(d.key) for d in candidate.dirs]
+        if None in at or any(cuts[k + 1] not in data.cut_values(at[k], at[k + 1])
+                             for k in range(r - 1)):
+            return False
+    points, scale = candidate._scaled_breakpoints()
+    return all(y % scale == 0 for y in points[-1])
+
+
+def is_standard_above(factors: tuple[LSPath, ...]) -> bool:
     """Some arrangement of the factors is a chain pi_1 <= ... <= pi_s."""
-    factors = mono.factors
     if len({f.shape for f in factors}) > 1:
         raise ValueError("factors must share one shape")
     for perm in itertools.permutations(range(len(factors))):
@@ -253,17 +286,17 @@ def _parabolic_elements(real, nodes) -> list[WeylWord]:
     return list(out.values())
 
 
-def is_standard_below(mono: PathMonomial, block_index=None) -> bool:
+def is_standard_below(factors: tuple[LSPath, ...], block_index=None) -> bool:
     """Some arrangement of the factors inside their blocks admits a globally
     weakly increasing sequence of stabilizer-fibre lifts (backtracking)."""
-    if not mono.factors:
+    if not factors:
         return True
-    real = mono.factors[0].real
+    real = factors[0].real
     if block_index is None:
         block_index = lambda f: sum(f.shape.coords)
     fibers: dict[frozenset, list[WeylWord]] = {}
     blocks: dict = {}
-    for f in mono.factors:
+    for f in factors:
         blocks.setdefault(block_index(f), []).append(f)
         J = stabilizer_nodes(f.shape)
         if J not in fibers:
@@ -308,7 +341,7 @@ def graded_count(gc, n: int, locus: str = "S") -> int:
     if n == 1:
         return len(pool)
     return sum(1 for combo in itertools.combinations_with_replacement(pool, n)
-               if is_standard_above(PathMonomial(combo)))
+               if is_standard_above(combo))
 
 
 class FibreLifts:
@@ -340,17 +373,17 @@ def _minimal(lifts: list[WeylWord]) -> list[WeylWord]:
     return out
 
 
-def forward_standard_below(mono: PathMonomial, block_keys=None,
+def forward_standard_below(factors: tuple[LSPath, ...], block_keys=None,
                            lifts: FibreLifts | None = None) -> bool:
     """The forward pass over the sub-multisets of each block, on lists."""
-    if not mono.factors:
+    if not factors:
         return True
     if block_keys is None:
-        block_keys = [sum(f.shape.coords) for f in mono.factors]
+        block_keys = [sum(f.shape.coords) for f in factors]
     if lifts is None:
-        lifts = FibreLifts(mono.factors[0].real)
+        lifts = FibreLifts(factors[0].real)
     blocks: dict = {}
-    for key, f in zip(block_keys, mono.factors, strict=True):
+    for key, f in zip(block_keys, factors, strict=True):
         blocks.setdefault(key, []).append(f)
 
     def place(ends, steps):

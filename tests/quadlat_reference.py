@@ -55,6 +55,7 @@ import math
 import operator
 from fractions import Fraction
 
+from cartan_reference import simple_root
 from smt_kit import linalg
 from smt_kit.cartan import WeightVec, build_cartan, finite_roots, root_inverse, root_rows
 from smt_kit.quadlat import SubLattice, _hnf
@@ -355,7 +356,7 @@ def minuscule_leq(p, i: int, j: int) -> bool:
 def minuscule_lower(p, i: int, node: int) -> int | None:
     """Index of weight_i - alpha_node if that is again a weight, looked up
     by its Fraction coordinates."""
-    im = p.weights[i] - p.real.simple_root(node)
+    im = p.weights[i] - simple_root(p.real, node)
     return p.index.get(im.coords)
 
 

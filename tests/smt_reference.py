@@ -1,7 +1,7 @@
 """`two_basis_counts` as it was before the per-owner Bruhat table, kept as a
 test oracle.
 
-Every monomial is built as a `PathMonomial`; below-standardness is the
+Every monomial is built as a tuple of factors; below-standardness is the
 list-based forward pass `lspath_reference.forward_standard_below` with one
 `lspath_reference.FibreLifts` per call, and above-standardness of the
 lifted monomial is `lspath.is_standard_above`, one `path_leq` per pair of
@@ -60,11 +60,11 @@ def two_basis_counts(case, degree: int) -> dict:
         for pick in itertools.product(*choices):
             picked = [(i, t) for (i, _), chosen in zip(sorted(groups.items()), pick)
                       for t in chosen]
-            mono = lspath.PathMonomial(tuple(pools[i][t] for i, t in picked))
+            mono = tuple(pools[i][t] for i, t in picked)
             # a factor's block is its pool index i
             if R.forward_standard_below(mono, [i for i, _ in picked], fibre_lifts):
                 count += 1
-                lifted_mono = lspath.PathMonomial(tuple(lifted[i][t] for i, t in picked))
+                lifted_mono = tuple(lifted[i][t] for i, t in picked)
                 if not lspath.is_standard_above(lifted_mono):
                     lift_preserves = False
         per_multidegree[idx] = count

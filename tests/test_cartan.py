@@ -111,10 +111,6 @@ def test_dominant_leq():
     wb = C.Realization(b2, "B2")
     e1, e2 = wb.fundamental(0), wb.weight((0, 2))
     assert not C.dominant_leq(e2, e1, b2)
-    with pytest.raises(ValueError):
-        C.dominant_leq(C.WeightVec("t", (Q(0), Q(0), Q(0))),
-                       C.WeightVec("t", (Q(1), Q(0), Q(0))),
-                       C.build_affine_cartan("C2^(1)"), use_delta=False)
     aff = C.build_affine_cartan("C2^(1)")
     two = aff.block_sum(aff)                # indefinite, with dependent roots
     zero = C.WeightVec("t", (Q(0),) * two.n)
@@ -202,7 +198,7 @@ def test_weightvec_coordinate_counts_must_match():
 
 def test_weightvec_json_roundtrip():
     v = C.WeightVec("X", (Q(1, 2), Q(-3)), Q(2, 7))
-    assert C.WeightVec.from_json(v.to_json()) == v
+    assert v.to_json() == {"basis": "X", "coords": ["1/2", "-3"], "delta": "2/7"}
     g = C.build_affine_cartan("A4^(2)")
     assert C.GCM.from_json(g.to_json()) == g
 

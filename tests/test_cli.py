@@ -57,6 +57,20 @@ def test_inv_lookup_errors_print_the_message():
         1, {"error": "unknown involution 'nosuch'"}, "")
 
 
+def test_inv_lookup_refuses_a_number_after_a_parameterless_family():
+    """A row without a parameter has its own restricted rank (2 for
+    e6-so10, 3 for e7-e6), so a trailing number is an error, not a rank."""
+    for name, family in (("e6-so10-3", "e6-so10"), ("e7-e6-5", "e7-e6"), ("f4-so94", "f4-so9")):
+        assert run_in_process("inv", "lookup", name) == (
+            1, {"error": f"{family} takes no parameter"}, ""), name
+
+
+def test_verify_oracles_refuses_negative_trials():
+    """A negative trial count is an error, not a run of no random trial."""
+    assert run_in_process("verify", "oracles", "--trials", "-1") == (
+        1, {"error": "trials must be >= 0, got -1"}, "")
+
+
 def test_verify_suite_exit_0():
     r = run("verify", "lemma34")
     assert r.returncode == 0

@@ -6,6 +6,7 @@ import pytest
 
 from smt_kit import cartan as C, extend as X, involutions as I, weyl as W
 
+import cartan_reference as CR
 import involutions_reference as IR
 
 
@@ -27,6 +28,18 @@ def test_lookup_rows():
         I.lookup("no-such-family7")
 
 
+def test_lookup_refuses_a_number_after_a_parameterless_family():
+    """A row without a parameter keeps its own restricted rank: a trailing
+    number raises a KeyError that names the family."""
+    plain = [row for row in I._catalog() if not row["param"]]
+    assert {row["key"] for row in plain} == {"e6-so10", "e6-f4", "e7-e6", "f4-so9"}
+    for row in plain:
+        assert I.lookup(row["key"]).restricted.rank == int(row["restricted_rank"])
+        for suffix in ("3", "-3", "-5"):
+            with pytest.raises(KeyError, match=f"^'{row['key']} takes no parameter'$"):
+                I.lookup(row["key"] + suffix)
+
+
 def test_restricted_to_ambient():
     """The reference sum of the weight map, which the tests compare
     `AmbientCase.dim_eps_sum` with."""
@@ -39,13 +52,13 @@ def test_restricted_to_ambient():
 
 
 def test_quadratic_verdicts():
-    assert I.quadratic_verdict(I.lookup("flip-sl3"), bound=8)       # (A, SC)
-    assert I.quadratic_verdict(I.lookup("flip-so-odd7"), bound=8)   # (B, ADJ)
-    assert I.quadratic_verdict(I.lookup("flip-sp6"), bound=8)       # (C, SC)
-    assert I.quadratic_verdict(I.lookup("sl-grassmannian2"), bound=8)  # (BC,*)
+    assert I.quadratic_verdict(I.lookup("flip-sl3"))       # (A, SC)
+    assert I.quadratic_verdict(I.lookup("flip-so-odd7"))   # (B, ADJ)
+    assert I.quadratic_verdict(I.lookup("flip-sp6"))       # (C, SC)
+    assert I.quadratic_verdict(I.lookup("sl-grassmannian2"))  # (BC,*)
     # a hypothetical D row would fail
     fake = I.InvolutionRecord("fake", "D4", "x", C.FinTypeLabel("D", 4), "SC", False)
-    assert not I.quadratic_verdict(fake, bound=8)
+    assert not I.quadratic_verdict(fake)
 
 
 def test_catalog_rows_all_quadratic():
@@ -59,7 +72,7 @@ def test_catalog_rows_all_quadratic():
                     break
                 except KeyError:
                     continue
-        assert I.quadratic_verdict(rec, bound=8), row["key"]
+        assert I.quadratic_verdict(rec), row["key"]
 
 
 def test_flip_dimension_multiplicative():
@@ -112,9 +125,8 @@ def test_ambient_reduction_matches_tier():
         case = I.AmbientCase(name)
         tier = case.tier.real
         for i in range(case.rank + 1):
-            rep = case.preimage_nodes(i)[0]
-            amb_root = case.amb.real.simple_root(rep)
-            assert case.split_to_tier(amb_root).scale(2) == tier.simple_root(i), (name, i)
+            amb_root = CR.simple_root(case.amb.real, case.fibres[i][0])
+            assert case.split_to_tier(amb_root).scale(2) == CR.simple_root(tier, i), (name, i)
 
 
 def test_extension_invariants():

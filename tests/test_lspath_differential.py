@@ -301,7 +301,7 @@ def test_path_layer_agrees_below_tau():
 def above_monomials(draw):
     paths = GRADED[draw(st.sampled_from(CASES))].paths
     picks = draw(st.lists(st.integers(0, len(paths) - 1), min_size=1, max_size=3))
-    return L.PathMonomial(tuple(paths[t] for t in picks))
+    return tuple(paths[t] for t in picks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -318,7 +318,7 @@ def below_monomials(draw):
     for _ in range(draw(st.integers(1, 3))):
         pool = pools[draw(st.sampled_from(sorted(pools)))]
         factors.append(pool[draw(st.integers(0, len(pool) - 1))])
-    return L.PathMonomial(tuple(factors)), block_index, lifts, reference_lifts
+    return tuple(factors), block_index, lifts, reference_lifts
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,7 +329,7 @@ def test_standard_below_agrees(case):
     lifts."""
     mono, block_index, lifts, reference_lifts = case
     want = R.is_standard_below(mono, block_index)
-    keys = [block_index(f) for f in mono.factors]
+    keys = [block_index(f) for f in mono]
     assert R.forward_standard_below(mono, keys, reference_lifts) == want
     assert L.is_standard_below(mono, keys, lifts) == want
     assert L.is_standard_below(mono, keys) == want
@@ -348,7 +348,7 @@ def test_standard_below_agrees_with_default_blocks():
     mixed = [pools[1][0], pools[2][3], pools[1][5], pools[2][0]]
     verdicts = []
     for factors in [mixed[:k] for k in range(1, len(mixed) + 1)] + [[pools[1][4], pools[2][0]]]:
-        mono = L.PathMonomial(tuple(factors))
+        mono = tuple(factors)
         by_index = L.is_standard_below(mono, [block_index(f) for f in factors])
         by_sum = L.is_standard_below(mono, [sum(f.shape.coords) for f in factors])
         assert by_index == R.is_standard_below(mono, block_index)

@@ -261,8 +261,8 @@ def test_minuscule_leq_agrees_on_every_e7_pair():
     for i, j in itertools.product(range(len(p)), repeat=2):
         assert p.leq(i, j) == R.minuscule_leq(p, i, j), (i, j)
     for i, w in enumerate(p.weights):
-        assert [p.d_degree(i, node) for node in range(7)] == \
-            [int(c) for c in p.real.root_coords(p.highest - w)], i
+        assert list(p.depth[i]) == [int(c) for c in p.real.root_coords(p.highest - w)], i
+        assert p.d_degree(i) == p.depth[i][0]
 
 
 def _minuscule_cases():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lspath_reference as LR
+import weyl_reference as WR
 from smt_kit import cartan as C, involutions as I, quadlat as QL, smt as S
 
 
@@ -315,7 +316,8 @@ def test_proctor_agreement_small():
     case = I.AmbientCase("flip-sl3")
     p = S.MinusculePoset(case.amb.real, 0)
     J = case.grassmann_parabolic()
-    reps = [W.coset_from_weight(case.amb.real, J, p.highest, w) for w in p.weights]
+    reps = [W.CosetRep(W.WeylWord(case.amb.real, WR.coset_from_weight(
+        case.amb.real, J, p.highest, w).word.letters), J) for w in p.weights]
     for i, j in itertools.product(range(len(p)), repeat=2):
         assert p.leq(i, j) == W.bruhat_leq(reps[i], reps[j])
 

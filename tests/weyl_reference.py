@@ -17,10 +17,11 @@ action is the Fraction reflection loop `cartan_reference.act_letters`, so
 the kernel does not lean on the integer walk of `Realization.act_letters`.
 `demazure_character` is the divided-difference loop on Fraction
 `WeightVec`s that the integer-tuple loop of `smt_kit.weyl` replaced, and
-`coset_from_weight` the capped Fraction reflection loop that
-`Realization.dominant_conjugate` replaced, and `covers` the pairwise
-search that `CosetPoset.covers` made before `coset_interval` recorded the
-covers among its letter drops.  `orbit_bfs` is the orbit search on
+`coset_from_weight` the capped Fraction reflection loop that the library
+once kept (it has no copy now, so the tests that need a coset from a
+weight use this one), and `covers` the pairwise search for the covering
+pairs that `coset_interval` now records among its letter drops
+(`CosetPoset.lower_covers`).  `orbit_bfs` is the orbit search on
 Fraction `WeightVec`s that the integer search of `smt_kit.weyl` replaced.
 `drop_walk` is the letter-drop walk of `coset_interval` before it
 memoised the drop images: every drop is imaged from rho_J through the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import weakref
 
 import cartan_reference
+from cartan_reference import simple_root
 from smt_kit import weyl
 from smt_kit.cartan import Realization, WeightVec
 
@@ -87,7 +89,7 @@ class WeylWord:
         real = self.real
         inv = tuple(reversed(self.letters))
         for i in range(real.n):
-            image = cartan_reference.act_letters(real, inv, real.simple_root(i))
+            image = cartan_reference.act_letters(real, inv, simple_root(real, i))
             if is_negative_root_vec(real, image):
                 return i
         return None
@@ -95,7 +97,7 @@ class WeylWord:
     def right_descent_in(self, nodes) -> int | None:
         real = self.real
         for j in sorted(nodes):
-            if is_negative_root_vec(real, self.act(real.simple_root(j))):
+            if is_negative_root_vec(real, self.act(simple_root(real, j))):
                 return j
         return None
 
@@ -134,7 +136,7 @@ def longest_parabolic(real: Realization, nodes, cap: int = 4096) -> WeylWord:
     w = WeylWord(real, ())
     for _ in range(cap):
         j = next((j for j in sorted(nodes)
-                  if not is_negative_root_vec(real, w.act(real.simple_root(j)))), None)
+                  if not is_negative_root_vec(real, w.act(simple_root(real, j)))), None)
         if j is None:
             return WeylWord(real, w.reduce())
         w = WeylWord(real, w.letters + (j,))
@@ -275,7 +277,7 @@ def demazure_character(w, lam: WeightVec) -> dict[tuple, int]:
         raise ValueError("integral weight required for divided differences")
     char: dict[tuple, int] = {(lam.coords, lam.delta): 1}
     for i in reversed(w.reduce()):
-        alpha = real.simple_root(i)
+        alpha = simple_root(real, i)
         nxt: dict[tuple, int] = {}
 
         def add(v: WeightVec, mult: int):
