@@ -101,13 +101,13 @@ def lookup(name: str) -> InvolutionRecord:
             raise KeyError(f"{name}: family needs a parameter ({row['param']})")
         if n is not None and not row["param"]:
             raise KeyError(f"{key} takes no parameter")
-        rank, ambient = _instantiate(row, n)
+        rank, ambient, fixed = _instantiate(row, n)
         restricted = FinTypeLabel(row["restricted"], rank)
         perm = wmap = None
         if "diagram_automorphism" in row:
             perm = _diagram_permutation(ambient, row["diagram_automorphism"])
             wmap = _weight_map(ambient, restricted, perm)
-        return InvolutionRecord(text, ambient, row["fixed_algebra"], restricted,
+        return InvolutionRecord(text, ambient, fixed, restricted,
                                 row["isogeny"], row["implemented"], wmap, perm)
     raise KeyError(f"unknown involution {name!r}")
 
@@ -117,23 +117,23 @@ def _instantiate(row: dict, n: int | None):
     if key == "flip-sl":
         if n is None or n < 2:
             raise KeyError("flip-sl needs n >= 2")
-        return n - 1, f"A{n-1}+A{n-1}"
+        return n - 1, f"A{n-1}+A{n-1}", f"sl({n})"
     if key == "flip-sp":
         if n is None or n < 4 or n % 2:
             raise KeyError("flip-sp needs even n >= 4")
-        return n // 2, f"C{n//2}+C{n//2}"
+        return n // 2, f"C{n//2}+C{n//2}", f"sp({n})"
     if key == "flip-so-odd":
         if n is None or n < 5 or n % 2 == 0:
             raise KeyError("flip-so-odd needs odd n >= 5")
         r = (n - 1) // 2
-        return r, f"B{r}+B{r}"
+        return r, f"B{r}+B{r}", f"so({n})"
     if key == "sym-quadrics":
         if n is None or n < 2:
             raise KeyError("sym-quadrics needs n >= 2")
-        return n - 1, f"A{n-1}"
+        return n - 1, f"A{n-1}", f"so({n})"
     if n is None:
-        return int(row["restricted_rank"]), row["ambient"]
-    return n, row["ambient"]
+        return int(row["restricted_rank"]), row["ambient"], row["fixed_algebra"]
+    return n, row["ambient"], row["fixed_algebra"]
 
 
 def _summands(ambient: str) -> list[FinTypeLabel]:

@@ -32,10 +32,12 @@ transitive, antisymmetric on distinct paths and reflexive exactly on the
 straight ones, so the factors are compared pairwise.  From below: a weakly
 increasing global defining sequence of Weyl group elements through the
 stabilizer fibers, decided by a forward pass over sub-multisets that keeps
-the lifts some admissible prefix can end in.  `FibreLifts` numbers the
-lifts and keeps the Bruhat down-set of each as an int bitset, built by the
-lifting property, so "some end lies below this lift" is one AND; the
-states of the sub-multisets live for one `is_standard_below` call.
+the minimal lift an admissible prefix ends in: the lifts of a coset above
+an element, if any, are the up-set of one minimal lift (Deodhar, Invent.
+Math. 39, 1977), and defining chains are built from minimal lifts
+(Lakshmibai-Littelmann-Magyar, Compositio 130, 2002).  `FibreLifts` numbers
+the lifts and keeps the Bruhat down-set of each as an int bitset, built by
+the lifting property, so "the end lies below this lift" is one bit.
 Lifting a path of shape eps_i by the i-th telescoping word turns the
 second into the first.
 """
@@ -316,23 +318,24 @@ class FibreLifts:
     """Fibre lifts with their Bruhat order, kept by one owner for every call
     that shares the realization.
 
-    Every Weyl element it meets is numbered once, keyed by w(rho).  The
-    lifts of a direction coset are coset.word * u for u in the stabilizer
-    fibre W_J, built breadth first from the identity on those numbers, so
-    the minimal representative comes first.  `below(i)` is
-    the down-set of element i as an int bitset over the numbers, built on
-    first use by the lifting property: for a left descent s of w,
-    [e, w] = [e, sw] | s [e, sw] (Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, Prop. 2.2.7), where s acts on a key by `Realization.image`.  Building
-    a down-set numbers every element of the interval, so an element
-    numbered later never lies below a finished one and the bitsets stay
-    exact.
+    Every Weyl element it meets is numbered once, keyed by w(rho), the
+    identity first, so number 0 lies below every element.  The lifts of a
+    direction coset are coset.word * u for u in the stabilizer fibre W_J,
+    built breadth first from the identity on those numbers, so they are
+    listed by length and the minimal representative comes first.
+    `below(i)` is the down-set of element i as an int bitset over the
+    numbers, built on first use by the lifting property: for a left descent
+    s of w, [e, w] = [e, sw] | s [e, sw] (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, Prop. 2.2.7), where s acts on a key by
+    `Realization.image`.  Building a down-set numbers every element of the
+    interval, so an element numbered later never lies below a finished one
+    and the bitsets stay exact.
 
     A factor's kind is its stabilizer and direction cosets; factors of one
-    kind place alike.  A state is the bitset of the lifts that can end an
-    admissible prefix; only what lies above some end matters, so the ends
-    are kept whole, not cut down to the Bruhat-minimal ones.  The owner
-    keeps Weyl-element tables only: the states belong to the caller.
+    kind place alike.  A state is one element number, the minimal lift an
+    admissible prefix ends in: the lifts of xW_J above m, if any, are the
+    up-set of one minimal lift (Deodhar).  The owner keeps Weyl-element
+    tables only: the states belong to the caller.
     """
 
     def __init__(self, real: Realization):
@@ -344,7 +347,9 @@ class FibreLifts:
         self._below: list[int | None] = []
         self._lifts: dict[tuple, list[int]] = {}
         self._kinds: dict[tuple, int] = {}
-        self._steps: list[list[list[tuple[int, int]]]] = []
+        self._steps: list[list[list[int]]] = []
+        self.number(WeylWord(real, ()))
+        self._below[0] = 1                  # the identity, the only w with w(rho) = rho
 
     def _number(self, key) -> int:
         key = tuple(key)
@@ -369,29 +374,25 @@ class FibreLifts:
 
     def below(self, i: int) -> int:
         """The numbers of the elements <= w_i, as a bitset."""
-        chain = []
-        w = i
-        while self._below[w] is None:
-            s = next((s for s, c in enumerate(self._keys[w][:-1]) if c < 0), None)
-            if s is None:                   # w(rho) = rho
-                self._below[w] = 1 << w
-                break
+        if self._below[i] is not None:
+            return self._below[i]
+        chain, w = [], i
+        while self._below[w] is None:       # down to the identity at worst
+            s = next(s for s, c in enumerate(self._keys[w][:-1]) if c < 0)
             chain.append((w, s))
             w = self._times(s, w)
         for w, s in reversed(chain):
             lower = self._below[self._times(s, w)]
-            mask = lower
-            for x in _bits(lower):
-                mask |= 1 << self._times(s, x)
-            self._below[w] = mask
+            self._below[w] = lower | sum(1 << self._times(s, x) for x in _bits(lower))
         return self._below[i]
 
     def __call__(self, coset: CosetRep, J: frozenset[int]) -> list[int]:
-        """The numbers of the lifts of `coset`, the minimal representative first."""
+        """The numbers of the lifts of `coset`, by length, the minimal
+        representative first."""
         key = (coset.key, J)
         if key not in self._lifts:
             if J not in self._fibres:
-                fibre = self._fibres[J] = [self.number(WeylWord(self.real, ()))]
+                fibre = self._fibres[J] = [0]
                 for u in fibre:             # breadth first, the identity first
                     for j in J:
                         v = self._times(j, u)
@@ -403,38 +404,36 @@ class FibreLifts:
         return self._lifts[key]
 
     def kind(self, path: LSPath) -> int:
-        """The number of the factor's kind.  A new kind keeps its lifts,
-        direction by direction in increasing order, each lift as its bit
-        and its down-set."""
+        """The number of the factor's kind.  A new kind keeps the numbers of
+        its lifts, direction by direction in increasing order."""
         J = stabilizer_nodes(path.shape)
         key = (J, tuple(d.key for d in path.dirs))
         k = self._kinds.get(key)
         if k is None:
             k = self._kinds[key] = len(self._steps)
-            self._steps.append([[(1 << z, self.below(z)) for z in self(d, J)]
-                                for d in reversed(path.dirs)])
+            self._steps.append([self(d, J) for d in reversed(path.dirs)])
         return k
 
     def order_key(self, kind: int) -> int:
         """The size of the down-set of the first lift of the kind's lowest
         direction: kinds of one block placed in increasing order of it (ties
-        by kind number) fold to the union over all orders that
+        by kind number) reach the minimal ends of all orders that
         `is_standard_below` takes (measured, not proved; `tests/test_smt.py`
         checks it)."""
-        return self._steps[kind][0][0][1].bit_count()
+        return self.below(self._steps[kind][0][0]).bit_count()
 
-    def place(self, ends: int | None, kind: int) -> int:
-        """The lifts that can end a sequence placing one factor of `kind`
-        behind a prefix that can end in any of `ends` (None: nothing placed
-        yet), as a bitset: a lift is reached iff some end lies below it."""
-        for step in self._steps[kind]:
-            if ends is None:            # every lift lies above the minimal representative
-                ends = step[0][0]
-                continue
-            ends = sum(bit for bit, down in step if down & ends)
-            if not ends:
-                break
-        return ends
+    def place(self, end: int, kind: int) -> int | None:
+        """The minimal lift ending a sequence that places one factor of `kind`
+        behind a prefix with minimal end `end` (0 before the first factor),
+        or None.  In each direction the lifts above the end so far are the
+        up-set of one minimal lift (Deodhar), and lifts are listed by length
+        (the fibre is built breadth first from the identity), so the first
+        lift above it is that minimal lift."""
+        for lifts in self._steps[kind]:
+            end = next((z for z in lifts if self.below(z) >> end & 1), None)
+            if end is None:
+                return None
+        return end
 
 
 def is_standard_below(factors: tuple[LSPath, ...], block_keys,
@@ -449,39 +448,39 @@ def is_standard_below(factors: tuple[LSPath, ...], block_keys,
     sequence of stabilizer-fiber lifts.
 
     One forward pass decides it.  For each sub-multiset that places the
-    earlier blocks whole and part of the next, it keeps the last lifts
-    that some admissible prefix placing exactly those factors can end in;
-    a lift of the next direction is reached iff one of them lies below it.
-    Factors with the same directions and stabilizer place alike, so they
-    count as one kind.  `block_keys` gives the block of each factor, in
-    factor order: the basis index of its shape, which only the caller
-    knows; `lifts` holds the fibre lifts and their order, and without one
-    the call builds its own.  The states (0 where no prefix is admissible)
-    are memoised for this call only, under the sorted (block, kind) pairs.
+    earlier blocks whole and part of the next, it keeps the minimal ends
+    (`FibreLifts.place`, Deodhar) of the admissible prefixes placing exactly
+    those factors: a union of up-sets is the up-set of the union of their
+    minima.  Factors with the same directions and stabilizer place alike,
+    so they count as one kind.  `block_keys` gives the block of each
+    factor, in factor order: the basis index of its shape, which only the
+    caller knows; `lifts` holds the fibre lifts and their order, and
+    without one the call builds its own.  The sets of minimal ends (empty
+    where no prefix is admissible) are memoised for this call only, under
+    the sorted (block, kind) pairs.
     """
     if not factors:
         return True
     if lifts is None:
         lifts = FibreLifts(factors[0].real)
-    states: dict[tuple, int | None] = {(): None}
+    states: dict[tuple, frozenset[int]] = {(): frozenset((0,))}
 
-    def state(placed: tuple) -> int | None:     # any kind of the last block goes last
+    def state(placed: tuple) -> frozenset[int]:     # any kind of the last block goes last
         if placed not in states:
             block = placed[-1][0]
-            found = 0
+            found = set()
             for pos in range(len(placed) - 1, -1, -1):
                 if placed[pos][0] != block:
                     break
                 if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
                     continue                # the same pair, already tried
-                ends = state(placed[:pos] + placed[pos + 1:])
-                if ends != 0:
-                    found |= lifts.place(ends, placed[pos][1])
-            states[placed] = found
+                found.update(lifts.place(end, placed[pos][1])
+                             for end in state(placed[:pos] + placed[pos + 1:]))
+            states[placed] = frozenset(found - {None})
         return states[placed]
 
-    return state(tuple(sorted(zip(block_keys, map(lifts.kind, factors),
-                                  strict=True)))) != 0
+    return bool(state(tuple(sorted(zip(block_keys, map(lifts.kind, factors),
+                                       strict=True)))))
 
 
 def lift_path(path: LSPath, tau_word: WeylWord, parabolic, shape: WeightVec,

@@ -374,20 +374,20 @@ class TwoBases:
         that admit a defining sequence, those of them whose lifts form a
         chain in pool order].  A monomial is a nondecreasing sequence of
         pool positions and its state the fold of `FibreLifts.place` along
-        it, which on blocks of equal shape gives the union over all orders
-        inside a block that `lspath.is_standard_below` takes (measured, not
-        proved; `tests/test_smt.py` checks it).  So both counts are one
-        dynamic program, one placement per step; the second takes only the
-        steps a -> b with leq[a] >> b & 1."""
+        it from the identity, a minimal lift (Deodhar) whose up-set, on blocks
+        of equal shape, is the union over all orders inside a block that
+        `lspath.is_standard_below` takes (measured, not proved; `tests/test_smt.py`
+        checks it).  So both counts are one dynamic program, one placement
+        per step; the second takes only the steps a -> b with leq[a] >> b & 1."""
         place = functools.lru_cache(maxsize=None)(self.lifts.place)
-        layer = {(0, None, ()): [1, 1]}
+        layer = {(0, 0, ()): [1, 1]}
         for _ in range(degree):
             nxt: dict[tuple, list[int]] = {}
-            for (pos, ends, idx), (below, chain) in layer.items():
+            for (pos, end, idx), (below, chain) in layer.items():
                 up = self.leq[pos] if idx else ~0       # the first factor follows nothing
                 for b in range(pos, len(self.kinds)):
-                    state = place(ends, self.kinds[b])
-                    if state:
+                    state = place(end, self.kinds[b])
+                    if state is not None:
                         entry = nxt.setdefault((b, state, idx + (self.blocks[b],)), [0, 0])
                         entry[0] += below
                         entry[1] += chain if up >> b & 1 else 0

@@ -40,9 +40,12 @@ before the library numbered its lifts: lists of reduced lifts sorted by
 length, one `bruhat_leq` per pair in the filter and in `_minimal`, and
 the sub-multiset states of one call only.  `above_table` is the
 comparability table of `GradedCounts` from one `bruhat_leq` per pair of a
-top and a bottom coset.  `union_state` is the union over all orders inside
-the last block that `smt_kit.lspath.is_standard_below` takes, on a memo the
-caller keeps, so that one memo can serve every monomial of a test.
+top and a bottom coset.  `bitset_place` is the set-valued placement that
+`smt_kit.lspath.FibreLifts.place` replaced: it keeps, as a bitset, every
+lift that can end a prefix, not only the minimal one.  `union_state` is
+the union of its states over all orders inside the last block, as
+`smt_kit.lspath.is_standard_below` takes them, on a memo the caller
+keeps, so that one memo can serve every monomial of a test.
 
 The code is the earlier library code with one change that alters no
 answer: each kernel is a function of the object it used to be a method of
@@ -438,13 +441,26 @@ def above_table(gc) -> list[list[int]]:
     return [rows[a.dirs[0].key] for a in gc.paths]
 
 
-def union_state(lifts, placed: tuple, memo: dict) -> int | None:
+def bitset_place(lifts, ends: int, kind: int) -> int:
+    """The lifts of the `smt_kit.lspath.FibreLifts` owner `lifts` that can
+    end a sequence placing one factor of `kind` behind a prefix that can end
+    in any of `ends` (1, the bit of the identity, before the first factor),
+    as a bitset: a lift is reached iff some end lies below it."""
+    for step in lifts._steps[kind]:
+        ends = sum(1 << z for z in step if lifts.below(z) & ends)
+        if not ends:
+            break
+    return ends
+
+
+def union_state(lifts, placed: tuple, memo: dict) -> int:
     """The lifts of the `smt_kit.lspath.FibreLifts` owner `lifts` that can
     end an admissible prefix placing exactly the sorted (block, kind) pairs
-    of `placed`: any kind of the last block can be the last factor.  0 when
-    there is none; `memo` maps sub-multisets to their states."""
+    of `placed`, by `bitset_place`: any kind of the last block can be the
+    last factor.  0 when there is none; `memo` maps sub-multisets to their
+    states."""
     if not placed:
-        return None
+        return 1
     if placed not in memo:
         block = placed[-1][0]
         found = 0
@@ -454,7 +470,7 @@ def union_state(lifts, placed: tuple, memo: dict) -> int | None:
             if pos + 1 < len(placed) and placed[pos + 1] == placed[pos]:
                 continue                # the same pair, already tried
             ends = union_state(lifts, placed[:pos] + placed[pos + 1:], memo)
-            if ends != 0:
-                found |= lifts.place(ends, placed[pos][1])
+            if ends:
+                found |= bitset_place(lifts, ends, placed[pos][1])
         memo[placed] = found
     return memo[placed]

@@ -65,6 +65,17 @@ def test_inv_lookup_refuses_a_number_after_a_parameterless_family():
             1, {"error": f"{family} takes no parameter"}, ""), name
 
 
+def test_inv_lookup_instantiates_the_fixed_algebra():
+    """An implemented family prints its ambient and fixed algebras at its
+    parameter, not the catalog templates."""
+    for name, ambient, fixed in (("flip-sl3", "A2+A2", "sl(3)"), ("flip-sp4", "C2+C2", "sp(4)"),
+                                 ("flip-so-odd5", "B2+B2", "so(5)"),
+                                 ("sym-quadrics3", "A2", "so(3)")):
+        code, out, _ = run_in_process("inv", "lookup", name)
+        assert code == 0
+        assert (out["outputs"]["ambient"], out["outputs"]["fixed_algebra"]) == (ambient, fixed)
+
+
 def test_verify_oracles_refuses_negative_trials():
     """A negative trial count is an error, not a run of no random trial."""
     assert run_in_process("verify", "oracles", "--trials", "-1") == (

@@ -9,15 +9,17 @@ enumeration over down-sets against testing every coset, the pairwise
 standardness test against every order of the factors, the forward
 pass over sub-multisets against the backtracking over every arrangement
 and against the list-based forward pass it replaced, the bitset down-sets
-of the fibre lifts against `bruhat_leq`, the comparability table read off
-the interval against one `bruhat_leq` per pair of cosets, the lift order
-of `TwoBases` against one `bruhat_leq` per pair of lifted directions, the
-`two_basis_counts` reports against the earlier per-monomial code, the
-multichain count against testing every multiset, and the integer
-`act_letters` walk against the Fraction reflection loop.  Monomials of
-degree <= 3 come from the path pools of five symmetric pairs; words and
-weights are random on a finite, an affine, a restricted-tier (delta
-coefficient 2) and an indefinite GCM.
+of the fibre lifts against `bruhat_leq`, the minimal lift that
+`FibreLifts.place` keeps against the set-valued placement it replaced,
+the comparability table read off the interval against one `bruhat_leq`
+per pair of cosets, the lift order of `TwoBases` against one
+`bruhat_leq` per pair of lifted directions, the `two_basis_counts`
+reports against the earlier per-monomial code, the multichain count
+against testing every multiset, and the integer `act_letters` walk
+against the Fraction reflection loop.  Monomials of degree <= 3 come from
+the path pools of five symmetric pairs; words and weights are random on a
+finite, an affine, a restricted-tier (delta coefficient 2) and an
+indefinite GCM, and so are the paths whose kinds the minimal lift places.
 """
 
 from fractions import Fraction
@@ -394,6 +396,63 @@ def test_fibre_lift_order_agrees(case):
     for a, x in words.items():
         for b, y in words.items():
             assert (lifts.below(b) >> a & 1) == W.bruhat_leq(x, y), (x, y)
+
+
+@st.composite
+def fibre_kinds(draw):
+    """Paths of one or two shapes with finite stabilizer fibres, each below
+    a random top, drawn from the enumerated pools of one realization."""
+    real = REALIZATIONS[draw(st.sampled_from(sorted(REALIZATIONS)))]
+    paths = []
+    for _ in range(draw(st.integers(1, 2))):
+        shape = real.weight(draw(st.lists(st.sampled_from((0, 0, 1, 2)), min_size=real.n,
+                                          max_size=real.n)))
+        J = L.stabilizer_nodes(shape)
+        word = W.WeylWord(real, draw(st.lists(st.integers(0, real.n - 1), max_size=5)))
+        try:                        # an infinite fibre, or the cut denominator cap
+            W.longest_parabolic(real, J, cap=64)
+            pool = L.enumerate_paths(shape, W.CosetRep(word, J))
+        except ValueError:
+            assume(False)
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+        paths += [pool[t] for t in picks]
+    return real, paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(fibre_kinds())
+def test_minimal_lift_agrees_with_the_bitset_fold(case):
+    """From every end that some fold of the drawn kinds reaches, the
+    identity included, `FibreLifts.place` returns None exactly when the
+    set-valued placement of `lspath_reference.bitset_place` is empty, and
+    otherwise an element whose up-set among the lifts of the last direction
+    is that set; `bruhat_leq` puts the end below it and it below every lift
+    of the set, apart from the bitsets."""
+    real, paths = case
+    lifts = L.FibreLifts(real)
+    words = {0: W.WeylWord(real, ())}
+    fibres = {}
+    for path in paths:
+        J = L.stabilizer_nodes(path.shape)
+        fibre = fibres.setdefault(J, R._parabolic_elements(real, sorted(J)))
+        words.update((lifts.number(d.word * u), d.word * u) for d in path.dirs for u in fibre)
+    kinds = sorted({lifts.kind(p) for p in paths})
+    reached, todo = {0}, [0]
+    while todo:
+        end = todo.pop()
+        for k in kinds:
+            got = lifts.place(end, k)
+            want = R.bitset_place(lifts, 1 << end, k)
+            assert (got is None) == (want == 0), (end, k)
+            if got is None:
+                continue
+            last = lifts._steps[k][-1]
+            assert want == sum(1 << z for z in last if lifts.below(z) >> got & 1), (end, k)
+            assert W.bruhat_leq(words[end], words[got])
+            assert all(W.bruhat_leq(words[got], words[z]) for z in L._bits(want))
+            if got not in reached:
+                reached.add(got)
+                todo.append(got)
 
 
 def test_graded_counts_above_table_agrees():

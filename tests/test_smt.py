@@ -229,10 +229,12 @@ FOLD_ROWS = (("flip-sp4", 3, 12341), ("flip-sp4", 4, 135751), ("flip-sp6", 2, 91
                          ids=[f"{n}-{d}" for n, d, _ in FOLD_ROWS])
 def test_fixed_order_fold_is_the_union_over_orders(name, degree, monomials):
     """The order claim behind `TwoBases.counts`, on every monomial: with
-    blocks following shape, folding `FibreLifts.place` along the pool
-    order gives the state that `lspath.is_standard_below` takes as the
-    union over all orders inside each block (`lspath_reference.union_state`,
-    on one memo for every monomial).
+    blocks following shape, the up-set, among the lifts of the last
+    direction, of the minimal lift that folding `FibreLifts.place` along
+    the pool order ends in is the bitset state that `lspath.is_standard_below`
+    takes as the union over all orders inside each block
+    (`lspath_reference.union_state`, the set-valued fold, on one memo for
+    every monomial).
 
     The claim needs the blocks.  With every block key 0, so that paths of
     shapes eps_1 and eps_2 of flip-sp4 share one block ordered by
@@ -243,10 +245,12 @@ def test_fixed_order_fold_is_the_union_over_orders(name, degree, monomials):
     place = functools.lru_cache(maxsize=None)(lifts.place)
 
     def fold(kinds):
-        state = None
+        end = 0
         for k in kinds:
-            state = place(state, k)
-        return state
+            end = place(end, k)
+            if end is None:
+                return 0
+        return sum(1 << z for z in lifts._steps[kinds[-1]][-1] if lifts.below(z) >> end & 1)
 
     one_block = (name, degree) == ("flip-sp4", 3)
     memo: dict = {}
