@@ -352,13 +352,13 @@ def reflected_int(roots, x: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(y)
 
 
-def peel(roots, v: list[int], cap: int) -> list[int]:
+def peel(roots, v: list[int], bound: int) -> list[int]:
     """Letters i_1, i_2, ..., each the smallest negative coordinate of v at
     its step, applying s_{i_1}, s_{i_2}, ... to v in place until v is
-    dominant or `cap` letters are taken; the caller checks which."""
+    dominant or `bound` letters are taken; the caller checks which."""
     n = len(roots)
     out: list[int] = []
-    while len(out) < cap:
+    while len(out) < bound:
         for i in range(n):
             if v[i] < 0:
                 break

@@ -4,12 +4,11 @@ Subcommands mirror the library modules; `verify` runs the named check
 suites of `smt_kit.criteria` and exits nonzero when any check fails or a
 suite yields no checks.  Rationals are printed as "p/q"; maps are
 serialized with sorted keys so identical invocations give identical output
-apart from `elapsed_ms`.  SMT_KIT_CAP overrides only the element cap
-(default 10**6) of the coset interval that LS-path enumeration walks
-(`lspath.ChainData`); --seed fixes the randomized property sampling.  A
-value that starts with a minus sign and is not a single number needs `=`
-(`--dim=-1,2`): argparse reads `--dim -1,2` as a missing value followed by
-an option and exits 2.
+apart from `elapsed_ms`.  Every enumeration cap is in the one table
+`caps.CAPS`; SMT_KIT_CAP, when set, is the cap of every coset interval.
+--seed fixes the randomized property sampling.  A value that starts with a
+minus sign and is not a single number needs `=` (`--dim=-1,2`): argparse
+reads `--dim -1,2` as a missing value followed by an option and exits 2.
 """
 
 from __future__ import annotations

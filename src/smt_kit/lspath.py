@@ -49,26 +49,14 @@ import functools
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import (FINITE, Realization, WeightVec, _scaled, _unscaled, classify,
-                     reflected_int)
+from . import caps
+from .cartan import Realization, WeightVec, _scaled, _unscaled, reflected_int
 from .weyl import CosetRep, WeylWord, bruhat_leq, coset_interval, longest_parabolic
 
 Q = Fraction
-
-DEFAULT_DENOM_CAP = 12
-
-
-def _enum_cap(default: int = 10 ** 6) -> int:
-    env = os.environ.get("SMT_KIT_CAP")
-    if not env:
-        return default
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
-        raise ValueError(f"SMT_KIT_CAP={env!r}: expected a positive integer")
-    return int(env)
 
 
 def stabilizer_nodes(shape: WeightVec) -> frozenset[int]:
@@ -100,9 +88,9 @@ class LSPath:
     def real(self) -> Realization:
         return self.dirs[0].real
 
-    def _scaled_breakpoints(self) -> tuple[list[list[int]], int]:
-        """(points, scale): the path values at the cut points, both ends
-        included, times `scale` as integer vectors (delta last).
+    def _scaled_breakpoints(self) -> tuple[list[list[int]], int, list[int]]:
+        """(points, scale, top): the path values at the cut points, both
+        ends included, and the shape, times `scale` as integer vectors.
 
         With x = den * shape on integers and q the lcm of the cut
         denominators, segment k adds q (a_{k+1} - a_k) times the image of x
@@ -117,15 +105,15 @@ class LSPath:
             t = hi - lo
             acc = [a + t * y for a, y in zip(acc, self.real.image(d.word.letters, x))]
             out.append(acc)
-        return out, den * q
+        return out, den * q, [q * y for y in x]
 
     def breakpoints(self) -> list[WeightVec]:
         """Path values at the cut points, including both endpoints."""
-        points, scale = self._scaled_breakpoints()
+        points, scale, _ = self._scaled_breakpoints()
         return [_unscaled(self.shape.basis_id, v, scale) for v in points]
 
     def endpoint(self) -> WeightVec:
-        points, scale = self._scaled_breakpoints()
+        points, scale, _ = self._scaled_breakpoints()
         return _unscaled(self.shape.basis_id, points[-1], scale)
 
     def to_json(self) -> dict:
@@ -154,17 +142,16 @@ class ChainData:
     the covers (j, n) of i with g | n.  A chain counts in reach_g exactly
     for the g that divide the gcd of its pairings, so the t/g over the g
     whose bit is set are the a admitting an a-chain, and some such g
-    exceeds `denom_cap` iff some chain's gcd does.
+    exceeds `denom_cap`, the table's cap, iff some chain's gcd does.
     """
 
-    def __init__(self, shape: WeightVec, top: CosetRep, cap: int | None = None,
-                 denom_cap: int = DEFAULT_DENOM_CAP):
+    def __init__(self, shape: WeightVec, top: CosetRep):
         if not shape.is_integral() or not shape.is_dominant():
             raise ValueError("dominant integral shape required")
         self.shape = shape
-        self.denom_cap = denom_cap
+        self.denom_cap = caps.CAPS["cut_denominator"]
         self.real = real = top.real
-        self.poset = coset_interval(top, cap if cap is not None else _enum_cap())
+        self.poset = coset_interval(top)
         self.index = self.poset.index
         x, self._den = _scaled(shape)
         roots = real.int_roots
@@ -239,10 +226,9 @@ class ChainData:
         return self._cut_sets[key]
 
 
-def enumerate_paths(shape: WeightVec, top: CosetRep, cap: int | None = None,
-                    denom_cap: int = DEFAULT_DENOM_CAP) -> list[LSPath]:
+def enumerate_paths(shape: WeightVec, top: CosetRep) -> list[LSPath]:
     """All LS paths of the given shape with top direction <= top."""
-    return chain_paths(ChainData(shape, top, cap, denom_cap))
+    return chain_paths(ChainData(shape, top))
 
 
 def chain_paths(data: ChainData) -> list[LSPath]:
@@ -274,9 +260,8 @@ def chain_paths(data: ChainData) -> list[LSPath]:
 def d_degree(path: LSPath) -> int:
     """Coefficient of the distinguished simple root in shape - endpoint,
     read on integers through `Realization.inverse`."""
-    points, scale = path._scaled_breakpoints()
-    x, den = _scaled(path.shape)
-    diff = [a * (scale // den) - b for a, b in zip(x, points[-1])]
+    points, scale, top = path._scaled_breakpoints()
+    diff = list(map(operator.sub, top, points[-1]))
     inv = path.real.inverse
     y = inv.expand(diff)
     if y is None or y[0] % (inv.d * scale):
@@ -289,7 +274,7 @@ def is_G_dominant(path: LSPath) -> bool:
     coroot but the distinguished node 0's.  Per-segment linearity makes the
     breakpoint check sufficient.
     """
-    points, _ = path._scaled_breakpoints()
+    points = path._scaled_breakpoints()[0]
     return all(v[j] >= 0 for v in points for j in range(1, path.real.n))
 
 
@@ -499,15 +484,13 @@ def lift_path(path: LSPath, tau_word: WeylWord, parabolic, shape: WeightVec,
     return LSPath(shape, tuple(dirs), path.cuts)
 
 
-def tensor_multiplicity(lam: WeightVec, mu: WeightVec, nu: WeightVec,
-                        gcm) -> int:
+def tensor_multiplicity(lam: WeightVec, mu: WeightVec, nu: WeightVec, gcm) -> int:
     """Multiplicity of V_nu in V_lam (x) V_mu by the path tensor rule.
 
     Counts paths in the model of V_lam ending at nu - mu whose translate
-    by mu stays dominant throughout (straight mu-segment first).
+    by mu stays dominant throughout (straight mu-segment first).  Finite
+    type only: `longest_parabolic` refuses any other gcm.
     """
-    if classify(gcm) != FINITE:
-        raise ValueError("finite type required")
     real = Realization(gcm, lam.basis_id)
     J = stabilizer_nodes(lam)
     w0 = longest_parabolic(real, range(real.n))

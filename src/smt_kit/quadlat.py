@@ -56,16 +56,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import caps, linalg
 from .cartan import (GCM, FinTypeLabel, WeightVec, build_cartan, dominant_leq, finite_roots,
                      int_root_rows, quadratic_basis, root_inverse)
 
 Q = Fraction
-
-# `monoid_basis` refuses a box of more than this many coordinate vectors,
-# C(bound + n, n), before enumerating any; the HNF walk lists only the
-# lattice points in it.  Criterion 2 reaches 18,564 (rank 6, bound 12)
-_MONOID_POINT_CAP = 200000
 
 
 def _hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -234,15 +229,17 @@ def monoid_basis(lat: SubLattice, height_bound: int) -> list[WeightVec] | None:
     a point depends only on the points of lower height, so a point counted
     twice under a smaller bound is counted twice under the height bound.  A
     list comes only from the run at the height bound.  A negative height
-    bound, or a box of more than _MONOID_POINT_CAP coordinate vectors at the
-    height bound, raises ValueError first.
+    bound, or a box of C(bound + n, n) coordinate vectors at the height
+    bound above the table's `monoid_points` cap, raises ValueError before
+    any is enumerated; the HNF walk lists only the lattice points in it.
     """
     if height_bound < 0:
         raise ValueError(f"height bound must be nonnegative, got {height_bound}")
     n = lat.gcm.n
     box = math.comb(height_bound + n, n)
-    if box > _MONOID_POINT_CAP:
-        raise ValueError(f"monoid_basis cap exceeded: cap={_MONOID_POINT_CAP}, "
+    cap = caps.CAPS["monoid_points"]
+    if box > cap:
+        raise ValueError(f"monoid_basis cap exceeded: cap={cap}, "
                          f"box of {box} points at bound {height_bound}")
     if all(not x for i, row in enumerate(lat._hnf) for x in row[i + 1:]):
         # a diagonal HNF: L+ is free on the m_i omega_i, in decreasing order
@@ -423,50 +420,39 @@ def _dominant_below(lat: SubLattice, top: WeightVec) -> list[tuple[int, ...]]:
 
 
 def _intermediate_lattices(label: FinTypeLabel):
-    """All lattices Q <= L <= P, via the finite quotient P/Q.
+    """All lattices Q <= L <= P, by size, then by sorted classes of P/Q.
 
-    Classes are fractional root-coordinate vectors, as integer residues;
-    subgroups are found by brute-force closure (the quotient has order at
-    most 5 here).
+    A class is its root coordinates mod 1, as integer residues mod d (d is
+    common to all, so they sort as the fractions r / d would); a sum has the
+    sum of the classes.  P/Q is cyclic or Z/2 x Z/2 (Bourbaki, Lie Groups and
+    Lie Algebras, Ch. VI, Plates I-IX), so two classes generate each subgroup.
     """
     gcm = build_cartan(label)
-    n = gcm.n
     inv = root_inverse(gcm)
+    zero = (0,) * gcm.n
 
-    # a class is its root coordinates mod 1, kept as integer residues mod d;
-    # d is common to all classes, so they sort as the fractions r / d would
-    def cls(coords):
-        return tuple(c % inv.d for c in inv.expand(coords + (0,)))
+    def closure(gens: dict) -> dict:
+        """class -> a weight of it, over the subgroup generated by the classes
+        of `gens`, a map class -> a weight of it."""
+        group, frontier = {zero: zero}, [zero]
+        while frontier:
+            sums = {tuple((x + y) % inv.d for x, y in zip(c, g)):
+                    tuple(map(operator.add, group[c], w))
+                    for c in frontier for g, w in gens.items()}
+            frontier = [c for c in sums if c not in group]
+            group.update((c, sums[c]) for c in frontier)
+        return group
 
-    zero = (0,) * n
-    reps = {zero: (0,) * n}
-    frontier = [reps[zero]]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for i in range(n):
-                cand = tuple(rep[j] + (1 if j == i else 0) for j in range(n))
-                key = cls(cand)
-                if key not in reps:
-                    reps[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-
-    classes = sorted(reps)
-    nonzero = [c for c in classes if c != zero]
-    add = {(a, b): cls(tuple(x + y for x, y in zip(reps[a], reps[b])))
-           for a in classes for b in classes}
-    out = []
-    for k in range(len(nonzero) + 1):
-        for subset in itertools.combinations(nonzero, k):
-            group = {zero, *subset}
-            if all(add[(a, b)] in group for a in group for b in group):
-                out.append(sorted(group))
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(gcm.n)]
+    reps = closure({tuple(c % inv.d for c in inv.expand(e + (0,))): e for e in units})
+    cyclic = {frozenset(closure({c: w})): (c, w) for c, w in reps.items()}
+    pairs = itertools.combinations_with_replacement(cyclic.values(), 2)
+    groups = {tuple(sorted(group)): group for group in map(closure, map(dict, pairs))}
     lattices = []
-    for group in out:
-        basis = _hnf([*int_root_rows(gcm), *(reps[c] for c in group if c != zero)])
+    for key in sorted(groups, key=lambda key: (len(key), key)):
+        basis = _hnf([*int_root_rows(gcm), *groups[key].values()])
         gens = [WeightVec(str(label), tuple(row)) for row in basis]
-        lattices.append((len(group), SubLattice(label, gens)))
+        lattices.append((len(key), SubLattice(label, gens)))
     return lattices
 
 

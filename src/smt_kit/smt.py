@@ -25,7 +25,7 @@ from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_ca
                      classify, weyl_dim)
 from .extend import extend_restricted
 from .weyl import CosetRep, coset_interval, longest_parabolic, orbit_keys, tau_full
-from . import lspath
+from . import caps, lspath
 
 Q = Fraction
 
@@ -168,13 +168,14 @@ class StraighteningSystem:
                      if not self.comparable(a, b)), None)
 
 
-def straighten(mono, sys: StraighteningSystem, max_steps: int = 10 ** 6) -> dict:
+def straighten(mono, sys: StraighteningSystem) -> dict:
     """Normal form of a monomial as {standard monomial: coefficient}.
 
     Repeatedly replaces an incomparable pair inside the currently largest
     non-standard monomial; terminates by strict monomial-order descent.
-    More than `max_steps` rewrites raise ValueError.
+    More rewrites than the table's `straighten_rewrites` cap raise ValueError.
     """
+    max_steps = caps.CAPS["straighten_rewrites"]
     work: dict[tuple, Fraction] = {sys.sort_mono(mono): Q(1)}
     for step in itertools.count():
         bad = [m for m in work if not sys.is_standard(m)]

@@ -34,10 +34,13 @@ goes through `Realization.act_letters`, one walk on an integer vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .cartan import Realization, WeightVec, _scaled, peel, reflect_int, reflected_int
+from . import caps
+from .cartan import (FINITE, GCM, Realization, WeightVec, _scaled, classify, peel, reflect_int,
+                     reflected_int, symmetrizer)
 
 Q = Fraction
 
@@ -124,23 +127,31 @@ class WeylWord:
         return len(self.reduce())
 
 
-def longest_parabolic(real: Realization, nodes, cap: int = 4096) -> WeylWord:
-    """Longest element of the (finite) parabolic generated by the given nodes.
+@functools.lru_cache(maxsize=256)
+def _finite_parabolic(gcm: GCM, nodes: tuple[int, ...]) -> bool:
+    """W_J is finite iff A_J is of finite type (Humphreys, Reflection Groups
+    and Coxeter Groups, Sec. 6.4), which a non-symmetrizable A_J is not."""
+    sub = GCM(tuple(tuple(gcm.entries[i][j] for j in nodes) for i in nodes))
+    return symmetrizer(sub) is not None and classify(sub) == FINITE
 
-    Grows w by a letter that is not yet a right descent; `inv` is the key
-    of w^{-1}, whose negative coordinates are the right descents of w.
+
+def longest_parabolic(real: Realization, nodes) -> WeylWord:
+    """Longest element of the parabolic generated by the given nodes, which
+    must be finite; ValueError names the nodes otherwise.
+
+    Grows w by a letter that is not yet a right descent, at most |Phi+_J|
+    times; `inv` is the key of w^{-1}, whose negative coordinates are the
+    right descents of w.
     """
     nodes = sorted(nodes)
+    if nodes and not _finite_parabolic(real.gcm, tuple(nodes)):
+        raise ValueError(f"longest_parabolic: nodes {nodes} are not of finite type")
     letters: list[int] = []
     inv = _rho(real)
-    for _ in range(cap):
-        j = next((j for j in nodes if inv[j] > 0), None)
-        if j is None:
-            return WeylWord(real, WeylWord(real, letters).reduce())
+    while (j := next((j for j in nodes if inv[j] > 0), None)) is not None:
         letters.append(j)
         inv = real.image((j,), inv)
-    raise ValueError(f"longest_parabolic cap exceeded: cap={cap}, "
-                     f"{len(letters)} letters reached on nodes {nodes}")
+    return WeylWord(real, WeylWord(real, letters).reduce())
 
 
 class CosetRep:
@@ -255,7 +266,7 @@ def _drop_images(memo: dict[tuple, list], roots, image: tuple, word: tuple[int, 
     return drops
 
 
-def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
+def coset_interval(v: CosetRep) -> CosetPoset:
     """All cosets <= v, by closing minimal representatives under letter drops.
 
     By the strong exchange property the covers of a coset c in W^J are
@@ -269,7 +280,8 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     applied to the image for that word with letter p - 1 dropped (the
     subword property, op. cit. Sec. 2.2).  The drop images are memoised per
     coset for the call, which makes each drop one reflection instead of
-    l(c).  More than `cap` cosets (v itself counts) raise ValueError."""
+    l(c).  More cosets than `caps.coset_interval_cap()` (v itself counts) raise ValueError."""
+    cap = caps.coset_interval_cap()
     real, parabolic = v.real, v.parabolic
     roots = real.int_roots
     memo: dict[tuple, list] = {}        # image of rho_J -> its drop images, p = 0, 1, ...
@@ -298,9 +310,6 @@ def coset_interval(v: CosetRep, cap: int = 10 ** 6) -> CosetPoset:
     return CosetPoset(seen, drops)
 
 
-_DEMAZURE_WEIGHT_CAP = 100000
-
-
 def _demazure_int(real: Realization, word: tuple[int, ...],
                   lam: WeightVec) -> tuple[dict[tuple, int], int]:
     """(char, q): the Demazure character along the reduced `word` on integer
@@ -311,7 +320,7 @@ def _demazure_int(real: Realization, word: tuple[int, ...],
     n, q = real.n, lam.delta.denominator
     down = [tuple((j, -a * q if j == n else -a) for j, a in row) for row in real.int_roots]
     up = [tuple((j, -a) for j, a in row) for row in down]
-    cap = _DEMAZURE_WEIGHT_CAP
+    cap = caps.CAPS["demazure_weights"]
     char: dict[tuple, int] = {tuple(int(c) for c in lam.coords) + (lam.delta.numerator,): 1}
     for step, i in enumerate(reversed(word), 1):
         nxt: dict[tuple, int] = {}
@@ -347,8 +356,8 @@ def demazure_character(w: WeylWord, lam: WeightVec) -> dict[tuple, int]:
     reduced word of w, rightmost letter first.  Keys are (coords, delta)
     tuples; lam must pair integrally with every simple coroot.  The loop
     runs on integer tuples (coords..., delta * q), q the denominator of
-    lam's delta; a step with more than _DEMAZURE_WEIGHT_CAP weights raises
-    ValueError.
+    lam's delta; a step with more weights than the table's
+    `demazure_weights` cap raises ValueError.
     """
     char, q = _demazure_int(w.real, w.reduce(), lam)
     return {(tuple(Q(c) for c in key[:-1]), Q(key[-1], q)): mult
@@ -406,15 +415,16 @@ def tau_full(m: int, datum) -> WeylWord:
     return w_delta * tau_hat(m, datum)
 
 
-def orbit_keys(real: Realization, gens, x: list[int], limit: int | None = None,
-               cap: int = 200000) -> set[tuple[int, ...]]:
+def orbit_keys(real: Realization, gens, x: list[int],
+               limit: int | None = None) -> set[tuple[int, ...]]:
     """Orbit of the integer weight x (delta last) under the listed simple
     reflections, as a set of integer tuples.
 
     A letter whose coordinate is zero fixes the weight and is skipped;
-    limit, when given, bounds |delta coordinate|; more than `cap` weights
-    raise ValueError.
+    limit, when given, bounds |delta coordinate|; more weights than the
+    table's `orbit_weights` cap raise ValueError.
     """
+    cap = caps.CAPS["orbit_weights"]
     seen = {tuple(x)}
     frontier = [x]
     while frontier:
@@ -437,11 +447,10 @@ def orbit_keys(real: Realization, gens, x: list[int], limit: int | None = None,
     return seen
 
 
-def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | None = None,
-              cap: int = 200000) -> set:
+def orbit_bfs(real: Realization, gens, start: WeightVec, delta_cap: Fraction | None = None) -> set:
     """`orbit_keys` of den * start, den the lcm of its denominators, as
     (coords, delta) Fraction tuples; delta_cap bounds |delta| (affine orbits)."""
     x, den = _scaled(start)
     limit = None if delta_cap is None else math.floor(delta_cap * den)
     return {(tuple(Q(y, den) for y in k[:-1]), Q(k[-1], den))
-            for k in orbit_keys(real, gens, x, limit, cap)}
+            for k in orbit_keys(real, gens, x, limit)}

@@ -60,8 +60,7 @@ from fractions import Fraction
 
 import cartan_reference
 from smt_kit.cartan import _scaled
-from smt_kit.lspath import (DEFAULT_DENOM_CAP, ChainData, LSPath, _bits, path_leq,
-                           stabilizer_nodes)
+from smt_kit.lspath import ChainData, LSPath, _bits, path_leq, stabilizer_nodes
 from smt_kit.weyl import WeylWord, bruhat_leq
 
 Q = Fraction
@@ -128,11 +127,11 @@ def cut_values(data, upper: int, lower: int) -> frozenset[Fraction]:
     return frozenset(values)
 
 
-def enumerate_paths(shape, top, denom_cap: int = DEFAULT_DENOM_CAP) -> list[LSPath]:
+def enumerate_paths(shape, top) -> list[LSPath]:
     """All LS paths of the given shape with top direction <= top: every
     coset of the interval tested for lying below the last direction, cut
     values by the depth-first walk."""
-    data = ChainData(shape, top, denom_cap=denom_cap)
+    data = ChainData(shape, top)
     paths: list[LSPath] = []
     order = range(len(data.poset.elements))
 
@@ -242,7 +241,7 @@ def straight_path(shape, coset) -> LSPath:
     return LSPath(shape, (coset,), (Q(0), Q(1)))
 
 
-def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
+def is_lspath(candidate: LSPath) -> bool:
     """Full verification of the chain conditions and endpoint integrality."""
     r = len(candidate.dirs)
     cuts = candidate.cuts
@@ -254,12 +253,12 @@ def is_lspath(candidate: LSPath, denom_cap: int = DEFAULT_DENOM_CAP) -> bool:
     if any(d.parabolic != J for d in candidate.dirs):
         return False
     if r > 1:       # cut values exist only from a coset down to a lower one
-        data = ChainData(candidate.shape, candidate.dirs[0], denom_cap=denom_cap)
+        data = ChainData(candidate.shape, candidate.dirs[0])
         at = [data.index.get(d.key) for d in candidate.dirs]
         if None in at or any(cuts[k + 1] not in data.cut_values(at[k], at[k + 1])
                              for k in range(r - 1)):
             return False
-    points, scale = candidate._scaled_breakpoints()
+    points, scale, _ = candidate._scaled_breakpoints()
     return all(y % scale == 0 for y in points[-1])
 
 

@@ -30,11 +30,12 @@ does.
 `hgt` solves for the expansion over the basis on every call, and
 `intermediate_lattices` finds the classes of P/Q with one `linalg.solve`
 per lookup, where `smt_kit.quadlat` applies one integer left inverse per
-basis or per GCM.  `monoid_basis` searches every lattice, also those with
-a diagonal HNF, whose free monoid `smt_kit.quadlat` reads off directly, and
-it searches every point up to the height bound, where `smt_kit.quadlat`
-stops at the first smaller bound 1, 2, 4, ... that shows a double
-factorization.
+basis or per GCM; it tests every subset of the classes for a subgroup,
+where `smt_kit.quadlat` closes at most two classes at a time.
+`monoid_basis` searches every lattice, also those with a diagonal HNF,
+whose free monoid `smt_kit.quadlat` reads off directly, and it searches
+every point up to the height bound, where `smt_kit.quadlat` stops at the
+first smaller bound 1, 2, 4, ... that shows a double factorization.
 `minuscule_depths` reads the depths of a minuscule poset with
 `Realization.root_coords`, and `minuscule_leq` expands each difference of
 weights the same way, where `smt_kit.smt` counts the depths along the
@@ -286,7 +287,8 @@ def intermediate_lattices(label):
     """All lattices Q <= L <= P, via the finite quotient P/Q.
 
     Classes are fractional root-coordinate vectors; subgroups are found by
-    brute-force closure (the quotient has order at most 5 here).
+    testing every subset of the nonzero classes for closure under addition,
+    2^(|P/Q| - 1) of them.
     """
     gcm = build_cartan(label)
     n = gcm.n

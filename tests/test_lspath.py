@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 
 from smt_kit import cartan as C, involutions as I, lspath as L, weyl as W
+from smt_kit.caps import CAPS
 
 import lspath_reference as LR
 
@@ -191,8 +193,8 @@ def test_tensor_rule_c3_chain():
 
 def test_enumeration_cap_diagnostic():
     gcm, real, lam, top = model("A2", (1, 1))
-    with pytest.raises(ValueError):
-        L.enumerate_paths(lam, top, cap=2)
+    with mock.patch.dict(CAPS, coset_interval=2), pytest.raises(ValueError):
+        L.enumerate_paths(lam, top)
     import os
     os.environ["SMT_KIT_CAP"] = "2"
     try:
@@ -207,15 +209,16 @@ def test_cut_denominator_cap_diagnostic():
     # capping below that must raise rather than silently drop paths
     gcm, real, lam, top = model("A1", (3,))
     assert len(L.enumerate_paths(lam, top)) == 4
-    with pytest.raises(ValueError):
-        L.enumerate_paths(lam, top, denom_cap=2)
+    with mock.patch.dict(CAPS, cut_denominator=2), pytest.raises(ValueError):
+        L.enumerate_paths(lam, top)
 
 
 def test_cut_denominator_cap_names_cap_and_denominator():
     gcm, real, lam, top = model("A1", (3,))
-    with pytest.raises(ValueError, match=r"^cut denominator cap exceeded: cap=2, "
-                                         r"denominator 3 reached$"):
-        L.enumerate_paths(lam, top, denom_cap=2)
+    with mock.patch.dict(CAPS, cut_denominator=2), \
+            pytest.raises(ValueError, match=r"^cut denominator cap exceeded: cap=2, "
+                                            r"denominator 3 reached$"):
+        L.enumerate_paths(lam, top)
 
 
 def test_tensor_requires_finite():
@@ -227,10 +230,12 @@ def test_tensor_requires_finite():
 
 def test_coset_interval_cap_names_cap_and_size():
     gcm, real, lam, top = model("A2", (1, 1))
-    with pytest.raises(ValueError, match=r"^coset interval cap exceeded: "
-                                         r"cap=5, 6 cosets reached$"):
-        L.enumerate_paths(lam, top, cap=5)
-    assert len(W.coset_interval(top, cap=6)) == 6
+    with mock.patch.dict(CAPS, coset_interval=5), \
+            pytest.raises(ValueError, match=r"^coset interval cap exceeded: "
+                                            r"cap=5, 6 cosets reached$"):
+        L.enumerate_paths(lam, top)
+    with mock.patch.dict(CAPS, coset_interval=6):
+        assert len(W.coset_interval(top)) == 6
 
 
 def test_chain_data_cap_zero_is_a_cap():
@@ -238,8 +243,9 @@ def test_chain_data_cap_zero_is_a_cap():
     gcm, real, lam, top = model("A2", (1, 1))
     bottom = W.CosetRep(W.WeylWord(real, ()), L.stabilizer_nodes(lam))
     for t in (top, bottom):
-        with pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=0, "):
-            L.ChainData(lam, t, cap=0)
+        with mock.patch.dict(CAPS, coset_interval=0), \
+                pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=0, "):
+            L.ChainData(lam, t)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " 7", "²"])

@@ -23,6 +23,7 @@ indefinite GCM, and so are the paths whose kinds the minimal lift places.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +34,7 @@ import smt_reference as SR
 import weyl_reference as WR
 from smt_kit import cartan as C, extend as X, involutions as I, lspath as L, smt as S
 from smt_kit import weyl as W
+from smt_kit.caps import CAPS
 
 Q = Fraction
 
@@ -202,12 +204,14 @@ def intervals(draw):
 def test_cut_values_agree_on_random_intervals(case):
     shape, word, denom_cap = case
     top = W.CosetRep(word, L.stabilizer_nodes(shape))
-    _all_cut_values_agree(L.ChainData(shape, top, denom_cap=denom_cap))
+    with mock.patch.dict(CAPS, cut_denominator=denom_cap):
+        _all_cut_values_agree(L.ChainData(shape, top))
 
 
 def _paths_or_cap(enumerate_paths, shape, top, denom_cap):
     try:
-        return enumerate_paths(shape, top, denom_cap=denom_cap)
+        with mock.patch.dict(CAPS, cut_denominator=denom_cap):
+            return enumerate_paths(shape, top)
     except ValueError as exc:
         assert str(exc).startswith("cut denominator ")
         return "cap"
@@ -262,7 +266,8 @@ def test_path_layer_agrees_with_the_quadratic_kernels(case):
     coset below the last direction."""
     shape, word, denom_cap = case
     top = W.CosetRep(word, L.stabilizer_nodes(shape))
-    data = L.ChainData(shape, top, denom_cap=denom_cap)
+    with mock.patch.dict(CAPS, cut_denominator=denom_cap):
+        data, fresh = L.ChainData(shape, top), L.ChainData(shape, top)
     poset, walk = data.poset, WR.drop_walk(top)
     assert ([c.word.letters for c in poset.elements]
             == [c.word.letters for c in walk.elements])
@@ -277,7 +282,6 @@ def test_path_layer_agrees_with_the_quadratic_kernels(case):
             assert (_cut_values_or_cap(L.ChainData.cut_values, data, upper, lower)
                     == _cut_values_or_cap(lambda *args: R.gcd_cut_values(*args, memo),
                                           data, upper, lower)), (upper, lower)
-    fresh = L.ChainData(shape, top, denom_cap=denom_cap)
     assert (_chain_paths_or_cap(L.chain_paths, fresh)
             == _chain_paths_or_cap(R.chain_paths, fresh))
 
@@ -367,7 +371,7 @@ def fibre_cosets(draw):
     real = REALIZATIONS[name]
     J = frozenset(draw(st.sets(st.integers(0, real.n - 1), max_size=real.n)))
     try:
-        W.longest_parabolic(real, J, cap=64)
+        W.longest_parabolic(real, J)
     except ValueError:
         assume(False)
     words = draw(st.lists(st.lists(st.integers(0, real.n - 1), max_size=5),
@@ -410,7 +414,7 @@ def fibre_kinds(draw):
         J = L.stabilizer_nodes(shape)
         word = W.WeylWord(real, draw(st.lists(st.integers(0, real.n - 1), max_size=5)))
         try:                        # an infinite fibre, or the cut denominator cap
-            W.longest_parabolic(real, J, cap=64)
+            W.longest_parabolic(real, J)
             pool = L.enumerate_paths(shape, W.CosetRep(word, J))
         except ValueError:
             assume(False)

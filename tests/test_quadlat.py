@@ -3,10 +3,12 @@
 import json
 from fractions import Fraction as Q
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from smt_kit import cartan as C, quadlat as QL
+from smt_kit.caps import CAPS
 
 
 def lab(s):
@@ -34,15 +36,23 @@ def test_monoid_basis():
     assert QL.monoid_basis(Qa2, 6) is None   # two factorizations of (3,0)+(0,3) vs 3(1,1)
 
 
-def test_monoid_basis_cap_names_value_and_size(monkeypatch):
+def test_monoid_basis_cap_names_value_and_size():
     P = QL.full_weight_lattice(lab("A2"))
     # the box of A2 at bound 6 holds C(8, 2) = 28 points, the zero point included
-    monkeypatch.setattr(QL, "_MONOID_POINT_CAP", 27)
-    with pytest.raises(ValueError, match=r"^monoid_basis cap exceeded: cap=27, "
-                                         r"box of 28 points at bound 6$"):
+    with mock.patch.dict(CAPS, monoid_points=27), \
+            pytest.raises(ValueError, match=r"^monoid_basis cap exceeded: cap=27, "
+                                            r"box of 28 points at bound 6$"):
         QL.monoid_basis(P, 6)
-    monkeypatch.setattr(QL, "_MONOID_POINT_CAP", 28)
-    assert [w.coords for w in QL.monoid_basis(P, 6)] == [(1, 0), (0, 1)]
+    with mock.patch.dict(CAPS, monoid_points=28):
+        assert [w.coords for w in QL.monoid_basis(P, 6)] == [(1, 0), (0, 1)]
+
+
+def test_type_a_has_one_lattice_per_divisor():
+    """P/Q of A_n is cyclic of order n + 1: one lattice per divisor, of
+    that order, also where a walk over the subsets of P/Q could not end."""
+    for n in range(1, 41):
+        orders = [order for order, _ in QL._intermediate_lattices(lab(f"A{n}"))]
+        assert orders == [d for d in range(1, n + 2) if (n + 1) % d == 0], n
 
 
 def test_monoid_basis_is_fundamental_for_P():

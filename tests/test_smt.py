@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import lspath_reference as LR
 import weyl_reference as WR
 from smt_kit import cartan as C, involutions as I, quadlat as QL, smt as S
+from smt_kit.caps import CAPS
 
 
 def diamond_system():
@@ -54,12 +56,15 @@ def test_system_refuses_a_relation_keyed_on_one_generator_twice():
 def test_straighten_allows_max_steps_rewrites_and_names_the_cap():
     sys_, xs, ys = S.e7_system()
     standard = sys_.sort_mono((xs[0], ys[0]))
-    assert S.straighten(standard, sys_, max_steps=0) == {standard: Q(1)}
+    with mock.patch.dict(CAPS, straighten_rewrites=0):
+        assert S.straighten(standard, sys_) == {standard: Q(1)}
     want = {sys_.sort_mono((xs[k], ys[k])): Q((-1) ** k) for k in range(5)}
-    assert S.straighten((xs[5], ys[5]), sys_, max_steps=1) == want
-    with pytest.raises(ValueError, match=r"^straighten cap exceeded: max_steps=0, "
-                                         r"1 non-standard monomials left after 0 rewrites$"):
-        S.straighten((xs[5], ys[5]), sys_, max_steps=0)
+    with mock.patch.dict(CAPS, straighten_rewrites=1):
+        assert S.straighten((xs[5], ys[5]), sys_) == want
+    with mock.patch.dict(CAPS, straighten_rewrites=0), \
+            pytest.raises(ValueError, match=r"^straighten cap exceeded: max_steps=0, "
+                                            r"1 non-standard monomials left after 0 rewrites$"):
+        S.straighten((xs[5], ys[5]), sys_)
 
 
 def test_system_rejects_nondecreasing_relation():
@@ -337,6 +342,18 @@ def test_minuscule_poset_refuses_a_non_finite_realization_at_once():
 def test_finite_case_structure_rejects_non_a():
     case = I.AmbientCase("flip-sp4")
     with pytest.raises(ValueError):
+        S.finite_case_structure(case)
+
+
+def test_finite_case_structure_interval_obeys_smt_kit_cap(monkeypatch):
+    """SMT_KIT_CAP caps every coset interval, also the tier orbit poset of
+    the finite structure: 16 cosets on flip-sl4 (C4 modulo A3)."""
+    case = I.AmbientCase("flip-sl4")
+    monkeypatch.setenv("SMT_KIT_CAP", "16")
+    assert S.finite_case_structure(case)["tier_poset_size"] == 16
+    monkeypatch.setenv("SMT_KIT_CAP", "3")
+    with pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=3, "
+                                         r"\d+ cosets reached$"):
         S.finite_case_structure(case)
 
 

@@ -3,11 +3,13 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smt_kit import cartan as C, extend as X, involutions as I, weyl as W
+from smt_kit.caps import CAPS
 
 import cartan_reference as CR
 import involutions_reference as R
@@ -73,18 +75,28 @@ def test_affine_reduce():
     assert red == w and len(red.letters) <= 8
 
 
-def test_longest_parabolic_cap_names_value_and_size():
-    """The affine Weyl group of C2^(1) is infinite, so the word never runs
-    out of ascents; the finite parabolic C2 inside it, four letters long,
-    is found within a cap of 8."""
-    real = C.Realization.standard(C.build_affine_cartan("C2^(1)"), "C2aff")
-    with pytest.raises(ValueError, match=r"^longest_parabolic cap exceeded: cap=4096, "
-                                         r"4096 letters reached on nodes \[0, 1, 2\]$"):
-        W.longest_parabolic(real, {2, 0, 1})
-    with pytest.raises(ValueError, match=r"^longest_parabolic cap exceeded: cap=7, "
-                                         r"7 letters reached on nodes \[0, 1, 2\]$"):
-        W.longest_parabolic(real, range(3), cap=7)
-    assert len(W.longest_parabolic(real, {1, 2}, cap=8).letters) == 4
+def test_longest_parabolic_refuses_an_infinite_parabolic(monkeypatch):
+    """The affine Weyl group of C2^(1), a hyperbolic rank-2 group and the
+    group of a non-symmetrizable GCM are infinite: each is refused off its
+    matrix, naming the nodes, before any letter is taken.  The finite
+    parabolic C2 inside C2^(1) is four letters long, and no node at all
+    gives the identity."""
+    affine = C.Realization.standard(C.build_affine_cartan("C2^(1)"), "C2aff")
+    hyperbolic = C.Realization(C.GCM(((2, -3), (-3, 2))), "H")
+    skew = C.Realization(C.GCM(((2, -1, -1), (-2, 2, -1), (-1, -1, 2))), "S")
+    assert C.symmetrizer(skew.gcm) is None
+    assert len(W.longest_parabolic(affine, {1, 2}).letters) == 4
+    assert W.longest_parabolic(hyperbolic, ()).letters == ()
+
+    def no_walk(*args):
+        raise AssertionError("letter walk on an infinite parabolic")
+
+    monkeypatch.setattr(C.Realization, "image", no_walk)
+    for real, nodes, named in ((affine, {2, 0, 1}, "0, 1, 2"), (hyperbolic, range(2), "0, 1"),
+                               (skew, (2, 1, 0), "0, 1, 2")):
+        with pytest.raises(ValueError, match=rf"^longest_parabolic: nodes \[{named}\] "
+                                             r"are not of finite type$"):
+            W.longest_parabolic(real, nodes)
 
 
 def test_coset_rep_minimality():
@@ -147,22 +159,24 @@ def test_demazure_basics():
         W.demazure_character(W.WeylWord(real, (0,)), real.weight((Q(1, 2), 0)))
 
 
-def test_demazure_cap_names_value_and_size(monkeypatch):
+def test_demazure_cap_names_value_and_size():
     real = real_of("C2")
     word = W.WeylWord(real, (0,))
-    monkeypatch.setattr(W, "_DEMAZURE_WEIGHT_CAP", 3)
-    assert len(W.demazure_character(word, real.weight((2, 0)))) == 3
-    monkeypatch.setattr(W, "_DEMAZURE_WEIGHT_CAP", 2)
-    with pytest.raises(ValueError, match="demazure_character cap exceeded: cap=2, "
-                                         "3 weights at letter 1 of 1"):
+    with mock.patch.dict(CAPS, demazure_weights=3):
+        assert len(W.demazure_character(word, real.weight((2, 0)))) == 3
+    with mock.patch.dict(CAPS, demazure_weights=2), \
+            pytest.raises(ValueError, match="demazure_character cap exceeded: cap=2, "
+                                            "3 weights at letter 1 of 1"):
         W.demazure_character(word, real.weight((2, 0)))
 
 
 def test_orbit_cap_names_value_and_size():
     real = real_of("C2")
-    assert len(W.orbit_bfs(real, range(2), real.rho(), cap=8)) == 8
-    with pytest.raises(ValueError, match="orbit cap exceeded: cap=5, 5 weights reached"):
-        W.orbit_bfs(real, range(2), real.rho(), cap=5)
+    with mock.patch.dict(CAPS, orbit_weights=8):
+        assert len(W.orbit_bfs(real, range(2), real.rho())) == 8
+    with mock.patch.dict(CAPS, orbit_weights=5), \
+            pytest.raises(ValueError, match="orbit cap exceeded: cap=5, 5 weights reached"):
+        W.orbit_bfs(real, range(2), real.rho())
 
 
 def test_demazure_dim_flip_sl2():

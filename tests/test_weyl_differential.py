@@ -14,12 +14,14 @@ The second half guards against reductions leaking between Realizations.
 import gc
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weyl_reference as R
 from smt_kit import cartan as C, extend as X, weyl as W
+from smt_kit.caps import CAPS
 
 
 def _finite(name):
@@ -105,7 +107,7 @@ def orbit_starts(draw):
     """A start weight with integral, half or third coordinates; a delta cap
     of 0 to 3 above the start's |delta| on the affine and tier realizations,
     a small weight cap on the indefinite one (most of its orbits are
-    infinite)."""
+    infinite); the weight cap is the one of the table otherwise."""
     name = draw(st.sampled_from(sorted(REALIZATIONS)))
     real = REALIZATIONS[name]
     part = st.sampled_from([Fraction(k, q) for q in (1, 2, 3) for k in range(-2 * q, 2 * q + 1)])
@@ -114,10 +116,10 @@ def orbit_starts(draw):
     gens = sorted(draw(st.sets(st.integers(0, real.n - 1), min_size=1)))
     if name in ("C2^(1)", "tier(C2)"):
         cap = abs(start.delta) + Fraction(draw(st.integers(0, 6)), 2)
-        return real, gens, start, {"delta_cap": cap}
+        return real, gens, start, {"delta_cap": cap}, CAPS["orbit_weights"]
     if name == "indefinite":
-        return real, gens, start, {"cap": draw(st.integers(1, 60))}
-    return real, gens, start, {}
+        return real, gens, start, {}, draw(st.integers(1, 60))
+    return real, gens, start, {}, CAPS["orbit_weights"]
 
 
 def _orbit_or_error(kernel, real, gens, start, kwargs):
@@ -130,9 +132,10 @@ def _orbit_or_error(kernel, real, gens, start, kwargs):
 @settings(max_examples=200, deadline=None)
 @given(orbit_starts())
 def test_orbit_bfs_agrees(case):
-    real, gens, start, kwargs = case
-    got = _orbit_or_error(W.orbit_bfs, real, gens, start, kwargs)
-    assert got == _orbit_or_error(R.orbit_bfs, real, gens, start, kwargs)
+    real, gens, start, kwargs, cap = case
+    with mock.patch.dict(CAPS, orbit_weights=cap):
+        got = _orbit_or_error(W.orbit_bfs, real, gens, start, kwargs)
+    assert got == _orbit_or_error(R.orbit_bfs, real, gens, start, {**kwargs, "cap": cap})
     if isinstance(got, set):
         assert all(type(c) is Fraction for coords, delta in got for c in coords + (delta,))
 
