@@ -1,14 +1,18 @@
-"""Command-line front door: stable JSON (default) or TSV output.
+"""Command-line front door: stable JSON output, or TSV check rows from
+`verify --tsv`.
 
-Subcommands mirror the library modules; `verify` runs the named check
-suites of `smt_kit.criteria` and exits nonzero when any check fails or a
-suite yields no checks.  Rationals are printed as "p/q"; maps are
-serialized with sorted keys so identical invocations give identical output
-apart from `elapsed_ms`.  Every enumeration cap is in the one table
-`caps.CAPS`; SMT_KIT_CAP, when set, is the cap of every coset interval.
---seed fixes the randomized property sampling.  A value that starts with a
-minus sign and is not a single number needs `=` (`--dim=-1,2`): argparse
-reads `--dim -1,2` as a missing value followed by an option and exits 2.
+Subcommands mirror the library modules, and each option lives on the one
+parser that reads it.  `verify` runs the named check suites of
+`smt_kit.criteria` and exits nonzero when any check fails or a suite yields
+no checks; its --seed fixes the randomized property sampling.  Rationals
+are printed as "p/q"; maps are serialized with sorted keys so identical
+invocations give identical output apart from `elapsed_ms`, which `main`
+adds to each report.  Every enumeration cap is in the one table
+`caps.CAPS`; SMT_KIT_CAP, when set, is the cap of every coset interval,
+and every subcommand refuses a value that is not a positive integer before
+it runs.  A value that starts with a minus sign and is not a single number
+needs `=` (`--dim=-1,2`): argparse reads `--dim -1,2` as a missing value
+followed by an option and exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import cartan, criteria, extend, involutions, quadlat, smt, weyl
+from . import caps, cartan, criteria, extend, involutions, quadlat, smt, weyl
 
 
 def _dump(obj) -> str:
@@ -35,14 +39,9 @@ def _tsv(checks) -> str:
     return "\n".join(lines)
 
 
-def _report(command, inputs, outputs, checks, t0):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "checks": checks,
-        "elapsed_ms": int((time.time() - t0) * 1000),
-    }
+def _report(command, inputs, outputs, checks=()):
+    """A command's report; `main` adds its `elapsed_ms`."""
+    return {"command": command, "inputs": inputs, "outputs": outputs, "checks": list(checks)}
 
 
 def _rational(text: str) -> Fraction:
@@ -92,7 +91,7 @@ _SYSTEM_FILE = {"generators": [{"id": str, "grade": int}], "order": [[str]],
 _OPTIONAL_FIELDS = {"grade", "nonreduced"}
 
 
-def cmd_cartan(args, t0):
+def cmd_cartan(args):
     label = cartan.FinTypeLabel.parse(args.type)
     gcm = cartan.build_cartan(label)
     out = {"gcm": gcm.to_json(), "classify": cartan.classify(gcm)}
@@ -102,38 +101,37 @@ def cmd_cartan(args, t0):
         real = cartan.Realization(gcm, str(label))
         lam = real.weight(_rationals(args.dim))
         out["weyl_dim"] = cartan.weyl_dim(gcm, lam)
-    return _report("cartan", {"type": args.type, "dim": args.dim}, out, [], t0)
+    return _report("cartan", {"type": args.type, "dim": args.dim}, out)
 
 
-def cmd_quadlat(args, t0):
+def cmd_quadlat(args):
     label = cartan.FinTypeLabel(args.type, args.rank)
     res = quadlat.classify_quadratic(label, args.bound)
     out = [{"lattice": name, "quadratic": v, "report": r} for name, v, r in res]
     return _report("quadlat classify", {"type": args.type, "rank": args.rank,
-                                        "bound": args.bound}, out, [], t0)
+                                        "bound": args.bound}, out)
 
 
-def cmd_extend(args, t0):
+def cmd_extend(args):
     datum = extend.extend_restricted(cartan.FinTypeLabel(args.restricted, args.rank))
     out = {"extended": datum.extended.to_json(),
            "label": cartan.identify_label(datum.extended),
            "classification": datum.classification,
            "symmetrizer": [str(x) for x in cartan.symmetrizer(datum.extended)],
            "n0": str(extend.n0(datum))}
-    return _report("extend", {"restricted": args.restricted, "rank": args.rank},
-                   out, [], t0)
+    return _report("extend", {"restricted": args.restricted, "rank": args.rank}, out)
 
 
-def cmd_weyl_tauhat(args, t0):
+def cmd_weyl_tauhat(args):
     datum = extend.extend_restricted(cartan.FinTypeLabel(args.restricted, args.rank))
     th = weyl.tau_hat(args.m, datum)
     out = {"word": list(th.reduce()),
            "action_on_e_omega0": th.act(datum.e_omega0()).to_json()}
     return _report("weyl tau-hat", {"restricted": args.restricted,
-                                    "rank": args.rank, "m": args.m}, out, [], t0)
+                                    "rank": args.rank, "m": args.m}, out)
 
 
-def cmd_weyl_demazure(args, t0):
+def cmd_weyl_demazure(args):
     gcm = cartan.GCM.from_json(_json_file(args.gcm, _GCM_FILE))
     real = cartan.Realization.standard(gcm, "cli")
     letters = [int(x) for x in args.word.split(",")] if args.word else []
@@ -147,10 +145,10 @@ def cmd_weyl_demazure(args, t0):
            "weights": sorted([[str(c) for c in coords] + [str(d), m]
                               for (coords, d), m in char.items()])}
     return _report("weyl demazure", {"gcm": args.gcm, "word": args.word,
-                                     "weight": args.weight}, out, [], t0)
+                                     "weight": args.weight}, out)
 
 
-def cmd_lspath(args, t0):
+def cmd_lspath(args):
     case = involutions.AmbientCase(args.case)
     top = re.fullmatch(r"(?:tau_?)?(-?[0-9]+)", args.top, re.IGNORECASE)
     if top is None:
@@ -163,44 +161,40 @@ def cmd_lspath(args, t0):
     if args.paths:
         out["paths"] = [p.to_json() for p in gc.pool(args.locus)]
     return _report("lspath enumerate", {"case": args.case, "top": args.top,
-                                        "degree": args.degree}, out, [], t0)
+                                        "degree": args.degree}, out)
 
 
-def cmd_smt_straighten(args, t0):
+def cmd_smt_straighten(args):
     if args.system == "e7":
         sys_, xs, ys = smt.e7_system()
-        names = {f"x{k}": xs[k] for k in range(6)}
-        names.update({f"y{k}": ys[k] for k in range(6)})
-        terms = args.monomial.split(",")
-        unknown = [t for t in terms if t not in names]
-        if unknown:
-            raise ValueError(f"unknown e7 generator(s) {', '.join(unknown)};"
-                             " valid: x0..x5, y0..y5")
-        mono = tuple(names[t] for t in terms)
-        nf = smt.straighten(mono, sys_)
-        rev = {v: k for k, v in names.items()}
-        out = [{"coef": str(c),
-                "mono": [rev.get(g, f"g{g}") for g in m]} for m, c in sorted(nf.items())]
-        return _report("smt straighten", {"system": "e7", "monomial": args.monomial},
-                       out, [], t0)
-    data = _json_file(args.system, _SYSTEM_FILE)
-    ids = [g["id"] for g in data["generators"]]
+        gens = {f"{x}{k}": g for x, gs in (("x", xs), ("y", ys)) for k, g in enumerate(gs)}
+        what, valid = "e7 generator(s)", "x0..x5, y0..y5"
+    else:
+        sys_ = _file_system(args.system)
+        gens = {g: g for g in sys_.generators}
+        what, valid = "generator(s)", ", ".join(sys_.generators)
+    terms = args.monomial.split(",")
+    unknown = [t for t in terms if t not in gens]
+    if unknown:
+        raise ValueError(f"unknown {what} {', '.join(unknown)}; valid: {valid}")
+    nf = smt.straighten(tuple(gens[t] for t in terms), sys_)
+    name = {g: t for t, g in gens.items()}
+    out = [{"coef": str(c), "mono": [name.get(g, f"g{g}") for g in m]}
+           for m, c in sorted(nf.items())]
+    return _report("smt straighten", {"system": args.system,
+                                      "monomial": args.monomial}, out)
+
+
+def _file_system(path: str) -> smt.StraighteningSystem:
+    """The straightening system of a relation JSON file (`_SYSTEM_FILE`)."""
+    data = _json_file(path, _SYSTEM_FILE)
     grade = {g["id"]: g.get("grade", 1) for g in data["generators"]}
-    _check_system_ids(args.system, data, grade)
+    _check_system_ids(path, data, grade)
     closure = _order_closure({(a, b) for a, b in data["order"]})
-    leq = lambda a, b: a == b or (a, b) in closure
     relations = {tuple(r["pair"]): [(_rational(t["coef"]), tuple(t["mono"]))
                                     for t in r["rhs"]] for r in data["relations"]}
-    terms = args.monomial.split(",")
-    unknown = [t for t in terms if t not in grade]
-    if unknown:
-        raise ValueError(f"unknown generator(s) {', '.join(unknown)};"
-                         f" valid: {', '.join(map(str, ids))}")
-    sys_ = smt.StraighteningSystem(ids, leq, grade, relations)
-    nf = smt.straighten(tuple(terms), sys_)
-    out = [{"coef": str(c), "mono": list(m)} for m, c in sorted(nf.items())]
-    return _report("smt straighten", {"system": args.system,
-                                      "monomial": args.monomial}, out, [], t0)
+    return smt.StraighteningSystem([g["id"] for g in data["generators"]],
+                                   lambda a, b: a == b or (a, b) in closure, grade, relations)
 
 
 def _check_system_ids(path: str, data: dict, declared) -> None:
@@ -226,14 +220,14 @@ def _order_closure(pairs):
     return closure
 
 
-def cmd_inv(args, t0):
+def cmd_inv(args):
     rec = involutions.lookup(args.name)
     out = rec.to_json()
     out["quadratic"] = involutions.quadratic_verdict(rec)
-    return _report("inv lookup", {"name": args.name}, out, [], t0)
+    return _report("inv lookup", {"name": args.name}, out)
 
 
-def cmd_verify(args, t0):
+def cmd_verify(args):
     names = list(criteria.SUITES) if args.suite == "all" else [args.suite]
     # options left unset keep the suite's own defaults
     options = {"bound": args.bound, "max_rank": args.max_rank,
@@ -247,52 +241,45 @@ def cmd_verify(args, t0):
         if not rows:
             raise ValueError(f"suite {name} produced no checks")
         checks += [dict(c, name=f"{name}: {c['name']}") for c in rows]
-    return _report(f"verify {args.suite}", {"suite": args.suite}, {}, checks, t0)
+    return _report(f"verify {args.suite}", {"suite": args.suite}, {}, checks)
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tsv", action="store_true", help="TSV check output")
-    common.add_argument("--seed", type=int, default=0)
-    parser = argparse.ArgumentParser(prog="smt-kit", parents=[common])
+    parser = argparse.ArgumentParser(prog="smt-kit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("cartan")
+    p = sub.add_parser("cartan")
     p.add_argument("type")
     p.add_argument("--dim", help="comma-separated dominant coordinates")
     p.set_defaults(func=cmd_cartan)
 
-    p = add_parser("quadlat")
+    p = sub.add_parser("quadlat")
     p.add_argument("action", choices=["classify"])
     p.add_argument("--type", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--bound", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_quadlat)
 
-    p = add_parser("extend")
+    p = sub.add_parser("extend")
     p.add_argument("--restricted", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.set_defaults(func=cmd_extend)
 
-    p = add_parser("weyl")
+    p = sub.add_parser("weyl")
     ws = p.add_subparsers(dest="weyl_command", required=True)
-    pt = ws.add_parser("tau-hat", parents=[common])
+    pt = ws.add_parser("tau-hat")
     pt.add_argument("--restricted", required=True)
     pt.add_argument("--rank", type=int, required=True)
     pt.add_argument("--m", type=int, required=True)
     pt.set_defaults(func=cmd_weyl_tauhat)
-    pd = ws.add_parser("demazure", parents=[common])
+    pd = ws.add_parser("demazure")
     pd.add_argument("--gcm", required=True, help="GCM JSON file")
     pd.add_argument("--word", default="")
     pd.add_argument("--weight", required=True)
     pd.add_argument("--delta", default="0")
     pd.set_defaults(func=cmd_weyl_demazure)
 
-    p = add_parser("lspath")
+    p = sub.add_parser("lspath")
     p.add_argument("action", choices=["enumerate"])
     p.add_argument("--case", default="flip-sp4")
     p.add_argument("--top", default="tau2", help="tau_m by index, e.g. tau2 or 2")
@@ -301,36 +288,39 @@ def main(argv=None) -> int:
     p.add_argument("--paths", action="store_true")
     p.set_defaults(func=cmd_lspath)
 
-    p = add_parser("smt")
+    p = sub.add_parser("smt")
     ss = p.add_subparsers(dest="smt_command", required=True)
-    pstr = ss.add_parser("straighten", parents=[common])
+    pstr = ss.add_parser("straighten")
     pstr.add_argument("--system", required=True, help="'e7' or relation JSON file")
     pstr.add_argument("--monomial", required=True)
     pstr.set_defaults(func=cmd_smt_straighten)
 
-    p = add_parser("inv")
+    p = sub.add_parser("inv")
     p.add_argument("action", choices=["lookup"])
     p.add_argument("name")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inv)
 
-    p = add_parser("verify")
+    p = sub.add_parser("verify")
     p.add_argument("suite", choices=["all"] + sorted(criteria.SUITES))
     p.add_argument("--max-rank", type=int)
     p.add_argument("--bound", type=int)
     p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tsv", action="store_true", help="TSV check output")
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        report = args.func(args, t0)
+        caps.coset_interval_cap()
+        report = args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(_dump({"error": str(msg)}))
         return 1
-    if args.tsv and report["checks"]:
+    report["elapsed_ms"] = int((time.time() - t0) * 1000)
+    if getattr(args, "tsv", False) and report["checks"]:
         print(_tsv(report["checks"]))
     else:
         print(_dump(report))

@@ -66,15 +66,24 @@ def _quadratic_lattices(fam: str, rank: int) -> dict[str, bool]:
 
 def prop5(bound: int = 12, max_rank: int = 6) -> list[dict]:
     """Criterion 2 (Prop. 5): the quadratic lattices of each type of rank at
-    most `max_rank`, with certificates for the negative verdicts."""
+    most `max_rank`, with certificates for the negative verdicts.  A label
+    whose classification raises ValueError (a cap, say) is one failed row
+    with the error as its actual value; a bound below 1 raises at once."""
+    if bound < 1:
+        raise ValueError(f"height bound must be at least 1, got {bound}")
     labels = ([(fam, r) for fam in ("A", "B", "C", "BC")
                for r in range(2 if fam == "C" else 1, max_rank + 1)]
               + [(fam, r) for fam, r in (("D", 4), ("G", 2), ("F", 4)) if r <= max_rank])
     checks = []
     for fam, rank in labels:
-        rows = quadlat.classify_quadratic(cartan.FinTypeLabel(fam, rank), bound)
-        checks.append(_check(f"{fam}{rank}", _quadratic_lattices(fam, rank),
-                             {name: v for name, v, _ in rows}))
+        want = _quadratic_lattices(fam, rank)
+        try:
+            rows = quadlat.classify_quadratic(cartan.FinTypeLabel(fam, rank), bound)
+        except ValueError as exc:
+            checks.append({"name": f"{fam}{rank}", "pass": False,
+                           "expected": repr(want), "actual": str(exc)})
+            continue
+        checks.append(_check(f"{fam}{rank}", want, {name: v for name, v, _ in rows}))
         if fam in ("D", "G", "F"):
             has_cert = all("certificate" in r for _, v, r in rows if not v)
             checks.append(_check(f"{fam}{rank} negative certificates", True, has_cert))

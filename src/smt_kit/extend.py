@@ -53,37 +53,27 @@ class SplitWeight:
 class ExtendedDatum:
     """An extension step: base matrix, attaching weight, extended matrix.
 
-    For restricted extensions the tier realization, the e_eps weights and
-    the quadratic-basis label are attached as well.
+    A datum with a quadratic-basis label is a restricted extension,
+    attached at `attach_scale` 2 (`_attach`), with the tier realization and
+    the e_eps weights; one without is an ambient extension, attached at
+    scale 1.  The scale is also the delta coefficient of an affine
+    realization and the factor of the finite D-pairing.
     """
 
-    def __init__(self, base: GCM, epsilon: WeightVec, extended: GCM,
-                 kind: str, label: FinTypeLabel | None = None,
+    def __init__(self, base: GCM, epsilon: WeightVec, label: FinTypeLabel | None = None,
                  basis_id: str | None = None):
         self.base = base
         self.epsilon = epsilon
-        self.extended = extended
-        self.kind = kind                      # "ambient" or "restricted"
         self.label = label
-        self.classification = classify(extended)
+        self.attach_scale = 1 if label is None else 2
+        self.extended = _attach(base, [int(c) for c in epsilon.coords], self.attach_scale)
+        self.classification = classify(self.extended)
         bid = basis_id or f"ext({epsilon.basis_id})"
         if self.classification == AFFINE:
-            coeff = Q(2) if kind == "restricted" else Q(1)
-            self.real = Realization(extended, bid, delta_node=0, delta_coeff=coeff)
+            self.real = Realization(self.extended, bid, delta_node=0,
+                                    delta_coeff=self.attach_scale)
         else:
-            self.real = Realization(extended, bid)
-        self._check_extension_rules()
-
-    def _check_extension_rules(self):
-        n = self.base.n
-        ext = self.extended.entries
-        assert all(ext[i + 1][j + 1] == self.base.entries[i][j]
-                   for i in range(n) for j in range(n))
-        scale = 2 if self.kind == "restricted" else 1
-        for j in range(n):
-            pairing = self.epsilon.coords[j]
-            assert ext[0][j + 1] == -scale * pairing
-            assert ext[j + 1][0] == (-1 if pairing != 0 else 0)
+            self.real = Realization(self.extended, bid)
 
     @property
     def rank(self) -> int:
@@ -95,7 +85,7 @@ class ExtendedDatum:
     def e_omega0(self) -> WeightVec:
         """Fundamental weight of node 0; halved in the restricted tier."""
         w = self.real.fundamental(0)
-        return w.scale(Q(1, 2)) if self.kind == "restricted" else w
+        return w if self.label is None else w.scale(Q(1, 2))
 
     def eps_coefficient(self, i: int) -> int:
         """The coordinate of e_eps_i at node i, 1 <= i <= l, its only nonzero one.
@@ -110,7 +100,7 @@ class ExtendedDatum:
 
     def e_eps(self, i: int) -> WeightVec:
         """The split basis weight e_eps_i in tier coordinates (restricted only)."""
-        if self.kind != "restricted":
+        if self.label is None:
             raise ValueError("e_eps lives on the restricted tier")
         if i == 0:
             return self.real.fundamental(0)
@@ -123,16 +113,16 @@ class ExtendedDatum:
 
         Affine: the fundamental weights are D-normalized to zero, so the
         pairing is the delta coordinate.  Finite: D kills the base weights
-        and the value is twice the node-0 coefficient of the root expansion
-        (node-0 root = twice an ambient root in the restricted tier).
+        and the value is the attach scale times the node-0 coefficient of
+        the root expansion (node-0 root = twice an ambient root in the
+        restricted tier).
         """
         if self.is_affine():
             return v.delta
         coords = self.real.root_coords(v)
         if coords is None:
             raise ValueError("weight outside the root span")
-        scale = 2 if self.kind == "restricted" else 1
-        return scale * coords[0]
+        return self.attach_scale * coords[0]
 
 
 def _attach(base: GCM, pairings, scale: int) -> GCM:
@@ -147,8 +137,7 @@ def extend_ambient(base: GCM, eps: WeightVec, basis_id: str | None = None) -> Ex
     """Attach node 0 to `base` by a dominant integral weight eps."""
     if not (eps.is_dominant() and eps.is_integral()):
         raise ValueError("dominant integral weight required")
-    ext = _attach(base, [int(c) for c in eps.coords], 1)
-    return ExtendedDatum(base, eps, ext, kind="ambient", basis_id=basis_id)
+    return ExtendedDatum(base, eps, basis_id=basis_id)
 
 
 def _restricted_pairings(label: FinTypeLabel) -> list[int]:
@@ -169,17 +158,13 @@ def extend_restricted(label: FinTypeLabel) -> ExtendedDatum:
     """
     if label.family not in ("A", "B", "C", "D", "BC"):
         raise ValueError(f"unsupported restricted family {label.family}")
-    base = build_cartan(label)
-    pair = _restricted_pairings(label)
-    ext = _attach(base, pair, 2)
-    eps = WeightVec(str(label), tuple(Q(p) for p in pair))
-    return ExtendedDatum(base, eps, ext, kind="restricted", label=label,
-                         basis_id=f"tier({label})")
+    eps = WeightVec(str(label), tuple(Q(p) for p in _restricted_pairings(label)))
+    return ExtendedDatum(build_cartan(label), eps, label, basis_id=f"tier({label})")
 
 
 def split_normal_form(datum: ExtendedDatum, v: WeightVec) -> SplitWeight:
     """Expand a tier weight as sum(a_i e_eps_i) + g*gamma + b*delta, a_0 = 0."""
-    if datum.kind != "restricted":
+    if datum.label is None:
         raise ValueError("split normal form lives on the restricted tier")
     a = [Q(0)]
     for i in range(1, datum.rank + 1):

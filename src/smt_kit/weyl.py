@@ -103,9 +103,6 @@ class WeylWord:
     def act(self, v: WeightVec) -> WeightVec:
         return self.real.act_letters(self.letters, v)
 
-    def inverse(self) -> "WeylWord":
-        return WeylWord(self.real, tuple(reversed(self.letters)))
-
     def __mul__(self, other: "WeylWord") -> "WeylWord":
         if self.real is not other.real:
             raise ValueError("mixed realizations")

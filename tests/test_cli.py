@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smt_kit import cli, involutions
+from smt_kit import caps, cli, involutions
 
 
 def run(*argv):
@@ -98,8 +98,7 @@ def test_verify_tsv():
 
 
 def test_quadlat_cli():
-    r = run("quadlat", "classify", "--type", "C", "--rank", "3", "--bound", "18",
-            "--json")
+    r = run("quadlat", "classify", "--type", "C", "--rank", "3", "--bound", "18")
     assert r.returncode == 0
     rows = json.loads(r.stdout)["outputs"]
     verdicts = {row["lattice"]: row["quadratic"] for row in rows}
@@ -276,15 +275,52 @@ def test_lspath_cli_degrees(case, top, locus, degree):
     assert "Traceback" not in err
 
 
+def minimal_argvs(gcm_file):
+    """A minimal valid argv of every subcommand."""
+    return [["cartan", "C3"], ["quadlat", "classify", "--type", "C", "--rank", "3"],
+            ["extend", "--restricted", "C", "--rank", "3"],
+            ["weyl", "tau-hat", "--restricted", "C", "--rank", "2", "--m", "1"],
+            ["weyl", "demazure", "--gcm", gcm_file, "--weight", "1,0"],
+            ["lspath", "enumerate", "--case", "flip-sl2", "--top", "tau1"],
+            ["smt", "straighten", "--system", "e7", "--monomial", "x5,y5"],
+            ["inv", "lookup", "flip-sp4"], ["verify", "remark23"]]
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_lspath_cli_rejects_bad_cap(value):
+def test_lspath_cli_rejects_bad_cap(value, a2_gcm, monkeypatch):
+    """Every subcommand refuses an invalid SMT_KIT_CAP before it runs, not
+    only those that walk a coset interval."""
     r = subprocess.run([sys.executable, "-m", "smt_kit.cli", "lspath", "enumerate",
                         "--case", "flip-sl2", "--top", "tau1"],
                        capture_output=True, text=True, env={**os.environ, "SMT_KIT_CAP": value})
     assert r.returncode == 1
-    assert json.loads(r.stdout) == {
-        "error": f"SMT_KIT_CAP={value!r}: expected a positive integer"}
+    error = {"error": f"SMT_KIT_CAP={value!r}: expected a positive integer"}
+    assert json.loads(r.stdout) == error
     assert "Traceback" not in r.stderr
+    monkeypatch.setenv("SMT_KIT_CAP", value)
+    for argv in minimal_argvs(a2_gcm):
+        assert run_in_process(*argv) == (1, error, ""), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "5", "verify", "oracles"], ["--tsv", "verify", "remark23"],
+    ["weyl", "--seed", "3", "tau-hat", "--restricted", "C", "--rank", "2", "--m", "1"],
+    ["weyl", "--tsv", "tau-hat", "--restricted", "C", "--rank", "2", "--m", "1"],
+    ["weyl", "tau-hat", "--restricted", "C", "--rank", "2", "--m", "1", "--seed", "3"],
+    ["cartan", "C3", "--tsv"], ["lspath", "enumerate", "--seed", "1"],
+    ["smt", "straighten", "--system", "e7", "--monomial", "x5,y5", "--tsv"],
+    ["quadlat", "classify", "--type", "C", "--rank", "3", "--json"],
+    ["inv", "lookup", "flip-sp4", "--json"], ["verify", "remark23", "--json"],
+])
+def test_options_only_on_the_parser_that_reads_them(argv, capsys):
+    """--seed and --tsv belong to `verify` alone and --json to no parser, so
+    each of these is a usage error (exit 2); before, the top-level copies
+    were overwritten by the subcommand's defaults and the others ignored."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: smt-kit")
 
 
 def test_lspath_cli_cap_exceeded(monkeypatch):
@@ -457,6 +493,26 @@ def test_seed_changes_sampling_not_result():
     r1 = run("verify", "oracles", "--trials", "5", "--seed", "1")
     r2 = run("verify", "oracles", "--trials", "5", "--seed", "2")
     assert r1.returncode == r2.returncode == 0
+    trials = lambda r: [c for c in json.loads(r.stdout)["checks"] if "trial" in c["name"]]
+    assert len(trials(r1)) == len(trials(r2)) == 5
+    assert trials(r1) != trials(r2)
+
+
+def test_verify_prop5_capped_label_is_one_failed_row(monkeypatch):
+    """A label over the monoid box cap is one failed row with the cap error,
+    and the labels below the cap still pass; a bound below 1 stays one error."""
+    monkeypatch.setitem(caps.CAPS, "monoid_points", 1000)
+    code, out, _ = run_in_process("verify", "prop5", "--max-rank", "4")
+    assert code == 1
+    # the box of C(12 + n, n) points at the default bound 12 is 455 at rank 3
+    error = "monoid_basis cap exceeded: cap=1000, box of 1820 points at bound 12"
+    assert {c["name"]: c["actual"] for c in out["checks"] if not c["pass"]} == {
+        f"prop5: {label}": error for label in ("A4", "B4", "C4", "BC4", "D4", "F4")}
+    assert [c["name"] for c in out["checks"] if c["pass"]] == [
+        f"prop5: {label}" for label in ("A1", "A2", "A3", "B1", "B2", "B3", "C2", "C3",
+                                        "BC1", "BC2", "BC3", "G2", "G2 negative certificates")]
+    assert run_in_process("verify", "prop5", "--bound", "0") == (
+        1, {"error": "height bound must be at least 1, got 0"}, "")
 
 
 @settings(max_examples=80, deadline=None)
@@ -500,6 +556,62 @@ def test_cartan_cli_fuzz(type_text, dim):
     assert "Traceback" not in err
     if code == 0 and dim:
         assert len(dim.split(",")) == out["outputs"]["gcm"]["rank"]
+
+
+FAMILIES = ["A", "B", "C", "D", "BC", "G", "E", "X", "", "a", "B C"]
+
+
+def _check_fuzz_run(*argv):
+    """(exit code, report) of a run that printed one JSON object, exited 0
+    or 1 and wrote no traceback."""
+    code, out, err = run_in_process(*argv)
+    assert code in (0, 1)
+    assert isinstance(out, dict)
+    assert "Traceback" not in err
+    return code, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(-2, 6))
+def test_extend_cli_fuzz(family, rank):
+    code, out = _check_fuzz_run("extend", "--restricted", family, "--rank", str(rank))
+    assert ("error" in out) == (code == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(-2, 5), st.integers(-2, 6))
+def test_weyl_tau_hat_cli_fuzz(family, rank, m):
+    code, out = _check_fuzz_run("weyl", "tau-hat", "--restricted", family, "--rank", str(rank),
+                                f"--m={m}")
+    assert ("error" in out) == (code == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(["x0", "x5", "y3", "y5", "x6", "z", "", "x 1"]), min_size=1,
+                max_size=4).map(",".join))
+def test_straighten_e7_cli_fuzz(monomial):
+    code, out = _check_fuzz_run("smt", "straighten", "--system", "e7", f"--monomial={monomial}")
+    assert ("error" in out) == (code == 1)
+
+
+def unset_or(lo, hi):
+    return st.none() | st.integers(lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["prop5", "oracles", "remark23", "lemma34"]), unset_or(-1, 9),
+       unset_or(-2, 14), unset_or(-2, 6), unset_or(-3, 3))
+def test_verify_cli_options_fuzz(suite, max_rank, bound, trials, seed):
+    """Any of the `verify` options on the suites that read them (and two
+    that ignore them): exit 0 exactly when every check row passes."""
+    argv = ["verify", suite]
+    for option, value in (("--max-rank", max_rank), ("--bound", bound), ("--trials", trials),
+                          ("--seed", seed)):
+        if value is not None:
+            argv.append(f"{option}={value}")
+    code, out = _check_fuzz_run(*argv)
+    if "error" not in out:
+        assert out["checks"] and code == (0 if all(c["pass"] for c in out["checks"]) else 1)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smt_kit import cartan as C, extend as X, linalg
+from smt_kit import cartan as C, criteria, extend as X, linalg
+from smt_kit.involutions import AmbientCase
 from smt_kit.weyl import tau_hat
 
 import cartan_reference as CR
@@ -15,7 +16,30 @@ def lab(s):
     return C.FinTypeLabel.parse(s)
 
 
+# the implemented families (flip-sl, flip-sp, flip-so-odd, sym-quadrics) at a few parameters
+AMBIENT_CASES = ("flip-sl2", "flip-sl3", "flip-sl4", "flip-sp4", "flip-sp6", "flip-so-odd5",
+                 "flip-so-odd7", "sym-quadrics2", "sym-quadrics3", "sym-quadrics5")
+
+
+def _assert_attach_rule(datum, scale):
+    """Node 0 attached to the base by eps: row 0 is -scale <eps, alpha_j^vee>,
+    column 0 is -1 where that pairing is nonzero, else 0."""
+    n, ext = datum.base.n, datum.extended.entries
+    assert ext[0][0] == 2
+    assert all(ext[i + 1][j + 1] == datum.base.entries[i][j] for i in range(n) for j in range(n))
+    for j, pairing in enumerate(datum.epsilon.coords):
+        assert ext[0][j + 1] == -scale * pairing
+        assert ext[j + 1][0] == (-1 if pairing else 0)
+    if datum.is_affine():
+        assert datum.real.delta_coeff == scale
+
+
 def test_extend_ambient_rules():
+    for fam, (lo, _) in criteria._EXTENSION_TABLE.items():
+        for l in range(lo, 5):
+            _assert_attach_rule(X.extend_restricted(C.FinTypeLabel(fam, l)), 2)
+    for name in AMBIENT_CASES:
+        _assert_attach_rule(AmbientCase(name).amb, 1)
     base = C.build_cartan(lab("A1"))
     datum = X.extend_ambient(base, C.WeightVec("A1", (Q(2),)))
     assert datum.extended.entries == ((2, -2), (-1, 2))
