@@ -9,7 +9,7 @@ CAPS = {
     "cut_denominator": 12,           # denominator of an LS-path cut value (lspath.ChainData)
     "demazure_weights": 100000,      # weights after one letter of a Demazure character
     "monoid_points": 200000,         # box of quadlat.monoid_basis; criterion 2 reaches 18,564
-    "orbit_weights": 200000,         # weights of one weyl.orbit_keys search
+    "orbit_weights": 200000,         # weights of one weyl.orbit_keys search or MinusculePoset walk
     "straighten_rewrites": 10 ** 6,  # rewrites of one smt.straighten
 }
 

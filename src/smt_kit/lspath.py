@@ -35,9 +35,11 @@ stabilizer fibers, decided by a forward pass over sub-multisets that keeps
 the minimal lift an admissible prefix ends in: the lifts of a coset above
 an element, if any, are the up-set of one minimal lift (Deodhar, Invent.
 Math. 39, 1977), and defining chains are built from minimal lifts
-(Lakshmibai-Littelmann-Magyar, Compositio 130, 2002).  `FibreLifts` numbers
-the lifts and keeps the Bruhat down-set of each as an int bitset, built by
-the lifting property, so "the end lies below this lift" is one bit.
+(Lakshmibai-Littelmann-Magyar, Compositio 130, 2002).  `FibreLifts` reads
+the numbers, the order and the fibres off the one interval below w_0
+(`weyl.coset_interval`, numbered by length), so a direction's lifts are one
+bitset and placing it behind an end is one AND with the end's up-set,
+whose lowest bit is the minimal lift.
 Lifting a path of shape eps_i by the i-th telescoping word turns the
 second into the first.
 """
@@ -301,20 +303,20 @@ def is_standard_above(factors: tuple[LSPath, ...]) -> bool:
 
 class FibreLifts:
     """Fibre lifts with their Bruhat order, kept by one owner for every call
-    that shares the realization.
+    that shares the (finite) realization.
 
-    Every Weyl element it meets is numbered once, keyed by w(rho), the
-    identity first, so number 0 lies below every element.  The lifts of a
-    direction coset are coset.word * u for u in the stabilizer fibre W_J,
-    built breadth first from the identity on those numbers, so they are
-    listed by length and the minimal representative comes first.
-    `below(i)` is the down-set of element i as an int bitset over the
-    numbers, built on first use by the lifting property: for a left descent
-    s of w, [e, w] = [e, sw] | s [e, sw] (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, Prop. 2.2.7), where s acts on a key by
-    `Realization.image`.  Building a down-set numbers every element of the
-    interval, so an element numbered later never lies below a finished one
-    and the bitsets stay exact.
+    Everything comes off one interval, `weyl.coset_interval` of the longest
+    element w_0 modulo the trivial parabolic: an element's number is its
+    index there (sorted by length, so the identity is 0 and a shorter
+    element has a smaller number), `down[i]` is the interval's down-set of
+    element i and `up[i]`, its transpose, the up-set.  An infinite Weyl
+    group has no w_0 (`longest_parabolic` raises ValueError), and the table
+    is capped like every interval.  The lifts of a direction xW_J, x its
+    minimal representative, are the coset xW_J, which is the Bruhat
+    interval [x, x w_0(J)], since the projection onto W^J is
+    order-preserving (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    Prop. 2.5.1): one bitset, up[x] & down[x w_0(J)], whose lowest bit is
+    x, with w_0(J) built once per J.
 
     A factor's kind is its stabilizer and direction cosets; factors of one
     kind place alike.  A state is one element number, the minimal lift an
@@ -325,71 +327,35 @@ class FibreLifts:
 
     def __init__(self, real: Realization):
         self.real = real
-        self._fibres: dict[frozenset[int], list[int]] = {}
-        self._numbers: dict[tuple, int] = {}
-        self._keys: list[tuple[int, ...]] = []      # w(rho), delta last
-        self._left: list[list[int | None]] = []     # the number of s w, per s
-        self._below: list[int | None] = []
-        self._lifts: dict[tuple, list[int]] = {}
+        poset = coset_interval(CosetRep(longest_parabolic(real, range(real.n)), ()))
+        self.index = poset.index
+        self.down = poset.down
+        self.up = [1 << i for i in range(len(poset))]
+        for i in reversed(range(len(poset))):   # an element's upper covers come after it
+            for j, _ in poset.lower_covers[i]:
+                self.up[j] |= self.up[i]
+        self._longest: dict[frozenset[int], WeylWord] = {}
+        self._lifts: dict[tuple, int] = {}
         self._kinds: dict[tuple, int] = {}
-        self._steps: list[list[list[int]]] = []
-        self.number(WeylWord(real, ()))
-        self._below[0] = 1                  # the identity, the only w with w(rho) = rho
-
-    def _number(self, key) -> int:
-        key = tuple(key)
-        i = self._numbers.setdefault(key, len(self._keys))
-        if i == len(self._keys):
-            self._keys.append(key)
-            self._left.append([None] * self.real.n)
-            self._below.append(None)
-        return i
+        self._steps: list[list[int]] = []
 
     def number(self, w: WeylWord) -> int:
-        coords, delta = w.key
-        return self._number(coords + (delta,))
+        """The index of w in the interval."""
+        return self.index[w.key, frozenset()]
 
-    def _times(self, s: int, i: int) -> int:
-        """The number of s w_i."""
-        j = self._left[i][s]
-        if j is None:
-            j = self._left[i][s] = self._number(self.real.image((s,), self._keys[i]))
-            self._left[j][s] = i
-        return j
-
-    def below(self, i: int) -> int:
-        """The numbers of the elements <= w_i, as a bitset."""
-        if self._below[i] is not None:
-            return self._below[i]
-        chain, w = [], i
-        while self._below[w] is None:       # down to the identity at worst
-            s = next(s for s, c in enumerate(self._keys[w][:-1]) if c < 0)
-            chain.append((w, s))
-            w = self._times(s, w)
-        for w, s in reversed(chain):
-            lower = self._below[self._times(s, w)]
-            self._below[w] = lower | sum(1 << self._times(s, x) for x in _bits(lower))
-        return self._below[i]
-
-    def __call__(self, coset: CosetRep, J: frozenset[int]) -> list[int]:
-        """The numbers of the lifts of `coset`, by length, the minimal
-        representative first."""
+    def __call__(self, coset: CosetRep, J: frozenset[int]) -> int:
+        """The numbers of the lifts of `coset` as a bitset; the lowest bit
+        is the minimal representative."""
         key = (coset.key, J)
         if key not in self._lifts:
-            if J not in self._fibres:
-                fibre = self._fibres[J] = [0]
-                for u in fibre:             # breadth first, the identity first
-                    for j in J:
-                        v = self._times(j, u)
-                        if v not in fibre:
-                            fibre.append(v)
-            letters = coset.word.letters
-            self._lifts[key] = [self._number(self.real.image(letters, self._keys[u]))
-                                for u in self._fibres[J]]
+            if J not in self._longest:
+                self._longest[J] = longest_parabolic(self.real, J)
+            x = coset.word
+            self._lifts[key] = self.up[self.number(x)] & self.down[self.number(x * self._longest[J])]
         return self._lifts[key]
 
     def kind(self, path: LSPath) -> int:
-        """The number of the factor's kind.  A new kind keeps the numbers of
+        """The number of the factor's kind.  A new kind keeps the bitsets of
         its lifts, direction by direction in increasing order."""
         J = stabilizer_nodes(path.shape)
         key = (J, tuple(d.key for d in path.dirs))
@@ -400,24 +366,26 @@ class FibreLifts:
         return k
 
     def order_key(self, kind: int) -> int:
-        """The size of the down-set of the first lift of the kind's lowest
-        direction: kinds of one block placed in increasing order of it (ties
-        by kind number) reach the minimal ends of all orders that
-        `is_standard_below` takes (measured, not proved; `tests/test_smt.py`
-        checks it)."""
-        return self.below(self._steps[kind][0][0]).bit_count()
+        """The size of the down-set of the minimal representative of the
+        kind's lowest direction: kinds of one block placed in increasing
+        order of it (ties by kind number) reach the minimal ends of all
+        orders that `is_standard_below` takes (measured, not proved;
+        `tests/test_smt.py` checks it)."""
+        lifts = self._steps[kind][0]
+        return self.down[(lifts & -lifts).bit_length() - 1].bit_count()
 
     def place(self, end: int, kind: int) -> int | None:
         """The minimal lift ending a sequence that places one factor of `kind`
         behind a prefix with minimal end `end` (0 before the first factor),
-        or None.  In each direction the lifts above the end so far are the
-        up-set of one minimal lift (Deodhar), and lifts are listed by length
-        (the fibre is built breadth first from the identity), so the first
-        lift above it is that minimal lift."""
+        or None.  In each direction the lifts above the end so far are
+        up[end] & lifts, the up-set of one minimal lift (Deodhar); every
+        other lift of that set lies above it and so is longer, and numbers
+        follow length, so it is the lowest bit."""
         for lifts in self._steps[kind]:
-            end = next((z for z in lifts if self.below(z) >> end & 1), None)
-            if end is None:
+            above = self.up[end] & lifts
+            if not above:
                 return None
+            end = (above & -above).bit_length() - 1
         return end
 
 

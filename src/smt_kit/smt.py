@@ -22,9 +22,9 @@ import itertools
 from fractions import Fraction
 
 from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
-                     classify, weyl_dim)
+                     classify)
 from .extend import extend_restricted
-from .weyl import CosetRep, coset_interval, longest_parabolic, orbit_keys, tau_full
+from .weyl import CosetRep, coset_interval, longest_parabolic, tau_full
 from . import caps, lspath
 
 Q = Fraction
@@ -35,37 +35,41 @@ class MinusculePoset:
 
     The minimum is the highest weight (the order follows restriction of
     sections: the dual basis vector at the highest weight is the smallest).
-    The orbit is one `weyl.orbit_keys` search, minuscule when it has
-    `weyl_dim` weights.  Then every pairing is 0 or +-1, mu - alpha_a is a
-    weight iff <mu, alpha_a^vee> = 1, where it is s_a mu, and these steps
-    are the covers of the order, a distributive lattice (Proctor, Bruhat
-    lattices, plane partition generating functions, and minuscule
-    representations, 1984).  ``depth[i]`` (the root coordinates of highest
-    - weights[i]) is counted along them; ``_lower[i][a]`` is the index of
-    s_a weights[i] (None if a does not lower it); ``_up[i]`` is the bitset
-    of the j >= i: bit i ORed with the up-sets of its lowerings.
+    The orbit is one walk down from the highest weight, mu -> mu - alpha_a
+    where <mu, alpha_a^vee> > 0, refused at the first weight with a pairing
+    outside {-1, 0, 1}: until then every step is the reflection s_a, and
+    every orbit weight is reached from the top by such steps, so a walk
+    that is never refused covers the orbit, which is minuscule.  These steps are the covers of the order, a distributive lattice
+    (Proctor, Bruhat lattices, plane partition generating functions, and
+    minuscule representations, 1984).  ``depth[i]`` (the root coordinates
+    of highest - weights[i]) is counted along them; ``_lower[i][a]`` is the
+    index of s_a weights[i] (None if a does not lower it); ``_up[i]`` is
+    the bitset of the j >= i: bit i ORed with the up-sets of its lowerings.
+    More weights than the table's `orbit_weights` cap raise ValueError.
     """
 
     def __init__(self, real: Realization, node: int):
         self.real = real
         self.highest = real.fundamental(node)
-        if classify(real.gcm) != FINITE:        # before the orbit search, which need not end
+        if classify(real.gcm) != FINITE:        # before the walk, which need not end
             raise ValueError("finite-type GCM required")
         n, rows = real.n, real.gcm.entries
+        cap = caps.CAPS["orbit_weights"]
         top = tuple(int(i == node) for i in range(n)) + (0,)
-        keys = orbit_keys(real, range(n), list(top))
-        if len(keys) != weyl_dim(real.gcm, self.highest):
-            raise ValueError("weight is not minuscule (orbit misses weights)")
         lowered = lambda k, a: tuple(x - y for x, y in zip(k, rows[a])) + (0,)    # k - alpha_a
         depth = {top: (0,) * n}
         queue = [top]
         for k in queue:                             # grows as the walk goes down
             for a in range(n):
                 if k[a] > 0 and (im := lowered(k, a)) not in depth:
+                    if not all(-1 <= c <= 1 for c in im[:n]):
+                        raise ValueError("weight is not minuscule (a pairing leaves -1..1)")
+                    if len(depth) >= cap:
+                        raise ValueError(f"orbit cap exceeded: cap={cap}, "
+                                         f"{len(depth)} weights reached")
                     depth[im] = depth[k][:a] + (depth[k][a] + 1,) + depth[k][a + 1:]
                     queue.append(im)
-        assert depth.keys() == keys, "lowering steps leave the orbit"
-        order = sorted(keys, key=lambda k: (sum(depth[k]), k))
+        order = sorted(depth, key=lambda k: (sum(depth[k]), k))
         position = {k: i for i, k in enumerate(order)}
         self.depth = [depth[k] for k in order]
         self._lower = [[position[lowered(k, a)] if k[a] > 0 else None for a in range(n)]
@@ -380,7 +384,7 @@ class TwoBases:
         `lspath.is_standard_below` takes (measured, not proved; `tests/test_smt.py`
         checks it).  So both counts are one dynamic program, one placement
         per step; the second takes only the steps a -> b with leq[a] >> b & 1."""
-        place = functools.lru_cache(maxsize=None)(self.lifts.place)
+        place = self.lifts.place
         layer = {(0, 0, ()): [1, 1]}
         for _ in range(degree):
             nxt: dict[tuple, list[int]] = {}

@@ -17,7 +17,7 @@ each drop with one reflection off the drops of s_{l_0} c; its
 divided-difference character of a Schubert cell runs on integer tuples
 (coordinates, then delta times its denominator) and builds its Fraction
 keys once, on return, and so does the orbit search `orbit_bfs` around its
-integer core `orbit_keys`, which `smt` reads directly.  A Demazure module
+integer core `orbit_keys`.  A Demazure module
 depends only on the coset w W_lam, W_lam generated by the s_j with
 <lam, alpha_j^vee> = 0, so `demazure_dim` runs along the minimal
 representative, a subword of w's reduced word (`coset_subword`);

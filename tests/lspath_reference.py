@@ -446,7 +446,7 @@ def bitset_place(lifts, ends: int, kind: int) -> int:
     in any of `ends` (1, the bit of the identity, before the first factor),
     as a bitset: a lift is reached iff some end lies below it."""
     for step in lifts._steps[kind]:
-        ends = sum(1 << z for z in step if lifts.below(z) & ends)
+        ends = sum(1 << z for z in _bits(step) if lifts.down[z] & ends)
         if not ends:
             break
     return ends

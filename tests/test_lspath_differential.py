@@ -8,8 +8,8 @@ search over its divisors, memoised chain gcds against the depth-first walk over 
 enumeration over down-sets against testing every coset, the pairwise
 standardness test against every order of the factors, the forward
 pass over sub-multisets against the backtracking over every arrangement
-and against the list-based forward pass it replaced, the bitset down-sets
-of the fibre lifts against `bruhat_leq`, the minimal lift that
+and against the list-based forward pass it replaced, the down-set and
+up-set bitsets of the fibre lifts against `bruhat_leq`, the minimal lift that
 `FibreLifts.place` keeps against the set-valued placement it replaced,
 the comparability table read off the interval against one `bruhat_leq`
 per pair of cosets, the lift order of `TwoBases` against one
@@ -19,7 +19,8 @@ against testing every multiset, and the integer `act_letters` walk
 against the Fraction reflection loop.  Monomials of degree <= 3 come from
 the path pools of five symmetric pairs; words and weights are random on a
 finite, an affine, a restricted-tier (delta coefficient 2) and an
-indefinite GCM, and so are the paths whose kinds the minimal lift places.
+indefinite GCM; the paths whose kinds the minimal lift places, and the
+cosets whose lifts are checked, are random on four finite ones.
 """
 
 from fractions import Fraction
@@ -51,6 +52,9 @@ REALIZATIONS = {
     "indefinite": C.Realization(C.GCM(((2, -3), (-3, 2))), "hyp33"),
 }
 assert REALIZATIONS["tier(C2)"].delta_coeff == 2
+# `FibreLifts` numbers the whole Weyl group, so its tests draw finite ones only
+FIBRE_REALIZATIONS = {name: REALIZATIONS.get(name) or _finite(name)
+                      for name in ("A3", "B3", "C3", "G2")}
 
 # (case, m): the pools of the standardness and count tests
 CASES = (("flip-sl2", 1), ("flip-sl3", 2), ("flip-sp4", 2), ("flip-so-odd5", 2),
@@ -363,17 +367,30 @@ def test_standard_below_agrees_with_default_blocks():
     assert verdicts[-1] == (False, True)
 
 
+@pytest.mark.parametrize("name", ("C2^(1)", "tier(C2)", "indefinite"))
+def test_fibre_lifts_refuse_an_infinite_weyl_group(name):
+    """No longest element, so no interval to number the group on."""
+    with pytest.raises(ValueError, match=r"^longest_parabolic: nodes \[0, 1(, 2)?\] are not of "
+                                         r"finite type$"):
+        L.FibreLifts(REALIZATIONS[name])
+
+
+def test_fibre_lifts_obey_the_coset_interval_cap():
+    """The 48 elements of B3 are one capped interval."""
+    real = FIBRE_REALIZATIONS["B3"]
+    with mock.patch.dict(CAPS, coset_interval=48):
+        assert len(L.FibreLifts(real).down) == 48
+    with mock.patch.dict(CAPS, coset_interval=47), \
+            pytest.raises(ValueError, match=r"^coset interval cap exceeded: cap=47, "
+                                            r"\d+ cosets reached$"):
+        L.FibreLifts(real)
+
+
 @st.composite
 def fibre_cosets(draw):
-    """Up to three cosets of one realization with one stabilizer J that
-    generates a finite parabolic subgroup."""
-    name = draw(st.sampled_from(sorted(REALIZATIONS)))
-    real = REALIZATIONS[name]
+    """Up to three cosets of one finite realization with one stabilizer J."""
+    real = FIBRE_REALIZATIONS[draw(st.sampled_from(sorted(FIBRE_REALIZATIONS)))]
     J = frozenset(draw(st.sets(st.integers(0, real.n - 1), max_size=real.n)))
-    try:
-        W.longest_parabolic(real, J)
-    except ValueError:
-        assume(False)
     words = draw(st.lists(st.lists(st.integers(0, real.n - 1), max_size=5),
                           min_size=1, max_size=3))
     return real, J, [W.CosetRep(W.WeylWord(real, w), J) for w in words]
@@ -383,38 +400,35 @@ def fibre_cosets(draw):
 @given(fibre_cosets())
 def test_fibre_lift_order_agrees(case):
     """The lifts of every coset are c.word * u, u in W_J, the minimal
-    representative first, and on every pair of lifts numbered by one owner
-    the bitset order is `bruhat_leq`, also across cosets and with down-sets
-    built before later lifts were numbered."""
+    representative the lowest bit, and on every pair of lifts the down-set
+    and up-set bitsets give `bruhat_leq`, also across cosets."""
     real, J, cosets = case
     lifts = L.FibreLifts(real)
     fibre = R._parabolic_elements(real, sorted(J))
     words = {}
     for c in cosets:
-        got = lifts(c, J)
-        for z in got:
-            lifts.below(z)
+        got = list(L._bits(lifts(c, J)))
         want = {lifts.number(c.word * u): c.word * u for u in fibre}
-        assert sorted(got) == sorted(want) and got[0] == lifts.number(c.word)
+        assert got == sorted(want) and got[0] == lifts.number(c.word)
         words.update(want)
     for a, x in words.items():
         for b, y in words.items():
-            assert (lifts.below(b) >> a & 1) == W.bruhat_leq(x, y), (x, y)
+            assert (lifts.down[b] >> a & 1) == (lifts.up[a] >> b & 1) == W.bruhat_leq(x, y), \
+                (x, y)
 
 
 @st.composite
 def fibre_kinds(draw):
-    """Paths of one or two shapes with finite stabilizer fibres, each below
-    a random top, drawn from the enumerated pools of one realization."""
-    real = REALIZATIONS[draw(st.sampled_from(sorted(REALIZATIONS)))]
+    """Paths of one or two shapes, each below a random top, drawn from the
+    enumerated pools of one finite realization."""
+    real = FIBRE_REALIZATIONS[draw(st.sampled_from(sorted(FIBRE_REALIZATIONS)))]
     paths = []
     for _ in range(draw(st.integers(1, 2))):
         shape = real.weight(draw(st.lists(st.sampled_from((0, 0, 1, 2)), min_size=real.n,
                                           max_size=real.n)))
         J = L.stabilizer_nodes(shape)
         word = W.WeylWord(real, draw(st.lists(st.integers(0, real.n - 1), max_size=5)))
-        try:                        # an infinite fibre, or the cut denominator cap
-            W.longest_parabolic(real, J)
+        try:                        # the cut denominator cap
             pool = L.enumerate_paths(shape, W.CosetRep(word, J))
         except ValueError:
             assume(False)
@@ -451,7 +465,8 @@ def test_minimal_lift_agrees_with_the_bitset_fold(case):
             if got is None:
                 continue
             last = lifts._steps[k][-1]
-            assert want == sum(1 << z for z in last if lifts.below(z) >> got & 1), (end, k)
+            assert want == sum(1 << z for z in L._bits(last) if lifts.down[z] >> got & 1), \
+                (end, k)
             assert W.bruhat_leq(words[end], words[got])
             assert all(W.bruhat_leq(words[got], words[z]) for z in L._bits(want))
             if got not in reached:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import lspath_reference as LR
 import weyl_reference as WR
-from smt_kit import cartan as C, involutions as I, quadlat as QL, smt as S
+from smt_kit import cartan as C, involutions as I, lspath as L, quadlat as QL, smt as S
 from smt_kit.caps import CAPS
 
 
@@ -132,8 +132,11 @@ def test_minuscule_poset_examples():
     # 21 = dim S^2 V = dim V_{2 omega_1} for the symplectic vector module
     real = C.Realization(C.build_cartan(C.FinTypeLabel("C", 3)), "C3")
     assert C.weyl_dim(C.FinTypeLabel("C", 3), real.fundamental(0).scale(2)) == 21
-    with pytest.raises(ValueError):
-        S.minuscule_poset(C.FinTypeLabel("C", 3), 1)  # not minuscule
+    with pytest.raises(ValueError, match="^weight is not minuscule"):
+        S.minuscule_poset(C.FinTypeLabel("C", 3), 1)
+    with mock.patch.dict(CAPS, orbit_weights=5), \
+            pytest.raises(ValueError, match="^orbit cap exceeded: cap=5, 5 weights reached$"):
+        S.minuscule_poset(C.FinTypeLabel("C", 3), 0)
 
 
 def test_e7_poset_and_free_monoids_skip_the_fraction_kernels(monkeypatch):
@@ -255,7 +258,8 @@ def test_fixed_order_fold_is_the_union_over_orders(name, degree, monomials):
             end = place(end, k)
             if end is None:
                 return 0
-        return sum(1 << z for z in lifts._steps[kinds[-1]][-1] if lifts.below(z) >> end & 1)
+        return sum(1 << z for z in L._bits(lifts._steps[kinds[-1]][-1])
+                   if lifts.down[z] >> end & 1)
 
     one_block = (name, degree) == ("flip-sp4", 3)
     memo: dict = {}
@@ -280,7 +284,7 @@ def test_two_basis_tables_make_no_bruhat_comparison(monkeypatch):
     tables of flip-sl2, flip-sp4 and flip-sp6 calls `bruhat_leq` (in lspath
     and weyl) not once; one comparison per pair of a top and a bottom
     direction took 11, 576 and 31,886 calls."""
-    from smt_kit import lspath as L, weyl as W
+    from smt_kit import weyl as W
     calls = []
 
     def counted(fn):
