@@ -20,6 +20,8 @@ The conventions used throughout the package:
   (`Realization.inverse`) and one per GCM (`root_inverse`).  The Weyl
   dimension formula is one integer product (`weyl_dim_int`) behind the
   checks of `weyl_dim`.
+* The sign class of a GCM (`classify`) is the inertia of its integer
+  symmetrized form, read off a fraction-free symmetric elimination.
 
 No floating point is used anywhere.
 """
@@ -296,25 +298,37 @@ def classify(m: GCM) -> str:
 
     Raises ValueError on non-symmetrizable input (not cached, so every
     call raises).  finite = positive definite, affine = positive
-    semidefinite with 1-dim kernel.  The symmetrized form D A is scaled by
-    the lcm of the denominators of D to an integer matrix for
-    `linalg.char_poly`; a positive scale keeps every sign count.  Cached by
-    the value of the (frozen) matrix.
+    semidefinite with 1-dim kernel (Kac, Ch. 4).  The symmetrized form D A,
+    scaled to an integer matrix by the lcm of the denominators of D, goes
+    through symmetric fraction-free elimination (Bareiss 1968) on nonzero
+    diagonal pivots, each step divided exactly by the previous pivot.  By
+    Sylvester's law of inertia a negative pivot means indefinite.  Once no
+    nonzero diagonal entry is left, the k rows left are a positive multiple
+    of a Schur complement with zero diagonal: k = 0 is finite, k = 1 affine,
+    and k >= 2 indefinite, with nullity k if the rest is zero and a
+    negative eigenvalue if not.  Cached by the value of the (frozen) matrix.
     """
     d = symmetrizer(m)
     if d is None:
         raise ValueError("non-symmetrizable GCM")
     scale = math.lcm(*(x.denominator for x in d))
-    dd = [x.numerator * (scale // x.denominator) for x in d]
-    b = [[dd[i] * m.entries[i][j] for j in range(m.n)] for i in range(m.n)]
-    pos, zero, neg = linalg.real_rooted_sign_counts(linalg.char_poly(b))
-    if neg > 0:
+    b = [[x.numerator * (scale // x.denominator) * a for a in row]
+         for x, row in zip(d, m.entries)]
+    live, prev = list(range(m.n)), 1
+    while (p := next((i for i in live if b[i][i]), None)) is not None:
+        pivot, top = b[p][p], b[p]
+        if pivot < 0:
+            return INDEFINITE
+        live.remove(p)
+        for i in live:
+            row, f = b[i], b[i][p]
+            for j in live:
+                row[j], rest = divmod(pivot * row[j] - f * top[j], prev)
+                assert rest == 0, "Bareiss step does not divide by the previous pivot"
+        prev = pivot
+    if len(live) > 1:
         return INDEFINITE
-    if zero == 0:
-        return FINITE
-    if zero == 1:
-        return AFFINE
-    return INDEFINITE
+    return AFFINE if live else FINITE
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +426,9 @@ class Realization:
         return WeightVec(self.basis_id, coords, Q(delta))
 
     def fundamental(self, i: int) -> WeightVec:
+        """The i-th fundamental weight; a node outside 0..n-1 raises ValueError."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"node {i} out of range 0..{self.n - 1}")
         return WeightVec(self.basis_id,
                          tuple(Q(1) if j == i else Q(0) for j in range(self.n)))
 
@@ -491,41 +508,34 @@ class Realization:
 # Dominance order
 
 
-def root_rows(m: GCM) -> list[list[Fraction]]:
-    """Fundamental-weight coordinates of the simple roots.
-
-    A marked (BC) node has <omega_j, alpha_j^vee> = 2, so its column is
-    halved relative to the raw matrix entries.
-    """
-    return [[Q(m.entries[i][j], 2 if j in m.nonreduced_nodes else 1)
-             for j in range(m.n)] for i in range(m.n)]
-
-
 @functools.lru_cache(maxsize=64)
 def int_root_rows(m: GCM) -> tuple[tuple[int, ...], ...]:
-    """`root_rows` as integer tuples, cached by GCM value.  Raises
-    ValueError when a halved (BC) column leaves a half-integer, which no
+    """Fundamental-weight coordinates of the simple roots, as integer
+    tuples cached by GCM value.  A marked (BC) node has
+    <omega_j, alpha_j^vee> = 2, so its column is the raw matrix column
+    halved.  Raises ValueError when that leaves a half-integer, which no
     finite label's matrix does."""
-    rows = root_rows(m)
-    if any(x.denominator != 1 for row in rows for x in row):
+    half = m.nonreduced_nodes
+    if any(row[j] % 2 for row in m.entries for j in half):
         raise ValueError("root coordinates must be integral")
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(x // 2 if j in half else x for j, x in enumerate(row))
+                 for row in m.entries)
 
 
 @functools.lru_cache(maxsize=64)
 def root_inverse(m: GCM) -> linalg.IntInverse:
     """The one integer left inverse of the simple roots per GCM, cached by
-    GCM value: its columns are the root rows (a BC column halved) scaled to
-    integers, with a delta slot last, +delta at node 0 on the affine types
-    as in `Realization.standard`; elsewhere the span row refuses a nonzero
-    delta.  Raises ValueError when the simple roots are linearly dependent.
+    GCM value: its columns are the root rows (a BC column halved, and the
+    whole matrix doubled when that leaves an odd entry halved) with a delta
+    slot last, +delta at node 0 on the affine types as in
+    `Realization.standard`; elsewhere the span row refuses a nonzero delta.
+    Raises ValueError when the simple roots are linearly dependent.
     """
-    rows = root_rows(m)
-    n = m.n
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    n, half = m.n, m.nonreduced_nodes
+    scale = 2 if any(row[j] % 2 for row in m.entries for j in half) else 1
+    cols = [[row[j] * scale // (2 if j in half else 1) for row in m.entries] for j in range(n)]
     delta = [scale * (classify(m) == AFFINE)] + [0] * (n - 1)
-    inv = linalg.left_inverse([[scale * rows[i][j] for i in range(n)] for j in range(n)]
-                              + [delta])
+    inv = linalg.left_inverse(cols + [delta])
     if len(inv.span) != 1:
         raise ValueError("simple roots must be linearly independent")
     return inv._replace(left=tuple(tuple(scale * x for x in row) for row in inv.left))

@@ -1,8 +1,9 @@
 """Exact linear algebra: solving, integer left inverses, char polys.
 
 `solve` takes and returns fractions.Fraction entries; `left_inverse` and
-`char_poly` work over the integers.  There is no floating point anywhere in
-the package.
+`char_poly` work over the integers (no library code calls `char_poly`; it is
+kept for the benchmark's tracer and the tests' reference).  There is no
+floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -129,21 +130,3 @@ def char_poly(a: list[list[int]]) -> list[int]:
             am[i][i] += c
         m = am
     return coeffs
-
-
-def real_rooted_sign_counts(coeffs: list[int]) -> tuple[int, int, int]:
-    """(positive, zero, negative) root counts of a poly known to be real-rooted.
-
-    Zero roots are the trailing zero coefficients; positive roots are the
-    Descartes sign variations of the remaining sequence (exact for
-    real-rooted polynomials).
-    """
-    n = len(coeffs) - 1
-    cs = list(coeffs)
-    zero = 0
-    while cs and cs[-1] == 0:
-        cs.pop()
-        zero += 1
-    signs = [1 if c > 0 else -1 for c in cs if c != 0]
-    pos = sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-    return pos, zero, n - zero - pos

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
-from .cartan import (FINITE, GCM, FinTypeLabel, Realization, WeightVec, build_cartan,
-                     classify)
+from .cartan import FINITE, GCM, FinTypeLabel, Realization, build_cartan, classify
 from .extend import extend_restricted
 from .weyl import CosetRep, coset_interval, longest_parabolic, tau_full
 from . import caps, lspath
@@ -39,12 +39,17 @@ class MinusculePoset:
     where <mu, alpha_a^vee> > 0, refused at the first weight with a pairing
     outside {-1, 0, 1}: until then every step is the reflection s_a, and
     every orbit weight is reached from the top by such steps, so a walk
-    that is never refused covers the orbit, which is minuscule.  These steps are the covers of the order, a distributive lattice
-    (Proctor, Bruhat lattices, plane partition generating functions, and
-    minuscule representations, 1984).  ``depth[i]`` (the root coordinates
-    of highest - weights[i]) is counted along them; ``_lower[i][a]`` is the
-    index of s_a weights[i] (None if a does not lower it); ``_up[i]`` is
-    the bitset of the j >= i: bit i ORed with the up-sets of its lowerings.
+    that is never refused covers the orbit, which is minuscule.  These
+    steps are the covers of the order, a distributive lattice (Proctor,
+    Bruhat lattices, plane partition generating functions, and minuscule
+    representations, 1984).  The walk runs on the integer coordinate
+    tuples of the weights, and ``index`` maps each tuple to its weight's
+    number (a tuple of equal Fractions finds the same entry).
+    ``depth[i]`` (the root coordinates of highest - weight i) is counted
+    along the steps; ``_lower[i][a]`` is the index of s_a of weight i (None
+    if a does not lower it), recorded as the walk takes the step;
+    ``_up[i]`` is the bitset of the j >= i: bit i ORed with the up-sets of
+    its lowerings.
     More weights than the table's `orbit_weights` cap raise ValueError.
     """
 
@@ -55,14 +60,18 @@ class MinusculePoset:
             raise ValueError("finite-type GCM required")
         n, rows = real.n, real.gcm.entries
         cap = caps.CAPS["orbit_weights"]
-        top = tuple(int(i == node) for i in range(n)) + (0,)
-        lowered = lambda k, a: tuple(x - y for x, y in zip(k, rows[a])) + (0,)    # k - alpha_a
+        top = tuple(int(i == node) for i in range(n))
         depth = {top: (0,) * n}
+        lowered: dict[tuple, list] = {}             # k -> [k - alpha_a, or None]
         queue = [top]
         for k in queue:                             # grows as the walk goes down
+            row = lowered[k] = [None] * n
             for a in range(n):
-                if k[a] > 0 and (im := lowered(k, a)) not in depth:
-                    if not all(-1 <= c <= 1 for c in im[:n]):
+                if k[a] > 0:
+                    row[a] = im = tuple(map(operator.sub, k, rows[a]))
+                    if im in depth:
+                        continue
+                    if not all(-1 <= c <= 1 for c in im):
                         raise ValueError("weight is not minuscule (a pairing leaves -1..1)")
                     if len(depth) >= cap:
                         raise ValueError(f"orbit cap exceeded: cap={cap}, "
@@ -70,19 +79,17 @@ class MinusculePoset:
                     depth[im] = depth[k][:a] + (depth[k][a] + 1,) + depth[k][a + 1:]
                     queue.append(im)
         order = sorted(depth, key=lambda k: (sum(depth[k]), k))
-        position = {k: i for i, k in enumerate(order)}
+        self.index = {k: i for i, k in enumerate(order)}
         self.depth = [depth[k] for k in order]
-        self._lower = [[position[lowered(k, a)] if k[a] > 0 else None for a in range(n)]
+        self._lower = [[None if im is None else self.index[im] for im in lowered[k]]
                        for k in order]
         self._up = [0] * len(order)
         for i in reversed(range(len(order))):       # a lowering has a larger index
             self._up[i] = functools.reduce(
                 int.__or__, (self._up[j] for j in self._lower[i] if j is not None), 1 << i)
-        self.weights = [WeightVec(real.basis_id, tuple(Q(c) for c in k[:-1])) for k in order]
-        self.index = {w.coords: i for i, w in enumerate(self.weights)}
 
     def __len__(self):
-        return len(self.weights)
+        return len(self.depth)
 
     def leq(self, i: int, j: int) -> bool:
         """i <= j iff weight_i - weight_j is a nonnegative root sum."""

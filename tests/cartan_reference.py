@@ -24,9 +24,14 @@ per GCM.
 negative roots included, and keeps the positive ones at the end, where
 `smt_kit.cartan` keeps only positive images as it goes; `weyl_dim` here
 multiplies over it.  `char_poly` is the Faddeev-LeVerrier recursion on
-Fraction matrices and `classify` hands it the Fraction symmetrized form,
-where `smt_kit.linalg.char_poly` runs on the integer form scaled by the
-lcm of the symmetrizer's denominators.
+Fraction matrices, the reference of the integer `smt_kit.linalg.char_poly`.
+`classify` hands it the Fraction symmetrized form and counts the signs of
+the roots with `real_rooted_sign_counts` (Descartes' rule, exact for a
+real-rooted polynomial), where `smt_kit.cartan.classify` reads the inertia
+off a fraction-free symmetric elimination of the integer form.
+`root_rows` is the Fraction table of fundamental-weight coordinates of the
+simple roots, a BC column halved, where `smt_kit.cartan` keeps them as
+integers (`int_root_rows`, and the columns of `root_inverse`).
 
 The code is the earlier `smt_kit.cartan` and `smt_kit.linalg` code with
 these changes that alter no answer: `root_coords`, `reflect`,
@@ -43,7 +48,7 @@ from fractions import Fraction
 
 from smt_kit import linalg
 from smt_kit.cartan import (AFFINE, FINITE, INDEFINITE, FinTypeLabel, GCM, Realization,
-                           WeightVec, build_cartan, root_rows, symmetrizer)
+                           WeightVec, build_cartan, symmetrizer)
 
 Q = Fraction
 
@@ -139,13 +144,31 @@ def char_poly(a: list[list[Fraction]]) -> list[Fraction]:
     return coeffs
 
 
+def real_rooted_sign_counts(coeffs: list) -> tuple[int, int, int]:
+    """(positive, zero, negative) root counts of a poly known to be real-rooted.
+
+    Zero roots are the trailing zero coefficients; positive roots are the
+    Descartes sign variations of the remaining sequence (exact for
+    real-rooted polynomials).
+    """
+    n = len(coeffs) - 1
+    cs = list(coeffs)
+    zero = 0
+    while cs and cs[-1] == 0:
+        cs.pop()
+        zero += 1
+    signs = [1 if c > 0 else -1 for c in cs if c != 0]
+    pos = sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+    return pos, zero, n - zero - pos
+
+
 def classify(m: GCM) -> str:
     """Sign class of the Fraction symmetrized form: finite / affine / indefinite."""
     d = symmetrizer(m)
     if d is None:
         raise ValueError("non-symmetrizable GCM")
     b = [[d[i] * m.entries[i][j] for j in range(m.n)] for i in range(m.n)]
-    pos, zero, neg = linalg.real_rooted_sign_counts(char_poly(b))
+    pos, zero, neg = real_rooted_sign_counts(char_poly(b))
     if neg > 0:
         return INDEFINITE
     if zero == 0:
@@ -153,6 +176,16 @@ def classify(m: GCM) -> str:
     if zero == 1:
         return AFFINE
     return INDEFINITE
+
+
+def root_rows(m: GCM) -> list[list[Fraction]]:
+    """Fundamental-weight coordinates of the simple roots.
+
+    A marked (BC) node has <omega_j, alpha_j^vee> = 2, so its column is
+    halved relative to the raw matrix entries.
+    """
+    return [[Q(m.entries[i][j], 2 if j in m.nonreduced_nodes else 1)
+             for j in range(m.n)] for i in range(m.n)]
 
 
 def finite_roots(m: GCM) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -15,7 +15,7 @@ lattice, every pair of basis elements walking only the weights the earlier
 pairs did not reach.  `dominant_below_descent` is the descent as it ran
 before: one walk per top, keyed by the root coordinates of its offset from
 the top, on positive roots and fundamental-weight steps it builds itself
-from `cartan.root_rows` and `cartan.finite_roots`.  Two integer walks over
+from `cartan_reference.root_rows` and `cartan.finite_roots`.  Two integer walks over
 the box of root coordinates of top - lam stand behind it.
 `dominant_below_box` tests every point of the whole box, which is cheap
 enough to check the descent at rank 5 and on D5 and E6, where the Fraction
@@ -36,7 +36,9 @@ where `smt_kit.quadlat` closes at most two classes at a time.
 whose free monoid `smt_kit.quadlat` reads off directly, and it searches
 every point up to the height bound, where `smt_kit.quadlat` stops at the
 first smaller bound 1, 2, 4, ... that shows a double factorization.
-`minuscule_depths` reads the depths of a minuscule poset with
+`minuscule_weights` lists the weights of a minuscule poset as Fraction
+weights, built from the integer keys of its `index`, since `smt_kit.smt`
+keeps no `WeightVec` per weight.  `minuscule_depths` reads the depths with
 `Realization.root_coords`, and `minuscule_leq` expands each difference of
 weights the same way, where `smt_kit.smt` counts the depths along the
 lowering steps and reads the order off up-set bitsets.  `minuscule_lower`
@@ -54,14 +56,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from fractions import Fraction
 
-from cartan_reference import simple_root
+from cartan_reference import root_rows, simple_root
 from smt_kit import linalg
-from smt_kit.cartan import WeightVec, build_cartan, finite_roots, root_inverse, root_rows
+from smt_kit.cartan import WeightVec, build_cartan, finite_roots, root_inverse
 from smt_kit.quadlat import SubLattice, _hnf
 
 Q = Fraction
+
+_weights: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def coefficients(lat, lam: WeightVec) -> tuple[int, ...] | None:
@@ -338,11 +343,20 @@ def intermediate_lattices(label):
     return lattices
 
 
+def minuscule_weights(p) -> list[WeightVec]:
+    """The weights of the poset in index order, as Fraction weights over
+    its realization's basis, built once per live poset from the integer
+    keys of `p.index`."""
+    if p not in _weights:
+        _weights[p] = [WeightVec(p.real.basis_id, k) for k in sorted(p.index, key=p.index.get)]
+    return _weights[p]
+
+
 def minuscule_depths(p) -> dict[tuple, tuple[int, ...]]:
     """The depth of each weight of the poset, highest - weight read with
     `Realization.root_coords`, keyed by the weight's coordinates."""
     out = {}
-    for w in p.weights:
+    for w in minuscule_weights(p):
         rc = p.real.root_coords(p.highest - w)
         assert rc is not None and all(c.denominator == 1 for c in rc)
         out[w.coords] = tuple(int(c) for c in rc)
@@ -351,14 +365,15 @@ def minuscule_depths(p) -> dict[tuple, tuple[int, ...]]:
 
 def minuscule_leq(p, i: int, j: int) -> bool:
     """i <= j iff weight_i - weight_j is a nonnegative integer root sum."""
-    coords = p.real.root_coords(p.weights[i] - p.weights[j])
+    weights = minuscule_weights(p)
+    coords = p.real.root_coords(weights[i] - weights[j])
     return coords is not None and all(c >= 0 and c.denominator == 1 for c in coords)
 
 
 def minuscule_lower(p, i: int, node: int) -> int | None:
     """Index of weight_i - alpha_node if that is again a weight, looked up
     by its Fraction coordinates."""
-    im = p.weights[i] - simple_root(p.real, node)
+    im = minuscule_weights(p)[i] - simple_root(p.real, node)
     return p.index.get(im.coords)
 
 

@@ -236,6 +236,8 @@ DOMINANCE_GCMS = {name: C.build_cartan(C.FinTypeLabel.parse(name))
                   for name in ["A1", "A3", "A4", "B2", "B3", "C3", "BC1", "BC2", "BC3",
                                "D4", "G2", "F4"]}
 DOMINANCE_GCMS["hyp33"] = REALIZATIONS["indefinite"].gcm
+# a marked column with an odd entry: its halved root rows need the scale 2
+DOMINANCE_GCMS["C2-marked"] = C.GCM(C.build_cartan(C.FinTypeLabel("C", 2)).entries, {1})
 AFFINE_NAMES = ["C2^(1)", "A4^(2)", "A5^(2)"]
 DOMINANCE_GCMS.update((name, C.build_affine_cartan(name)) for name in AFFINE_NAMES)
 
@@ -252,7 +254,7 @@ def dominance_pairs(draw):
     lam = C.WeightVec(name, tuple(draw(st.lists(HALVES, min_size=n, max_size=n))))
     delta = draw(st.sampled_from([0, 0, 0, 1]))
     if draw(st.booleans()):
-        rows = C.root_rows(gcm)
+        rows = CR.root_rows(gcm)
         ks = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, -1, Q(1, 2)]),
                            min_size=n, max_size=n))
         diff = tuple(sum(k * rows[i][j] for i, k in enumerate(ks)) for j in range(n))
@@ -426,3 +428,27 @@ def test_classify_agrees_on_named_gcms():
         C.classify.__wrapped__(witness)
     with pytest.raises(ValueError, match="^non-symmetrizable GCM$"):
         CR.classify(witness)
+
+
+def test_classify_agrees_on_the_elimination_branches():
+    """One GCM per way the elimination ends: a second null direction, a
+    null direction beside a definite block, a negative pivot, and a zero
+    diagonal left with a nonzero off-diagonal entry (the hyperbolic matrix
+    4I - 2J, whose Schur complement after one pivot is (0 -8; -8 0))."""
+    c2_1, a4_2 = C.build_affine_cartan("C2^(1)"), C.build_affine_cartan("A4^(2)")
+    cases = [(c2_1.block_sum(a4_2), C.INDEFINITE),
+             (c2_1.block_sum(C.build_cartan(C.FinTypeLabel("A", 2))), C.AFFINE),
+             (C.GCM(((2, -3), (-3, 2))), C.INDEFINITE),
+             (C.GCM(((2, -2, -2), (-2, 2, -2), (-2, -2, 2))), C.INDEFINITE)]
+    for gcm, want in cases:
+        assert CR.classify(gcm) == want
+        assert C.classify.__wrapped__(gcm) == want
+
+
+def test_classify_computes_no_characteristic_polynomial(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("classify called linalg.char_poly")
+
+    monkeypatch.setattr(linalg, "char_poly", refuse)
+    assert {C.classify.__wrapped__(gcm) for gcm in NAMED_GCMS} == \
+        {C.FINITE, C.AFFINE, C.INDEFINITE}

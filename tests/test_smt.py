@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lspath_reference as LR
+import quadlat_reference as QR
 import weyl_reference as WR
 from smt_kit import cartan as C, involutions as I, lspath as L, quadlat as QL, smt as S
 from smt_kit.caps import CAPS
@@ -162,6 +163,24 @@ def test_e7_poset_and_free_monoids_skip_the_fraction_kernels(monkeypatch):
         assert [w.coords for w in QL.monoid_basis(P, 12)] == \
             [tuple(int(i == j) for j in range(4)) for i in range(4)]
     assert calls == []
+
+
+def test_minuscule_poset_refuses_an_out_of_range_node():
+    for label, node in ((C.FinTypeLabel("E", 7), 9), (C.FinTypeLabel("A", 3), -1)):
+        hi = label.rank - 1
+        with pytest.raises(ValueError, match=rf"^node {node} out of range 0\.\.{hi}$"):
+            S.minuscule_poset(label, node)
+        with pytest.raises(ValueError, match=rf"^node {node} out of range 0\.\.{hi}$"):
+            C.Realization(C.build_cartan(label), str(label)).fundamental(node)
+
+
+def test_minuscule_index_answers_int_and_fraction_coordinates():
+    p = S.e7_minuscule()
+    assert sorted(p.index.values()) == list(range(len(p)))
+    for k, i in p.index.items():
+        assert all(type(c) is int for c in k)
+        assert p.index[tuple(Q(c) for c in k)] == i
+    assert p.index[p.highest.coords] == p.index[(1,) + (0,) * 6] == 0
 
 
 def test_three_chain_pairs():
@@ -330,7 +349,7 @@ def test_proctor_agreement_small():
     p = S.MinusculePoset(case.amb.real, 0)
     J = case.grassmann_parabolic()
     reps = [W.CosetRep(W.WeylWord(case.amb.real, WR.coset_from_weight(
-        case.amb.real, J, p.highest, w).word.letters), J) for w in p.weights]
+        case.amb.real, J, p.highest, w).word.letters), J) for w in QR.minuscule_weights(p)]
     for i, j in itertools.product(range(len(p)), repeat=2):
         assert p.leq(i, j) == W.bruhat_leq(reps[i], reps[j])
 
